@@ -72,15 +72,19 @@ def _off_grid(value: float) -> bool:
 
 
 def _open_source(source):
-    """Yield a text-mode handle for a path, text stream, or byte stream."""
+    """Yield a text-mode handle for a path, text stream, or byte stream.
+
+    Bytes decode as utf-8-sig, so a leading byte-order mark (as spreadsheet
+    exports write) is dropped instead of becoming part of the first column name.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, "r", encoding="utf-8-sig", newline=""), True
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), True
+        return io.StringIO(source.decode("utf-8-sig")), True
     if hasattr(source, "read"):
         probe = source.read(0)
         if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+            return io.TextIOWrapper(source, encoding="utf-8-sig", newline=""), False
         return source, False
     raise InvalidParameterError(f"cannot read cohort from {type(source).__name__}")
 

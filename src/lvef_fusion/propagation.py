@@ -184,8 +184,19 @@ def _realize(centers, spread, config, stream):
     return np.clip(draws, *config.clamp_range)
 
 
-def _replicate_from_arrays(centers, spread, time, event, config, stream) -> ReplicateResult:
-    realized = _realize(centers, spread, config, stream)
+def _time_sorted(time, event):
+    """(order, time, event) with the follow-up arrays sorted once by time.
+
+    order maps time order to patient order: replicates draw per patient, so
+    the Philox draws stay those of patient order, and are then permuted by it.
+    """
+    order = np.argsort(time, kind="stable")
+    return order, time[order], event[order]
+
+
+def _replicate_from_arrays(centers, spread, order, time, event, config, stream) -> ReplicateResult:
+    """One replicate on follow-up arrays already sorted by time (see _time_sorted)."""
+    realized = _realize(centers, spread, config, stream)[order]
     labels = stratify(realized, config.band_edges)
 
     rates, curves = {}, {}
@@ -219,7 +230,7 @@ def run_replicate(cohort, fused, config: PropagationConfig, stream: RngStream) -
     centers, spread, time, event = _prepare(cohort, fused, config)
     if int(event.sum()) == 0:
         raise DegenerateDataError("cohort has no events")
-    return _replicate_from_arrays(centers, spread, time, event, config, stream)
+    return _replicate_from_arrays(centers, spread, *_time_sorted(time, event), config, stream)
 
 
 def _km_band(curves: list[KmCurve]) -> KmBand | None:
@@ -260,8 +271,10 @@ def propagate(cohort, fused, config: PropagationConfig) -> PropagationSummary:
     if int(event.sum()) == 0:
         raise DegenerateDataError("cohort has no events")
 
+    order, time, event = _time_sorted(time, event)
     results = [
-        _replicate_from_arrays(centers, spread, time, event, config, make_stream(config.seed, r))
+        _replicate_from_arrays(centers, spread, order, time, event, config,
+                               make_stream(config.seed, r))
         for r in range(config.replicates)
     ]
 

@@ -2,10 +2,17 @@
 
 Two estimators, both written directly against their definitions:
 
-* Kaplan-Meier product-limit curves.  The survival products are accumulated as
-  exact integer numerator/denominator pairs with one correctly-rounded float
-  division per event time, so in the uncensored case the curve coincides
-  bit-for-bit with the empirical survival function.
+* Kaplan-Meier product-limit curves, computed with the telescoping identity
+  of the product-limit estimator (Kaplan & Meier 1958): while nobody is
+  censored, each event time's survivors are the next one's risk set, so
+  prod (r_i - d_i) / r_i over such a block is (r_i - d_i) / r_start, one
+  correctly rounded division.  Only the factors of whole blocks, one per
+  stretch of event times without censoring between them, are multiplied in
+  floating point (extended precision where the platform has it), so the
+  product costs linear work after the time sort.  The first block carries the
+  factor 1.0 exactly, so when every censoring falls before the first event
+  time or at or after the last one (in particular without censoring) the
+  curve coincides bit-for-bit with the empirical survival function.
 * Single-covariate Cox proportional hazards with the Breslow tie convention,
   fitted by Newton-Raphson with step halving.  Risk-set sums use one global
   exponent shift so the objective stays finite for any reasonable beta, and
@@ -111,28 +118,41 @@ def km_from_arrays(time: np.ndarray, event: np.ndarray) -> KmCurve:
 
     order = np.argsort(time, kind="stable")
     t, e = time[order], event[order]
-    n = t.size
-    first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    first = _group_starts(t)
     deaths = np.add.reduceat(e, first)
-    at_risk = n - first
     keep = deaths > 0
-
-    event_times = t[first[keep]]
+    event_first = first[keep]
     d_counts = deaths[keep]
-    r_counts = at_risk[keep]
+    r_counts = t.size - event_first
+    survivors = r_counts - d_counts
 
-    survival = np.empty(event_times.size)
-    num, den = 1, 1
-    for i, (r, d) in enumerate(zip(r_counts.tolist(), d_counts.tolist())):
-        num *= r - d
-        den *= r
-        survival[i] = num / den
+    # Blocks of event times with no censoring between them: inside one, each
+    # time's survivors are the next time's risk set and the product telescopes.
+    block_start = np.ones(r_counts.size, dtype=bool)
+    np.not_equal(r_counts[1:], survivors[:-1], out=block_start[1:])
+    starts = np.flatnonzero(block_start)
+    block = np.cumsum(block_start) - 1
+    within = survivors / r_counts[starts][block]
+    # Survival carried into each block: the product of the earlier blocks'
+    # factors, exactly 1.0 for the first block.  Factors and product are kept
+    # in extended precision where the platform has it, so thousands of blocks
+    # still leave S within about one ulp of the exact product.
+    factors = survivors[starts[1:] - 1] / r_counts[starts[:-1]].astype(np.longdouble)
+    carried = np.ones(starts.size, dtype=np.longdouble)
+    np.cumprod(factors, out=carried[1:])
     return KmCurve(
-        times=event_times,
-        survival=survival,
-        at_risk=r_counts.astype(np.int64),
-        events=d_counts.astype(np.int64),
+        times=t[event_first],
+        survival=(carried[block] * within).astype(float),
+        at_risk=r_counts,
+        events=d_counts,
     )
+
+
+def _group_starts(sorted_time: np.ndarray) -> np.ndarray:
+    """Index of the first subject of each tie group in time-sorted order."""
+    new_time = np.ones(sorted_time.size, dtype=bool)
+    np.not_equal(sorted_time[1:], sorted_time[:-1], out=new_time[1:])
+    return np.flatnonzero(new_time)
 
 
 def km_estimate(records) -> KmCurve:
@@ -144,7 +164,7 @@ def km_estimate(records) -> KmCurve:
 def km_survival_at(curve: KmCurve, horizon):
     """S(horizon) with right-continuous step evaluation; scalar or array."""
     idx = np.searchsorted(curve.times, horizon, side="right")
-    padded = np.r_[1.0, curve.survival]
+    padded = np.concatenate(([1.0], curve.survival))
     result = padded[idx]
     return float(result) if np.isscalar(horizon) else result
 
@@ -167,10 +187,11 @@ class _CoxLayout:
         self.order = np.argsort(time, kind="stable")
         t = time[self.order]
         self.e = event[self.order].astype(float)
-        self.first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-        deaths = np.add.reduceat(self.e, self.first)
-        self.keep = deaths > 0
-        self.deaths = deaths[self.keep]
+        first = _group_starts(t)
+        deaths = np.add.reduceat(self.e, first)
+        keep = deaths > 0
+        self.event_first = first[keep]
+        self.deaths = deaths[keep]
 
     def evaluate(self, beta: float, xc: np.ndarray):
         """(value, gradient, hessian) for a centered, time-sorted covariate.
@@ -183,9 +204,9 @@ class _CoxLayout:
         shift = eta.max()
         w = np.exp(eta - shift)
         wx = w * xc
-        s0 = np.cumsum(w[::-1])[::-1][self.first][self.keep]
-        s1 = np.cumsum(wx[::-1])[::-1][self.first][self.keep]
-        s2 = np.cumsum((wx * xc)[::-1])[::-1][self.first][self.keep]
+        s0 = np.cumsum(w[::-1])[::-1][self.event_first]
+        s1 = np.cumsum(wx[::-1])[::-1][self.event_first]
+        s2 = np.cumsum((wx * xc)[::-1])[::-1][self.event_first]
         sum_event_x = float(np.dot(self.e, xc))
 
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -90,6 +90,14 @@ class TestFuse:
                      "--output", str(tmp_path)]) == 0
         assert (tmp_path / "fused.csv").exists()
 
+    def test_bom_and_crlf_input(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        rows = HEADER + "p0,50,50,100,1\np1,55,55,200,0\n"
+        path.write_bytes(b"\xef\xbb\xbf" + rows.replace("\n", "\r\n").encode("utf-8"))
+        assert main(["fuse", "--input", str(path)]) == 0
+        fused = _rows(capsys.readouterr().out)
+        assert [r["patient_id"] for r in fused] == ["p0", "p1"]
+
 
 class TestCalibrateError:
     def test_json_artifact(self, tmp_path, capsys):

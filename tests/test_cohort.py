@@ -105,6 +105,16 @@ class TestParse:
         path.write_text(HEADER + "P1,50,55.3,200,1\n", encoding="utf-8")
         assert len(parse_cohort_csv(path)) == 1
 
+    def test_bom_and_crlf_inputs(self, tmp_path):
+        data = b"\xef\xbb\xbf" + (HEADER + "P1,50,55.3,200,1\nP2,45,44.1,365,0\n").replace(
+            "\n", "\r\n").encode("utf-8")
+        path = tmp_path / "cohort.csv"
+        path.write_bytes(data)
+        expected = _parse(HEADER + "P1,50,55.3,200,1\nP2,45,44.1,365,0\n")
+        assert parse_cohort_csv(path) == expected
+        assert parse_cohort_csv(data) == expected
+        assert parse_cohort_csv(io.BytesIO(data)) == expected
+
     def test_unsupported_source_type(self):
         with pytest.raises(InvalidParameterError):
             parse_cohort_csv(42)

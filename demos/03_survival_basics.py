@@ -23,10 +23,7 @@ from lvef_fusion import (
 
 # One synthetic cohort, fully determined by the seed.
 cohort = simulate(SimConfig(n_patients=1366, seed=5))
-records = cohort.measurements
-simpson = np.array([m.simpson_lvef for m in records])
-time_days = np.array([m.time_days for m in records])
-event = np.array([m.event for m in records])
+simpson, time_days, event = cohort.simpson, cohort.time, cohort.event
 
 # Kaplan-Meier per LVEF stratum: low (< 35), mid ([35, 50]), high (> 50).
 labels = stratify(simpson)

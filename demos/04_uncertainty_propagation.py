@@ -17,7 +17,7 @@ from lvef_fusion import (
     simulate,
 )
 
-cohort = simulate(SimConfig(n_patients=1366, seed=5)).measurements
+cohort = simulate(SimConfig(n_patients=1366, seed=5))
 sigmas = InstrumentSigma(18.1, 8.8)
 fused = fused_estimates(cohort, sigmas)
 

@@ -32,16 +32,15 @@ out.mkdir(exist_ok=True)
 
 # Write a synthetic cohort to CSV and read it back, as a real run would.
 cohort = simulate(SimConfig(n_patients=400, seed=11))
-write_cohort_csv(cohort.measurements, out / "cohort.csv",
-                 true_lvef=cohort.true_lvef)
-records = parse_cohort_csv(out / "cohort.csv")
-print(f"cohort: {len(records)} patients -> {out / 'cohort.csv'}")
+write_cohort_csv(cohort, out / "cohort.csv")
+cohort = parse_cohort_csv(out / "cohort.csv")
+print(f"cohort: {len(cohort)} patients -> {out / 'cohort.csv'}")
 
 # Run every stage.  The report dict is JSON-ready; the propagation summaries
 # carry the Kaplan-Meier bands, which go to a long-format CSV instead.
 options = ReportOptions(sigmas=InstrumentSigma(18.1, 8.8), seed=7,
                         replicates=200)
-report, summaries = run_report(records, options)
+report, summaries = run_report(cohort, options)
 
 write_report_json(report, out / "report.json")
 write_km_band_csv(list(summaries.values()), out / "km_bands.csv")
@@ -63,7 +62,7 @@ print("warnings recorded in the report:", len(report["warnings"]))
 
 # Rerunning with the same cohort, flags, and seed reproduces report.json
 # byte-for-byte except the generated_at timestamp.
-rerun, _ = run_report(records, options)
+rerun, _ = run_report(cohort, options)
 stable = {k: v for k, v in report.items() if k != "metadata"}
 stable_rerun = {k: v for k, v in rerun.items() if k != "metadata"}
 print("deterministic rerun:", json.dumps(stable, sort_keys=True)

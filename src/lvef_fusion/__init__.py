@@ -18,8 +18,7 @@ from .calibration import (
     reduction_distribution,
 )
 from .cohort import (
-    PairedMeasurement,
-    cohort_arrays,
+    Cohort,
     parse_cohort_csv,
     write_cohort_csv,
     write_fused_csv,
@@ -44,7 +43,8 @@ from .fusion import (
     FusedEstimate,
     InstrumentSigma,
     fuse,
-    fuse_cohort,
+    fused_estimates,
+    fused_sigma,
     precision_ratio,
     relative_reduction,
     theta_map,
@@ -56,13 +56,13 @@ from .propagation import (
     PropagationSummary,
     ReplicateResult,
     StratumSummary,
-    fused_estimates,
     propagate,
     realize_lvef,
     run_replicate,
     stratify,
 )
 from .report import (
+    TOOL_VERSION as __version__,
     ReportOptions,
     render_report_json,
     run_report,
@@ -71,7 +71,6 @@ from .report import (
 )
 from .simulate import (
     SimConfig,
-    SyntheticCohort,
     concordant_config,
     rmse_vs_truth,
     simulate,
@@ -80,25 +79,18 @@ from .stochastics import (
     RngStream,
     SampleSummary,
     make_stream,
-    sample_gamma,
-    sample_normal,
     summarize,
 )
 from .survival import (
     CoxFit,
     KmCurve,
-    SurvivalRecord,
-    cox_fit,
     cox_fit_from_arrays,
-    cox_partial_loglik,
+    cox_loglik_from_arrays,
     hazard_ratio_per,
-    km_estimate,
     km_event_rate_at,
     km_from_arrays,
     km_survival_at,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",
@@ -106,7 +98,8 @@ __all__ = [
     "InstrumentSigma",
     "FusedEstimate",
     "fuse",
-    "fuse_cohort",
+    "fused_estimates",
+    "fused_sigma",
     "precision_ratio",
     "total_variation",
     "relative_reduction",
@@ -121,16 +114,13 @@ __all__ = [
     "chain_diagnostics",
     "paired_calibration",
     # survival
-    "SurvivalRecord",
     "KmCurve",
     "CoxFit",
-    "km_estimate",
     "km_from_arrays",
     "km_survival_at",
     "km_event_rate_at",
-    "cox_fit",
+    "cox_loglik_from_arrays",
     "cox_fit_from_arrays",
-    "cox_partial_loglik",
     "hazard_ratio_per",
     # propagation
     "PropagationConfig",
@@ -138,20 +128,17 @@ __all__ = [
     "ReplicateResult",
     "StratumSummary",
     "KmBand",
-    "fused_estimates",
     "propagate",
     "run_replicate",
     "realize_lvef",
     "stratify",
     # cohort I/O
-    "PairedMeasurement",
+    "Cohort",
     "parse_cohort_csv",
     "write_cohort_csv",
     "write_fused_csv",
-    "cohort_arrays",
     # simulation
     "SimConfig",
-    "SyntheticCohort",
     "simulate",
     "concordant_config",
     "rmse_vs_truth",
@@ -159,8 +146,6 @@ __all__ = [
     "RngStream",
     "SampleSummary",
     "make_stream",
-    "sample_normal",
-    "sample_gamma",
     "summarize",
     # report
     "ReportOptions",

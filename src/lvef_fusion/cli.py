@@ -15,19 +15,16 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .calibration import (
     SIMPSON_STREAM_INDEX,
     VISUAL_STREAM_INDEX,
     CalibrationConfig,
     paired_calibration,
 )
-from .cohort import cohort_arrays, parse_cohort_csv, write_cohort_csv, write_fused_csv
+from .cohort import parse_cohort_csv, write_cohort_csv, write_fused_csv
 from .errors import (
     DegenerateDataError,
     DomainError,
-    DuplicateIdError,
     EmptyInputError,
     InitializationError,
     InvalidParameterError,
@@ -39,13 +36,13 @@ from .errors import (
     SchemaError,
     SeparationError,
 )
-from .fusion import MODES, InstrumentSigma
+from .fusion import MODES, InstrumentSigma, fused_estimates, fused_sigma
 from .propagation import (
     SOURCES,
     STRATA,
     PropagationConfig,
-    fused_estimates,
     propagate,
+    source_values,
     stratify,
 )
 from .report import (
@@ -53,6 +50,7 @@ from .report import (
     TOOL_VERSION,
     ReportOptions,
     _utc_now_iso,
+    calibration_echo,
     cox_fit_to_dict,
     posterior_to_dict,
     propagation_to_dict,
@@ -203,18 +201,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_cohort(path):
     """Parse the cohort, mirroring library warnings to stderr.
 
-    Returns (records, warning messages) so report-producing commands can
+    Returns (cohort, warning messages) so report-producing commands can
     carry the messages into their artifacts.
     """
     source = sys.stdin.buffer if path == "-" else path
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LvefFusionWarning)
-        records = parse_cohort_csv(source)
+        cohort = parse_cohort_csv(source)
     messages = []
     for w in caught:
         messages.append(f"{w.category.__name__}: {w.message}")
         print(f"warning: {w.message}", file=sys.stderr)
-    return records, messages
+    return cohort, messages
 
 
 def _out_path(directory, filename) -> Path:
@@ -238,25 +236,12 @@ def _metadata(seed=None) -> dict:
     return out
 
 
-def _source_arrays(records, source, sigmas):
-    """(estimate, time, event) arrays for the requested source."""
-    visual, simpson, time, event = cohort_arrays(records)
-    if source == "visual":
-        return visual, time, event
-    if source == "simpson":
-        return simpson, time, event
-    fused = fused_estimates(records, sigmas)
-    return np.array([f.theta for f in fused]), time, event
-
-
 def cmd_fuse(args) -> int:
-    records, _ = _read_cohort(args.input)
+    cohort, _ = _read_cohort(args.input)
     sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
-    fused = fused_estimates(records, sigmas)
-    if args.output is None:
-        write_fused_csv(records, fused, sys.stdout)
-    else:
-        write_fused_csv(records, fused, _out_path(args.output, "fused.csv"))
+    theta = fused_estimates(cohort, sigmas)
+    destination = sys.stdout if args.output is None else _out_path(args.output, "fused.csv")
+    write_fused_csv(cohort, theta, fused_sigma(sigmas), destination)
     return 0
 
 
@@ -281,13 +266,7 @@ def cmd_calibrate_error(args) -> int:
             "sigma_visual": sigmas.visual_sigma,
             "sigma_simpson": sigmas.simpson_sigma,
             "mode": sigmas.mode,
-            "chain_length": CalibrationConfig.chain_length,
-            "burn_in": CalibrationConfig.burn_in,
-            "kept_samples": CalibrationConfig.kept_samples,
-            "likelihood_shape": CalibrationConfig.likelihood_shape,
-            "observation_weight": CalibrationConfig.observation_weight,
-            "visual_stream_index": VISUAL_STREAM_INDEX,
-            "simpson_stream_index": SIMPSON_STREAM_INDEX,
+            **calibration_echo(CalibrationConfig(observed_sigma=sigmas.visual_sigma)),
         },
         "visual": posterior_to_dict(visual),
         "simpson": posterior_to_dict(simpson),
@@ -299,9 +278,10 @@ def cmd_calibrate_error(args) -> int:
 
 
 def cmd_km(args) -> int:
-    records, _ = _read_cohort(args.input)
+    cohort, _ = _read_cohort(args.input)
     sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
-    values, time, event = _source_arrays(records, args.source, sigmas)
+    fused = fused_estimates(cohort, sigmas) if args.source == "assimilated" else None
+    values, _ = source_values(cohort, fused, args.source, sigmas)
     labels = stratify(values, args.bands)
 
     strata = {}
@@ -310,7 +290,7 @@ def cmd_km(args) -> int:
         if not mask.any():
             strata[label] = {"present": False, "n": 0}
             continue
-        curve = km_from_arrays(time[mask], event[mask])
+        curve = km_from_arrays(cohort.time[mask], cohort.event[mask])
         strata[label] = {
             "present": True,
             "n": int(mask.sum()),
@@ -334,7 +314,7 @@ def cmd_km(args) -> int:
             "band_edges": list(args.bands),
         },
         "source": args.source,
-        "n_patients": len(records),
+        "n_patients": len(cohort),
         "strata": strata,
     }
     _emit_json(payload, args.output, f"km_{args.source}.json")
@@ -342,10 +322,11 @@ def cmd_km(args) -> int:
 
 
 def cmd_cox(args) -> int:
-    records, _ = _read_cohort(args.input)
+    cohort, _ = _read_cohort(args.input)
     sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
-    values, time, event = _source_arrays(records, args.source, sigmas)
-    fit = cox_fit_from_arrays(time, event, values)
+    fused = fused_estimates(cohort, sigmas) if args.source == "assimilated" else None
+    values, _ = source_values(cohort, fused, args.source, sigmas)
+    fit = cox_fit_from_arrays(cohort.time, cohort.event, values)
 
     payload = {
         "metadata": _metadata(),
@@ -356,8 +337,8 @@ def cmd_cox(args) -> int:
             "sigma_simpson": sigmas.simpson_sigma,
         },
         "source": args.source,
-        "n_patients": len(records),
-        "n_events": int(event.sum()),
+        "n_patients": len(cohort),
+        "n_events": int(cohort.event.sum()),
         "fit": cox_fit_to_dict(fit),
     }
     _emit_json(payload, args.output, f"cox_{args.source}.json")
@@ -365,9 +346,9 @@ def cmd_cox(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    records, _ = _read_cohort(args.input)
+    cohort, _ = _read_cohort(args.input)
     sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
-    fused = fused_estimates(records, sigmas)
+    fused = fused_estimates(cohort, sigmas)
     sources = SOURCES if args.source == "all" else (args.source,)
 
     for source in sources:
@@ -379,7 +360,7 @@ def cmd_propagate(args) -> int:
             horizon=args.horizon,
             band_edges=args.bands,
         )
-        summary = propagate(records, fused, config)
+        summary = propagate(cohort, fused, config)
         if summary.failed_replicates:
             print(
                 f"warning: source {source}: {summary.failed_replicates} of "
@@ -394,17 +375,13 @@ def cmd_propagate(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = SimConfig(n_patients=args.n, seed=args.seed)
-    cohort = simulate(config)
-    if args.output is None:
-        write_cohort_csv(cohort.measurements, sys.stdout, true_lvef=cohort.true_lvef)
-    else:
-        write_cohort_csv(cohort.measurements, _out_path(args.output, "cohort.csv"),
-                         true_lvef=cohort.true_lvef)
+    destination = sys.stdout if args.output is None else _out_path(args.output, "cohort.csv")
+    write_cohort_csv(simulate(config), destination)
     return 0
 
 
 def cmd_report(args) -> int:
-    records, parse_warnings = _read_cohort(args.input)
+    cohort, parse_warnings = _read_cohort(args.input)
     sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
     sources = SOURCES if args.source == "all" else (args.source,)
     options = ReportOptions(
@@ -415,7 +392,7 @@ def cmd_report(args) -> int:
         band_edges=args.bands,
         sources=tuple(sources),
     )
-    report, summaries = run_report(records, options, parse_warnings=parse_warnings)
+    report, summaries = run_report(cohort, options, parse_warnings=parse_warnings)
     write_report_json(report, _out_path(args.output, "report.json"))
     for source, summary in summaries.items():
         write_km_band_csv(summary, _out_path(args.output, f"km_bands_{source}.csv"))
@@ -441,7 +418,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, RowError, DuplicateIdError, EmptyInputError, DomainError,
+    except (SchemaError, RowError, EmptyInputError, DomainError,
             DegenerateDataError, InvalidParameterError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -67,8 +67,8 @@ class RowError(LvefFusionError, ValueError):
         self.row_index = row_index
 
 
-class DuplicateIdError(LvefFusionError, ValueError):
-    """Two cohort rows share a patient_id."""
+class DuplicateIdError(RowError):
+    """Two cohort rows share a patient_id; the row index is the later one's."""
 
 
 class LvefFusionWarning(UserWarning):

@@ -15,6 +15,10 @@ instrument spreads are supported:
 The precision ratio omega = (1/sS)/(1/sV), total variation T = sV + sS, the
 MAP identity theta = (omega*S + V)/(omega + 1) and the relative spread
 reduction R = -1/(omega + 1) are all expressed in the active mode's units.
+
+``fuse`` combines one pair into a ``FusedEstimate``; ``fused_estimates`` fuses
+a whole cohort's columns at once with the same arithmetic, and
+``fused_sigma`` gives the posterior spread every patient shares.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ __all__ = [
     "InstrumentSigma",
     "FusedEstimate",
     "fuse",
-    "fuse_cohort",
+    "fused_estimates",
+    "fused_sigma",
     "precision_ratio",
     "total_variation",
     "theta_map",
@@ -123,40 +128,60 @@ def theta_map(visual: float, simpson: float, sigmas: InstrumentSigma) -> float:
     return (omega * simpson + visual) / (omega + 1.0)
 
 
+def _posterior_mean(visual, simpson, a: float, b: float):
+    """(a*S + b*V)/(a + b) for weights (a, b); scalars and arrays alike."""
+    return (a * simpson + b * visual) / (a + b)
+
+
+def fused_sigma(sigmas: InstrumentSigma) -> float:
+    """Posterior spread of every fused estimate under these sigmas.
+
+    It depends on the sigmas only: the harmonic combination of the two
+    spreads (square-rooted back to percentage points in variance mode), and
+    0.0 when either instrument is exact.
+    """
+    if sigmas.visual_sigma == 0 or sigmas.simpson_sigma == 0:
+        return 0.0
+    a, b = sigmas.weights()
+    posterior = 1.0 / (1.0 / a + 1.0 / b)
+    return float(np.sqrt(posterior)) if sigmas.mode == "variance" else posterior
+
+
 def fuse(visual: float, simpson: float, sigmas: InstrumentSigma) -> FusedEstimate:
     """Combine one measurement pair into a FusedEstimate.
 
     The posterior mean weights each measurement by the *other* instrument's
     spread: theta = (wV*S + wS*V)/(wV + wS) with (wV, wS) in the active mode's
-    units.  The posterior spread is the harmonic combination of the two
-    spreads (square-rooted back to percentage points in variance mode).
+    units.  The posterior spread is fused_sigma(sigmas).
     """
     _check_lvef("visual", visual)
     _check_lvef("simpson", simpson)
     a, b = sigmas.weights()
-    theta = (a * simpson + b * visual) / (a + b)
-    posterior = 1.0 / (1.0 / a + 1.0 / b)
-    theta_sigma = np.sqrt(posterior) if sigmas.mode == "variance" else posterior
     omega = a / b
     return FusedEstimate(
-        theta=float(theta),
-        theta_sigma=float(theta_sigma),
+        theta=float(_posterior_mean(visual, simpson, a, b)),
+        theta_sigma=fused_sigma(sigmas),
         omega=float(omega),
         total_variation=float(a + b),
         relative_reduction=float(-1.0 / (omega + 1.0)),
     )
 
 
-def fuse_cohort(cohort, sigmas: InstrumentSigma) -> list[FusedEstimate]:
-    """fuse applied record-wise; order preserved.  The first invalid record
-    aborts the whole call with its index in the message."""
-    records = list(cohort)
-    if not records:
-        raise EmptyInputError("fuse_cohort requires a non-empty cohort")
-    fused = []
-    for i, record in enumerate(records):
-        try:
-            fused.append(fuse(record.visual_lvef, record.simpson_lvef, sigmas))
-        except (DomainError, InvalidParameterError) as exc:
-            raise type(exc)(f"record {i}: {exc}") from exc
-    return fused
+def fused_estimates(cohort, sigmas: InstrumentSigma) -> np.ndarray:
+    """Per-patient theta of a whole cohort, continuity-extended to zero sigmas.
+
+    With strictly positive sigmas each entry equals fuse(v, s, sigmas).theta
+    bit-for-bit.  With both sigmas zero each instrument is exact and theta is
+    the equal-weight midpoint; with exactly one sigma zero the exact
+    instrument wins outright.  Every patient shares the spread
+    fused_sigma(sigmas).
+    """
+    if not len(cohort):
+        raise EmptyInputError("fused_estimates requires a non-empty cohort")
+    visual, simpson = cohort.visual, cohort.simpson
+    a, b = sigmas.visual_sigma, sigmas.simpson_sigma
+    if a > 0 and b > 0:
+        return _posterior_mean(visual, simpson, *sigmas.weights())
+    if a == 0 and b == 0:
+        return (visual + simpson) / 2.0
+    return visual.copy() if a == 0 else simpson.copy()

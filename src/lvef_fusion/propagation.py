@@ -5,6 +5,10 @@ source's error distribution, (2) rerun the Kaplan-Meier strata and the Cox fit
 as if the resampled values were exact, (3) compile the replicate statistics
 into percentile bands.  Replicate r always runs on substream (seed, r), so
 results are bit-reproducible and independent of execution order.
+
+Every entry point takes the cohort as a ``Cohort`` and, for the assimilated
+source, the per-patient theta array from ``fused_estimates`` (``fused``, which
+may be None for the visual and Simpson's sources).
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import cohort_arrays
 from .errors import (
     DegenerateDataError,
     InvalidParameterError,
@@ -21,7 +24,7 @@ from .errors import (
     PropagationError,
     SeparationError,
 )
-from .fusion import FusedEstimate, InstrumentSigma, fuse_cohort
+from .fusion import InstrumentSigma, fused_sigma
 from .stochastics import RngStream, make_stream, summarize
 from .survival import KmCurve, cox_fit_from_arrays, hazard_ratio_per, km_event_rate_at, km_from_arrays
 
@@ -33,7 +36,7 @@ __all__ = [
     "StratumSummary",
     "KmBand",
     "PropagationSummary",
-    "fused_estimates",
+    "source_values",
     "realize_lvef",
     "stratify",
     "run_replicate",
@@ -115,36 +118,6 @@ class PropagationSummary:
     horizon: float
 
 
-def fused_estimates(cohort, sigmas: InstrumentSigma) -> list[FusedEstimate]:
-    """Per-patient fusion, continuity-extended to degenerate (zero) sigmas.
-
-    With both sigmas zero each instrument is exact and the fused estimate is
-    the equal-weight midpoint; with exactly one sigma zero the exact
-    instrument wins outright.  The regular strictly-positive case delegates
-    to fuse_cohort.
-    """
-    a, b = sigmas.visual_sigma, sigmas.simpson_sigma
-    if a > 0 and b > 0:
-        return fuse_cohort(cohort, sigmas)
-    if a == 0 and b == 0:
-        return [
-            FusedEstimate(theta=(m.visual_lvef + m.simpson_lvef) / 2.0, theta_sigma=0.0,
-                          omega=1.0, total_variation=0.0, relative_reduction=-0.5)
-            for m in cohort
-        ]
-    if a == 0:
-        return [
-            FusedEstimate(theta=m.visual_lvef, theta_sigma=0.0, omega=0.0,
-                          total_variation=b, relative_reduction=-1.0)
-            for m in cohort
-        ]
-    return [
-        FusedEstimate(theta=m.simpson_lvef, theta_sigma=0.0, omega=np.inf,
-                      total_variation=a, relative_reduction=0.0)
-        for m in cohort
-    ]
-
-
 def stratify(lvef_values, band_edges=(35.0, 50.0)) -> np.ndarray:
     """Label each value low (< lower edge), mid (closed band), or high."""
     values = np.asarray(lvef_values, dtype=float)
@@ -152,31 +125,25 @@ def stratify(lvef_values, band_edges=(35.0, 50.0)) -> np.ndarray:
     return np.where(values < lo, "low", np.where(values <= hi, "mid", "high"))
 
 
-def _prepare(cohort, fused, config):
-    """(centers, spread, time, event) for the configured source."""
-    visual, simpson, time, event = cohort_arrays(cohort)
-    theta = theta_sigma = None
-    if fused is not None:
-        fused = list(fused)
-        if len(fused) != visual.size:
-            raise InvalidParameterError(
-                f"fused length {len(fused)} does not match cohort size {visual.size}"
-            )
-        theta = np.array([f.theta for f in fused])
-        theta_sigma = np.array([f.theta_sigma for f in fused])
-    elif config.source == "assimilated":
+def source_values(cohort, fused, source: str, sigmas: InstrumentSigma):
+    """(centers, spread) of one source: a reading column with its instrument
+    sigma, or the fused theta (from fused_estimates) with fused_sigma."""
+    if fused is not None and len(fused) != len(cohort):
+        raise InvalidParameterError(
+            f"fused length {len(fused)} does not match cohort size {len(cohort)}"
+        )
+    if source == "visual":
+        return cohort.visual, sigmas.visual_sigma
+    if source == "simpson":
+        return cohort.simpson, sigmas.simpson_sigma
+    if fused is None:
         raise InvalidParameterError("assimilated source requires fused estimates")
-    if config.source == "visual":
-        return visual, config.sigmas.visual_sigma, time, event
-    if config.source == "simpson":
-        return simpson, config.sigmas.simpson_sigma, time, event
-    return theta, theta_sigma, time, event
+    return np.asarray(fused, dtype=float), fused_sigma(sigmas)
 
 
 def realize_lvef(cohort, fused, config: PropagationConfig, stream: RngStream) -> np.ndarray:
     """One resampled LVEF per patient from the configured source, clamped."""
-    centers, spread, _, _ = _prepare(cohort, fused, config)
-    return _realize(centers, spread, config, stream)
+    return _realize(*source_values(cohort, fused, config.source, config.sigmas), config, stream)
 
 
 def _realize(centers, spread, config, stream):
@@ -184,14 +151,17 @@ def _realize(centers, spread, config, stream):
     return np.clip(draws, *config.clamp_range)
 
 
-def _time_sorted(time, event):
-    """(order, time, event) with the follow-up arrays sorted once by time.
+def _time_sorted(cohort):
+    """(order, time, event) with the cohort's follow-up sorted once by time.
 
     order maps time order to patient order: replicates draw per patient, so
     the Philox draws stay those of patient order, and are then permuted by it.
+    A cohort without events raises DegenerateDataError.
     """
-    order = np.argsort(time, kind="stable")
-    return order, time[order], event[order]
+    if int(cohort.event.sum()) == 0:
+        raise DegenerateDataError("cohort has no events")
+    order = np.argsort(cohort.time, kind="stable")
+    return order, cohort.time[order], cohort.event[order]
 
 
 def _replicate_from_arrays(centers, spread, order, time, event, config, stream) -> ReplicateResult:
@@ -227,10 +197,8 @@ def _replicate_from_arrays(centers, spread, order, time, event, config, stream) 
 
 def run_replicate(cohort, fused, config: PropagationConfig, stream: RngStream) -> ReplicateResult:
     """Resample, stratify, estimate: one full analysis under one noise draw."""
-    centers, spread, time, event = _prepare(cohort, fused, config)
-    if int(event.sum()) == 0:
-        raise DegenerateDataError("cohort has no events")
-    return _replicate_from_arrays(centers, spread, *_time_sorted(time, event), config, stream)
+    centers, spread = source_values(cohort, fused, config.source, config.sigmas)
+    return _replicate_from_arrays(centers, spread, *_time_sorted(cohort), config, stream)
 
 
 def _km_band(curves: list[KmCurve]) -> KmBand | None:
@@ -267,11 +235,8 @@ def _km_band(curves: list[KmCurve]) -> KmBand | None:
 
 def propagate(cohort, fused, config: PropagationConfig) -> PropagationSummary:
     """Run all replicates on substreams (seed, r) and compile the bands."""
-    centers, spread, time, event = _prepare(cohort, fused, config)
-    if int(event.sum()) == 0:
-        raise DegenerateDataError("cohort has no events")
-
-    order, time, event = _time_sorted(time, event)
+    centers, spread = source_values(cohort, fused, config.source, config.sigmas)
+    order, time, event = _time_sorted(cohort)
     results = [
         _replicate_from_arrays(centers, spread, order, time, event, config,
                                make_stream(config.seed, r))

@@ -24,15 +24,21 @@ from .calibration import (
     chain_diagnostics,
     paired_calibration,
 )
-from .cohort import _open_destination
+from .cohort import _fmt, _open_destination
 from .errors import InvalidParameterError, InvalidStateError, LvefFusionWarning
-from .fusion import InstrumentSigma, precision_ratio, relative_reduction, total_variation
+from .fusion import (
+    InstrumentSigma,
+    fused_estimates,
+    fused_sigma,
+    precision_ratio,
+    relative_reduction,
+    total_variation,
+)
 from .propagation import (
     HR_DELTA,
     SOURCES,
     PropagationConfig,
     PropagationSummary,
-    fused_estimates,
     propagate,
 )
 from .stochastics import SampleSummary, make_stream, summarize
@@ -49,11 +55,14 @@ __all__ = [
     "propagation_to_dict",
     "cox_fit_to_dict",
     "config_hash",
+    "calibration_echo",
     "TOOL_NAME",
     "TOOL_VERSION",
 ]
 
 TOOL_NAME = "lvef-fusion"
+# The one version literal: the package's __version__ and its build metadata
+# (pyproject.toml) both read it from here.
 TOOL_VERSION = "0.1.0"
 
 # Slack for re-checking band nesting at write time; replicate means can sit
@@ -188,19 +197,25 @@ def _config_echo(options: ReportOptions, calibration: CalibrationConfig | None) 
         "clamp_range": [float(v) for v in options.clamp_range],
     }
     if calibration is not None:
-        echo["calibration"] = {
-            "likelihood_shape": calibration.likelihood_shape,
-            "prior_shape": calibration.prior_shape,
-            "prior_rate": calibration.prior_rate,
-            "chain_length": calibration.chain_length,
-            "burn_in": calibration.burn_in,
-            "kept_samples": calibration.kept_samples,
-            "observation_weight": calibration.observation_weight,
-            "tune_proposal": calibration.tune_proposal,
-            "visual_stream_index": VISUAL_STREAM_INDEX,
-            "simpson_stream_index": SIMPSON_STREAM_INDEX,
-        }
+        echo["calibration"] = calibration_echo(calibration)
     return echo
+
+
+def calibration_echo(calibration: CalibrationConfig) -> dict:
+    """The calibration settings and stream indices a report or calibration
+    artifact echoes in its config."""
+    return {
+        "likelihood_shape": calibration.likelihood_shape,
+        "prior_shape": calibration.prior_shape,
+        "prior_rate": calibration.prior_rate,
+        "chain_length": calibration.chain_length,
+        "burn_in": calibration.burn_in,
+        "kept_samples": calibration.kept_samples,
+        "observation_weight": calibration.observation_weight,
+        "tune_proposal": calibration.tune_proposal,
+        "visual_stream_index": VISUAL_STREAM_INDEX,
+        "simpson_stream_index": SIMPSON_STREAM_INDEX,
+    }
 
 
 def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict, dict]:
@@ -210,7 +225,6 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
     summaries carry the KM bands, which go to CSV rather than the JSON.
     Warnings raised by the pipeline are recorded in the report and re-emitted.
     """
-    cohort = list(cohort)
     sigmas = options.sigmas
     report_warnings = [{"category": "ParseWarning", "message": str(m)} for m in parse_warnings]
 
@@ -229,11 +243,8 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
                 total_variation=total_variation(sigmas),
                 relative_reduction=relative_reduction(sigmas),
             )
-        if fused:
-            fusion_section["theta_sigma"] = float(fused[0].theta_sigma)
-            fusion_section["cohort_theta"] = summary_to_dict(
-                summarize([f.theta for f in fused], SUMMARY_LEVELS)
-            )
+        fusion_section["theta_sigma"] = fused_sigma(sigmas)
+        fusion_section["cohort_theta"] = summary_to_dict(summarize(fused, SUMMARY_LEVELS))
         fusion_section["n_patients"] = len(cohort)
 
         cal_config = options.calibration
@@ -332,10 +343,6 @@ def write_report_json(report: dict, destination) -> None:
     finally:
         if close_after:
             handle.close()
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.4f}"
 
 
 def _checked_row(source, label, t, lo, me, up):

@@ -10,17 +10,16 @@ given (config, stream), so pipeline claims can be tested against the truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import PairedMeasurement
+from .cohort import Cohort
 from .errors import InvalidParameterError
 from .stochastics import RngStream, make_stream
 
 __all__ = [
     "SimConfig",
-    "SyntheticCohort",
     "concordant_config",
     "simulate",
     "rmse_vs_truth",
@@ -79,29 +78,15 @@ def concordant_config(**overrides) -> SimConfig:
     return SimConfig(**settings)
 
 
-@dataclass(frozen=True)
-class SyntheticCohort:
-    """Generated measurements plus the ground truth that produced them."""
-
-    measurements: list[PairedMeasurement]
-    true_lvef: np.ndarray = field(repr=False)
-    config: SimConfig
-
-    @property
-    def records(self):
-        """(true_lvef, PairedMeasurement) pairs, cohort order."""
-        return list(zip(self.true_lvef.tolist(), self.measurements))
-
-
 def _round_to_grid(values: np.ndarray, grid: float) -> np.ndarray:
     lo, hi = LVEF_RANGE
     rounded = np.round(values / grid) * grid
     return np.clip(rounded, grid * np.ceil(lo / grid), grid * np.floor(hi / grid + 1e-9))
 
 
-def simulate(config: SimConfig, stream: RngStream | None = None) -> SyntheticCohort:
-    """Generate one cohort.  With stream=None, uses the reserved simulation
-    substream of config.seed."""
+def simulate(config: SimConfig, stream: RngStream | None = None) -> Cohort:
+    """Generate one cohort, carrying the truth that produced it as true_lvef.
+    With stream=None, uses the reserved simulation substream of config.seed."""
     if stream is None:
         stream = make_stream(config.seed, SIM_STREAM_INDEX)
     gen = stream.generator
@@ -123,21 +108,20 @@ def simulate(config: SimConfig, stream: RngStream | None = None) -> SyntheticCoh
     time = np.where(event, raw_times, config.censor_horizon)
 
     width = len(str(n))
-    measurements = [
-        PairedMeasurement(
-            patient_id=f"P{i + 1:0{width}d}",
-            visual_lvef=float(visual[i]),
-            simpson_lvef=float(simpson[i]),
-            time_days=float(time[i]),
-            event=int(event[i]),
-        )
-        for i in range(n)
-    ]
-    return SyntheticCohort(measurements=measurements, true_lvef=true, config=config)
+    return Cohort(
+        patient_id=[f"P{i + 1:0{width}d}" for i in range(n)],
+        visual=visual,
+        simpson=simpson,
+        time=time,
+        event=event,
+        true_lvef=true,
+    )
 
 
-def rmse_vs_truth(cohort: SyntheticCohort, estimates) -> float:
+def rmse_vs_truth(cohort: Cohort, estimates) -> float:
     """Root-mean-square deviation of per-patient estimates from the truth."""
+    if cohort.true_lvef is None:
+        raise InvalidParameterError("rmse_vs_truth requires a cohort with true_lvef")
     estimates = np.asarray(estimates, dtype=float)
     if estimates.shape != cohort.true_lvef.shape:
         raise InvalidParameterError(

@@ -20,8 +20,6 @@ __all__ = [
     "RngStream",
     "SampleSummary",
     "make_stream",
-    "sample_normal",
-    "sample_gamma",
     "summarize",
 ]
 
@@ -35,10 +33,6 @@ class RngStream:
     stream_index: int
     generator: np.random.Generator = field(repr=False, compare=False)
 
-    def fork(self, stream_index: int) -> "RngStream":
-        """A sibling stream under the same seed with a different index."""
-        return make_stream(self.seed, stream_index)
-
 
 def make_stream(seed: int, stream_index: int = 0) -> RngStream:
     """Create the deterministic stream identified by (seed, stream_index)."""
@@ -48,32 +42,6 @@ def make_stream(seed: int, stream_index: int = 0) -> RngStream:
     key = np.array([seed, stream_index], dtype=np.uint64)
     generator = np.random.Generator(np.random.Philox(key=key))
     return RngStream(seed=int(seed), stream_index=int(stream_index), generator=generator)
-
-
-def sample_normal(stream: RngStream, mean: float, sd: float, size: int | None = None):
-    """Draw from Normal(mean, sd^2).  sd = 0 returns the mean exactly.
-
-    Returns a scalar when size is None, else an ndarray of that length.
-    """
-    if not sd >= 0:
-        raise InvalidParameterError(f"sd must be >= 0, got {sd}")
-    draws = stream.generator.normal(loc=mean, scale=sd, size=size)
-    return float(draws) if size is None else draws
-
-
-def sample_gamma(stream: RngStream, shape: float, rate: float, size: int | None = None):
-    """Draw from Gamma(shape, rate), mean shape/rate.
-
-    The underlying sampler is the Marsaglia-Tsang rejection scheme, valid for
-    all shape > 0 (shape < 1 via the boosting identity).  Returns a scalar when
-    size is None, else an ndarray.
-    """
-    if not shape > 0:
-        raise InvalidParameterError(f"shape must be > 0, got {shape}")
-    if not rate > 0:
-        raise InvalidParameterError(f"rate must be > 0, got {rate}")
-    draws = stream.generator.gamma(shape=shape, scale=1.0 / rate, size=size)
-    return float(draws) if size is None else draws
 
 
 @dataclass(frozen=True)

@@ -42,38 +42,17 @@ from .errors import (
 )
 
 __all__ = [
-    "SurvivalRecord",
     "KmCurve",
     "CoxFit",
-    "km_estimate",
     "km_from_arrays",
     "km_survival_at",
     "km_event_rate_at",
-    "cox_partial_loglik",
     "cox_loglik_from_arrays",
-    "cox_fit",
     "cox_fit_from_arrays",
     "hazard_ratio_per",
 ]
 
 SEPARATION_BOUND = 50.0
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: follow-up time in days, event flag, LVEF covariate."""
-
-    time: float
-    event: int
-    covariate: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.time) and self.time > 0):
-            raise DomainError(f"time must be finite and > 0, got {self.time!r}")
-        if self.event not in (0, 1):
-            raise InvalidParameterError(f"event must be 0 or 1, got {self.event!r}")
-        if not np.isfinite(self.covariate):
-            raise InvalidParameterError(f"covariate must be finite, got {self.covariate!r}")
 
 
 @dataclass(frozen=True)
@@ -97,24 +76,37 @@ class CoxFit:
     log_partial_likelihood: float
 
 
-def _records_to_arrays(records):
-    records = list(records)
-    if not records:
+def _checked(time, event, covariate=None):
+    """Follow-up arrays (and the covariate) as float / int64 arrays, validated.
+
+    One subject per index: time finite and > 0, event 0 or 1, covariate
+    finite, all of the same length.
+    """
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event)
+    if event.shape != time.shape or (covariate is not None
+                                     and np.shape(covariate) != time.shape):
+        raise InvalidParameterError(
+            "time, event and covariate must have equal lengths, got shapes "
+            f"{time.shape}, {event.shape}, {np.shape(covariate)}"
+        )
+    if time.size == 0:
         raise EmptyInputError("at least one survival record is required")
-    time = np.array([r.time for r in records], dtype=float)
-    event = np.array([r.event for r in records], dtype=np.int64)
-    covariate = np.array([r.covariate for r in records], dtype=float)
-    return time, event, covariate
+    if not ((time > 0) & (time < np.inf)).all():
+        raise DomainError("all times must be finite and > 0")
+    if not ((event == 0) | (event == 1)).all():
+        raise InvalidParameterError("every event flag must be 0 or 1")
+    if covariate is None:
+        return time, event.astype(np.int64, copy=False)
+    covariate = np.asarray(covariate, dtype=float)
+    if not np.isfinite(covariate).all():
+        raise InvalidParameterError("every covariate value must be finite")
+    return time, event.astype(np.int64, copy=False), covariate
 
 
 def km_from_arrays(time: np.ndarray, event: np.ndarray) -> KmCurve:
-    """Kaplan-Meier from parallel arrays (fast path used by propagation)."""
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=np.int64)
-    if time.size == 0:
-        raise EmptyInputError("at least one survival record is required")
-    if not np.all(np.isfinite(time)) or np.any(time <= 0):
-        raise DomainError("all times must be finite and > 0")
+    """Kaplan-Meier product-limit curve from parallel time and event arrays."""
+    time, event = _checked(time, event)
 
     order = np.argsort(time, kind="stable")
     t, e = time[order], event[order]
@@ -155,12 +147,6 @@ def _group_starts(sorted_time: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new_time)
 
 
-def km_estimate(records) -> KmCurve:
-    """Product-limit estimator over a sequence of SurvivalRecord."""
-    time, event, _ = _records_to_arrays(records)
-    return km_from_arrays(time, event)
-
-
 def km_survival_at(curve: KmCurve, horizon):
     """S(horizon) with right-continuous step evaluation; scalar or array."""
     idx = np.searchsorted(curve.times, horizon, side="right")
@@ -180,8 +166,6 @@ class _CoxLayout:
     """Time-sorted event layout, shared by every objective evaluation."""
 
     def __init__(self, time: np.ndarray, event: np.ndarray):
-        if time.size == 0:
-            raise EmptyInputError("at least one survival record is required")
         if int(event.sum()) == 0:
             raise DegenerateDataError("partial likelihood undefined with zero events")
         self.order = np.argsort(time, kind="stable")
@@ -226,26 +210,16 @@ def cox_loglik_from_arrays(beta: float, time, event, covariate):
     The covariate is centered internally; the objective is exactly invariant
     to that shift, and the centered form conditions the risk-set sums.
     """
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=np.int64)
-    covariate = np.asarray(covariate, dtype=float)
+    time, event, covariate = _checked(time, event, covariate)
     layout = _CoxLayout(time, event)
     xc = (covariate - covariate.mean())[layout.order]
     return layout.evaluate(beta, xc)
 
 
-def cox_partial_loglik(beta: float, records):
-    """(value, gradient, hessian) of the Breslow partial log-likelihood."""
-    time, event, covariate = _records_to_arrays(records)
-    return cox_loglik_from_arrays(beta, time, event, covariate)
-
-
 def cox_fit_from_arrays(time, event, covariate, tolerance: float = 1e-8,
                         max_iterations: int = 100) -> CoxFit:
-    """Newton-Raphson Cox fit from parallel arrays (fast path)."""
-    time = np.asarray(time, dtype=float)
-    event = np.asarray(event, dtype=np.int64)
-    covariate = np.asarray(covariate, dtype=float)
+    """Newton-Raphson fit of the single-covariate Cox model from parallel arrays."""
+    time, event, covariate = _checked(time, event, covariate)
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise InvalidParameterError(f"tolerance must be > 0, got {tolerance!r}")
     if max_iterations < 1:
@@ -308,12 +282,6 @@ def cox_fit_from_arrays(time, event, covariate, tolerance: float = 1e-8,
             last_fit=fit,
         )
     return fit
-
-
-def cox_fit(records, tolerance: float = 1e-8, max_iterations: int = 100) -> CoxFit:
-    """Fit the single-covariate Cox model on a sequence of SurvivalRecord."""
-    time, event, covariate = _records_to_arrays(records)
-    return cox_fit_from_arrays(time, event, covariate, tolerance, max_iterations)
 
 
 def hazard_ratio_per(fit: CoxFit, delta: float):

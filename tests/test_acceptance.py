@@ -13,13 +13,14 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from lvef_fusion.cli import main
-from lvef_fusion.fusion import InstrumentSigma, fuse, relative_reduction, theta_map
-from lvef_fusion.propagation import (
-    SOURCES,
-    PropagationConfig,
+from lvef_fusion.fusion import (
+    InstrumentSigma,
+    fuse,
     fused_estimates,
-    propagate,
+    relative_reduction,
+    theta_map,
 )
+from lvef_fusion.propagation import SOURCES, PropagationConfig, propagate
 from lvef_fusion.simulate import SimConfig, rmse_vs_truth, simulate
 from lvef_fusion.survival import (
     cox_fit_from_arrays,
@@ -213,15 +214,15 @@ def end_to_end_rows():
         config = SimConfig(seed=seed)
         cohort = simulate(config)
         sigmas = InstrumentSigma(config.visual_noise_sd, config.simpson_noise_sd)
-        fused = fused_estimates(cohort.measurements, sigmas)
+        fused = fused_estimates(cohort, sigmas)
         rmse = {
-            "visual": rmse_vs_truth(cohort, [m.visual_lvef for m in cohort.measurements]),
-            "simpson": rmse_vs_truth(cohort, [m.simpson_lvef for m in cohort.measurements]),
-            "fused": rmse_vs_truth(cohort, [f.theta for f in fused]),
+            "visual": rmse_vs_truth(cohort, cohort.visual),
+            "simpson": rmse_vs_truth(cohort, cohort.simpson),
+            "fused": rmse_vs_truth(cohort, fused),
         }
         widths = {}
         for source in SOURCES:
-            summary = propagate(cohort.measurements, fused, PropagationConfig(
+            summary = propagate(cohort, fused, PropagationConfig(
                 source=source, sigmas=sigmas, seed=seed, replicates=200))
             widths[source] = summary.hazard_ratio_q975 - summary.hazard_ratio_q025
         rows.append({"seed": seed, "rmse": rmse, "widths": widths})
@@ -256,7 +257,7 @@ class TestEndToEndProperties:
         assert ok, line
 
     def test_zero_noise_band_collapse(self):
-        cohort = simulate(SimConfig(seed=0)).measurements
+        cohort = simulate(SimConfig(seed=0))
         sigmas = InstrumentSigma(0.0, 0.0)
         fused = fused_estimates(cohort, sigmas)
         worst = 0.0
@@ -308,8 +309,8 @@ class TestSlopeRecovery:
         betas = []
         for seed in E2E_SEEDS:
             cohort = simulate(SimConfig(seed=seed))
-            time_v = np.array([m.time_days for m in cohort.measurements])
-            event = np.array([m.event for m in cohort.measurements])
+            time_v = cohort.time
+            event = cohort.event
             betas.append(cox_fit_from_arrays(time_v, event, cohort.true_lvef).beta)
         betas = np.array(betas)
         mc_se = betas.std(ddof=1) / np.sqrt(betas.size)

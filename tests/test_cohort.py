@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from lvef_fusion.cohort import (
-    PairedMeasurement,
-    cohort_arrays,
+    Cohort,
     parse_cohort_csv,
     write_cohort_csv,
     write_fused_csv,
@@ -21,7 +20,7 @@ from lvef_fusion.errors import (
     RowError,
     SchemaError,
 )
-from lvef_fusion.fusion import InstrumentSigma, fuse_cohort
+from lvef_fusion.fusion import InstrumentSigma, fused_estimates, fused_sigma
 
 HEADER = "patient_id,visual_lvef,simpson_lvef,time_days,event\n"
 
@@ -30,23 +29,29 @@ def _parse(text: str):
     return parse_cohort_csv(io.StringIO(text))
 
 
+def _cohort(*rows, true_lvef=None):
+    """A Cohort from (patient_id, visual, simpson, time, event) rows."""
+    ids, visual, simpson, time, event = zip(*rows) if rows else ((),) * 5
+    return Cohort(ids, visual, simpson, time, event, true_lvef=true_lvef)
+
+
 class TestParse:
     def test_direct_mapping(self):
         records = _parse(HEADER + "P1,50,55.3,200,1\n")
-        assert records == [PairedMeasurement("P1", 50.0, 55.3, 200.0, 1)]
+        assert records == _cohort(("P1", 50.0, 55.3, 200.0, 1))
 
     def test_order_preserved(self):
         records = _parse(HEADER + "B,50,50,10,0\nA,55,55,20,1\n")
-        assert [r.patient_id for r in records] == ["B", "A"]
+        assert list(records.patient_id) == ["B", "A"]
 
     def test_header_only_warns_and_returns_empty(self):
         with pytest.warns(EmptyCohortWarning):
-            assert _parse(HEADER) == []
+            assert _parse(HEADER) == _cohort()
 
     def test_off_grid_visual_warns_but_passes(self):
         with pytest.warns(OffGridWarning, match="5-point"):
             records = _parse(HEADER + "P1,52,55.3,200,1\n")
-        assert records[0].visual_lvef == 52.0
+        assert records.visual[0] == 52.0
 
     def test_on_grid_visual_is_silent(self):
         import warnings as w
@@ -121,54 +126,53 @@ class TestParse:
 
 
 class TestWrite:
-    def _records(self):
-        return [
-            PairedMeasurement("P1", 50.0, 55.34567, 200.5, 1),
-            PairedMeasurement("P2", 45.0, 44.1, 365.0, 0),
-        ]
+    _ROWS = (("P1", 50.0, 55.34567, 200.5, 1), ("P2", 45.0, 44.1, 365.0, 0))
+
+    def _records(self, true_lvef=None):
+        return _cohort(*self._ROWS, true_lvef=true_lvef)
 
     def test_round_trip_at_4_decimals(self):
         buffer = io.StringIO()
         write_cohort_csv(self._records(), buffer)
         parsed = parse_cohort_csv(buffer.getvalue().encode("utf-8"))
-        assert parsed[0].simpson_lvef == pytest.approx(55.3457, abs=5e-5)
-        assert [r.patient_id for r in parsed] == ["P1", "P2"]
+        assert parsed.simpson[0] == pytest.approx(55.3457, abs=5e-5)
+        assert list(parsed.patient_id) == ["P1", "P2"]
 
     def test_true_lvef_column_round_trip(self):
         buffer = io.StringIO()
-        write_cohort_csv(self._records(), buffer, true_lvef=[52.0, 44.5])
+        write_cohort_csv(self._records(true_lvef=[52.0, 44.5]), buffer)
         header = buffer.getvalue().splitlines()[0]
         assert header.endswith("true_lvef")
         assert len(parse_cohort_csv(buffer.getvalue().encode("utf-8"))) == 2
 
     def test_true_lvef_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            write_cohort_csv(self._records(), io.StringIO(), true_lvef=[1.0])
+            write_cohort_csv(self._records(true_lvef=[1.0]), io.StringIO())
 
     def test_fused_csv_appends_theta_columns(self):
         records = self._records()
-        fused = fuse_cohort(records, InstrumentSigma(18.1, 8.8))
+        sigmas = InstrumentSigma(18.1, 8.8)
+        fused = fused_estimates(records, sigmas)
         buffer = io.StringIO()
-        write_fused_csv(records, fused, buffer)
+        write_fused_csv(records, fused, fused_sigma(sigmas), buffer)
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "patient_id,visual_lvef,simpson_lvef,time_days,event,theta,theta_sigma"
         assert len(lines) == 3
         theta = float(lines[1].split(",")[5])
-        assert theta == pytest.approx(fused[0].theta, abs=5e-5)
+        assert theta == pytest.approx(fused[0], abs=5e-5)
 
     def test_fused_csv_alignment_checked(self):
         records = self._records()
-        fused = fuse_cohort(records, InstrumentSigma(18.1, 8.8))
+        sigmas = InstrumentSigma(18.1, 8.8)
+        fused = fused_estimates(records, sigmas)
         with pytest.raises(InvalidParameterError):
-            write_fused_csv(records, fused[:1], io.StringIO())
+            write_fused_csv(records, fused[:1], fused_sigma(sigmas), io.StringIO())
 
 
 class TestArrays:
     def test_parallel_arrays(self):
-        visual, simpson, time, event = cohort_arrays([
-            PairedMeasurement("P1", 50.0, 55.0, 200.0, 1),
-            PairedMeasurement("P2", 45.0, 44.0, 365.0, 0),
-        ])
+        cohort = _cohort(("P1", 50.0, 55.0, 200.0, 1), ("P2", 45.0, 44.0, 365.0, 0))
+        visual, simpson, time, event = cohort.visual, cohort.simpson, cohort.time, cohort.event
         assert visual.tolist() == [50.0, 45.0]
         assert simpson.tolist() == [55.0, 44.0]
         assert time.tolist() == [200.0, 365.0]

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lvef_fusion.cohort import PairedMeasurement
+from lvef_fusion.cohort import Cohort
 from lvef_fusion.errors import DomainError, EmptyInputError, InvalidParameterError
 from lvef_fusion.fusion import (
+    MODES,
     InstrumentSigma,
     fuse,
-    fuse_cohort,
+    fused_estimates,
     precision_ratio,
     relative_reduction,
     theta_map,
@@ -141,26 +144,43 @@ class TestValidation:
         assert fuse(0.0, 100.0, SD).theta == pytest.approx(18.1 * 100.0 / 26.9)
 
 
+def _cohort(visual, simpson):
+    n = len(visual)
+    return Cohort([f"P{i}" for i in range(n)], visual, simpson, [100.0] * n, [1] * n)
+
+
 class TestFuseCohort:
     def _cohort(self):
-        return [
-            PairedMeasurement("P1", 50.0, 55.0, 100.0, 1),
-            PairedMeasurement("P2", 30.0, 28.4, 365.0, 0),
-        ]
+        return _cohort([50.0, 30.0], [55.0, 28.4])
 
     def test_order_preserved(self):
-        fused = fuse_cohort(self._cohort(), SD)
+        fused = fused_estimates(self._cohort(), SD)
         assert len(fused) == 2
-        assert fused[0].theta == fuse(50.0, 55.0, SD).theta
-        assert fused[1].theta == fuse(30.0, 28.4, SD).theta
+        assert fused[0] == fuse(50.0, 55.0, SD).theta
+        assert fused[1] == fuse(30.0, 28.4, SD).theta
 
     def test_empty_cohort_raises(self):
         with pytest.raises(EmptyInputError):
-            fuse_cohort([], SD)
+            fused_estimates(_cohort([], []), SD)
 
-    def test_error_carries_record_index(self):
-        records = self._cohort()
-        records.append(PairedMeasurement("P3", 50.0, 55.0, 1.0, 1))
-        bad = InstrumentSigma(0.0, 8.8)
-        with pytest.raises(InvalidParameterError, match="record 0"):
-            fuse_cohort(records, bad)
+
+LVEF = st.floats(0.0, 100.0)
+# Exact zeros exercise the continuity cases; the rest span realistic spreads.
+SIGMA = st.one_of(st.just(0.0), st.floats(1e-3, 100.0))
+
+
+class TestFusedEstimatesProperties:
+    @given(st.lists(st.tuples(LVEF, LVEF), min_size=1, max_size=40), SIGMA, SIGMA,
+           st.sampled_from(MODES))
+    def test_cohort_fusion_matches_scalar_fuse_and_stays_between_readings(
+            self, pairs, sigma_v, sigma_s, mode):
+        visual, simpson = (np.array(column) for column in zip(*pairs))
+        sigmas = InstrumentSigma(sigma_v, sigma_s, mode)
+        theta = fused_estimates(_cohort(visual, simpson), sigmas)
+        if sigma_v > 0 and sigma_s > 0:
+            scalar = [fuse(v, s, sigmas).theta for v, s in pairs]
+            assert theta.tolist() == scalar
+        # Same float slack as the random sweep above: a weighted mean of two
+        # equal readings can round an ulp away from them.
+        assert np.all(np.minimum(visual, simpson) - 1e-12 <= theta)
+        assert np.all(theta <= np.maximum(visual, simpson) + 1e-12)

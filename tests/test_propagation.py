@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from lvef_fusion.cohort import PairedMeasurement
+from lvef_fusion.cohort import Cohort
 from lvef_fusion.errors import (
     DegenerateDataError,
     InvalidParameterError,
     PropagationError,
 )
-from lvef_fusion.fusion import InstrumentSigma, fuse_cohort
+from lvef_fusion.fusion import InstrumentSigma, fuse, fused_estimates, fused_sigma
 from lvef_fusion.propagation import (
     SOURCES,
     STRATA,
     PropagationConfig,
-    fused_estimates,
     propagate,
     realize_lvef,
     run_replicate,
@@ -33,11 +32,16 @@ SIGMAS = InstrumentSigma(18.1, 8.8)
 
 
 def _cohort(n=300, seed=11):
-    return simulate(SimConfig(n_patients=n, seed=seed)).measurements
+    return simulate(SimConfig(n_patients=n, seed=seed))
 
 
 def _measurement(i, value, time, event):
-    return PairedMeasurement(f"p{i}", value, value, time, event)
+    return (f"p{i}", value, value, time, event)
+
+
+def _rows(rows):
+    """A Cohort from (patient_id, visual, simpson, time, event) rows."""
+    return Cohort(*zip(*rows))
 
 
 def _config(**overrides):
@@ -49,40 +53,36 @@ def _config(**overrides):
 class TestFusedEstimates:
     def test_positive_sigmas_delegate_to_fusion(self):
         cohort = _cohort(n=50)
-        assert fused_estimates(cohort, SIGMAS) == fuse_cohort(cohort, SIGMAS)
+        assert fused_estimates(cohort, SIGMAS).tolist() == [
+            fuse(v, s, SIGMAS).theta for v, s in zip(cohort.visual, cohort.simpson)]
 
     def test_both_sigmas_zero_gives_midpoint(self):
-        cohort = [_measurement(0, 40.0, 100.0, 1)]
-        cohort[0] = PairedMeasurement("p0", 40.0, 50.0, 100.0, 1)
-        (est,) = fused_estimates(cohort, InstrumentSigma(0.0, 0.0))
-        assert est.theta == 45.0
-        assert est.theta_sigma == 0.0
-        assert est.omega == 1.0
-        assert est.total_variation == 0.0
-        assert est.relative_reduction == -0.5
+        cohort = _rows([("p0", 40.0, 50.0, 100.0, 1)])
+        sigmas = InstrumentSigma(0.0, 0.0)
+        (theta,) = fused_estimates(cohort, sigmas)
+        assert theta == 45.0
+        assert fused_sigma(sigmas) == 0.0
 
     def test_exact_visual_wins_outright(self):
-        cohort = [PairedMeasurement("p0", 40.0, 50.0, 100.0, 1)]
-        (est,) = fused_estimates(cohort, InstrumentSigma(0.0, 8.8))
-        assert est.theta == 40.0
-        assert est.theta_sigma == 0.0
-        assert est.omega == 0.0
-        assert est.relative_reduction == -1.0
+        cohort = _rows([("p0", 40.0, 50.0, 100.0, 1)])
+        sigmas = InstrumentSigma(0.0, 8.8)
+        (theta,) = fused_estimates(cohort, sigmas)
+        assert theta == 40.0
+        assert fused_sigma(sigmas) == 0.0
 
     def test_exact_simpson_wins_outright(self):
-        cohort = [PairedMeasurement("p0", 40.0, 50.0, 100.0, 1)]
-        (est,) = fused_estimates(cohort, InstrumentSigma(18.1, 0.0))
-        assert est.theta == 50.0
-        assert est.theta_sigma == 0.0
-        assert est.omega == np.inf
-        assert est.relative_reduction == 0.0
+        cohort = _rows([("p0", 40.0, 50.0, 100.0, 1)])
+        sigmas = InstrumentSigma(18.1, 0.0)
+        (theta,) = fused_estimates(cohort, sigmas)
+        assert theta == 50.0
+        assert fused_sigma(sigmas) == 0.0
 
     def test_continuous_at_vanishing_visual_sigma(self):
-        cohort = [PairedMeasurement("p0", 40.0, 50.0, 100.0, 1)]
+        cohort = _rows([("p0", 40.0, 50.0, 100.0, 1)])
         (limit,) = fused_estimates(cohort, InstrumentSigma(0.0, 8.8))
         (near,) = fused_estimates(cohort, InstrumentSigma(1e-8, 8.8))
-        assert abs(near.theta - limit.theta) < 1e-5
-        assert near.theta_sigma < 1e-5
+        assert abs(near - limit) < 1e-5
+        assert fused_sigma(InstrumentSigma(1e-8, 8.8)) < 1e-5
 
 
 class TestStratify:
@@ -107,10 +107,10 @@ class TestRealizeLvef:
         cohort = _cohort(n=100)
         config = _config(sigmas=InstrumentSigma(0.0, 0.0))
         realized = realize_lvef(cohort, None, config, make_stream(9, 4))
-        assert np.array_equal(realized, [m.visual_lvef for m in cohort])
+        assert np.array_equal(realized, cohort.visual)
 
     def test_clamped_to_configured_range(self):
-        cohort = [_measurement(i, 50.0, 100.0, 1) for i in range(500)]
+        cohort = _rows([_measurement(i, 50.0, 100.0, 1) for i in range(500)])
         config = _config(sigmas=InstrumentSigma(200.0, 8.8))
         realized = realize_lvef(cohort, None, config, make_stream(0, 0))
         assert realized.min() == 1.0 and realized.max() == 99.0
@@ -121,8 +121,8 @@ class TestRealizeLvef:
         config = _config(source="assimilated")
         stream = make_stream(9, 4)
         realized = realize_lvef(cohort, fused, config, stream)
-        theta = np.array([f.theta for f in fused])
-        sigma = np.array([f.theta_sigma for f in fused])
+        theta = fused
+        sigma = np.full(len(fused), fused_sigma(SIGMAS))
         expected = np.clip(make_stream(9, 4).generator.normal(theta, sigma), 1.0, 99.0)
         assert np.array_equal(realized, expected)
 
@@ -137,7 +137,7 @@ class TestRunReplicate:
         assert result.hazard_ratio is None or result.hazard_ratio > 0
 
     def test_no_events_rejected(self):
-        censored = [_measurement(i, 50.0 + i, 400.0, 0) for i in range(20)]
+        censored = _rows([_measurement(i, 50.0 + i, 400.0, 0) for i in range(20)])
         with pytest.raises(DegenerateDataError):
             run_replicate(censored, None, _config(), make_stream(0, 0))
 
@@ -223,9 +223,9 @@ class TestBands:
         assert summary.hazard_ratio_q025 == summary.hazard_ratio_mean
         assert summary.hazard_ratio_mean == summary.hazard_ratio_q975
 
-        values = np.array([f.theta for f in fused])
-        time = np.array([m.time_days for m in cohort])
-        event = np.array([m.event for m in cohort])
+        values = fused
+        time = cohort.time
+        event = cohort.event
         fit = cox_fit_from_arrays(time, event, values)
         exact_hr, _, _ = hazard_ratio_per(fit, 5.0)
         assert summary.hazard_ratio_mean == exact_hr
@@ -254,7 +254,7 @@ class TestSourceComparisons:
 
     def test_assimilated_band_no_wider_than_simpson(self):
         sim = SimConfig(seed=0)
-        cohort = simulate(sim).measurements
+        cohort = simulate(sim)
         sigmas = InstrumentSigma(sim.visual_noise_sd, sim.simpson_noise_sd)
         fused = fused_estimates(cohort, sigmas)
         assim = self._band_width(cohort, sigmas, "assimilated", fused)
@@ -263,7 +263,7 @@ class TestSourceComparisons:
 
     def test_assimilated_band_narrower_than_visual_when_concordant(self):
         sim = concordant_config(seed=0)
-        cohort = simulate(sim).measurements
+        cohort = simulate(sim)
         sigmas = InstrumentSigma(sim.visual_noise_sd, sim.simpson_noise_sd)
         fused = fused_estimates(cohort, sigmas)
         assim = self._band_width(cohort, sigmas, "assimilated", fused)
@@ -273,7 +273,7 @@ class TestSourceComparisons:
     def test_low_stratum_event_rate_highest(self):
         # The generative hazard decreases with LVEF, so the low stratum must
         # carry the highest event rate and mid sits close to high.
-        cohort = simulate(SimConfig(seed=0)).measurements
+        cohort = simulate(SimConfig(seed=0))
         fused = fused_estimates(cohort, SIGMAS)
         summary = propagate(cohort, fused,
                             _config(source="assimilated", replicates=200))
@@ -286,12 +286,12 @@ class TestSourceComparisons:
 class TestFailureHandling:
     # Four patients whose events sit at the extreme low end of a covariate
     # with 0.005-point gaps: any order-preserving resample separates.
-    _SEPARABLE = [
-        PairedMeasurement("p0", 21.000, 21.000, 10.0, 1),
-        PairedMeasurement("p1", 21.005, 21.005, 20.0, 1),
-        PairedMeasurement("p2", 21.010, 21.010, 400.0, 0),
-        PairedMeasurement("p3", 21.015, 21.015, 400.0, 0),
-    ]
+    _SEPARABLE = _rows([
+        ("p0", 21.000, 21.000, 10.0, 1),
+        ("p1", 21.005, 21.005, 20.0, 1),
+        ("p2", 21.010, 21.010, 400.0, 0),
+        ("p3", 21.015, 21.015, 400.0, 0),
+    ])
 
     def test_all_replicates_failed_raises(self):
         config = _config(sigmas=InstrumentSigma(1e-6, 8.8), replicates=5)
@@ -311,8 +311,8 @@ class TestFailureHandling:
         assert summary.replicates == 50
 
     def test_absent_stratum_marked_not_zero(self):
-        high = [_measurement(i, 70.0 + (i % 20), 30.0 + 10.0 * i, i % 2)
-                for i in range(30)]
+        high = _rows([_measurement(i, 70.0 + (i % 20), 30.0 + 10.0 * i, i % 2)
+                      for i in range(30)])
         config = _config(sigmas=InstrumentSigma(0.5, 8.8), replicates=10)
         summary = propagate(high, None, config)
         for label in ("low", "mid"):
@@ -322,7 +322,7 @@ class TestFailureHandling:
         assert summary.event_rates["high"].n_present == 10
 
     def test_no_events_rejected(self):
-        censored = [_measurement(i, 50.0 + i, 400.0, 0) for i in range(20)]
+        censored = _rows([_measurement(i, 50.0 + i, 400.0, 0) for i in range(20)])
         with pytest.raises(DegenerateDataError):
             propagate(censored, None, _config())
 

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from lvef_fusion.calibration import CalibrationConfig, calibrate
-from lvef_fusion.cohort import PairedMeasurement
+from lvef_fusion.cohort import Cohort
 from lvef_fusion.errors import DegenerateDataError, InvalidParameterError, InvalidStateError
-from lvef_fusion.fusion import InstrumentSigma
+from lvef_fusion.fusion import InstrumentSigma, fused_estimates
 from lvef_fusion.propagation import (
     KmBand,
     PropagationConfig,
     PropagationSummary,
     StratumSummary,
-    fused_estimates,
     propagate,
 )
 from lvef_fusion.report import (
@@ -51,6 +50,11 @@ def _options(**overrides):
     return ReportOptions(**base)
 
 
+def _rows(rows):
+    """A Cohort from (patient_id, visual, simpson, time, event) rows."""
+    return Cohort(*zip(*rows))
+
+
 def _quiet_report(cohort, options, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -59,7 +63,7 @@ def _quiet_report(cohort, options, **kwargs):
 
 @pytest.fixture(scope="module")
 def cohort():
-    return simulate(SimConfig(n_patients=250, seed=13)).measurements
+    return simulate(SimConfig(n_patients=250, seed=13))
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +175,10 @@ class TestSerializationHelpers:
         assert set(d["quantiles"]) == {"0.025", "0.5", "0.975"}
 
     def test_cox_fit_to_dict_converged(self):
-        cohort = simulate(SimConfig(n_patients=400, seed=2)).measurements
-        time = np.array([m.time_days for m in cohort])
-        event = np.array([m.event for m in cohort])
-        values = np.array([m.simpson_lvef for m in cohort])
+        cohort = simulate(SimConfig(n_patients=400, seed=2))
+        time = cohort.time
+        event = cohort.event
+        values = cohort.simpson
         d = cox_fit_to_dict(cox_fit_from_arrays(time, event, values))
         assert d["converged"] is True
         hr = d["hazard_ratio"]
@@ -244,12 +248,12 @@ class TestWarnings:
     def test_replicate_exclusions_reported(self):
         # Events at the extreme low end of a tiny-gap covariate: noise of the
         # same scale reshuffles the order, so some replicates separate.
-        cohort = [
-            PairedMeasurement("p0", 21.000, 21.000, 10.0, 1),
-            PairedMeasurement("p1", 21.005, 21.005, 20.0, 1),
-            PairedMeasurement("p2", 21.010, 21.010, 400.0, 0),
-            PairedMeasurement("p3", 21.015, 21.015, 400.0, 0),
-        ]
+        cohort = _rows([
+            ("p0", 21.000, 21.000, 10.0, 1),
+            ("p1", 21.005, 21.005, 20.0, 1),
+            ("p2", 21.010, 21.010, 400.0, 0),
+            ("p3", 21.015, 21.015, 400.0, 0),
+        ])
         options = ReportOptions(sigmas=InstrumentSigma(5e-3, 8.8), seed=0,
                                 replicates=40, sources=("visual",),
                                 calibration=FAST_CALIBRATION)
@@ -262,8 +266,8 @@ class TestWarnings:
         assert f"{excluded} of 40" in matches[0]["message"]
 
     def test_all_censored_cohort_rejected(self):
-        censored = [PairedMeasurement(f"p{i}", 50.0, 50.0, 400.0, 0)
-                    for i in range(10)]
+        censored = _rows([(f"p{i}", 50.0, 50.0, 400.0, 0)
+                          for i in range(10)])
         with pytest.raises(DegenerateDataError):
             _quiet_report(censored, _options())
 
@@ -323,9 +327,9 @@ class TestKmBandCsv:
             assert row[3] == row[4] == row[5]
 
     def test_absent_stratum_emits_no_rows(self):
-        high = [PairedMeasurement(f"p{i}", 70.0 + (i % 20), 70.0 + (i % 20),
-                                  30.0 + 10.0 * i, i % 2)
-                for i in range(30)]
+        high = _rows([(f"p{i}", 70.0 + (i % 20), 70.0 + (i % 20),
+                       30.0 + 10.0 * i, i % 2)
+                      for i in range(30)])
         config = PropagationConfig(source="visual",
                                    sigmas=InstrumentSigma(0.5, 8.8),
                                    seed=0, replicates=10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lvef_fusion.errors import InvalidParameterError
-from lvef_fusion.fusion import InstrumentSigma, fuse_cohort
+from lvef_fusion.fusion import InstrumentSigma, fused_estimates
 from lvef_fusion.simulate import (
     SIM_STREAM_INDEX,
     SimConfig,
@@ -16,30 +16,26 @@ from lvef_fusion.stochastics import make_stream
 
 
 def _arrays(cohort):
-    visual = np.array([m.visual_lvef for m in cohort.measurements])
-    simpson = np.array([m.simpson_lvef for m in cohort.measurements])
-    time = np.array([m.time_days for m in cohort.measurements])
-    event = np.array([m.event for m in cohort.measurements])
-    return visual, simpson, time, event
+    return cohort.visual, cohort.simpson, cohort.time, cohort.event
 
 
 class TestDeterminism:
     def test_same_seed_reproduces_cohort(self):
         a = simulate(SimConfig(n_patients=200, seed=5))
         b = simulate(SimConfig(n_patients=200, seed=5))
-        assert a.measurements == b.measurements
+        assert a == b
         assert np.array_equal(a.true_lvef, b.true_lvef)
 
     def test_different_seeds_differ(self):
         a = simulate(SimConfig(n_patients=200, seed=5))
         b = simulate(SimConfig(n_patients=200, seed=6))
-        assert a.measurements != b.measurements
+        assert a != b
 
     def test_explicit_stream_overrides_seed_field(self):
         config = SimConfig(n_patients=50, seed=5)
         via_field = simulate(config)
         via_stream = simulate(config, stream=make_stream(5, SIM_STREAM_INDEX))
-        assert via_field.measurements == via_stream.measurements
+        assert via_field == via_stream
 
 
 class TestGeneratedValues:
@@ -48,8 +44,8 @@ class TestGeneratedValues:
         self.visual, self.simpson, self.time, self.event = _arrays(self.cohort)
 
     def test_cohort_size_and_unique_ids(self):
-        assert len(self.cohort.measurements) == 1366
-        ids = [m.patient_id for m in self.cohort.measurements]
+        assert len(self.cohort) == 1366
+        ids = list(self.cohort.patient_id)
         assert len(set(ids)) == len(ids)
 
     def test_visual_on_5_point_grid(self):
@@ -80,11 +76,6 @@ class TestGeneratedValues:
         high = self.event[self.cohort.true_lvef > 65.0].mean()
         assert low > high
 
-    def test_records_pairs_truth_with_measurements(self):
-        truth, measurement = self.cohort.records[0]
-        assert truth == self.cohort.true_lvef[0]
-        assert measurement is self.cohort.measurements[0]
-
 
 class TestRmse:
     def test_noisier_instrument_has_larger_rmse(self):
@@ -96,8 +87,7 @@ class TestRmse:
     def test_fusion_beats_both_instruments_on_average(self):
         cohort = simulate(SimConfig(seed=7))
         visual, simpson, _, _ = _arrays(cohort)
-        fused = fuse_cohort(cohort.measurements, InstrumentSigma(18.1, 8.8))
-        theta = np.array([f.theta for f in fused])
+        theta = fused_estimates(cohort, InstrumentSigma(18.1, 8.8))
         assert rmse_vs_truth(cohort, theta) < rmse_vs_truth(cohort, simpson)
         assert rmse_vs_truth(cohort, theta) < rmse_vs_truth(cohort, visual)
 

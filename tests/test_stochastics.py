@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lvef_fusion.errors import EmptyInputError, InvalidParameterError
-from lvef_fusion.stochastics import make_stream, sample_gamma, sample_normal, summarize
+from lvef_fusion.stochastics import make_stream, summarize
 
 
 class TestMakeStream:
@@ -23,46 +23,10 @@ class TestMakeStream:
         b = make_stream(2, 0).generator.normal(size=100)
         assert not np.array_equal(a, b)
 
-    def test_fork_is_deterministic_and_distinct(self):
-        parent = make_stream(9, 3)
-        child = parent.fork(5)
-        again = make_stream(9, 3).fork(5)
-        x, y = child.generator.normal(size=50), again.generator.normal(size=50)
-        assert np.array_equal(x, y)
-        assert not np.array_equal(x, make_stream(9, 3).generator.normal(size=50))
-
     @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -2), (2**64, 0), (0, 2**64)])
     def test_key_range_is_validated(self, seed, index):
         with pytest.raises(InvalidParameterError):
             make_stream(seed, index)
-
-
-class TestSamplers:
-    def test_normal_scalar_and_array_shapes(self):
-        s = make_stream(0, 0)
-        assert np.isscalar(sample_normal(s, 0.0, 1.0))
-        assert sample_normal(s, 0.0, 1.0, size=10).shape == (10,)
-
-    def test_normal_zero_sd_is_constant(self):
-        s = make_stream(0, 0)
-        assert np.array_equal(sample_normal(s, 3.5, 0.0, size=5), np.full(5, 3.5))
-
-    def test_normal_rejects_negative_sd(self):
-        with pytest.raises(InvalidParameterError):
-            sample_normal(make_stream(0, 0), 0.0, -1.0)
-
-    def test_gamma_uses_rate_parameterization(self):
-        draws = sample_gamma(make_stream(3, 0), shape=8.0, rate=0.5, size=200_000)
-        assert draws.min() > 0
-        # mean = shape / rate, variance = shape / rate^2
-        assert np.mean(draws) == pytest.approx(16.0, rel=0.02)
-        assert np.var(draws) == pytest.approx(32.0, rel=0.05)
-
-    def test_gamma_rejects_nonpositive_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            sample_gamma(make_stream(0, 0), shape=0.0, rate=1.0)
-        with pytest.raises(InvalidParameterError):
-            sample_gamma(make_stream(0, 0), shape=1.0, rate=0.0)
 
 
 class TestSummarize:

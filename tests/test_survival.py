@@ -21,13 +21,9 @@ from lvef_fusion.errors import (
 )
 from lvef_fusion.survival import (
     CoxFit,
-    SurvivalRecord,
-    cox_fit,
     cox_fit_from_arrays,
     cox_loglik_from_arrays,
-    cox_partial_loglik,
     hazard_ratio_per,
-    km_estimate,
     km_event_rate_at,
     km_from_arrays,
     km_survival_at,
@@ -85,27 +81,27 @@ def _simulated_cohort(rng, n, beta=-0.05, censor=365.0):
 
 class TestKaplanMeier:
     def test_single_event(self):
-        curve = km_estimate([SurvivalRecord(5.0, 1)])
+        curve = _km_of([(5.0, 1)])
         assert curve.times.tolist() == [5.0]
         assert curve.survival.tolist() == [0.0]
         assert curve.at_risk.tolist() == [1]
         assert curve.events.tolist() == [1]
 
     def test_three_records_with_trailing_censor(self):
-        records = [SurvivalRecord(1.0, 1), SurvivalRecord(2.0, 1), SurvivalRecord(3.0, 0)]
-        curve = km_estimate(records)
+        records = [(1.0, 1), (2.0, 1), (3.0, 0)]
+        curve = _km_of(records)
         assert curve.times.tolist() == [1.0, 2.0]
         assert curve.survival.tolist() == [2.0 / 3.0, 1.0 / 3.0]
         assert curve.at_risk.tolist() == [3, 2]
 
     def test_censor_tied_with_event_stays_at_risk(self):
         # censoring at an event time counts toward that time's risk set
-        curve = km_estimate([SurvivalRecord(1.0, 1), SurvivalRecord(1.0, 0)])
+        curve = _km_of([(1.0, 1), (1.0, 0)])
         assert curve.at_risk.tolist() == [2]
         assert curve.survival.tolist() == [0.5]
 
     def test_earlier_censor_shrinks_risk_set(self):
-        curve = km_estimate([SurvivalRecord(1.0, 0), SurvivalRecord(2.0, 1)])
+        curve = _km_of([(1.0, 0), (2.0, 1)])
         assert curve.at_risk.tolist() == [1]
         assert curve.survival.tolist() == [0.0]
 
@@ -180,8 +176,7 @@ class TestKaplanMeier:
         assert elapsed < 1.0
 
     def test_step_evaluation_is_right_continuous(self):
-        curve = km_estimate([SurvivalRecord(1.0, 1), SurvivalRecord(2.0, 1),
-                             SurvivalRecord(3.0, 0)])
+        curve = _km_of([(1.0, 1), (2.0, 1), (3.0, 0)])
         assert km_survival_at(curve, 0.5) == 1.0
         assert km_survival_at(curve, 1.0) == pytest.approx(2.0 / 3.0)
         assert km_survival_at(curve, 1.5) == pytest.approx(2.0 / 3.0)
@@ -189,20 +184,20 @@ class TestKaplanMeier:
         assert km_survival_at(curve, 99.0) == pytest.approx(1.0 / 3.0)
 
     def test_array_evaluation_matches_scalars(self):
-        curve = km_estimate([SurvivalRecord(1.0, 1), SurvivalRecord(2.0, 1)])
+        curve = _km_of([(1.0, 1), (2.0, 1)])
         grid = np.array([0.5, 1.0, 1.7, 2.4])
         vec = km_survival_at(curve, grid)
         assert vec.tolist() == [km_survival_at(curve, t) for t in grid]
 
     def test_event_rate_complements_survival(self):
-        curve = km_estimate([SurvivalRecord(10.0, 1), SurvivalRecord(20.0, 0)])
+        curve = _km_of([(10.0, 1), (20.0, 0)])
         assert km_event_rate_at(curve, 15.0) == pytest.approx(0.5)
         with pytest.raises(InvalidParameterError):
             km_event_rate_at(curve, 0.0)
 
     def test_input_validation(self):
         with pytest.raises(EmptyInputError):
-            km_estimate([])
+            km_from_arrays(np.array([]), np.array([], dtype=np.int64))
         with pytest.raises(DomainError):
             km_from_arrays(np.array([0.0]), np.array([1]))
         with pytest.raises(DomainError):
@@ -212,8 +207,8 @@ class TestKaplanMeier:
 class TestCoxObjective:
     def test_two_record_hand_oracle_at_zero(self):
         # risk set {both} at t=1 then {second} at t=2, covariate 1 vs 0
-        records = [SurvivalRecord(1.0, 1, 1.0), SurvivalRecord(2.0, 1, 0.0)]
-        value, gradient, hessian = cox_partial_loglik(0.0, records)
+        value, gradient, hessian = cox_loglik_from_arrays(
+            0.0, np.array([1.0, 2.0]), np.array([1, 1]), np.array([1.0, 0.0]))
         assert value == pytest.approx(-math.log(2.0), rel=1e-15)
         assert gradient == pytest.approx(0.5, rel=1e-15)
         assert hessian == pytest.approx(-0.25, rel=1e-15)
@@ -289,12 +284,6 @@ class TestCoxFit:
         scaled = cox_fit_from_arrays(time, event, 2.0 * x + 10.0)
         assert scaled.beta == pytest.approx(base.beta / 2.0, rel=1e-7)
 
-    def test_record_interface_matches_array_interface(self):
-        rng = np.random.default_rng(14)
-        time, event, x = _simulated_cohort(rng, 80)
-        records = [SurvivalRecord(t, int(e), c) for t, e, c in zip(time, event, x)]
-        assert cox_fit(records).beta == cox_fit_from_arrays(time, event, x).beta
-
     def test_perfect_separation_raises(self):
         # earliest events carry the lowest covariate values on a tiny scale,
         # so the internal standardized fit runs beta off to the bound
@@ -355,16 +344,51 @@ class TestHazardRatio:
             hazard_ratio_per(self._fit(), 0.0)
 
 
+def _km(time, event, x):
+    return km_from_arrays(time, event)
+
+
+def _cox_loglik(time, event, x):
+    return cox_loglik_from_arrays(0.0, time, event, x)
+
+
+# The array entry points, each called as (time, event, covariate); they share
+# one input check.
+ENTRY_POINTS = (_km, _cox_loglik, cox_fit_from_arrays)
+COX_ENTRY_POINTS = ENTRY_POINTS[1:]
+
+
+def _subjects(time=(1.0, 2.0, 3.0, 4.0), event=(1, 0, 1, 1), x=(40.0, 55.0, 35.0, 60.0)):
+    return np.array(time, dtype=float), np.array(event), np.array(x, dtype=float)
+
+
 class TestSurvivalRecord:
+    """Each subject's record (time, event, covariate) as the array entry
+    points take it: every entry point rejects every invalid field."""
+
     @pytest.mark.parametrize("time", [0.0, -1.0, float("nan"), float("inf")])
     def test_time_domain(self, time):
-        with pytest.raises(DomainError):
-            SurvivalRecord(time, 1)
+        for entry_point in ENTRY_POINTS:
+            with pytest.raises(DomainError):
+                entry_point(*_subjects(time=(time, 2.0, 3.0, 4.0)))
 
     def test_event_flag_domain(self):
-        with pytest.raises(InvalidParameterError):
-            SurvivalRecord(1.0, 2)
+        for flag in (2, -1):
+            for entry_point in ENTRY_POINTS:
+                with pytest.raises(InvalidParameterError):
+                    entry_point(*_subjects(event=(1, flag, 1, 1)))
 
     def test_covariate_must_be_finite(self):
-        with pytest.raises(InvalidParameterError):
-            SurvivalRecord(1.0, 1, float("nan"))
+        for value in (float("nan"), float("inf")):
+            for entry_point in COX_ENTRY_POINTS:
+                with pytest.raises(InvalidParameterError):
+                    entry_point(*_subjects(x=(40.0, value, 35.0, 60.0)))
+
+    @pytest.mark.parametrize("short", ["time", "event", "covariate"])
+    def test_lengths_must_match(self, short):
+        time, event, x = _subjects()
+        arguments = {"time": (time[:3], event, x), "event": (time, event[:3], x),
+                     "covariate": (time, event, x[:3])}[short]
+        for entry_point in COX_ENTRY_POINTS if short == "covariate" else ENTRY_POINTS:
+            with pytest.raises(InvalidParameterError):
+                entry_point(*arguments)

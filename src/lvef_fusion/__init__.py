@@ -47,7 +47,6 @@ from .fusion import (
     fused_sigma,
     precision_ratio,
     relative_reduction,
-    theta_map,
     total_variation,
 )
 from .propagation import (
@@ -103,7 +102,6 @@ __all__ = [
     "precision_ratio",
     "total_variation",
     "relative_reduction",
-    "theta_map",
     # calibration
     "CalibrationConfig",
     "ErrorPosterior",

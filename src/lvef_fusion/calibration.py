@@ -273,12 +273,17 @@ def chain_diagnostics(posterior: ErrorPosterior) -> ChainDiagnostics:
 
 
 def paired_calibration(visual_sigma: float, simpson_sigma: float, stream_visual: RngStream,
-                       stream_simpson: RngStream, mode: str = "paper-sd", **config_overrides):
+                       stream_simpson: RngStream, mode: str = "paper-sd",
+                       config: CalibrationConfig | None = None):
     """Convenience wrapper: calibrate both instruments and their R distribution.
 
-    Returns (visual posterior, simpson posterior, reduction distribution).
+    config supplies every setting except observed_sigma, which each chain
+    takes from its instrument's sigma; None means the CalibrationConfig
+    defaults.  Returns (visual posterior, simpson posterior, reduction
+    distribution).
     """
-    base = CalibrationConfig(observed_sigma=visual_sigma, **config_overrides)
-    visual = calibrate(base, stream_visual)
-    simpson = calibrate(replace(base, observed_sigma=simpson_sigma), stream_simpson)
+    if config is None:
+        config = CalibrationConfig(observed_sigma=visual_sigma)
+    visual = calibrate(replace(config, observed_sigma=visual_sigma), stream_visual)
+    simpson = calibrate(replace(config, observed_sigma=simpson_sigma), stream_simpson)
     return visual, simpson, reduction_distribution(visual, simpson, mode)

@@ -15,12 +15,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .calibration import (
-    SIMPSON_STREAM_INDEX,
-    VISUAL_STREAM_INDEX,
-    CalibrationConfig,
-    paired_calibration,
-)
+from .calibration import CalibrationConfig
 from .cohort import parse_cohort_csv, write_cohort_csv, write_fused_csv
 from .errors import (
     DegenerateDataError,
@@ -37,31 +32,25 @@ from .errors import (
     SeparationError,
 )
 from .fusion import MODES, InstrumentSigma, fused_estimates, fused_sigma
-from .propagation import (
-    SOURCES,
-    STRATA,
-    PropagationConfig,
-    propagate,
-    source_values,
-    stratify,
-)
+from .propagation import SOURCES, source_values, stratum_km
 from .report import (
     TOOL_NAME,
     TOOL_VERSION,
     ReportOptions,
-    _utc_now_iso,
+    artifact_metadata,
     calibration_echo,
+    calibration_section,
     cox_fit_to_dict,
-    posterior_to_dict,
+    propagate_sources,
     propagation_to_dict,
+    render_report_json,
     run_report,
-    summary_to_dict,
+    sigma_echo,
     write_km_band_csv,
     write_report_json,
 )
 from .simulate import SimConfig, simulate
-from .stochastics import make_stream
-from .survival import cox_fit_from_arrays, km_event_rate_at, km_from_arrays
+from .survival import cox_fit_from_arrays
 
 __all__ = ["build_parser", "main"]
 
@@ -115,6 +104,27 @@ def _add_output_flag(parser, default=None):
                         help="artifact directory" + ("" if default else "; omit to print to stdout"))
 
 
+def _add_seed_flag(parser):
+    parser.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+
+
+def _add_strata_flags(parser):
+    parser.add_argument("--horizon", type=float, default=365.0,
+                        help="event-rate horizon in days (default %(default)s)")
+    parser.add_argument("--bands", type=_band_edges, default=(35.0, 50.0), metavar="LO,HI",
+                        help="stratum edges (default 35,50)")
+
+
+def _add_run_flags(parser):
+    """The replicate-run flags propagate and report share."""
+    parser.add_argument("--source", choices=SOURCES + ("all",), default="all",
+                        help="source(s) to propagate (default %(default)s)")
+    _add_seed_flag(parser)
+    parser.add_argument("--replicates", type=int, default=1000,
+                        help="noise replicates (default %(default)s)")
+    _add_strata_flags(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog=TOOL_NAME,
@@ -134,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate-error",
                        help="posterior calibration of instrument error and reduction R")
     _add_sigma_flags(p, short_aliases=True)
-    p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    _add_seed_flag(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_calibrate_error)
 
@@ -143,10 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sigma_flags(p)
     p.add_argument("--source", choices=SOURCES, default="assimilated",
                    help="which estimate stratifies the cohort (default %(default)s)")
-    p.add_argument("--horizon", type=float, default=365.0,
-                   help="event-rate horizon in days (default %(default)s)")
-    p.add_argument("--bands", type=_band_edges, default=(35.0, 50.0), metavar="LO,HI",
-                   help="stratum edges (default 35,50)")
+    _add_strata_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_km)
 
@@ -162,36 +169,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replicate measurement noise through the survival analyses")
     _add_input_flag(p)
     _add_sigma_flags(p)
-    p.add_argument("--source", choices=SOURCES + ("all",), default="all",
-                   help="source(s) to propagate (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
-    p.add_argument("--replicates", type=int, default=1000,
-                   help="noise replicates (default %(default)s)")
-    p.add_argument("--horizon", type=float, default=365.0,
-                   help="event-rate horizon in days (default %(default)s)")
-    p.add_argument("--bands", type=_band_edges, default=(35.0, 50.0), metavar="LO,HI",
-                   help="stratum edges (default 35,50)")
+    _add_run_flags(p)
     _add_output_flag(p, default=".")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort CSV")
     p.add_argument("--n", type=int, default=1366, help="cohort size (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    _add_seed_flag(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="run every stage and emit the full report")
     _add_input_flag(p)
     _add_sigma_flags(p)
-    p.add_argument("--source", choices=SOURCES + ("all",), default="all",
-                   help="source(s) to propagate (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
-    p.add_argument("--replicates", type=int, default=1000,
-                   help="noise replicates (default %(default)s)")
-    p.add_argument("--horizon", type=float, default=365.0,
-                   help="event-rate horizon in days (default %(default)s)")
-    p.add_argument("--bands", type=_band_edges, default=(35.0, 50.0), metavar="LO,HI",
-                   help="stratum edges (default 35,50)")
+    _add_run_flags(p)
     _add_output_flag(p, default=".")
     p.set_defaults(func=cmd_report)
 
@@ -222,23 +213,20 @@ def _out_path(directory, filename) -> Path:
 
 
 def _emit_json(payload: dict, output_dir, filename: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = render_report_json(payload)
     if output_dir is None:
         sys.stdout.write(text)
     else:
         _out_path(output_dir, filename).write_text(text, encoding="utf-8")
 
 
-def _metadata(seed=None) -> dict:
-    out = {"tool": TOOL_NAME, "version": TOOL_VERSION, "generated_at": _utc_now_iso()}
-    if seed is not None:
-        out["seed"] = int(seed)
-    return out
+def _sigmas(args) -> InstrumentSigma:
+    return InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
 
 
 def cmd_fuse(args) -> int:
     cohort, _ = _read_cohort(args.input)
-    sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
+    sigmas = _sigmas(args)
     theta = fused_estimates(cohort, sigmas)
     destination = sys.stdout if args.output is None else _out_path(args.output, "fused.csv")
     write_fused_csv(cohort, theta, fused_sigma(sigmas), destination)
@@ -246,55 +234,48 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_calibrate_error(args) -> int:
-    sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
+    sigmas = _sigmas(args)
+    calibration = CalibrationConfig(observed_sigma=sigmas.visual_sigma)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LvefFusionWarning)
-        visual, simpson, reduction = paired_calibration(
-            sigmas.visual_sigma,
-            sigmas.simpson_sigma,
-            make_stream(args.seed, VISUAL_STREAM_INDEX),
-            make_stream(args.seed, SIMPSON_STREAM_INDEX),
-            mode=sigmas.mode,
-        )
+        section = calibration_section(sigmas, args.seed, calibration)
     messages = [f"{w.category.__name__}: {w.message}" for w in caught]
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)
 
     payload = {
-        "metadata": _metadata(args.seed),
-        "config": {
-            "sigma_visual": sigmas.visual_sigma,
-            "sigma_simpson": sigmas.simpson_sigma,
-            "mode": sigmas.mode,
-            **calibration_echo(CalibrationConfig(observed_sigma=sigmas.visual_sigma)),
-        },
-        "visual": posterior_to_dict(visual),
-        "simpson": posterior_to_dict(simpson),
-        "relative_reduction": summary_to_dict(reduction.summary),
+        "metadata": artifact_metadata(args.seed),
+        "config": {**sigma_echo(sigmas), **calibration_echo(calibration)},
+        **section,
         "warnings": messages,
     }
     _emit_json(payload, args.output, "calibration.json")
     return 0
 
 
-def cmd_km(args) -> int:
-    cohort, _ = _read_cohort(args.input)
-    sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
+def _source_column(cohort, args):
+    """(sigmas, values of args.source) for the km and cox commands."""
+    sigmas = _sigmas(args)
     fused = fused_estimates(cohort, sigmas) if args.source == "assimilated" else None
     values, _ = source_values(cohort, fused, args.source, sigmas)
-    labels = stratify(values, args.bands)
+    return sigmas, values
+
+
+def cmd_km(args) -> int:
+    cohort, _ = _read_cohort(args.input)
+    sigmas, values = _source_column(cohort, args)
 
     strata = {}
-    for label in STRATA:
-        mask = labels == label
-        if not mask.any():
+    for label, stratum in stratum_km(values, cohort.time, cohort.event,
+                                     args.bands, args.horizon).items():
+        if stratum is None:
             strata[label] = {"present": False, "n": 0}
             continue
-        curve = km_from_arrays(cohort.time[mask], cohort.event[mask])
+        n, curve, rate = stratum
         strata[label] = {
             "present": True,
-            "n": int(mask.sum()),
-            "event_rate_at_horizon": km_event_rate_at(curve, args.horizon),
+            "n": n,
+            "event_rate_at_horizon": rate,
             "curve": {
                 "times": curve.times.tolist(),
                 "survival": curve.survival.tolist(),
@@ -304,12 +285,10 @@ def cmd_km(args) -> int:
         }
 
     payload = {
-        "metadata": _metadata(),
+        "metadata": artifact_metadata(),
         "config": {
             "source": args.source,
-            "mode": sigmas.mode,
-            "sigma_visual": sigmas.visual_sigma,
-            "sigma_simpson": sigmas.simpson_sigma,
+            **sigma_echo(sigmas),
             "horizon_days": args.horizon,
             "band_edges": list(args.bands),
         },
@@ -323,19 +302,12 @@ def cmd_km(args) -> int:
 
 def cmd_cox(args) -> int:
     cohort, _ = _read_cohort(args.input)
-    sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
-    fused = fused_estimates(cohort, sigmas) if args.source == "assimilated" else None
-    values, _ = source_values(cohort, fused, args.source, sigmas)
+    sigmas, values = _source_column(cohort, args)
     fit = cox_fit_from_arrays(cohort.time, cohort.event, values)
 
     payload = {
-        "metadata": _metadata(),
-        "config": {
-            "source": args.source,
-            "mode": sigmas.mode,
-            "sigma_visual": sigmas.visual_sigma,
-            "sigma_simpson": sigmas.simpson_sigma,
-        },
+        "metadata": artifact_metadata(),
+        "config": {"source": args.source, **sigma_echo(sigmas)},
         "source": args.source,
         "n_patients": len(cohort),
         "n_events": int(cohort.event.sum()),
@@ -345,31 +317,28 @@ def cmd_cox(args) -> int:
     return 0
 
 
+def _report_options(args) -> ReportOptions:
+    """ReportOptions from the sigma and run flags of propagate and report."""
+    return ReportOptions(
+        sigmas=_sigmas(args),
+        seed=args.seed,
+        replicates=args.replicates,
+        horizon=args.horizon,
+        band_edges=args.bands,
+        sources=SOURCES if args.source == "all" else (args.source,),
+    )
+
+
 def cmd_propagate(args) -> int:
     cohort, _ = _read_cohort(args.input)
-    sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
-    fused = fused_estimates(cohort, sigmas)
-    sources = SOURCES if args.source == "all" else (args.source,)
-
-    for source in sources:
-        config = PropagationConfig(
-            source=source,
-            sigmas=sigmas,
-            seed=args.seed,
-            replicates=args.replicates,
-            horizon=args.horizon,
-            band_edges=args.bands,
-        )
-        summary = propagate(cohort, fused, config)
-        if summary.failed_replicates:
-            print(
-                f"warning: source {source}: {summary.failed_replicates} of "
-                f"{summary.replicates} replicates excluded from hazard-ratio aggregation",
-                file=sys.stderr,
-            )
-        payload = {"metadata": _metadata(args.seed), **propagation_to_dict(summary)}
-        _emit_json(payload, args.output, f"propagation_{source}.json")
-        write_km_band_csv(summary, _out_path(args.output, f"km_bands_{source}.csv"))
+    options = _report_options(args)
+    fused = fused_estimates(cohort, options.sigmas)
+    for summary, message in propagate_sources(cohort, fused, options):
+        if message:
+            print(f"warning: {message}", file=sys.stderr)
+        payload = {"metadata": artifact_metadata(args.seed), **propagation_to_dict(summary)}
+        _emit_json(payload, args.output, f"propagation_{summary.source}.json")
+        write_km_band_csv(summary, _out_path(args.output, f"km_bands_{summary.source}.csv"))
     return 0
 
 
@@ -382,17 +351,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     cohort, parse_warnings = _read_cohort(args.input)
-    sigmas = InstrumentSigma(args.sigma_visual, args.sigma_simpson, args.mode)
-    sources = SOURCES if args.source == "all" else (args.source,)
-    options = ReportOptions(
-        sigmas=sigmas,
-        seed=args.seed,
-        replicates=args.replicates,
-        horizon=args.horizon,
-        band_edges=args.bands,
-        sources=tuple(sources),
-    )
-    report, summaries = run_report(cohort, options, parse_warnings=parse_warnings)
+    report, summaries = run_report(cohort, _report_options(args), parse_warnings=parse_warnings)
     write_report_json(report, _out_path(args.output, "report.json"))
     for source, summary in summaries.items():
         write_km_band_csv(summary, _out_path(args.output, f"km_bands_{source}.csv"))

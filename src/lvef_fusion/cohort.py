@@ -164,6 +164,7 @@ def _open_source(source):
 def parse_cohort_csv(source) -> Cohort:
     """Read and validate a cohort CSV from a path or stream.
 
+    Header names are matched with surrounding whitespace stripped.
     Validation failures carry the 1-based data row index (blank lines are
     skipped and not counted).  A header-only file yields an empty Cohort with
     a warning; off-grid visual values warn but pass.
@@ -174,6 +175,8 @@ def parse_cohort_csv(source) -> Cohort:
         header = next(reader, None)
         if header is None:
             raise SchemaError("input is empty: expected a cohort CSV header")
+        # Spreadsheet exports often pad names after the comma.
+        header = [name.strip() for name in header]
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"missing required column(s): {', '.join(missing)}")

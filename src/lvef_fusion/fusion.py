@@ -38,7 +38,6 @@ __all__ = [
     "fused_sigma",
     "precision_ratio",
     "total_variation",
-    "theta_map",
     "relative_reduction",
 ]
 
@@ -65,6 +64,13 @@ class InstrumentSigma:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+            if self.mode == "variance" and value > 0:
+                square = float(value) * float(value)
+                if not 0 < square < np.inf:
+                    raise InvalidParameterError(
+                        f"{name} {value!r} squares to {square!r}; variance mode "
+                        "needs a positive, finite square"
+                    )
 
     def weights(self) -> tuple[float, float]:
         """(visual weight, simpson weight) in the active mode's spread units."""
@@ -114,18 +120,6 @@ def relative_reduction(sigmas: InstrumentSigma) -> float:
     Always in (-1, 0): fusing can only shrink the spread, never below zero.
     """
     return -1.0 / (precision_ratio(sigmas) + 1.0)
-
-
-def theta_map(visual: float, simpson: float, sigmas: InstrumentSigma) -> float:
-    """Posterior mode via the precision-ratio form (omega*S + V)/(omega + 1).
-
-    Algebraically identical to fuse(...).theta; kept separate because the two
-    routes are checked against each other.
-    """
-    _check_lvef("visual", visual)
-    _check_lvef("simpson", simpson)
-    omega = precision_ratio(sigmas)
-    return (omega * simpson + visual) / (omega + 1.0)
 
 
 def _posterior_mean(visual, simpson, a: float, b: float):

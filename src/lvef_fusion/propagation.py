@@ -39,6 +39,7 @@ __all__ = [
     "source_values",
     "realize_lvef",
     "stratify",
+    "stratum_km",
     "run_replicate",
     "propagate",
 ]
@@ -125,6 +126,25 @@ def stratify(lvef_values, band_edges=(35.0, 50.0)) -> np.ndarray:
     return np.where(values < lo, "low", np.where(values <= hi, "mid", "high"))
 
 
+def stratum_km(values, time, event, band_edges, horizon) -> dict:
+    """Stratify by values, then fit each stratum's Kaplan-Meier curve.
+
+    Returns {stratum: (patients, KmCurve, event rate by horizon)} over STRATA,
+    with None for a stratum no value falls in.
+    """
+    labels = stratify(values, band_edges)
+    out = {}
+    for label in STRATA:
+        mask = labels == label
+        n = int(np.count_nonzero(mask))
+        if n == 0:
+            out[label] = None
+            continue
+        curve = km_from_arrays(time[mask], event[mask])
+        out[label] = (n, curve, km_event_rate_at(curve, horizon))
+    return out
+
+
 def source_values(cohort, fused, source: str, sigmas: InstrumentSigma):
     """(centers, spread) of one source: a reading column with its instrument
     sigma, or the fused theta (from fused_estimates) with fused_sigma."""
@@ -167,18 +187,9 @@ def _time_sorted(cohort):
 def _replicate_from_arrays(centers, spread, order, time, event, config, stream) -> ReplicateResult:
     """One replicate on follow-up arrays already sorted by time (see _time_sorted)."""
     realized = _realize(centers, spread, config, stream)[order]
-    labels = stratify(realized, config.band_edges)
-
-    rates, curves = {}, {}
-    for label in STRATA:
-        mask = labels == label
-        if not mask.any():
-            rates[label] = None
-            curves[label] = None
-            continue
-        curve = km_from_arrays(time[mask], event[mask])
-        rates[label] = km_event_rate_at(curve, config.horizon)
-        curves[label] = curve
+    strata = stratum_km(realized, time, event, config.band_edges, config.horizon)
+    rates = {label: None if s is None else s[2] for label, s in strata.items()}
+    curves = {label: None if s is None else s[1] for label, s in strata.items()}
 
     hazard_ratio, failure = None, None
     try:

@@ -4,6 +4,11 @@ The report JSON is deterministic for a fixed cohort, configuration, and seed:
 keys are sorted, floats are emitted at full double precision, and the only
 run-dependent field is metadata.generated_at.  CSV artifacts round to 4
 decimal places; JSON keeps full precision.
+
+The sections other artifacts share are built here once: the metadata block
+(artifact_metadata), the sigma echo (sigma_echo), the calibration section
+(calibration_section) and the per-source propagation (propagate_sources).
+The CLI commands call these, so their artifacts match the report's.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ from .survival import CoxFit, hazard_ratio_per
 __all__ = [
     "ReportOptions",
     "run_report",
+    "artifact_metadata",
+    "sigma_echo",
+    "calibration_section",
+    "propagate_sources",
     "render_report_json",
     "write_report_json",
     "write_km_band_csv",
@@ -180,15 +189,34 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _utc_now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def artifact_metadata(seed=None, config=None) -> dict:
+    """The metadata block every JSON artifact carries: tool, version and
+    generation time, plus the seed when there is one and the hash of the
+    config echo when there is one."""
+    out = {
+        "tool": TOOL_NAME,
+        "version": TOOL_VERSION,
+        "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
+    if seed is not None:
+        out["seed"] = int(seed)
+    if config is not None:
+        out["config_hash"] = config_hash(config)
+    return out
+
+
+def sigma_echo(sigmas: InstrumentSigma) -> dict:
+    """The fusion mode and both instrument sigmas, as every artifact echoes them."""
+    return {
+        "mode": sigmas.mode,
+        "sigma_visual": float(sigmas.visual_sigma),
+        "sigma_simpson": float(sigmas.simpson_sigma),
+    }
 
 
 def _config_echo(options: ReportOptions, calibration: CalibrationConfig | None) -> dict:
     echo = {
-        "mode": options.sigmas.mode,
-        "sigma_visual": float(options.sigmas.visual_sigma),
-        "sigma_simpson": float(options.sigmas.simpson_sigma),
+        **sigma_echo(options.sigmas),
         "seed": int(options.seed),
         "replicates": int(options.replicates),
         "horizon_days": float(options.horizon),
@@ -218,6 +246,52 @@ def calibration_echo(calibration: CalibrationConfig) -> dict:
     }
 
 
+def calibration_section(sigmas: InstrumentSigma, seed: int,
+                        calibration: CalibrationConfig) -> dict:
+    """Both instruments' error posteriors and the reduction R, calibrated on
+    the (seed, VISUAL/SIMPSON_STREAM_INDEX) streams; calibration supplies
+    every setting except observed_sigma, which each chain takes from sigmas."""
+    visual, simpson, reduction = paired_calibration(
+        sigmas.visual_sigma,
+        sigmas.simpson_sigma,
+        make_stream(seed, VISUAL_STREAM_INDEX),
+        make_stream(seed, SIMPSON_STREAM_INDEX),
+        mode=sigmas.mode,
+        config=calibration,
+    )
+    return {
+        "visual": posterior_to_dict(visual),
+        "simpson": posterior_to_dict(simpson),
+        "relative_reduction": summary_to_dict(reduction.summary),
+    }
+
+
+def propagate_sources(cohort, fused, options: ReportOptions):
+    """Propagate each of options.sources in turn.
+
+    Yields (PropagationSummary, exclusion message or None) per source, one
+    source at a time, so a caller can write each source's artifacts before
+    the next one runs.
+    """
+    for source in options.sources:
+        config = PropagationConfig(
+            source=source,
+            sigmas=options.sigmas,
+            seed=options.seed,
+            replicates=options.replicates,
+            horizon=options.horizon,
+            band_edges=tuple(options.band_edges),
+            clamp_range=tuple(options.clamp_range),
+        )
+        summary = propagate(cohort, fused, config)
+        message = None
+        if summary.failed_replicates:
+            message = (f"source {source}: {summary.failed_replicates} of "
+                       f"{summary.replicates} replicates excluded from "
+                       "hazard-ratio aggregation")
+        yield summary, message
+
+
 def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict, dict]:
     """Run fusion, calibration, and propagation; assemble the report.
 
@@ -232,11 +306,7 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
         warnings.simplefilter("always", LvefFusionWarning)
 
         fused = fused_estimates(cohort, sigmas)
-        fusion_section = {
-            "mode": sigmas.mode,
-            "sigma_visual": float(sigmas.visual_sigma),
-            "sigma_simpson": float(sigmas.simpson_sigma),
-        }
+        fusion_section = sigma_echo(sigmas)
         if sigmas.visual_sigma > 0 and sigmas.simpson_sigma > 0:
             fusion_section.update(
                 omega=precision_ratio(sigmas),
@@ -248,61 +318,23 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
         fusion_section["n_patients"] = len(cohort)
 
         cal_config = options.calibration
-        calibration_section: dict = {}
         if sigmas.visual_sigma > 0 and sigmas.simpson_sigma > 0:
             if cal_config is None:
                 cal_config = CalibrationConfig(observed_sigma=sigmas.visual_sigma)
-            visual, simpson, reduction = paired_calibration(
-                sigmas.visual_sigma,
-                sigmas.simpson_sigma,
-                make_stream(options.seed, VISUAL_STREAM_INDEX),
-                make_stream(options.seed, SIMPSON_STREAM_INDEX),
-                mode=sigmas.mode,
-                likelihood_shape=cal_config.likelihood_shape,
-                prior_shape=cal_config.prior_shape,
-                prior_rate=cal_config.prior_rate,
-                chain_length=cal_config.chain_length,
-                kept_samples=cal_config.kept_samples,
-                proposal_sd=cal_config.proposal_sd,
-                burn_in=cal_config.burn_in,
-                observation_weight=cal_config.observation_weight,
-                tune_proposal=cal_config.tune_proposal,
-            )
-            calibration_section = {
-                "visual": posterior_to_dict(visual),
-                "simpson": posterior_to_dict(simpson),
-                "relative_reduction": summary_to_dict(reduction.summary),
-            }
+            calibration = calibration_section(sigmas, options.seed, cal_config)
         else:
-            calibration_section = {
+            calibration = {
                 "skipped": True,
                 "reason": "error calibration requires strictly positive sigmas",
             }
 
         propagation_section: dict = {}
         summaries: dict = {}
-        for source in options.sources:
-            config = PropagationConfig(
-                source=source,
-                sigmas=sigmas,
-                seed=options.seed,
-                replicates=options.replicates,
-                horizon=options.horizon,
-                band_edges=tuple(options.band_edges),
-                clamp_range=tuple(options.clamp_range),
-            )
-            summary = propagate(cohort, fused, config)
-            summaries[source] = summary
-            propagation_section[source] = propagation_to_dict(summary)
-            if summary.failed_replicates:
-                report_warnings.append({
-                    "category": "ReplicateExclusion",
-                    "message": (
-                        f"source {source}: {summary.failed_replicates} of "
-                        f"{summary.replicates} replicates excluded from "
-                        "hazard-ratio aggregation"
-                    ),
-                })
+        for summary, message in propagate_sources(cohort, fused, options):
+            summaries[summary.source] = summary
+            propagation_section[summary.source] = propagation_to_dict(summary)
+            if message:
+                report_warnings.append({"category": "ReplicateExclusion", "message": message})
 
     for w in caught:
         report_warnings.append({"category": w.category.__name__, "message": str(w.message)})
@@ -310,13 +342,7 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
 
     config_echo = _config_echo(options, cal_config)
     report = {
-        "metadata": {
-            "tool": TOOL_NAME,
-            "version": TOOL_VERSION,
-            "generated_at": _utc_now_iso(),
-            "seed": int(options.seed),
-            "config_hash": config_hash(config_echo),
-        },
+        "metadata": artifact_metadata(options.seed, config_echo),
         "config": config_echo,
         "units": {
             "lvef": "percent",
@@ -325,7 +351,7 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
             "hazard_ratio": f"per {HR_DELTA:g}-point LVEF decrease",
         },
         "fusion": fusion_section,
-        "error_calibration": calibration_section,
+        "error_calibration": calibration,
         "propagation": propagation_section,
         "warnings": report_warnings,
     }

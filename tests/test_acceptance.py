@@ -18,7 +18,6 @@ from lvef_fusion.fusion import (
     fuse,
     fused_estimates,
     relative_reduction,
-    theta_map,
 )
 from lvef_fusion.propagation import SOURCES, PropagationConfig, propagate
 from lvef_fusion.simulate import SimConfig, rmse_vs_truth, simulate
@@ -28,6 +27,8 @@ from lvef_fusion.survival import (
     km_from_arrays,
     km_survival_at,
 )
+
+from fusion_oracles import theta_map
 
 E2E_SEEDS = tuple(range(20))
 

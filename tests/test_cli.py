@@ -1,9 +1,12 @@
 """Command-line behavior: subcommands, artifacts, exit codes, piping."""
 
 import csv
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +72,15 @@ class TestUsage:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("visual,simpson", [("1e-200", "1e-200"), ("1e200", "1")])
+    def test_variance_sigma_without_finite_square_is_data_error(
+            self, cohort_csv, capsys, visual, simpson):
+        code = main(["fuse", "--input", str(cohort_csv), "--mode", "variance",
+                     "--sigma-visual", visual, "--sigma-simpson", simpson])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+
     def test_duplicate_ids_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text(HEADER + "p0,50,50,100,1\np0,55,55,200,0\n")
@@ -96,6 +108,15 @@ class TestFuse:
         path.write_bytes(b"\xef\xbb\xbf" + rows.replace("\n", "\r\n").encode("utf-8"))
         assert main(["fuse", "--input", str(path)]) == 0
         fused = _rows(capsys.readouterr().out)
+        assert [r["patient_id"] for r in fused] == ["p0", "p1"]
+
+    def test_whitespace_around_header_names(self, tmp_path, capsys):
+        path = tmp_path / "padded.csv"
+        path.write_text(HEADER.replace(",", ", ") + "p0,50,50,100,1\np1,55,55,200,0\n")
+        assert main(["fuse", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        fused = _rows(captured.out)
         assert [r["patient_id"] for r in fused] == ["p0", "p1"]
 
 
@@ -255,6 +276,33 @@ class TestReport:
         assert band_rows
         for row in band_rows:
             assert row["lower"] == row["mean"] == row["upper"]
+
+
+class TestSharedSections:
+    """propagate and report build their per-source sections through one path."""
+
+    def test_propagate_artifacts_equal_the_reports(self, cohort_csv, tmp_path):
+        flags = ["--input", str(cohort_csv), "--seed", "2", "--replicates", "20"]
+        assert main(["propagate", *flags, "--output", str(tmp_path / "p")]) == 0
+        assert main(["report", *flags, "--output", str(tmp_path / "r")]) == 0
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        for source in ("visual", "simpson", "assimilated"):
+            payload = json.loads((tmp_path / "p" / f"propagation_{source}.json").read_text())
+            assert payload.pop("metadata")["seed"] == report["metadata"]["seed"]
+            assert payload == report["propagation"][source]
+            name = f"km_bands_{source}.csv"
+            assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
+
+    def test_benchmark_tracer_names_exist(self):
+        # perfbench/tracing.py times the layers by wrapping these module-level
+        # names; a layer renamed or inlined away would silently drop out.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module_name, attribute, _, _ in tracing.WRAPPED:
+            module = importlib.import_module(f"lvef_fusion.{module_name}")
+            assert hasattr(module, attribute), f"lvef_fusion.{module_name}.{attribute}"
 
 
 class TestPipeline:

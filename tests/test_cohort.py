@@ -1,6 +1,7 @@
 """Cohort CSV ingestion, validation diagnostics, and round-trips."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ class TestParse:
         assert parse_cohort_csv(path) == expected
         assert parse_cohort_csv(data) == expected
         assert parse_cohort_csv(io.BytesIO(data)) == expected
+
+    def test_whitespace_around_header_names(self):
+        padded = " patient_id , visual_lvef,\tsimpson_lvef, time_days ,event , true_lvef\n"
+        rows = "P1,50,55.3,200,1,52\nP2,45,44.1,365,0,44\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cohort = _parse(padded + rows)
+        assert cohort == _parse(HEADER + "P1,50,55.3,200,1\nP2,45,44.1,365,0\n")
 
     def test_unsupported_source_type(self):
         with pytest.raises(InvalidParameterError):

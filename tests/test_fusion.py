@@ -14,9 +14,10 @@ from lvef_fusion.fusion import (
     fused_estimates,
     precision_ratio,
     relative_reduction,
-    theta_map,
     total_variation,
 )
+
+from fusion_oracles import theta_map
 
 SD = InstrumentSigma(18.1, 8.8, "paper-sd")
 VAR = InstrumentSigma(18.1, 8.8, "variance")
@@ -129,6 +130,13 @@ class TestValidation:
     def test_sigma_must_be_finite_nonnegative(self, bad):
         with pytest.raises(InvalidParameterError):
             InstrumentSigma(bad, 8.8)
+
+    @pytest.mark.parametrize("visual,simpson", [(1e-200, 1e-200), (1e200, 1.0), (1.0, 1e-170)])
+    def test_variance_mode_sigma_must_square_to_positive_finite(self, visual, simpson):
+        with pytest.raises(InvalidParameterError):
+            InstrumentSigma(visual, simpson, "variance")
+        # the same spreads are valid weights in paper-sd mode
+        assert np.isfinite(fuse(50.0, 55.0, InstrumentSigma(visual, simpson)).theta)
 
     def test_zero_sigma_is_representable_but_not_fusable(self):
         degenerate = InstrumentSigma(0.0, 8.8)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -311,6 +311,64 @@ class TestCoxFit:
         with pytest.raises(InvalidParameterError):
             cox_fit_from_arrays(time, np.array([1, 1, 0]), np.array([1.0, 2.0, 3.0]),
                                 tolerance=0.0)
+
+
+# Cohorts for the Cox invariance properties: tied integer times, and an
+# LVEF-like covariate on a 0.1 grid, so a shift by c cannot round it constant.
+@st.composite
+def _cox_cohorts(draw):
+    n = draw(st.integers(6, 40))
+    column = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+    return (column(st.integers(1, 30)).astype(float), column(st.integers(0, 1)),
+            column(st.integers(0, 1000)) / 10.0)
+
+
+def _fit_or_reject(time, event, x):
+    """The fit of a cohort the property can use: enough events, a varying
+    covariate, a converged fit with finite curvature; others are rejected."""
+    assume(event.sum() >= 2 and np.ptp(x) > 0)
+    try:
+        fit = cox_fit_from_arrays(time, event, x)
+    except (SeparationError, NonConvergenceError):
+        assume(False)
+    assume(math.isfinite(fit.standard_error))
+    return fit
+
+
+class TestCoxInvariance:
+    """beta does not move when the covariate is shifted by c, and becomes
+    beta/k when the covariate is multiplied by k > 0.
+
+    Tolerance, fixed from the stopping rule before the first run: a fit stops
+    once |score| < tol (COX_TOL, the default) on its own covariate's scale, so
+    to first order it lies within tol * se**2 of the exact root, where se**2 =
+    -1/hessian on that scale.  Two fits compared on one scale differ by at
+    most the sum of their two bounds; the factor 2 covers the change of the
+    curvature across that distance and rounding.
+    """
+
+    COX_TOL = 1e-8
+
+    @settings(deadline=None)
+    @given(_cox_cohorts(), st.floats(-100.0, 100.0))
+    def test_shift_leaves_beta_unchanged(self, cohort, c):
+        time, event, x = cohort
+        base = _fit_or_reject(time, event, x)
+        shifted = cox_fit_from_arrays(time, event, x + c)
+        bound = 2 * self.COX_TOL * (base.standard_error**2 + shifted.standard_error**2)
+        assert abs(shifted.beta - base.beta) <= bound
+
+    # k >= 1 shrinks |beta|, so the separation bound cannot reject the scaled
+    # fit alone; k < 1 is the same pair of fits read the other way round.
+    @settings(deadline=None)
+    @given(_cox_cohorts(), st.floats(1.0, 10.0))
+    def test_scale_divides_beta(self, cohort, k):
+        time, event, x = cohort
+        base = _fit_or_reject(time, event, x)
+        scaled = cox_fit_from_arrays(time, event, k * x)
+        # On the scaled covariate's scale the base fit's bound divides by k.
+        bound = 2 * self.COX_TOL * (scaled.standard_error**2 + base.standard_error**2 / k)
+        assert abs(scaled.beta - base.beta / k) <= bound
 
 
 class TestHazardRatio:

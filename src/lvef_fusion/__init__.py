@@ -53,11 +53,8 @@ from .propagation import (
     KmBand,
     PropagationConfig,
     PropagationSummary,
-    ReplicateResult,
     StratumSummary,
     propagate,
-    realize_lvef,
-    run_replicate,
     stratify,
 )
 from .report import (
@@ -123,12 +120,9 @@ __all__ = [
     # propagation
     "PropagationConfig",
     "PropagationSummary",
-    "ReplicateResult",
     "StratumSummary",
     "KmBand",
     "propagate",
-    "run_replicate",
-    "realize_lvef",
     "stratify",
     # cohort I/O
     "Cohort",

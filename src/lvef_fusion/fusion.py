@@ -71,6 +71,15 @@ class InstrumentSigma:
                         f"{name} {value!r} squares to {square!r}; variance mode "
                         "needs a positive, finite square"
                     )
+        # The posterior mean multiplies a weight by an LVEF of up to 100 and
+        # divides by the weights' sum; both must stay finite.
+        power = 2 if self.mode == "variance" else 1
+        a, b = float(self.visual_sigma) ** power, float(self.simpson_sigma) ** power
+        if not (np.isfinite(a + b) and np.isfinite(100.0 * max(a, b))):
+            raise InvalidParameterError(
+                f"sigmas {self.visual_sigma!r} and {self.simpson_sigma!r} give fusion "
+                f"weights that overflow in {self.mode} mode"
+            )
 
     def weights(self) -> tuple[float, float]:
         """(visual weight, simpson weight) in the active mode's spread units."""

@@ -9,11 +9,19 @@ results are bit-reproducible and independent of execution order.
 Every entry point takes the cohort as a ``Cohort`` and, for the assimilated
 source, the per-patient theta array from ``fused_estimates`` (``fused``, which
 may be None for the visual and Simpson's sources).
+
+``propagate`` runs the replicates in chunks of about CHUNK_ELEMENTS draws:
+one ``km_segmented`` pass per stratum fits every replicate's Kaplan-Meier
+curve of a chunk as compact (replicate, time, S) rows, each replicate gets
+its own ``cox_fit_from_arrays`` call, and the bands are read from the rows in
+blocks of about BAND_ELEMENTS values.  The results are bit for bit those of
+one replicate at a time (``stratum_km`` and a per-curve band); the budgets
+only bound memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,28 +33,36 @@ from .errors import (
     SeparationError,
 )
 from .fusion import InstrumentSigma, fused_sigma
-from .stochastics import RngStream, make_stream, summarize
-from .survival import KmCurve, cox_fit_from_arrays, hazard_ratio_per, km_event_rate_at, km_from_arrays
+from .stochastics import make_stream, summarize
+from .survival import (
+    cox_fit_from_arrays,
+    hazard_ratio_per,
+    km_event_rate_at,
+    km_from_arrays,
+    km_segmented,
+)
 
 __all__ = [
     "SOURCES",
     "STRATA",
     "PropagationConfig",
-    "ReplicateResult",
     "StratumSummary",
     "KmBand",
     "PropagationSummary",
     "source_values",
-    "realize_lvef",
     "stratify",
     "stratum_km",
-    "run_replicate",
     "propagate",
 ]
 
 SOURCES = ("visual", "simpson", "assimilated")
 STRATA = ("low", "mid", "high")
 HR_DELTA = 5.0
+# Replicates are drawn and fitted in chunks whose (replicate, patient) matrix
+# holds about CHUNK_ELEMENTS values, which bounds memory at any cohort size.
+CHUNK_ELEMENTS = 2**16
+# Band columns are read in blocks of about BAND_ELEMENTS (curve, column) values.
+BAND_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -76,17 +92,6 @@ class PropagationConfig:
             raise InvalidParameterError(f"clamp_range must be increasing, got {self.clamp_range!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-
-
-@dataclass(frozen=True)
-class ReplicateResult:
-    """One resampled analysis.  Absent strata and failed fits stay None."""
-
-    event_rate_by_stratum: dict
-    hazard_ratio: float | None
-    replicate_index: int
-    hr_failure: str | None = None
-    km_curves: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
@@ -161,130 +166,139 @@ def source_values(cohort, fused, source: str, sigmas: InstrumentSigma):
     return np.asarray(fused, dtype=float), fused_sigma(sigmas)
 
 
-def realize_lvef(cohort, fused, config: PropagationConfig, stream: RngStream) -> np.ndarray:
-    """One resampled LVEF per patient from the configured source, clamped."""
-    return _realize(*source_values(cohort, fused, config.source, config.sigmas), config, stream)
+def _strata_masks(values, band_edges) -> dict:
+    """{stratum: membership mask}, by the two comparisons stratify makes."""
+    lo, hi = band_edges
+    low = values < lo
+    mid = ~low & (values <= hi)
+    return {"low": low, "mid": mid, "high": ~(low | mid)}
 
 
-def _realize(centers, spread, config, stream):
-    draws = stream.generator.normal(loc=centers, scale=spread)
-    return np.clip(draws, *config.clamp_range)
+class _StratumCurves:
+    """One stratum's KM curves over all replicates, as compact rows.
 
-
-def _time_sorted(cohort):
-    """(order, time, event) with the cohort's follow-up sorted once by time.
-
-    order maps time order to patient order: replicates draw per patient, so
-    the Philox draws stay those of patient order, and are then permuted by it.
-    A cohort without events raises DegenerateDataError.
+    Row i is the i-th event time of replicate rep[i], with its survival; the
+    rows run in (replicate, time) order.  present[r] tells whether any
+    patient fell in the stratum in replicate r, and rate[r] is then its
+    event rate by the horizon.
     """
-    if int(cohort.event.sum()) == 0:
-        raise DegenerateDataError("cohort has no events")
-    order = np.argsort(cohort.time, kind="stable")
-    return order, cohort.time[order], cohort.event[order]
 
+    def __init__(self, replicates: int):
+        self.present = np.zeros(replicates, dtype=bool)
+        self.rate = np.zeros(replicates)
+        self.rows: list = []
 
-def _replicate_from_arrays(centers, spread, order, time, event, config, stream) -> ReplicateResult:
-    """One replicate on follow-up arrays already sorted by time (see _time_sorted)."""
-    realized = _realize(centers, spread, config, stream)[order]
-    strata = stratum_km(realized, time, event, config.band_edges, config.horizon)
-    rates = {label: None if s is None else s[2] for label, s in strata.items()}
-    curves = {label: None if s is None else s[1] for label, s in strata.items()}
+    def add(self, mask, first, time, event, horizon):
+        """Fit the stratum in replicates first, first + 1, ... of one chunk,
+        mask being the chunk's (replicate, patient) membership matrix."""
+        chunk = mask.shape[0]
+        self.present[first:first + chunk] = mask.any(axis=1)
+        rep, patient = np.nonzero(mask)
+        if rep.size == 0:
+            return
+        rep, curve = km_segmented(time[patient], event[patient], rep)
+        # S(horizon): the last row at or before the horizon, else 1.0.
+        due = np.bincount(rep[curve.times <= horizon], minlength=chunk)
+        last = np.searchsorted(rep, np.arange(chunk)) + due
+        padded = np.concatenate(([1.0], curve.survival))
+        self.rate[first:first + chunk] = 1.0 - padded[np.where(due > 0, last, 0)]
+        self.rows.append((rep + first, curve.times, curve.survival))
 
-    hazard_ratio, failure = None, None
-    try:
-        fit = cox_fit_from_arrays(time, event, realized)
-        hazard_ratio, _, _ = hazard_ratio_per(fit, HR_DELTA)
-    except (SeparationError, NonConvergenceError, DegenerateDataError) as exc:
-        failure = type(exc).__name__
-    return ReplicateResult(
-        event_rate_by_stratum=rates,
-        hazard_ratio=hazard_ratio,
-        replicate_index=stream.stream_index,
-        hr_failure=failure,
-        km_curves=curves,
-    )
+    def summary(self) -> StratumSummary:
+        if not self.present.any():
+            return StratumSummary(mean_event_rate=None, quantiles=None, n_present=0)
+        s = summarize(self.rate[self.present], (0.025, 0.5, 0.975))
+        return StratumSummary(mean_event_rate=s.mean, quantiles=s.quantiles,
+                              n_present=int(self.present.sum()))
 
-
-def run_replicate(cohort, fused, config: PropagationConfig, stream: RngStream) -> ReplicateResult:
-    """Resample, stratify, estimate: one full analysis under one noise draw."""
-    centers, spread = source_values(cohort, fused, config.source, config.sigmas)
-    return _replicate_from_arrays(centers, spread, *_time_sorted(cohort), config, stream)
-
-
-def _km_band(curves: list[KmCurve]) -> KmBand | None:
-    if not curves:
-        return None
-    grid = np.unique(np.concatenate([c.times for c in curves]))
-    if grid.size == 0:
-        return KmBand(times=grid, lower=grid.copy(), mean=grid.copy(), upper=grid.copy())
-    n = len(curves)
-    lower = np.empty(grid.size)
-    mean = np.empty(grid.size)
-    upper = np.empty(grid.size)
-    chunk = max(1, 2_000_000 // n)
-    padded = [(c.times, np.r_[1.0, c.survival]) for c in curves]
-    for start in range(0, grid.size, chunk):
-        cols = grid[start:start + chunk]
-        block = np.empty((n, cols.size))
-        for i, (times, surv) in enumerate(padded):
-            block[i] = surv[np.searchsorted(times, cols, side="right")]
-        lower[start:start + chunk] = np.quantile(block, 0.025, axis=0)
-        upper[start:start + chunk] = np.quantile(block, 0.975, axis=0)
-        # Columns where every curve agrees must average to that value
-        # bit-exactly (zero-noise collapse), which summed means do not give.
-        col_mean = block.mean(axis=0)
-        constant = block.min(axis=0) == block.max(axis=0)
-        col_mean[constant] = block[0, constant]
-        mean[start:start + chunk] = col_mean
-    # When nearly all curves coincide at a grid point, the interpolated
-    # percentiles can exclude the mean; widen so nesting always holds.
-    lower = np.minimum(lower, mean)
-    upper = np.maximum(upper, mean)
-    return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
+    def band(self) -> KmBand | None:
+        """Pointwise percentile envelope of the present replicates' curves on
+        the union of their event times; releases the rows it reads."""
+        curves = np.flatnonzero(self.present)
+        if curves.size == 0:
+            return None
+        keys, times, survival = (np.concatenate(parts) for parts in zip(*self.rows))
+        self.rows.clear()
+        grid = np.unique(times)
+        if grid.size == 0:
+            return KmBand(times=grid, lower=grid.copy(), mean=grid.copy(), upper=grid.copy())
+        # Key (replicate, grid column): searching the rows' keys for a
+        # column's key counts the replicate's rows up to that time.
+        keys *= grid.size
+        keys += np.searchsorted(grid, times)
+        del times
+        first_row = np.searchsorted(keys, curves * grid.size)[:, None]
+        padded = np.concatenate(([1.0], survival))
+        lower = np.empty(grid.size)
+        mean = np.empty(grid.size)
+        upper = np.empty(grid.size)
+        # A one-column block would average its column by pairwise summation,
+        # unlike the row-by-row sums of wider blocks: a one-column tail joins
+        # the block before it.
+        edges = list(range(0, grid.size, max(2, BAND_ELEMENTS // curves.size))) + [grid.size]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]
+        for start, stop in zip(edges[:-1], edges[1:]):
+            query = curves[:, None] * grid.size + np.arange(start, stop)
+            row = np.searchsorted(keys, query, side="right")
+            row[row <= first_row] = 0  # no event yet: S = 1.0
+            block = padded[row]
+            lower[start:stop] = np.quantile(block, 0.025, axis=0)
+            upper[start:stop] = np.quantile(block, 0.975, axis=0)
+            # Columns where every curve agrees must average to that value
+            # bit-exactly (zero-noise collapse), which summed means do not give.
+            col_mean = block.mean(axis=0)
+            constant = block.min(axis=0) == block.max(axis=0)
+            col_mean[constant] = block[0, constant]
+            mean[start:stop] = col_mean
+        # When nearly all curves coincide at a grid point, the interpolated
+        # percentiles can exclude the mean; widen so nesting always holds.
+        lower = np.minimum(lower, mean)
+        upper = np.maximum(upper, mean)
+        return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
 
 
 def propagate(cohort, fused, config: PropagationConfig) -> PropagationSummary:
     """Run all replicates on substreams (seed, r) and compile the bands."""
     centers, spread = source_values(cohort, fused, config.source, config.sigmas)
-    order, time, event = _time_sorted(cohort)
-    results = [
-        _replicate_from_arrays(centers, spread, order, time, event, config,
-                               make_stream(config.seed, r))
-        for r in range(config.replicates)
-    ]
+    if int(cohort.event.sum()) == 0:
+        raise DegenerateDataError("cohort has no events")
+    # Follow-up sorted once; each replicate draws in patient order, then
+    # its draws are permuted into time order.
+    order = np.argsort(cohort.time, kind="stable")
+    time, event = cohort.time[order], cohort.event[order]
+    strata = {label: _StratumCurves(config.replicates) for label in STRATA}
+    hazard_ratios, failures = [], set()
 
-    hazard_ratios = np.array([r.hazard_ratio for r in results if r.hazard_ratio is not None])
-    failed = config.replicates - hazard_ratios.size
-    if hazard_ratios.size == 0:
-        reasons = sorted({r.hr_failure for r in results if r.hr_failure})
+    per_chunk = max(1, CHUNK_ELEMENTS // time.size)
+    for first in range(0, config.replicates, per_chunk):
+        replicates = range(first, min(first + per_chunk, config.replicates))
+        realized = np.empty((len(replicates), time.size))
+        for row, r in zip(realized, replicates):
+            draws = make_stream(config.seed, r).generator.normal(loc=centers, scale=spread)
+            row[:] = np.clip(draws, *config.clamp_range)[order]
+        for label, mask in _strata_masks(realized, config.band_edges).items():
+            strata[label].add(mask, first, time, event, config.horizon)
+        for row in realized:
+            try:
+                fit = cox_fit_from_arrays(time, event, row)
+                hazard_ratios.append(hazard_ratio_per(fit, HR_DELTA)[0])
+            except (SeparationError, NonConvergenceError, DegenerateDataError) as exc:
+                failures.add(type(exc).__name__)
+
+    if not hazard_ratios:
         raise PropagationError(
-            f"all {config.replicates} replicates failed the Cox fit ({', '.join(reasons)})"
+            f"all {config.replicates} replicates failed the Cox fit ({', '.join(sorted(failures))})"
         )
     hr_summary = summarize(hazard_ratios, (0.025, 0.975))
-
-    event_rates, km_bands = {}, {}
-    for label in STRATA:
-        present = [r.event_rate_by_stratum[label] for r in results
-                   if r.event_rate_by_stratum[label] is not None]
-        if present:
-            s = summarize(present, (0.025, 0.5, 0.975))
-            event_rates[label] = StratumSummary(
-                mean_event_rate=s.mean, quantiles=s.quantiles, n_present=len(present)
-            )
-        else:
-            event_rates[label] = StratumSummary(mean_event_rate=None, quantiles=None, n_present=0)
-        km_bands[label] = _km_band([r.km_curves[label] for r in results
-                                    if r.km_curves[label] is not None])
-
     return PropagationSummary(
         source=config.source,
         replicates=config.replicates,
-        failed_replicates=failed,
-        event_rates=event_rates,
+        failed_replicates=config.replicates - len(hazard_ratios),
+        event_rates={label: s.summary() for label, s in strata.items()},
         hazard_ratio_mean=hr_summary.mean,
         hazard_ratio_q025=hr_summary.quantiles[0.025],
         hazard_ratio_q975=hr_summary.quantiles[0.975],
-        km_bands=km_bands,
+        km_bands={label: s.band() for label, s in strata.items()},
         horizon=config.horizon,
     )

@@ -231,7 +231,8 @@ def _config_echo(options: ReportOptions, calibration: CalibrationConfig | None) 
 
 def calibration_echo(calibration: CalibrationConfig) -> dict:
     """The calibration settings and stream indices a report or calibration
-    artifact echoes in its config."""
+    artifact echoes in its config.  proposal_sd is echoed as configured: null
+    means the default, 0.25 * observed_sigma."""
     return {
         "likelihood_shape": calibration.likelihood_shape,
         "prior_shape": calibration.prior_shape,
@@ -241,6 +242,7 @@ def calibration_echo(calibration: CalibrationConfig) -> dict:
         "kept_samples": calibration.kept_samples,
         "observation_weight": calibration.observation_weight,
         "tune_proposal": calibration.tune_proposal,
+        "proposal_sd": calibration.proposal_sd,
         "visual_stream_index": VISUAL_STREAM_INDEX,
         "simpson_stream_index": SIMPSON_STREAM_INDEX,
     }

@@ -13,6 +13,9 @@ Two estimators, both written directly against their definitions:
   factor 1.0 exactly, so when every censoring falls before the first event
   time or at or after the last one (in particular without censoring) the
   curve coincides bit-for-bit with the empirical survival function.
+  ``km_segmented`` runs this product over many curves in one pass (the
+  product restarts at exactly 1.0 for each); ``km_from_arrays`` is its
+  one-curve case.
 * Single-covariate Cox proportional hazards with the Breslow tie convention,
   fitted by Newton-Raphson with step halving.  Risk-set sums use one global
   exponent shift so the objective stays finite for any reasonable beta, and
@@ -45,6 +48,7 @@ __all__ = [
     "KmCurve",
     "CoxFit",
     "km_from_arrays",
+    "km_segmented",
     "km_survival_at",
     "km_event_rate_at",
     "cox_loglik_from_arrays",
@@ -107,44 +111,77 @@ def _checked(time, event, covariate=None):
 def km_from_arrays(time: np.ndarray, event: np.ndarray) -> KmCurve:
     """Kaplan-Meier product-limit curve from parallel time and event arrays."""
     time, event = _checked(time, event)
-
     order = np.argsort(time, kind="stable")
-    t, e = time[order], event[order]
-    first = _group_starts(t)
-    deaths = np.add.reduceat(e, first)
+    _, curve = km_segmented(time[order], event[order])
+    return curve
+
+
+def km_segmented(time: np.ndarray, event: np.ndarray, segment=None):
+    """Product-limit curves of many subject sets in one pass.
+
+    time and int64 event are sorted by (segment, time); segment holds each
+    subject's non-decreasing curve label, or is None for a single curve.
+    Returns (curve label of each row, or None; KmCurve of the rows): one row
+    per event time of each curve, the curves' rows concatenated in label
+    order, each curve exactly what km_from_arrays gives for its subjects.
+    Inputs are not validated; km_from_arrays is the checked entry point.
+    """
+    first = _group_starts(time, segment)
+    deaths = np.add.reduceat(event, first)
     keep = deaths > 0
     event_first = first[keep]
     d_counts = deaths[keep]
-    r_counts = t.size - event_first
+    if segment is None:
+        label, end = None, time.size
+    else:
+        label = segment[event_first]
+        end = np.searchsorted(segment, label, side="right")
+    # Everyone of the curve from the tie group on is at risk.
+    r_counts = end - event_first
     survivors = r_counts - d_counts
 
     # Blocks of event times with no censoring between them: inside one, each
     # time's survivors are the next time's risk set and the product telescopes.
     block_start = np.ones(r_counts.size, dtype=bool)
     np.not_equal(r_counts[1:], survivors[:-1], out=block_start[1:])
+    opens = np.zeros(r_counts.size, dtype=bool)  # a curve's first event time
+    opens[:1] = True
+    if label is not None:
+        np.not_equal(label[1:], label[:-1], out=opens[1:])
+        block_start |= opens
     starts = np.flatnonzero(block_start)
     block = np.cumsum(block_start) - 1
     within = survivors / r_counts[starts][block]
-    # Survival carried into each block: the product of the earlier blocks'
-    # factors, exactly 1.0 for the first block.  Factors and product are kept
-    # in extended precision where the platform has it, so thousands of blocks
-    # still leave S within about one ulp of the exact product.
-    factors = survivors[starts[1:] - 1] / r_counts[starts[:-1]].astype(np.longdouble)
-    carried = np.ones(starts.size, dtype=np.longdouble)
-    np.cumprod(factors, out=carried[1:])
-    return KmCurve(
-        times=t[event_first],
+    # Survival carried into each block: the product of the curve's earlier
+    # blocks' factors, exactly 1.0 for its first block.  One row per curve,
+    # padded with 1.0, so one cumprod restarts at every curve.  Factors and
+    # product are kept in extended precision where the platform has it, so
+    # thousands of blocks still leave S within about one ulp of the exact
+    # product.
+    first_block = opens[starts]
+    owner = np.cumsum(first_block) - 1
+    column = np.arange(starts.size) - np.flatnonzero(first_block)[owner]
+    carried = np.ones((owner[-1] + 1, column.max() + 1) if starts.size else (0, 0),
+                      dtype=np.longdouble)
+    inner = np.flatnonzero(~first_block)
+    carried[owner[inner], column[inner]] = (
+        survivors[starts[inner] - 1] / r_counts[starts[inner - 1]].astype(np.longdouble))
+    carried = np.cumprod(carried, axis=1)[owner, column]
+    return label, KmCurve(
+        times=time[event_first],
         survival=(carried[block] * within).astype(float),
         at_risk=r_counts,
         events=d_counts,
     )
 
 
-def _group_starts(sorted_time: np.ndarray) -> np.ndarray:
-    """Index of the first subject of each tie group in time-sorted order."""
-    new_time = np.ones(sorted_time.size, dtype=bool)
-    np.not_equal(sorted_time[1:], sorted_time[:-1], out=new_time[1:])
-    return np.flatnonzero(new_time)
+def _group_starts(sorted_time: np.ndarray, segment=None) -> np.ndarray:
+    """Index of the first subject of each tie group in (segment, time) order."""
+    new_group = np.ones(sorted_time.size, dtype=bool)
+    np.not_equal(sorted_time[1:], sorted_time[:-1], out=new_group[1:])
+    if segment is not None:
+        new_group[1:] |= segment[1:] != segment[:-1]
+    return np.flatnonzero(new_group)
 
 
 def km_survival_at(curve: KmCurve, horizon):
@@ -176,31 +213,40 @@ class _CoxLayout:
         keep = deaths > 0
         self.event_first = first[keep]
         self.deaths = deaths[keep]
+        # Suffix sums from a tie group's start are the reversed covariate's
+        # prefix sums at these positions.
+        self.read = t.size - 1 - self.event_first
 
-    def evaluate(self, beta: float, xc: np.ndarray):
-        """(value, gradient, hessian) for a centered, time-sorted covariate.
+    def covariate(self, xc: np.ndarray):
+        """The beta-free part of evaluate for one centered, time-sorted
+        covariate: (the covariate reversed, sum of the covariate over events)."""
+        return np.ascontiguousarray(xc[::-1]), float(np.dot(self.e, xc))
+
+    def evaluate(self, beta: float, covariate):
+        """(value, gradient, hessian) for a covariate prepared by covariate().
 
         Risk-set sums are suffix cumsums read at tie-group starts, with one
         global exponent shift so values stay finite for betas far beyond any
         plausible fit.
         """
-        eta = beta * xc
+        x, sum_event_x = covariate
+        eta = beta * x
         shift = eta.max()
-        w = np.exp(eta - shift)
-        wx = w * xc
-        s0 = np.cumsum(w[::-1])[::-1][self.event_first]
-        s1 = np.cumsum(wx[::-1])[::-1][self.event_first]
-        s2 = np.cumsum((wx * xc)[::-1])[::-1][self.event_first]
-        sum_event_x = float(np.dot(self.e, xc))
+        # w, w*x and w*x^2 share one prefix-sum pass.
+        terms = np.empty((3, x.size))
+        np.exp(eta - shift, out=terms[0])
+        np.multiply(terms[0], x, out=terms[1])
+        np.multiply(terms[1], x, out=terms[2])
+        s0, s1, s2 = np.cumsum(terms, axis=1, out=terms)[:, self.read]
 
         with np.errstate(divide="ignore", invalid="ignore"):
             log_s0 = np.log(s0)
             mean_x = s1 / s0
             var_x = np.maximum(s2 / s0 - mean_x**2, 0.0)
 
-        value = float(beta * sum_event_x - np.sum(self.deaths * (log_s0 + shift)))
-        gradient = float(sum_event_x - np.sum(self.deaths * mean_x))
-        hessian = float(-np.sum(self.deaths * var_x))
+        value = float(beta * sum_event_x - (self.deaths * (log_s0 + shift)).sum())
+        gradient = float(sum_event_x - (self.deaths * mean_x).sum())
+        hessian = float(-(self.deaths * var_x).sum())
         return value, gradient, hessian
 
 
@@ -213,7 +259,7 @@ def cox_loglik_from_arrays(beta: float, time, event, covariate):
     time, event, covariate = _checked(time, event, covariate)
     layout = _CoxLayout(time, event)
     xc = (covariate - covariate.mean())[layout.order]
-    return layout.evaluate(beta, xc)
+    return layout.evaluate(beta, layout.covariate(xc))
 
 
 def cox_fit_from_arrays(time, event, covariate, tolerance: float = 1e-8,
@@ -232,8 +278,8 @@ def cox_fit_from_arrays(time, event, covariate, tolerance: float = 1e-8,
     layout = _CoxLayout(time, event)
     # Fit on the standardized covariate; beta maps back by 1/sd.
     sd = float(np.std(covariate))
-    xs = ((covariate - covariate.mean()) / sd)[layout.order]
-    xc_raw = (covariate - covariate.mean())[layout.order]
+    xs = layout.covariate(((covariate - covariate.mean()) / sd)[layout.order])
+    xc_raw = layout.covariate((covariate - covariate.mean())[layout.order])
 
     beta_s = 0.0
     value, grad, hess = layout.evaluate(beta_s, xs)

@@ -1,0 +1,142 @@
+"""The per-replicate propagation loop, kept as the oracle of the chunked engine.
+
+Replicate r draws every patient's LVEF from its own stream make_stream(seed, r),
+fits the strata's Kaplan-Meier curves with stratum_km and the Cox model with
+cox_fit_from_arrays; the bands read every curve at every grid time with its
+own searchsorted.  ``propagate`` here must equal
+``lvef_fusion.propagation.propagate`` bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from lvef_fusion.errors import (
+    DegenerateDataError,
+    NonConvergenceError,
+    PropagationError,
+    SeparationError,
+)
+from lvef_fusion.propagation import (
+    HR_DELTA,
+    STRATA,
+    KmBand,
+    PropagationSummary,
+    StratumSummary,
+    source_values,
+    stratum_km,
+)
+from lvef_fusion.stochastics import make_stream, summarize
+from lvef_fusion.survival import cox_fit_from_arrays, hazard_ratio_per
+
+
+@dataclass(frozen=True)
+class Replicate:
+    """One resampled analysis.  Absent strata and failed fits stay None."""
+
+    replicate_index: int
+    event_rate_by_stratum: dict
+    km_curves: dict
+    hazard_ratio: float | None
+    hr_failure: str | None
+
+
+def realize(cohort, fused, config, r: int) -> np.ndarray:
+    """Replicate r's clamped LVEF draw, in patient order."""
+    centers, spread = source_values(cohort, fused, config.source, config.sigmas)
+    draws = make_stream(config.seed, r).generator.normal(loc=centers, scale=spread)
+    return np.clip(draws, *config.clamp_range)
+
+
+def run_replicate(cohort, fused, config, r: int) -> Replicate:
+    """Resample, stratify, estimate: one full analysis under draw r."""
+    if int(cohort.event.sum()) == 0:
+        raise DegenerateDataError("cohort has no events")
+    order = np.argsort(cohort.time, kind="stable")
+    time, event = cohort.time[order], cohort.event[order]
+    realized = realize(cohort, fused, config, r)[order]
+    strata = stratum_km(realized, time, event, config.band_edges, config.horizon)
+
+    hazard_ratio, failure = None, None
+    try:
+        fit = cox_fit_from_arrays(time, event, realized)
+        hazard_ratio, _, _ = hazard_ratio_per(fit, HR_DELTA)
+    except (SeparationError, NonConvergenceError, DegenerateDataError) as exc:
+        failure = type(exc).__name__
+    return Replicate(
+        replicate_index=r,
+        event_rate_by_stratum={k: None if s is None else s[2] for k, s in strata.items()},
+        km_curves={k: None if s is None else s[1] for k, s in strata.items()},
+        hazard_ratio=hazard_ratio,
+        hr_failure=failure,
+    )
+
+
+def km_band(curves) -> KmBand | None:
+    """Pointwise percentile envelope of KmCurves, read curve by curve."""
+    if not curves:
+        return None
+    grid = np.unique(np.concatenate([c.times for c in curves]))
+    if grid.size == 0:
+        return KmBand(times=grid, lower=grid.copy(), mean=grid.copy(), upper=grid.copy())
+    n = len(curves)
+    lower = np.empty(grid.size)
+    mean = np.empty(grid.size)
+    upper = np.empty(grid.size)
+    chunk = max(1, 2_000_000 // n)
+    padded = [(c.times, np.r_[1.0, c.survival]) for c in curves]
+    for start in range(0, grid.size, chunk):
+        cols = grid[start:start + chunk]
+        block = np.empty((n, cols.size))
+        for i, (times, surv) in enumerate(padded):
+            block[i] = surv[np.searchsorted(times, cols, side="right")]
+        lower[start:start + chunk] = np.quantile(block, 0.025, axis=0)
+        upper[start:start + chunk] = np.quantile(block, 0.975, axis=0)
+        col_mean = block.mean(axis=0)
+        constant = block.min(axis=0) == block.max(axis=0)
+        col_mean[constant] = block[0, constant]
+        mean[start:start + chunk] = col_mean
+    lower = np.minimum(lower, mean)
+    upper = np.maximum(upper, mean)
+    return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
+
+
+def propagate(cohort, fused, config) -> PropagationSummary:
+    """All replicates one at a time, then the summaries and bands."""
+    source_values(cohort, fused, config.source, config.sigmas)
+    results = [run_replicate(cohort, fused, config, r) for r in range(config.replicates)]
+
+    hazard_ratios = np.array([r.hazard_ratio for r in results if r.hazard_ratio is not None])
+    if hazard_ratios.size == 0:
+        reasons = sorted({r.hr_failure for r in results if r.hr_failure})
+        raise PropagationError(
+            f"all {config.replicates} replicates failed the Cox fit ({', '.join(reasons)})"
+        )
+    hr_summary = summarize(hazard_ratios, (0.025, 0.975))
+
+    event_rates, km_bands = {}, {}
+    for label in STRATA:
+        present = [r.event_rate_by_stratum[label] for r in results
+                   if r.event_rate_by_stratum[label] is not None]
+        if present:
+            s = summarize(present, (0.025, 0.5, 0.975))
+            event_rates[label] = StratumSummary(
+                mean_event_rate=s.mean, quantiles=s.quantiles, n_present=len(present))
+        else:
+            event_rates[label] = StratumSummary(mean_event_rate=None, quantiles=None, n_present=0)
+        km_bands[label] = km_band([r.km_curves[label] for r in results
+                                   if r.km_curves[label] is not None])
+
+    return PropagationSummary(
+        source=config.source,
+        replicates=config.replicates,
+        failed_replicates=config.replicates - hazard_ratios.size,
+        event_rates=event_rates,
+        hazard_ratio_mean=hr_summary.mean,
+        hazard_ratio_q025=hr_summary.quantiles[0.025],
+        hazard_ratio_q975=hr_summary.quantiles[0.975],
+        km_bands=km_bands,
+        horizon=config.horizon,
+    )

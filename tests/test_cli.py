@@ -81,6 +81,15 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode,sigma", [("paper-sd", "1e308"), ("variance", "1e154")])
+    def test_overflowing_sigmas_are_data_error(self, cohort_csv, capsys, mode, sigma):
+        code = main(["fuse", "--input", str(cohort_csv), "--mode", mode,
+                     "--sigma-visual", sigma, "--sigma-simpson", sigma])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and "overflow" in captured.err
+        assert "nan" not in captured.out
+
     def test_duplicate_ids_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text(HEADER + "p0,50,50,100,1\np0,55,55,200,0\n")

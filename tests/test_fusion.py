@@ -121,6 +121,15 @@ class TestProperties:
         assert a.theta_sigma == pytest.approx(b.theta_sigma, rel=1e-14)
 
 
+# Weights whose sum, or a hundred times one of them, is not finite.
+OVERFLOWING_SIGMAS = [
+    ("paper-sd", 1e308, 1e308),
+    ("paper-sd", 1e307, 1.0),
+    ("variance", 1e154, 1e154),
+    ("variance", 5e153, 1.0),
+]
+
+
 class TestValidation:
     def test_mode_is_checked_at_construction(self):
         with pytest.raises(InvalidParameterError):
@@ -137,6 +146,20 @@ class TestValidation:
             InstrumentSigma(visual, simpson, "variance")
         # the same spreads are valid weights in paper-sd mode
         assert np.isfinite(fuse(50.0, 55.0, InstrumentSigma(visual, simpson)).theta)
+
+    @pytest.mark.parametrize("mode,visual,simpson", OVERFLOWING_SIGMAS)
+    def test_overflowing_weights_rejected(self, mode, visual, simpson):
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            fused_estimates(_cohort([50.0], [55.0]), InstrumentSigma(visual, simpson, mode))
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            fuse(50.0, 55.0, InstrumentSigma(visual, simpson, mode))
+
+    @pytest.mark.parametrize("mode,visual,simpson", [
+        ("paper-sd", 1e306, 1e306), ("variance", 1e153, 1e153)])
+    def test_largest_weights_still_fuse(self, mode, visual, simpson):
+        sigmas = InstrumentSigma(visual, simpson, mode)
+        assert fused_estimates(_cohort([50.0], [55.0]), sigmas)[0] == pytest.approx(52.5)
+        assert fuse(50.0, 55.0, sigmas).theta == pytest.approx(52.5)
 
     def test_zero_sigma_is_representable_but_not_fusable(self):
         degenerate = InstrumentSigma(0.0, 8.8)

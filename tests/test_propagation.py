@@ -1,8 +1,15 @@
 """Uncertainty propagation: resampling, strata, percentile bands, sources."""
 
+from dataclasses import asdict
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import propagation_oracle as oracle
+from lvef_fusion import propagation
 from lvef_fusion.cohort import Cohort
 from lvef_fusion.errors import (
     DegenerateDataError,
@@ -15,8 +22,6 @@ from lvef_fusion.propagation import (
     STRATA,
     PropagationConfig,
     propagate,
-    realize_lvef,
-    run_replicate,
     stratify,
 )
 from lvef_fusion.simulate import SimConfig, concordant_config, simulate
@@ -95,63 +100,157 @@ class TestStratify:
         assert list(labels) == ["low", "mid", "high"]
 
 
+def _assert_identical(a, b, path="summary"):
+    """Equal bit for bit: same types, same float bits, same array dtypes."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            _assert_identical(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape, path
+        assert a.tobytes() == b.tobytes(), path
+    else:
+        assert type(a) is type(b), path
+        assert a == b or (a != a and b != b), f"{path}: {a!r} != {b!r}"
+
+
+def _assert_matches_oracle(cohort, fused, config):
+    """propagate and the per-replicate oracle agree, in results or in errors."""
+    try:
+        expected = oracle.propagate(cohort, fused, config)
+    except Exception as exc:  # the engine must fail the same way
+        with pytest.raises(type(exc)) as caught:
+            propagate(cohort, fused, config)
+        assert str(caught.value) == str(exc)
+        return None
+    summary = propagate(cohort, fused, config)
+    _assert_identical(asdict(summary), asdict(expected))
+    return summary
+
+
 class TestRealizeLvef:
+    """Replicate r draws from stream (seed, r): the oracle spells the draw
+    out, and propagate must agree with the oracle."""
+
     def test_deterministic_per_stream(self):
         cohort = _cohort(n=100)
-        config = _config()
-        a = realize_lvef(cohort, None, config, make_stream(9, 4))
-        b = realize_lvef(cohort, None, config, make_stream(9, 4))
+        config = _config(seed=9, replicates=5)
+        a = oracle.realize(cohort, None, config, 4)
+        b = oracle.realize(cohort, None, config, 4)
         assert np.array_equal(a, b)
+        _assert_matches_oracle(cohort, None, config)
 
     def test_zero_spread_returns_centers(self):
         cohort = _cohort(n=100)
-        config = _config(sigmas=InstrumentSigma(0.0, 0.0))
-        realized = realize_lvef(cohort, None, config, make_stream(9, 4))
+        config = _config(sigmas=InstrumentSigma(0.0, 0.0), seed=9, replicates=5)
+        realized = oracle.realize(cohort, None, config, 4)
         assert np.array_equal(realized, cohort.visual)
+        _assert_matches_oracle(cohort, None, config)
 
     def test_clamped_to_configured_range(self):
         cohort = _rows([_measurement(i, 50.0, 100.0, 1) for i in range(500)])
-        config = _config(sigmas=InstrumentSigma(200.0, 8.8))
-        realized = realize_lvef(cohort, None, config, make_stream(0, 0))
+        config = _config(sigmas=InstrumentSigma(200.0, 8.8), replicates=3)
+        realized = oracle.realize(cohort, None, config, 0)
         assert realized.min() == 1.0 and realized.max() == 99.0
+        _assert_matches_oracle(cohort, None, config)
 
     def test_assimilated_uses_fused_centers(self):
         cohort = _cohort(n=100)
         fused = fused_estimates(cohort, SIGMAS)
-        config = _config(source="assimilated")
-        stream = make_stream(9, 4)
-        realized = realize_lvef(cohort, fused, config, stream)
+        config = _config(source="assimilated", seed=9, replicates=5)
+        realized = oracle.realize(cohort, fused, config, 4)
         theta = fused
         sigma = np.full(len(fused), fused_sigma(SIGMAS))
         expected = np.clip(make_stream(9, 4).generator.normal(theta, sigma), 1.0, 99.0)
         assert np.array_equal(realized, expected)
+        _assert_matches_oracle(cohort, fused, config)
 
 
 class TestRunReplicate:
+    """One replicate's analysis, through the oracle and through propagate."""
+
     def test_rates_in_unit_interval(self):
-        result = run_replicate(_cohort(), None, _config(), make_stream(0, 7))
+        cohort = _cohort()
+        result = oracle.run_replicate(cohort, None, _config(), 7)
         assert result.replicate_index == 7
         assert set(result.event_rate_by_stratum) == set(STRATA)
         for rate in result.event_rate_by_stratum.values():
             assert rate is None or 0.0 <= rate <= 1.0
         assert result.hazard_ratio is None or result.hazard_ratio > 0
 
+        summary = _assert_matches_oracle(cohort, None, _config(replicates=8))
+        assert set(summary.event_rates) == set(STRATA)
+        for stratum in summary.event_rates.values():
+            rates = [] if stratum.quantiles is None else list(stratum.quantiles.values())
+            assert all(0.0 <= rate <= 1.0 for rate in rates)
+        assert summary.hazard_ratio_q025 > 0
+
     def test_no_events_rejected(self):
         censored = _rows([_measurement(i, 50.0 + i, 400.0, 0) for i in range(20)])
         with pytest.raises(DegenerateDataError):
-            run_replicate(censored, None, _config(), make_stream(0, 0))
+            propagate(censored, None, _config())
+        with pytest.raises(DegenerateDataError):
+            oracle.run_replicate(censored, None, _config(), 0)
 
     def test_assimilated_requires_fused(self):
         with pytest.raises(InvalidParameterError, match="fused"):
-            run_replicate(_cohort(), None, _config(source="assimilated"),
-                          make_stream(0, 0))
+            propagate(_cohort(), None, _config(source="assimilated"))
 
     def test_fused_length_mismatch_rejected(self):
         cohort = _cohort(n=50)
         fused = fused_estimates(cohort, SIGMAS)[:-1]
         with pytest.raises(InvalidParameterError, match="length"):
-            run_replicate(cohort, fused, _config(source="assimilated"),
-                          make_stream(0, 0))
+            propagate(cohort, fused, _config(source="assimilated"))
+
+
+@st.composite
+def _propagation_cases(draw):
+    """Small cohorts with tied times, censorings tied with events, heavy
+    censoring, narrow or far strata (absent ones, event-free ones), spreads
+    from zero to wide (separating fits included), several replicate chunks
+    and several band blocks."""
+    n = draw(st.one_of(st.integers(2, 6), st.integers(2, 30)))
+    times = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    event_share = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    events = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+    # Values 0.005 apart separate the Cox fit in some draws and not others.
+    values = st.one_of(st.lists(st.floats(20.0, 80.0), min_size=n, max_size=n),
+                       st.just([21.0 + 0.005 * i for i in range(n)]))
+    visual, simpson = draw(values), draw(values)
+    cohort = _rows([(f"p{i}", visual[i], simpson[i], 30.0 * times[i],
+                     int(events[i] < event_share)) for i in range(n)])
+    sigmas = InstrumentSigma(draw(st.sampled_from([0.0, 1e-3, 0.5, 2.0, 18.1])),
+                             draw(st.sampled_from([0.0, 0.5, 8.8])))
+    config = PropagationConfig(
+        source=draw(st.sampled_from(SOURCES)),
+        sigmas=sigmas,
+        seed=draw(st.integers(0, 2**32)),
+        replicates=draw(st.integers(2, 12)),
+        horizon=draw(st.sampled_from([45.0, 200.0, 365.0])),
+        band_edges=draw(st.sampled_from([(35.0, 50.0), (10.0, 11.0), (49.0, 51.0)])),
+    )
+    per_chunk = draw(st.integers(1, config.replicates + 1))
+    band_elements = draw(st.sampled_from([1, 5, 16, propagation.BAND_ELEMENTS]))
+    return cohort, sigmas, config, per_chunk * n, band_elements
+
+
+class TestMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_propagation_cases())
+    def test_bit_identical_to_per_replicate_loop(self, case):
+        cohort, sigmas, config, chunk_elements, band_elements = case
+        fused = fused_estimates(cohort, sigmas)
+        with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), \
+                mock.patch.object(propagation, "BAND_ELEMENTS", band_elements):
+            _assert_matches_oracle(cohort, fused, config)
+
+    @pytest.mark.parametrize("chunk_elements", [1, 7 * 300, propagation.CHUNK_ELEMENTS])
+    def test_chunks_on_a_simulated_cohort(self, chunk_elements):
+        cohort = _cohort()
+        fused = fused_estimates(cohort, SIGMAS)
+        with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements):
+            for source in SOURCES:
+                _assert_matches_oracle(cohort, fused, _config(source=source, replicates=20))
 
 
 class TestPropagateDeterminism:
@@ -205,13 +304,18 @@ class TestBands:
         # 3 replicate curves drop at t=10, 197 stay flat: the pointwise mean
         # (0.9925) lies below the interpolated 2.5% percentile (1.0), and the
         # envelope must widen to keep the nesting invariant.
-        from lvef_fusion.propagation import _km_band
-
-        drop = km_from_arrays([10.0, 400.0], [1, 0])
-        flat = km_from_arrays([400.0, 400.0], [0, 0])
-        band = _km_band([drop] * 3 + [flat] * 197)
+        time = np.array([10.0, 400.0, 400.0])
+        event = np.array([1, 0, 0])
+        drop, flat = [True, True, False], [False, True, True]
+        curves = propagation._StratumCurves(200)
+        curves.add(np.array([drop] * 3 + [flat] * 197), 0, time, event, 365.0)
+        band = curves.band()
         assert band.lower[0] == band.mean[0] == pytest.approx(0.9925)
         assert band.upper[0] == 1.0
+
+        expected = oracle.km_band([km_from_arrays(time[drop], event[drop])] * 3
+                                  + [km_from_arrays(time[flat], event[flat])] * 197)
+        _assert_identical(asdict(band), asdict(expected))
 
     def test_zero_noise_collapses_to_exact_analysis(self):
         cohort = _cohort()

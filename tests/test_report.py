@@ -159,6 +159,18 @@ class TestDeterminism:
         assert (other["propagation"]["visual"]["hazard_ratio"]["mean"]
                 != baseline["propagation"]["visual"]["hazard_ratio"]["mean"])
 
+    def test_proposal_sd_changes_hash(self, cohort):
+        # proposal_sd moves the chain's acceptance rate, so it must enter the
+        # hash; null stands for the default 0.25 * observed_sigma.
+        tiny = _rows([("p0", 40.0, 45.0, 100.0, 1), ("p1", 60.0, 58.0, 200.0, 0),
+                      ("p2", 30.0, 35.0, 50.0, 1)])
+        reports = [_quiet_report(tiny, _options(replicates=2, calibration=CalibrationConfig(
+            observed_sigma=18.1, chain_length=2000, burn_in=100, kept_samples=400,
+            proposal_sd=proposal_sd)))[0] for proposal_sd in (None, 0.5)]
+        assert [r["config"]["calibration"]["proposal_sd"] for r in reports] == [None, 0.5]
+        assert reports[0]["metadata"]["config_hash"] != reports[1]["metadata"]["config_hash"]
+        assert '"proposal_sd": null' in render_report_json(reports[0])
+
 
 class TestConfigHash:
     def test_insensitive_to_key_order(self):

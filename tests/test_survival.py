@@ -21,6 +21,7 @@ from lvef_fusion.errors import (
 )
 from lvef_fusion.survival import (
     CoxFit,
+    _CoxLayout,
     cox_fit_from_arrays,
     cox_loglik_from_arrays,
     hazard_ratio_per,
@@ -204,7 +205,46 @@ class TestKaplanMeier:
             km_from_arrays(np.array([np.nan]), np.array([1]))
 
 
+def _three_cumsum_evaluate(layout, beta, xc):
+    """The objective as three separate suffix cumsums on the time-sorted,
+    centered covariate: the oracle of _CoxLayout.evaluate."""
+    eta = beta * xc
+    shift = eta.max()
+    w = np.exp(eta - shift)
+    wx = w * xc
+    s0 = np.cumsum(w[::-1])[::-1][layout.event_first]
+    s1 = np.cumsum(wx[::-1])[::-1][layout.event_first]
+    s2 = np.cumsum((wx * xc)[::-1])[::-1][layout.event_first]
+    sum_event_x = float(np.dot(layout.e, xc))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s0 = np.log(s0)
+        mean_x = s1 / s0
+        var_x = np.maximum(s2 / s0 - mean_x**2, 0.0)
+
+    value = float(beta * sum_event_x - np.sum(layout.deaths * (log_s0 + shift)))
+    gradient = float(sum_event_x - np.sum(layout.deaths * mean_x))
+    hessian = float(-np.sum(layout.deaths * var_x))
+    return value, gradient, hessian
+
+
 class TestCoxObjective:
+    @settings(max_examples=200, deadline=None)
+    @given(subjects=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 1),
+                                       st.floats(-100.0, 100.0)), min_size=1, max_size=80),
+           beta=st.one_of(st.floats(-2.0, 2.0), st.floats(-800.0, 800.0)))
+    def test_evaluate_matches_three_cumsum_oracle(self, subjects, beta):
+        # Tied times, and betas whose exponents need the shift to stay finite.
+        time = np.array([t for t, _, _ in subjects], dtype=float)
+        event = np.array([e for _, e, _ in subjects], dtype=np.int64)
+        assume(event.sum() > 0)
+        x = np.array([v for _, _, v in subjects])
+        layout = _CoxLayout(time, event)
+        xc = (x - x.mean())[layout.order]
+        new = layout.evaluate(beta, layout.covariate(xc))
+        old = _three_cumsum_evaluate(layout, beta, xc)
+        assert [v.hex() for v in new] == [v.hex() for v in old]
+
     def test_two_record_hand_oracle_at_zero(self):
         # risk set {both} at t=1 then {second} at t=2, covariate 1 vs 0
         value, gradient, hessian = cox_loglik_from_arrays(

@@ -196,6 +196,16 @@ def calibrate(config: CalibrationConfig, stream: RngStream) -> ErrorPosterior:
 
     k = config.likelihood_shape
     predictive = stream.generator.gamma(shape=k, scale=kept / k)
+    # Spreads square deviations of the order of observed_sigma; a sigma near
+    # the top of the double range overflows them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = summarize(predictive, SUMMARY_LEVELS)
+        spread = np.var(kept)
+    if not np.all(np.isfinite([spread, summary.mean, summary.sd, *summary.quantiles.values()])):
+        raise InvalidParameterError(
+            f"observed_sigma {config.observed_sigma!r} is too large: the spread of its "
+            "error draws is not finite"
+        )
 
     if not ACCEPTANCE_BAND[0] <= acceptance <= ACCEPTANCE_BAND[1]:
         warnings.warn(
@@ -208,7 +218,7 @@ def calibrate(config: CalibrationConfig, stream: RngStream) -> ErrorPosterior:
         parameter_chain=kept,
         predictive_draws=predictive,
         acceptance_rate=acceptance,
-        summary=summarize(predictive, SUMMARY_LEVELS),
+        summary=summary,
     )
 
 
@@ -246,21 +256,25 @@ def chain_diagnostics(posterior: ErrorPosterior) -> ChainDiagnostics:
     """Acceptance rate, lag-1 autocorrelation of the kept chain, and effective
     sample size via the initial-positive-sequence estimator.
 
-    A zero-variance chain reports lag-1 autocorrelation 0 and the ESS floor 1.
+    A zero-variance chain reports lag-1 autocorrelation 0 and the ESS floor 1;
+    a chain whose autocorrelations overflow raises InvalidParameterError.
     """
     chain = np.asarray(posterior.parameter_chain, dtype=float)
     if chain.size == 0:
         raise InvalidParameterError("chain_diagnostics requires a non-empty chain")
     n = chain.size
-    if n == 1 or np.var(chain) == 0.0:
-        return ChainDiagnostics(posterior.acceptance_rate, 0.0, 1.0)
-
-    lag1 = _autocorrelation(chain, 1)
-
-    # Geyer's initial positive sequence: sum paired autocorrelations
-    # Gamma_m = rho(2m) + rho(2m+1) while the pairs stay positive.
-    max_lag = min(n - 1, 1000)
-    rho = np.array([1.0] + [_autocorrelation(chain, t) for t in range(1, max_lag + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 1 or np.var(chain) == 0.0:
+            return ChainDiagnostics(posterior.acceptance_rate, 0.0, 1.0)
+        # Geyer's initial positive sequence: sum paired autocorrelations
+        # Gamma_m = rho(2m) + rho(2m+1) while the pairs stay positive.
+        max_lag = min(n - 1, 1000)
+        rho = np.array([1.0] + [_autocorrelation(chain, t) for t in range(1, max_lag + 1)])
+    if not np.all(np.isfinite(rho)):
+        raise InvalidParameterError(
+            "chain values spread too widely for finite autocorrelations"
+        )
+    lag1 = float(rho[1])
     tau = 0.0
     for m in range(0, (max_lag - 1) // 2 + 1):
         gamma_m = rho[2 * m] + rho[2 * m + 1]

@@ -112,9 +112,18 @@ def _check_lvef(name: str, value: float):
 
 def precision_ratio(sigmas: InstrumentSigma) -> float:
     """omega: Simpson's precision divided by visual precision (> 1 when the
-    Simpson's instrument is the sharper one)."""
+    Simpson's instrument is the sharper one).
+
+    Sigmas whose ratio overflows raise InvalidParameterError.
+    """
     a, b = sigmas.weights()
-    return a / b
+    omega = a / b
+    if not np.isfinite(omega):
+        raise InvalidParameterError(
+            f"sigmas {sigmas.visual_sigma!r} and {sigmas.simpson_sigma!r} give a "
+            f"precision ratio omega = {omega!r} in {sigmas.mode} mode; it must be finite"
+        )
+    return omega
 
 
 def total_variation(sigmas: InstrumentSigma) -> float:
@@ -160,7 +169,7 @@ def fuse(visual: float, simpson: float, sigmas: InstrumentSigma) -> FusedEstimat
     _check_lvef("visual", visual)
     _check_lvef("simpson", simpson)
     a, b = sigmas.weights()
-    omega = a / b
+    omega = precision_ratio(sigmas)
     return FusedEstimate(
         theta=float(_posterior_mean(visual, simpson, a, b)),
         theta_sigma=fused_sigma(sigmas),

@@ -90,6 +90,24 @@ class TestUsage:
         assert "data error" in captured.err and "overflow" in captured.err
         assert "nan" not in captured.out
 
+    @pytest.mark.parametrize("visual,simpson", [("1e300", "1e-10"), ("1e300", "1e300")])
+    def test_non_finite_report_quantities_are_data_error(
+            self, cohort_csv, tmp_path, capsys, visual, simpson):
+        code = main(["report", "--input", str(cohort_csv), "--sigma-visual", visual,
+                     "--sigma-simpson", simpson, "--replicates", "2",
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_calibration_is_data_error(self, tmp_path, capsys):
+        code = main(["calibrate-error", "--sigma-visual", "1e300", "--sigma-simpson", "1e300",
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_ids_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text(HEADER + "p0,50,50,100,1\np0,55,55,200,0\n")

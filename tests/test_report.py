@@ -11,10 +11,15 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from lvef_fusion.calibration import CalibrationConfig, calibrate
+from lvef_fusion.calibration import (
+    CalibrationConfig,
+    ErrorPosterior,
+    calibrate,
+    chain_diagnostics,
+)
 from lvef_fusion.cohort import Cohort
 from lvef_fusion.errors import DegenerateDataError, InvalidParameterError, InvalidStateError
-from lvef_fusion.fusion import InstrumentSigma, fused_estimates
+from lvef_fusion.fusion import InstrumentSigma, fuse, fused_estimates, precision_ratio
 from lvef_fusion.propagation import (
     KmBand,
     PropagationConfig,
@@ -282,6 +287,50 @@ class TestWarnings:
                           for i in range(10)])
         with pytest.raises(DegenerateDataError):
             _quiet_report(censored, _options())
+
+
+class TestNonFiniteDerivedQuantities:
+    """Sigmas whose precision ratio or calibration spread overflow a double
+    are rejected as data errors instead of reaching report.json as Infinity
+    or NaN."""
+
+    @pytest.mark.parametrize("visual,simpson,match", [
+        (1e300, 1e-10, "precision ratio"),
+        (1e300, 1e300, "observed_sigma 1e\\+300 is too large"),
+    ])
+    def test_run_report_rejects(self, cohort, visual, simpson, match):
+        options = _options(sigmas=InstrumentSigma(visual, simpson), replicates=2)
+        with pytest.raises(InvalidParameterError, match=match):
+            _quiet_report(cohort, options)
+
+    @pytest.mark.parametrize("sigmas", [InstrumentSigma(1e300, 1e-10),
+                                        InstrumentSigma(1e150, 1e-10, "variance")])
+    def test_precision_ratio_and_fuse_reject(self, sigmas):
+        with pytest.raises(InvalidParameterError, match="precision ratio"):
+            precision_ratio(sigmas)
+        with pytest.raises(InvalidParameterError, match="precision ratio"):
+            fuse(50.0, 55.0, sigmas)
+
+    def test_calibrate_rejects_overflowing_spread(self):
+        config = CalibrationConfig(observed_sigma=1e300, chain_length=400, burn_in=10,
+                                   kept_samples=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError, match="not finite"):
+                calibrate(config, make_stream(0, 1))
+
+    def test_chain_diagnostics_rejects_overflowing_chain(self):
+        chain = np.array([1e300, -1e300, 5e299, -2e299])
+        posterior = ErrorPosterior(chain, chain, 0.5, summarize([1.0, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError, match="autocorrelations"):
+                chain_diagnostics(posterior)
+
+    def test_tiny_sigmas_give_standard_json(self, cohort):
+        options = _options(sigmas=InstrumentSigma(1e-300, 1e-300), replicates=2)
+        report, _ = _quiet_report(cohort, options)
+        json.dumps(report, allow_nan=False)
 
 
 class TestReportOptionsValidation:

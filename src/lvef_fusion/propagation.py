@@ -17,10 +17,19 @@ its own ``cox_fit_from_arrays`` call, and the bands are read from the rows in
 blocks of about BAND_ELEMENTS values.  The results are bit for bit those of
 one replicate at a time (``stratum_km`` and a per-curve band); the budgets
 only bound memory.
+
+The chunks are split into one contiguous share per CPU the process may run
+on (never more shares than chunks).  This process fits the first share; a
+child forked for each other share fits it and sends its chunks' results
+back over a pipe.  The results are stored in replicate order, so every
+number is the same whatever the CPU count; with one CPU, or where processes
+cannot be forked, no child is started.
 """
 
 from __future__ import annotations
 
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +87,12 @@ class PropagationConfig:
     def __post_init__(self):
         if self.source not in SOURCES:
             raise InvalidParameterError(f"source must be one of {SOURCES}, got {self.source!r}")
+        for name in ("seed", "replicates"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidParameterError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.replicates < 2:
             raise InvalidParameterError(f"replicates must be >= 2, got {self.replicates}")
         if not self.horizon > 0:
@@ -90,7 +105,7 @@ class PropagationConfig:
         clo, chi = self.clamp_range
         if not clo < chi:
             raise InvalidParameterError(f"clamp_range must be increasing, got {self.clamp_range!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
@@ -188,21 +203,13 @@ class _StratumCurves:
         self.rate = np.zeros(replicates)
         self.rows: list = []
 
-    def add(self, mask, first, time, event, horizon):
-        """Fit the stratum in replicates first, first + 1, ... of one chunk,
-        mask being the chunk's (replicate, patient) membership matrix."""
-        chunk = mask.shape[0]
-        self.present[first:first + chunk] = mask.any(axis=1)
-        rep, patient = np.nonzero(mask)
-        if rep.size == 0:
-            return
-        rep, curve = km_segmented(time[patient], event[patient], rep)
-        # S(horizon): the last row at or before the horizon, else 1.0.
-        due = np.bincount(rep[curve.times <= horizon], minlength=chunk)
-        last = np.searchsorted(rep, np.arange(chunk)) + due
-        padded = np.concatenate(([1.0], curve.survival))
-        self.rate[first:first + chunk] = 1.0 - padded[np.where(due > 0, last, 0)]
-        self.rows.append((rep + first, curve.times, curve.survival))
+    def add(self, first, present, rate, rows):
+        """Store one chunk's fit of the stratum (see _fit_stratum), the
+        chunk starting at replicate first."""
+        self.present[first:first + present.size] = present
+        self.rate[first:first + rate.size] = rate
+        if rows is not None:
+            self.rows.append(rows)
 
     def summary(self) -> StratumSummary:
         if not self.present.any():
@@ -258,6 +265,117 @@ class _StratumCurves:
         return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
 
 
+def _fit_stratum(mask, first, time, event, horizon):
+    """Fit one stratum in replicates first, first + 1, ... of one chunk, mask
+    being the chunk's (replicate, patient) membership matrix.
+
+    Returns (present, rate, rows): whether any patient fell in the stratum in
+    each replicate, its event rate by the horizon (0.0 where absent), and the
+    chunk's compact (replicate, time, S) rows, or None when no replicate has
+    a patient in the stratum.
+    """
+    chunk = mask.shape[0]
+    present = mask.any(axis=1)
+    rep, patient = np.nonzero(mask)
+    if rep.size == 0:
+        return present, np.zeros(chunk), None
+    rep, curve = km_segmented(time[patient], event[patient], rep)
+    # S(horizon): the last row at or before the horizon, else 1.0.
+    due = np.bincount(rep[curve.times <= horizon], minlength=chunk)
+    last = np.searchsorted(rep, np.arange(chunk)) + due
+    padded = np.concatenate(([1.0], curve.survival))
+    rate = 1.0 - padded[np.where(due > 0, last, 0)]
+    return present, rate, (rep + first, curve.times, curve.survival)
+
+
+def _fit_chunk(first, stop, time, event, order, centers, spread, config):
+    """Draw and fit replicates first, ..., stop - 1 on their substreams.
+
+    Returns ({stratum: _fit_stratum's (present, rate, rows)}, the hazard
+    ratios of the fits that succeeded in replicate order, the names of the
+    failures).
+    """
+    realized = np.empty((stop - first, time.size))
+    for row, r in zip(realized, range(first, stop)):
+        draws = make_stream(config.seed, r).generator.normal(loc=centers, scale=spread)
+        row[:] = np.clip(draws, *config.clamp_range)[order]
+    strata = {label: _fit_stratum(mask, first, time, event, config.horizon)
+              for label, mask in _strata_masks(realized, config.band_edges).items()}
+    hazard_ratios, failures = [], set()
+    for row in realized:
+        try:
+            fit = cox_fit_from_arrays(time, event, row)
+            hazard_ratios.append(hazard_ratio_per(fit, HR_DELTA)[0])
+        except (SeparationError, NonConvergenceError, DegenerateDataError) as exc:
+            failures.add(type(exc).__name__)
+    return strata, hazard_ratios, failures
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _send_share(fit, share, sender):
+    """A forked child's whole work: send fit(share), or what it raised."""
+    try:
+        result = fit(share)
+    except BaseException as exc:  # the parent re-raises it
+        result = exc
+    sender.send(result)
+
+
+def _map_shares(fit, items) -> list:
+    """fit over contiguous shares of items, one share per CPU, concatenated
+    in item order: this process runs the first share and a forked child
+    each other one.  fit(share) returns a list; a child's exception is
+    raised here, and no child outlives the call."""
+    import multiprocessing
+
+    k = min(_cpu_count(), len(items))
+    bounds = [len(items) * i // k for i in range(k + 1)]
+    shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for share in shares[1:]:
+            # A forked child starts with the cohort and the modules in place
+            # (the program starts no threads).  Reached only with a second
+            # share, hence where fork exists.
+            context = multiprocessing.get_context("fork")
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_send_share, args=(fit, share, sender))
+            with sender:
+                process.start()
+            children.append((process, receiver))
+        results = fit(shares[0])
+        for process, receiver in children:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                process.join()
+                raise PropagationError(
+                    f"replicate worker exited with code {process.exitcode} "
+                    "before sending its results") from None
+            if isinstance(result, BaseException):
+                raise result
+            results += result
+        return results
+    except BaseException:
+        for process, _ in children:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in children:
+            process.join()
+            receiver.close()
+
+
 def propagate(cohort, fused, config: PropagationConfig) -> PropagationSummary:
     """Run all replicates on substreams (seed, r) and compile the bands."""
     centers, spread = source_values(cohort, fused, config.source, config.sigmas)
@@ -267,24 +385,21 @@ def propagate(cohort, fused, config: PropagationConfig) -> PropagationSummary:
     # its draws are permuted into time order.
     order = np.argsort(cohort.time, kind="stable")
     time, event = cohort.time[order], cohort.event[order]
+    per_chunk = max(1, CHUNK_ELEMENTS // time.size)
+    chunks = [(first, min(first + per_chunk, config.replicates))
+              for first in range(0, config.replicates, per_chunk)]
+
+    def fit(share):
+        return [_fit_chunk(first, stop, time, event, order, centers, spread, config)
+                for first, stop in share]
+
     strata = {label: _StratumCurves(config.replicates) for label in STRATA}
     hazard_ratios, failures = [], set()
-
-    per_chunk = max(1, CHUNK_ELEMENTS // time.size)
-    for first in range(0, config.replicates, per_chunk):
-        replicates = range(first, min(first + per_chunk, config.replicates))
-        realized = np.empty((len(replicates), time.size))
-        for row, r in zip(realized, replicates):
-            draws = make_stream(config.seed, r).generator.normal(loc=centers, scale=spread)
-            row[:] = np.clip(draws, *config.clamp_range)[order]
-        for label, mask in _strata_masks(realized, config.band_edges).items():
-            strata[label].add(mask, first, time, event, config.horizon)
-        for row in realized:
-            try:
-                fit = cox_fit_from_arrays(time, event, row)
-                hazard_ratios.append(hazard_ratio_per(fit, HR_DELTA)[0])
-            except (SeparationError, NonConvergenceError, DegenerateDataError) as exc:
-                failures.add(type(exc).__name__)
+    for (first, _), (parts, ratios, names) in zip(chunks, _map_shares(fit, chunks)):
+        for label, part in parts.items():
+            strata[label].add(first, *part)
+        hazard_ratios += ratios
+        failures |= names
 
     if not hazard_ratios:
         raise PropagationError(

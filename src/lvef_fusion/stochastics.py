@@ -10,6 +10,7 @@ sequence bit-for-bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +37,17 @@ class RngStream:
 
 def make_stream(seed: int, stream_index: int = 0) -> RngStream:
     """Create the deterministic stream identified by (seed, stream_index)."""
+    key = []
     for name, value in (("seed", seed), ("stream_index", stream_index)):
-        if not 0 <= int(value) < 2**64:
+        try:
+            index = operator.index(value)
+        except TypeError:
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+        if not 0 <= index < 2**64:
             raise InvalidParameterError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
-    key = np.array([seed, stream_index], dtype=np.uint64)
-    generator = np.random.Generator(np.random.Philox(key=key))
-    return RngStream(seed=int(seed), stream_index=int(stream_index), generator=generator)
+        key.append(index)
+    generator = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    return RngStream(seed=key[0], stream_index=key[1], generator=generator)
 
 
 @dataclass(frozen=True)

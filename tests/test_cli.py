@@ -4,6 +4,7 @@ import csv
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from lvef_fusion.cli import main
 from lvef_fusion.report import TOOL_VERSION
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 HEADER = "patient_id,visual_lvef,simpson_lvef,time_days,event\n"
 
 SEPARABLE_ROWS = (
@@ -245,6 +247,42 @@ class TestPropagate:
         assert code == 3
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "PropagationError"
+
+
+class TestForkedPropagate:
+    # Writes a line that stays in the piped stdout's buffer, then runs
+    # propagate over one-replicate chunks split across the given CPU count.
+    SCRIPT = (
+        "import sys\n"
+        "from unittest import mock\n"
+        "from lvef_fusion import propagation\n"
+        "from lvef_fusion.cli import main\n"
+        "sys.stdout.write('written before propagate\\n')\n"
+        "with mock.patch.object(propagation, 'CHUNK_ELEMENTS', 1), \\\n"
+        "        mock.patch.object(propagation, '_cpu_count', return_value=int(sys.argv[1])):\n"
+        "    sys.exit(main(sys.argv[2:]))\n"
+    )
+
+    def _run(self, cpus, cohort, output):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(cpus), "propagate", "--input", str(cohort),
+             "--source", "all", "--sigma-visual", "0.005", "--replicates", "40",
+             "--output", str(output)],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    def test_children_do_not_repeat_buffered_output(self, separable_csv, tmp_path):
+        single = self._run(1, separable_csv, tmp_path / "single")
+        forked = self._run(3, separable_csv, tmp_path / "forked")
+        assert single.returncode == forked.returncode == 0, forked.stderr
+        assert single.stdout == forked.stdout == "written before propagate\n"
+        assert "37 of 40 replicates excluded" in single.stderr
+        assert forked.stderr == single.stderr
+        for source in ("visual", "simpson", "assimilated"):
+            name = f"km_bands_{source}.csv"
+            assert ((tmp_path / "forked" / name).read_bytes()
+                    == (tmp_path / "single" / name).read_bytes())
 
 
 class TestSimulate:

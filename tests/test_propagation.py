@@ -1,6 +1,9 @@
 """Uncertainty propagation: resampling, strata, percentile bands, sources."""
 
+import multiprocessing
+import os
 from dataclasses import asdict
+from time import monotonic, sleep
 from unittest import mock
 
 import numpy as np
@@ -231,26 +234,86 @@ def _propagation_cases(draw):
     )
     per_chunk = draw(st.integers(1, config.replicates + 1))
     band_elements = draw(st.sampled_from([1, 5, 16, propagation.BAND_ELEMENTS]))
-    return cohort, sigmas, config, per_chunk * n, band_elements
+    cpus = draw(st.sampled_from([1, 2, 3]))
+    return cohort, sigmas, config, per_chunk * n, band_elements, cpus
+
+
+def _cpus(count):
+    """Patch the CPU count propagate splits its chunks over."""
+    return mock.patch.object(propagation, "_cpu_count", return_value=count)
 
 
 class TestMatchesOracle:
     @settings(max_examples=200, deadline=None)
     @given(_propagation_cases())
     def test_bit_identical_to_per_replicate_loop(self, case):
-        cohort, sigmas, config, chunk_elements, band_elements = case
+        cohort, sigmas, config, chunk_elements, band_elements, cpus = case
         fused = fused_estimates(cohort, sigmas)
         with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), \
-                mock.patch.object(propagation, "BAND_ELEMENTS", band_elements):
+                mock.patch.object(propagation, "BAND_ELEMENTS", band_elements), _cpus(cpus):
             _assert_matches_oracle(cohort, fused, config)
 
     @pytest.mark.parametrize("chunk_elements", [1, 7 * 300, propagation.CHUNK_ELEMENTS])
     def test_chunks_on_a_simulated_cohort(self, chunk_elements):
         cohort = _cohort()
         fused = fused_estimates(cohort, SIGMAS)
-        with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements):
-            for source in SOURCES:
-                _assert_matches_oracle(cohort, fused, _config(source=source, replicates=20))
+        # 3 CPUs split 20 one-replicate chunks 6/7/7 and 3 seven-replicate
+        # chunks one each; one chunk of 20 starts no child.
+        for cpus in (1, 2, 3):
+            with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), _cpus(cpus):
+                for source in SOURCES:
+                    _assert_matches_oracle(cohort, fused, _config(source=source, replicates=20))
+
+
+class TestWorkers:
+    """Forked children: errors reach the caller, and none outlives propagate."""
+
+    @staticmethod
+    def _propagate(cpus=2):
+        cohort = _cohort()
+        with mock.patch.object(propagation, "CHUNK_ELEMENTS", 300), _cpus(cpus):
+            return propagate(cohort, None, _config(replicates=12))
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_share_error_is_raised_with_its_type_and_message(self, failing):
+        pid = os.getpid()
+        fit = propagation.cox_fit_from_arrays
+
+        def cox(*args):
+            in_parent = os.getpid() == pid
+            if in_parent == (failing == "parent"):
+                raise InvalidParameterError("boom")
+            if not in_parent:
+                sleep(60)  # only being terminated ends these children early
+            return fit(*args)
+
+        start = monotonic()
+        with mock.patch.object(propagation, "cox_fit_from_arrays", cox):
+            with pytest.raises(InvalidParameterError) as caught:
+                self._propagate(cpus=3)
+        assert monotonic() - start < 30
+        assert type(caught.value) is InvalidParameterError
+        assert str(caught.value) == "boom"
+        assert multiprocessing.active_children() == []
+
+    def test_child_exit_is_named(self):
+        pid = os.getpid()
+        fit = propagation.cox_fit_from_arrays
+
+        def cox(*args):
+            if os.getpid() != pid:
+                os._exit(7)
+            return fit(*args)
+
+        with mock.patch.object(propagation, "cox_fit_from_arrays", cox):
+            with pytest.raises(PropagationError, match="exited with code 7"):
+                self._propagate()
+        assert multiprocessing.active_children() == []
+
+    def test_children_joined_after_success(self):
+        summary = self._propagate(cpus=3)
+        assert multiprocessing.active_children() == []
+        _assert_identical(asdict(summary), asdict(self._propagate(cpus=1)))
 
 
 class TestPropagateDeterminism:
@@ -308,7 +371,8 @@ class TestBands:
         event = np.array([1, 0, 0])
         drop, flat = [True, True, False], [False, True, True]
         curves = propagation._StratumCurves(200)
-        curves.add(np.array([drop] * 3 + [flat] * 197), 0, time, event, 365.0)
+        mask = np.array([drop] * 3 + [flat] * 197)
+        curves.add(0, *propagation._fit_stratum(mask, 0, time, event, 365.0))
         band = curves.band()
         assert band.lower[0] == band.mean[0] == pytest.approx(0.9925)
         assert band.upper[0] == 1.0
@@ -443,6 +507,11 @@ class TestConfigValidation:
         {"clamp_range": (9.0, 9.0)},
         {"seed": -1},
         {"seed": 2**64},
+        {"seed": 1.5},
+        {"seed": 1.0},
+        {"seed": "1"},
+        {"replicates": 20.0},
+        {"replicates": "20"},
     ])
     def test_invalid_config_rejected(self, overrides):
         with pytest.raises(InvalidParameterError):

@@ -28,6 +28,18 @@ class TestMakeStream:
         with pytest.raises(InvalidParameterError):
             make_stream(seed, index)
 
+    @pytest.mark.parametrize("seed,index", [(1.5, 0), (1.0, 0), (0, 2.0), ("1", 0), (None, 0)])
+    def test_non_integral_key_is_rejected(self, seed, index):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make_stream(seed, index)
+
+    def test_numpy_integers_key_like_ints(self):
+        stream = make_stream(np.uint64(42), np.int32(7))
+        assert (stream.seed, stream.stream_index) == (42, 7)
+        assert type(stream.seed) is int
+        assert np.array_equal(stream.generator.normal(size=10),
+                              make_stream(42, 7).generator.normal(size=10))
+
 
 class TestSummarize:
     def test_known_quantiles_linear_interpolation(self):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AcceptanceRateWarning, InitializationError, InvalidParameterError
-from .stochastics import RngStream, SampleSummary, summarize
+from .stochastics import RngStream, SampleSummary, _integer, summarize
 
 __all__ = [
     "CalibrationConfig",
@@ -29,8 +29,6 @@ __all__ = [
     "reduction_distribution",
     "chain_diagnostics",
     "paired_calibration",
-    "VISUAL_STREAM_INDEX",
-    "SIMPSON_STREAM_INDEX",
 ]
 
 SUMMARY_LEVELS = (0.025, 0.5, 0.975)
@@ -68,6 +66,8 @@ class CalibrationConfig:
     tune_proposal: bool = False
 
     def __post_init__(self):
+        for name in ("chain_length", "kept_samples", "burn_in"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         positive = {
             "observed_sigma": self.observed_sigma,
             "likelihood_shape": self.likelihood_shape,

@@ -48,7 +48,6 @@ from .errors import (
 )
 
 __all__ = [
-    "REQUIRED_COLUMNS",
     "Cohort",
     "parse_cohort_csv",
     "write_cohort_csv",

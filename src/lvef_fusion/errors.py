@@ -7,6 +7,23 @@ from genuine bugs.
 
 from __future__ import annotations
 
+__all__ = [
+    "LvefFusionError",
+    "LvefFusionWarning",
+    "InvalidParameterError",
+    "DomainError",
+    "EmptyInputError",
+    "DegenerateDataError",
+    "InitializationError",
+    "SeparationError",
+    "NonConvergenceError",
+    "InvalidStateError",
+    "PropagationError",
+    "SchemaError",
+    "RowError",
+    "DuplicateIdError",
+]
+
 
 class LvefFusionError(Exception):
     """Base class for all deliberate errors raised by this package."""

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DomainError, EmptyInputError, InvalidParameterError
 
 __all__ = [
-    "MODES",
     "InstrumentSigma",
     "FusedEstimate",
     "fuse",

@@ -10,6 +10,11 @@ Every entry point takes the cohort as a ``Cohort`` and, for the assimilated
 source, the per-patient theta array from ``fused_estimates`` (``fused``, which
 may be None for the visual and Simpson's sources).
 
+The stratum rule (low below the lower band edge, mid in the closed band,
+high above it) is written once, in ``_strata_masks``: ``stratify`` (string
+labels) and ``stratum_km`` (one Kaplan-Meier curve per stratum) are views of
+its masks, and ``propagate`` applies it to a whole chunk of replicates.
+
 ``propagate`` runs the replicates in chunks of about CHUNK_ELEMENTS draws:
 one ``km_segmented`` pass per stratum fits every replicate's Kaplan-Meier
 curve of a chunk as compact (replicate, time, S) rows, each replicate gets
@@ -28,7 +33,6 @@ cannot be forked, no child is started.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 
@@ -42,7 +46,7 @@ from .errors import (
     SeparationError,
 )
 from .fusion import InstrumentSigma, fused_sigma
-from .stochastics import make_stream, summarize
+from .stochastics import _integer, make_stream, summarize
 from .survival import (
     cox_fit_from_arrays,
     hazard_ratio_per,
@@ -52,15 +56,11 @@ from .survival import (
 )
 
 __all__ = [
-    "SOURCES",
-    "STRATA",
     "PropagationConfig",
     "StratumSummary",
     "KmBand",
     "PropagationSummary",
-    "source_values",
     "stratify",
-    "stratum_km",
     "propagate",
 ]
 
@@ -87,12 +87,8 @@ class PropagationConfig:
     def __post_init__(self):
         if self.source not in SOURCES:
             raise InvalidParameterError(f"source must be one of {SOURCES}, got {self.source!r}")
-        for name in ("seed", "replicates"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise InvalidParameterError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        object.__setattr__(self, "seed", _integer("seed", self.seed, uint64=True))
+        object.__setattr__(self, "replicates", _integer("replicates", self.replicates))
         if self.replicates < 2:
             raise InvalidParameterError(f"replicates must be >= 2, got {self.replicates}")
         if not self.horizon > 0:
@@ -105,8 +101,6 @@ class PropagationConfig:
         clo, chi = self.clamp_range
         if not clo < chi:
             raise InvalidParameterError(f"clamp_range must be increasing, got {self.clamp_range!r}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -139,11 +133,23 @@ class PropagationSummary:
     horizon: float
 
 
-def stratify(lvef_values, band_edges=(35.0, 50.0)) -> np.ndarray:
-    """Label each value low (< lower edge), mid (closed band), or high."""
-    values = np.asarray(lvef_values, dtype=float)
+def _strata_masks(values, band_edges) -> dict:
+    """{stratum: membership mask} over STRATA: low below the lower edge, mid
+    in the closed band, high above it (or NaN).  The one statement of the
+    stratum rule; stratify, stratum_km and propagate all read it."""
     lo, hi = band_edges
-    return np.where(values < lo, "low", np.where(values <= hi, "mid", "high"))
+    low = values < lo
+    mid = ~low & (values <= hi)
+    return {"low": low, "mid": mid, "high": ~(low | mid)}
+
+
+def stratify(lvef_values, band_edges=(35.0, 50.0)) -> np.ndarray:
+    """Label each value low, mid or high by _strata_masks."""
+    masks = _strata_masks(np.asarray(lvef_values, dtype=float), band_edges)
+    labels = np.full(masks["high"].shape, "high")
+    labels[masks["low"]] = "low"
+    labels[masks["mid"]] = "mid"
+    return labels
 
 
 def stratum_km(values, time, event, band_edges, horizon) -> dict:
@@ -152,10 +158,8 @@ def stratum_km(values, time, event, band_edges, horizon) -> dict:
     Returns {stratum: (patients, KmCurve, event rate by horizon)} over STRATA,
     with None for a stratum no value falls in.
     """
-    labels = stratify(values, band_edges)
     out = {}
-    for label in STRATA:
-        mask = labels == label
+    for label, mask in _strata_masks(np.asarray(values, dtype=float), band_edges).items():
         n = int(np.count_nonzero(mask))
         if n == 0:
             out[label] = None
@@ -179,14 +183,6 @@ def source_values(cohort, fused, source: str, sigmas: InstrumentSigma):
     if fused is None:
         raise InvalidParameterError("assimilated source requires fused estimates")
     return np.asarray(fused, dtype=float), fused_sigma(sigmas)
-
-
-def _strata_masks(values, band_edges) -> dict:
-    """{stratum: membership mask}, by the two comparisons stratify makes."""
-    lo, hi = band_edges
-    low = values < lo
-    mid = ~low & (values <= hi)
-    return {"low": low, "mid": mid, "high": ~(low | mid)}
 
 
 class _StratumCurves:

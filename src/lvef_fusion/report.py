@@ -52,21 +52,9 @@ from .survival import CoxFit, hazard_ratio_per
 __all__ = [
     "ReportOptions",
     "run_report",
-    "artifact_metadata",
-    "sigma_echo",
-    "calibration_section",
-    "propagate_sources",
     "render_report_json",
     "write_report_json",
     "write_km_band_csv",
-    "summary_to_dict",
-    "posterior_to_dict",
-    "propagation_to_dict",
-    "cox_fit_to_dict",
-    "config_hash",
-    "calibration_echo",
-    "TOOL_NAME",
-    "TOOL_VERSION",
 ]
 
 TOOL_NAME = "lvef-fusion"

@@ -16,27 +16,20 @@ import numpy as np
 
 from .cohort import Cohort
 from .errors import InvalidParameterError
-from .stochastics import RngStream, make_stream
+from .stochastics import RngStream, _integer, make_stream
 
 __all__ = [
     "SimConfig",
-    "concordant_config",
     "simulate",
-    "rmse_vs_truth",
-    "SIM_STREAM_INDEX",
 ]
 
 LVEF_RANGE = (1.0, 99.0)
 # Stream index reserved for cohort generation under a run's master seed.
 SIM_STREAM_INDEX = 2**33
 
-# Generative noise defaults: the published per-instrument error sds times a
-# calibration factor.  The "concordant" preset shrinks both so the simulated
-# visual-Simpson paired difference has sd ~3.2 points, the much tighter
-# agreement regime reported within a single trial.
+# Generative noise defaults: the published per-instrument error sds.
 LITERATURE_VISUAL_SD = 18.1
 LITERATURE_SIMPSON_SD = 8.8
-CONCORDANT_FACTOR = 0.158
 
 
 @dataclass(frozen=True)
@@ -56,6 +49,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_patients", _integer("n_patients", self.n_patients))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, uint64=True))
         if self.n_patients < 1:
             raise InvalidParameterError(f"n_patients must be >= 1, got {self.n_patients}")
         for name in ("true_lvef_sd", "visual_noise_sd", "simpson_noise_sd"):
@@ -66,16 +61,6 @@ class SimConfig:
                 raise InvalidParameterError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if not np.isfinite(self.true_lvef_mean) or not np.isfinite(self.log_hazard_per_lvef_point):
             raise InvalidParameterError("true_lvef_mean and log_hazard_per_lvef_point must be finite")
-
-
-def concordant_config(**overrides) -> SimConfig:
-    """Preset with noise sds scaled to the tight within-trial agreement regime."""
-    settings = dict(
-        visual_noise_sd=CONCORDANT_FACTOR * LITERATURE_VISUAL_SD,
-        simpson_noise_sd=CONCORDANT_FACTOR * LITERATURE_SIMPSON_SD,
-    )
-    settings.update(overrides)
-    return SimConfig(**settings)
 
 
 def _round_to_grid(values: np.ndarray, grid: float) -> np.ndarray:
@@ -116,15 +101,3 @@ def simulate(config: SimConfig, stream: RngStream | None = None) -> Cohort:
         event=event,
         true_lvef=true,
     )
-
-
-def rmse_vs_truth(cohort: Cohort, estimates) -> float:
-    """Root-mean-square deviation of per-patient estimates from the truth."""
-    if cohort.true_lvef is None:
-        raise InvalidParameterError("rmse_vs_truth requires a cohort with true_lvef")
-    estimates = np.asarray(estimates, dtype=float)
-    if estimates.shape != cohort.true_lvef.shape:
-        raise InvalidParameterError(
-            f"estimates length {estimates.size} does not match cohort size {cohort.true_lvef.size}"
-        )
-    return float(np.sqrt(np.mean((estimates - cohort.true_lvef) ** 2)))

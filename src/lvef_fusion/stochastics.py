@@ -35,17 +35,22 @@ class RngStream:
     generator: np.random.Generator = field(repr=False, compare=False)
 
 
+def _integer(name: str, value, uint64: bool = False) -> int:
+    """value as a plain int (numpy integers included), else
+    InvalidParameterError; with uint64, it must also fit in 64 unsigned bits,
+    as a seed or a stream index must."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if uint64 and not 0 <= index < 2**64:
+        raise InvalidParameterError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+    return index
+
+
 def make_stream(seed: int, stream_index: int = 0) -> RngStream:
     """Create the deterministic stream identified by (seed, stream_index)."""
-    key = []
-    for name, value in (("seed", seed), ("stream_index", stream_index)):
-        try:
-            index = operator.index(value)
-        except TypeError:
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
-        if not 0 <= index < 2**64:
-            raise InvalidParameterError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
-        key.append(index)
+    key = [_integer("seed", seed, uint64=True), _integer("stream_index", stream_index, uint64=True)]
     generator = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
     return RngStream(seed=key[0], stream_index=key[1], generator=generator)
 

@@ -48,7 +48,6 @@ __all__ = [
     "KmCurve",
     "CoxFit",
     "km_from_arrays",
-    "km_segmented",
     "km_survival_at",
     "km_event_rate_at",
     "cox_loglik_from_arrays",

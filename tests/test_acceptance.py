@@ -20,7 +20,7 @@ from lvef_fusion.fusion import (
     relative_reduction,
 )
 from lvef_fusion.propagation import SOURCES, PropagationConfig, propagate
-from lvef_fusion.simulate import SimConfig, rmse_vs_truth, simulate
+from lvef_fusion.simulate import SimConfig, simulate
 from lvef_fusion.survival import (
     cox_fit_from_arrays,
     cox_loglik_from_arrays,
@@ -29,6 +29,7 @@ from lvef_fusion.survival import (
 )
 
 from fusion_oracles import theta_map
+from sim_helpers import rmse_vs_truth
 
 E2E_SEEDS = tuple(range(20))
 

@@ -92,6 +92,10 @@ class TestConfigValidation:
         ("burn_in", -1),
         ("observation_weight", 0.0),
         ("proposal_sd", -0.5),
+        ("chain_length", 20000.5),
+        ("kept_samples", 500.0),
+        ("burn_in", 10.0),
+        ("burn_in", "10"),
     ])
     def test_nonpositive_parameters_rejected(self, field, value):
         kwargs = {"observed_sigma": 10.0, field: value}

@@ -27,7 +27,7 @@ from lvef_fusion.propagation import (
     propagate,
     stratify,
 )
-from lvef_fusion.simulate import SimConfig, concordant_config, simulate
+from lvef_fusion.simulate import SimConfig, simulate
 from lvef_fusion.stochastics import make_stream
 from lvef_fusion.survival import (
     cox_fit_from_arrays,
@@ -35,6 +35,7 @@ from lvef_fusion.survival import (
     km_from_arrays,
     km_survival_at,
 )
+from sim_helpers import concordant_config
 
 SIGMAS = InstrumentSigma(18.1, 8.8)
 

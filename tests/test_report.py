@@ -157,6 +157,16 @@ class TestDeterminism:
         assert first == second
         assert render_report_json(first) == render_report_json(second)
 
+    def test_numpy_integer_counts_render_as_plain_ints(self, cohort, report_and_summaries):
+        counts = CalibrationConfig(observed_sigma=18.1, chain_length=np.int64(2000),
+                                   burn_in=np.int64(100), kept_samples=np.int64(400))
+        numpy_report, _ = _quiet_report(cohort, _options(calibration=counts))
+        plain_report, _ = report_and_summaries
+        texts = [render_report_json({**report, "metadata": {
+            key: value for key, value in report["metadata"].items() if key != "generated_at"}})
+            for report in (numpy_report, plain_report)]
+        assert texts[0] == texts[1]
+
     def test_seed_changes_hash_and_results(self, cohort, report_and_summaries):
         baseline, _ = report_and_summaries
         other, _ = _quiet_report(cohort, _options(seed=5))

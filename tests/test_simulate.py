@@ -5,14 +5,9 @@ import pytest
 
 from lvef_fusion.errors import InvalidParameterError
 from lvef_fusion.fusion import InstrumentSigma, fused_estimates
-from lvef_fusion.simulate import (
-    SIM_STREAM_INDEX,
-    SimConfig,
-    concordant_config,
-    rmse_vs_truth,
-    simulate,
-)
+from lvef_fusion.simulate import SIM_STREAM_INDEX, SimConfig, simulate
 from lvef_fusion.stochastics import make_stream
+from sim_helpers import concordant_config, rmse_vs_truth
 
 
 def _arrays(cohort):
@@ -113,6 +108,9 @@ class TestConfig:
         ("visual_noise_sd", -1.0),
         ("baseline_hazard", 0.0),
         ("censor_horizon", 0.0),
+        ("n_patients", 10.0),
+        ("seed", 1.5),
+        ("seed", -1),
     ])
     def test_validation(self, field, value):
         with pytest.raises(InvalidParameterError):

@@ -41,6 +41,8 @@ TUNING_BAND = (0.25, 0.45)
 # which count up from zero under the same seed.
 VISUAL_STREAM_INDEX = 2**32
 SIMPSON_STREAM_INDEX = 2**32 + 1
+# The chain reads its steps as Python floats CHAIN_BLOCK at a time (whole-chain lists: +1 MB RSS).
+CHAIN_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -118,16 +120,19 @@ class ChainDiagnostics:
     effective_sample_size: float
 
 
-def _log_posterior(mu: float, config: CalibrationConfig) -> float:
-    """Unnormalized log posterior of the latent mean error mu (mu > 0)."""
-    if mu <= 0:
-        return -math.inf
-    k = config.likelihood_shape
-    m = config.observation_weight
-    y = config.observed_sigma
-    loglik = m * k * (math.log(k) - math.log(mu)) - (m * k * y) / mu
-    logprior = (config.prior_shape - 1.0) * math.log(mu) - config.prior_rate * mu
-    return loglik + logprior
+def _log_posterior(config: CalibrationConfig):
+    """The unnormalized log posterior of mu (-inf at mu <= 0), as a function."""
+    mk = config.observation_weight * config.likelihood_shape
+    log_k, mky = math.log(config.likelihood_shape), mk * config.observed_sigma
+    shape_1, rate, log = config.prior_shape - 1.0, config.prior_rate, math.log
+
+    def log_posterior(mu):
+        if mu <= 0:
+            return -math.inf
+        log_mu = log(mu)
+        return mk * (log_k - log_mu) - mky / mu + (shape_1 * log_mu - rate * mu)
+
+    return log_posterior
 
 
 def _run_chain(start, proposal_sd, n_steps, config, stream):
@@ -140,18 +145,22 @@ def _run_chain(start, proposal_sd, n_steps, config, stream):
     steps = gen.normal(0.0, proposal_sd, size=n_steps)
     log_us = np.log(gen.uniform(size=n_steps))
     states = np.empty(n_steps)
-    current = start
-    log_post = _log_posterior(current, config)
+    log_posterior = _log_posterior(config)
+    current, log_post = start, log_posterior(start)
     accepted = 0
-    for i in range(n_steps):
-        proposal = current + steps[i]
-        if proposal > 0:
-            log_post_prop = _log_posterior(proposal, config)
-            if log_us[i] < log_post_prop - log_post:
-                current = proposal
-                log_post = log_post_prop
-                accepted += 1
-        states[i] = current
+    for first in range(0, n_steps, CHAIN_BLOCK):
+        block = slice(first, first + CHAIN_BLOCK)
+        visited = []
+        for step, log_u in zip(steps[block].tolist(), log_us[block].tolist()):
+            proposal = current + step
+            if proposal > 0:
+                log_post_prop = log_posterior(proposal)
+                if log_u < log_post_prop - log_post:
+                    current = proposal
+                    log_post = log_post_prop
+                    accepted += 1
+            visited.append(current)
+        states[block] = visited
     return states, accepted / n_steps
 
 
@@ -185,7 +194,7 @@ def calibrate(config: CalibrationConfig, stream: RngStream) -> ErrorPosterior:
     likelihood_shape / mu).  Deterministic given (config, stream).
     """
     start = config.observed_sigma
-    if not np.isfinite(_log_posterior(start, config)):
+    if not np.isfinite(_log_posterior(config)(start)):
         raise InitializationError(f"log posterior is not finite at initial state {start}")
 
     proposal_sd = _tune_proposal_sd(config, stream) if config.tune_proposal else config.initial_proposal_sd()
@@ -244,9 +253,7 @@ def reduction_distribution(visual: ErrorPosterior, simpson: ErrorPosterior, mode
     return ReductionDistribution(r_draws=r, summary=summarize(r, SUMMARY_LEVELS))
 
 
-def _autocorrelation(chain: np.ndarray, lag: int) -> float:
-    centered = chain - chain.mean()
-    c0 = float(np.dot(centered, centered))
+def _autocorrelation(centered: np.ndarray, c0: float, lag: int) -> float:
     if c0 == 0.0:
         return 0.0
     return float(np.dot(centered[:-lag], centered[lag:]) / c0)
@@ -269,7 +276,9 @@ def chain_diagnostics(posterior: ErrorPosterior) -> ChainDiagnostics:
         # Geyer's initial positive sequence: sum paired autocorrelations
         # Gamma_m = rho(2m) + rho(2m+1) while the pairs stay positive.
         max_lag = min(n - 1, 1000)
-        rho = np.array([1.0] + [_autocorrelation(chain, t) for t in range(1, max_lag + 1)])
+        centered = chain - chain.mean()
+        c0 = float(np.dot(centered, centered))
+        rho = np.array([1.0] + [_autocorrelation(centered, c0, t) for t in range(1, max_lag + 1)])
     if not np.all(np.isfinite(rho)):
         raise InvalidParameterError(
             "chain values spread too widely for finite autocorrelations"

@@ -276,12 +276,8 @@ def cmd_km(args) -> int:
             "present": True,
             "n": n,
             "event_rate_at_horizon": rate,
-            "curve": {
-                "times": curve.times.tolist(),
-                "survival": curve.survival.tolist(),
-                "at_risk": curve.at_risk.tolist(),
-                "events": curve.events.tolist(),
-            },
+            "curve": {name: getattr(curve, name).tolist()
+                      for name in ("times", "survival", "at_risk", "events")},
         }
 
     payload = {
@@ -330,8 +326,8 @@ def _report_options(args) -> ReportOptions:
 
 
 def cmd_propagate(args) -> int:
-    cohort, _ = _read_cohort(args.input)
     options = _report_options(args)
+    cohort, _ = _read_cohort(args.input)
     fused = fused_estimates(cohort, options.sigmas)
     for summary, message in propagate_sources(cohort, fused, options):
         if message:
@@ -350,8 +346,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    options = _report_options(args)
     cohort, parse_warnings = _read_cohort(args.input)
-    report, summaries = run_report(cohort, _report_options(args), parse_warnings=parse_warnings)
+    report, summaries = run_report(cohort, options, parse_warnings=parse_warnings)
     write_report_json(report, _out_path(args.output, "report.json"))
     for source, summary in summaries.items():
         write_km_band_csv(summary, _out_path(args.output, f"km_bands_{source}.csv"))

@@ -82,15 +82,11 @@ class InstrumentSigma:
 
     def weights(self) -> tuple[float, float]:
         """(visual weight, simpson weight) in the active mode's spread units."""
-        _require_positive(self)
+        if self.visual_sigma == 0 or self.simpson_sigma == 0:
+            raise InvalidParameterError("fusion requires strictly positive sigmas")
         if self.mode == "variance":
             return self.visual_sigma**2, self.simpson_sigma**2
         return self.visual_sigma, self.simpson_sigma
-
-
-def _require_positive(sigmas: InstrumentSigma):
-    if sigmas.visual_sigma == 0 or sigmas.simpson_sigma == 0:
-        raise InvalidParameterError("fusion requires strictly positive sigmas")
 
 
 @dataclass(frozen=True)

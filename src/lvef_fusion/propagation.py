@@ -48,6 +48,7 @@ from .errors import (
 from .fusion import InstrumentSigma, fused_sigma
 from .stochastics import _integer, make_stream, summarize
 from .survival import (
+    _check_horizon,
     cox_fit_from_arrays,
     hazard_ratio_per,
     km_event_rate_at,
@@ -91,8 +92,7 @@ class PropagationConfig:
         object.__setattr__(self, "replicates", _integer("replicates", self.replicates))
         if self.replicates < 2:
             raise InvalidParameterError(f"replicates must be >= 2, got {self.replicates}")
-        if not self.horizon > 0:
-            raise InvalidParameterError(f"horizon must be > 0, got {self.horizon!r}")
+        _check_horizon(self.horizon)
         lo, hi = self.band_edges
         if not (0.0 < lo < hi < 100.0):
             raise InvalidParameterError(

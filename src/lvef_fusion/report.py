@@ -3,7 +3,9 @@
 The report JSON is deterministic for a fixed cohort, configuration, and seed:
 keys are sorted, floats are emitted at full double precision, and the only
 run-dependent field is metadata.generated_at.  CSV artifacts round to 4
-decimal places; JSON keeps full precision.
+decimal places.  The band CSV checks each band's nesting whole with numpy,
+then fills one %-template per (source, stratum), WRITE_ROWS rows per write,
+with the bytes csv.writer gave.
 
 The sections other artifacts share are built here once: the metadata block
 (artifact_metadata), the sigma echo (sigma_echo), the calibration section
@@ -13,13 +15,14 @@ The CLI commands call these, so their artifacts match the report's.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
+
+import numpy as np
 
 from .calibration import (
     SIMPSON_STREAM_INDEX,
@@ -29,7 +32,7 @@ from .calibration import (
     chain_diagnostics,
     paired_calibration,
 )
-from .cohort import _fmt, _open_destination
+from .cohort import WRITE_ROWS, _open_destination
 from .errors import InvalidParameterError, InvalidStateError, LvefFusionWarning
 from .fusion import (
     InstrumentSigma,
@@ -86,6 +89,18 @@ class ReportOptions:
             raise InvalidParameterError(f"unknown sources {unknown}; expected subset of {SOURCES}")
         if not self.sources:
             raise InvalidParameterError("at least one source is required")
+        self.propagation_config(self.sources[0])  # checks the run settings up front
+
+    def propagation_config(self, source: str) -> PropagationConfig:
+        return PropagationConfig(
+            source=source,
+            sigmas=self.sigmas,
+            seed=self.seed,
+            replicates=self.replicates,
+            horizon=self.horizon,
+            band_edges=tuple(self.band_edges),
+            clamp_range=tuple(self.clamp_range),
+        )
 
 
 def summary_to_dict(summary: SampleSummary) -> dict:
@@ -97,20 +112,18 @@ def summary_to_dict(summary: SampleSummary) -> dict:
     }
 
 
-def posterior_to_dict(posterior, diagnostics=None) -> dict:
+def posterior_to_dict(posterior) -> dict:
     """Parameter and predictive summaries plus sampler health figures."""
-    out = {
+    diagnostics = chain_diagnostics(posterior)
+    return {
         "acceptance_rate": float(posterior.acceptance_rate),
         "parameter": summary_to_dict(summarize(posterior.parameter_chain, SUMMARY_LEVELS)),
         "predictive": summary_to_dict(posterior.summary),
+        "diagnostics": {
+            "lag1_autocorrelation": float(diagnostics.lag1_autocorrelation),
+            "effective_sample_size": float(diagnostics.effective_sample_size),
+        },
     }
-    if diagnostics is None:
-        diagnostics = chain_diagnostics(posterior)
-    out["diagnostics"] = {
-        "lag1_autocorrelation": float(diagnostics.lag1_autocorrelation),
-        "effective_sample_size": float(diagnostics.effective_sample_size),
-    }
-    return out
 
 
 def _stratum_to_dict(stratum) -> dict:
@@ -125,7 +138,7 @@ def _stratum_to_dict(stratum) -> dict:
 
 
 def propagation_to_dict(summary: PropagationSummary) -> dict:
-    out = {
+    return {
         "source": summary.source,
         "replicates": int(summary.replicates),
         "failed_replicates": int(summary.failed_replicates),
@@ -143,7 +156,6 @@ def propagation_to_dict(summary: PropagationSummary) -> dict:
             for label, band in summary.km_bands.items()
         },
     }
-    return out
 
 
 def cox_fit_to_dict(fit: CoxFit, delta: float = HR_DELTA) -> dict:
@@ -264,16 +276,7 @@ def propagate_sources(cohort, fused, options: ReportOptions):
     the next one runs.
     """
     for source in options.sources:
-        config = PropagationConfig(
-            source=source,
-            sigmas=options.sigmas,
-            seed=options.seed,
-            replicates=options.replicates,
-            horizon=options.horizon,
-            band_edges=tuple(options.band_edges),
-            clamp_range=tuple(options.clamp_range),
-        )
-        summary = propagate(cohort, fused, config)
+        summary = propagate(cohort, fused, options.propagation_config(source))
         message = None
         if summary.failed_replicates:
             message = (f"source {source}: {summary.failed_replicates} of "
@@ -361,17 +364,21 @@ def write_report_json(report: dict, destination) -> None:
             handle.close()
 
 
-def _checked_row(source, label, t, lo, me, up):
-    # Nesting is re-checked at write time; float noise inside the slack is
-    # clamped so every emitted row satisfies lower <= mean <= upper exactly.
-    slack = _NESTING_SLACK * (1.0 + abs(me))
-    if me < lo - slack or me > up + slack or up < lo - slack:
+def _nested_columns(source, label, band) -> list:
+    """The band's columns, checked whole before any row is written: a row
+    outside the nesting slack raises InvalidStateError, and the means are
+    clamped into [lower, upper] as min(max(mean, lower), upper) clamps them."""
+    t, lo, me, up = band.times, band.lower, band.mean, band.upper
+    slack = _NESTING_SLACK * (1.0 + np.abs(me))
+    bad = np.flatnonzero((me < lo - slack) | (me > up + slack) | (up < lo - slack))
+    if bad.size:
+        i = bad[0]
         raise InvalidStateError(
-            f"band nesting violated for {source}/{label} at t={t}: "
-            f"lower={lo!r} mean={me!r} upper={up!r}"
+            f"band nesting violated for {source}/{label} at t={t[i]}: "
+            f"lower={lo[i]!r} mean={me[i]!r} upper={up[i]!r}"
         )
-    me = min(max(me, lo), up)
-    return [source, label, _fmt(t), _fmt(lo), _fmt(me), _fmt(up)]
+    me = np.where(lo > me, lo, me)
+    return [t, lo, np.where(up < me, up, me), up]
 
 
 def write_km_band_csv(summaries, destination) -> None:
@@ -389,14 +396,16 @@ def write_km_band_csv(summaries, destination) -> None:
     except OSError as exc:
         raise OSError(f"cannot write KM band CSV to {destination}: {exc}") from exc
     try:
-        writer = csv.writer(handle)
-        writer.writerow(["source", "stratum", "time_days", "lower", "mean", "upper"])
+        handle.write("source,stratum,time_days,lower,mean,upper\r\n")
         for summary in summaries:
             for label, band in summary.km_bands.items():
                 if band is None:
                     continue
-                for t, lo, me, up in zip(band.times, band.lower, band.mean, band.upper):
-                    writer.writerow(_checked_row(summary.source, label, t, lo, me, up))
+                columns = _nested_columns(summary.source, label, band)
+                template = f"{summary.source},{label},%.4f,%.4f,%.4f,%.4f\r\n"
+                for first in range(0, band.times.size, WRITE_ROWS):
+                    rows = zip(*(column[first:first + WRITE_ROWS].tolist() for column in columns))
+                    handle.write("".join(map(template.__mod__, rows)))
     except OSError as exc:
         raise OSError(f"cannot write KM band CSV to {destination}: {exc}") from exc
     finally:

@@ -191,10 +191,17 @@ def km_survival_at(curve: KmCurve, horizon):
     return float(result) if np.isscalar(horizon) else result
 
 
-def km_event_rate_at(curve: KmCurve, horizon: float) -> float:
-    """Cumulative event probability 1 - S(horizon)."""
+def _check_horizon(horizon) -> None:
+    """Reject a horizon that is not a finite number of days > 0."""
     if not horizon > 0:
         raise InvalidParameterError(f"horizon must be > 0, got {horizon!r}")
+    if not math.isfinite(horizon):
+        raise InvalidParameterError(f"horizon must be finite, got {horizon!r}")
+
+
+def km_event_rate_at(curve: KmCurve, horizon: float) -> float:
+    """Cumulative event probability 1 - S(horizon)."""
+    _check_horizon(horizon)
     return 1.0 - km_survival_at(curve, horizon)
 
 

@@ -1,8 +1,15 @@
 """Metropolis error calibration: determinism, shapes, and sampler health."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import calibration_oracle
+from lvef_fusion import calibration
 from lvef_fusion.calibration import (
     SIMPSON_STREAM_INDEX,
     VISUAL_STREAM_INDEX,
@@ -13,7 +20,7 @@ from lvef_fusion.calibration import (
     paired_calibration,
     reduction_distribution,
 )
-from lvef_fusion.errors import AcceptanceRateWarning, InvalidParameterError
+from lvef_fusion.errors import AcceptanceRateWarning, InvalidParameterError, LvefFusionError
 from lvef_fusion.stochastics import make_stream, summarize
 
 
@@ -162,3 +169,86 @@ class TestChainDiagnostics:
         post = calibrate(CalibrationConfig(observed_sigma=17.68), make_stream(11, 0))
         diag = chain_diagnostics(post)
         assert 1.0 <= diag.effective_sample_size <= post.parameter_chain.size
+
+
+@st.composite
+def _chain_configs(draw):
+    """Small chains; proposal_sd up to 20 observed sigmas proposes mu <= 0
+    about half the time."""
+    sigma = draw(st.sampled_from([1e-3, 0.5, 8.8, 18.1, 1e4])
+                 | st.floats(1e-3, 1e3, allow_subnormal=False))
+    chain_length = draw(st.integers(2, 400))
+    burn_in = draw(st.integers(1, chain_length - 1))
+    return CalibrationConfig(
+        observed_sigma=sigma,
+        likelihood_shape=draw(st.sampled_from([0.5, 2.0, 8.0, 3.7])),
+        prior_shape=draw(st.sampled_from([1e-3, 1.0, 3.0])),
+        prior_rate=draw(st.sampled_from([1e-3, 0.5])),
+        chain_length=chain_length,
+        burn_in=burn_in,
+        kept_samples=draw(st.integers(1, chain_length - burn_in)),
+        proposal_sd=draw(st.none() | st.floats(0.01, 20.0).map(lambda f: f * sigma)),
+        observation_weight=draw(st.sampled_from([1.0, 12.0, 40.0, 6.3])),
+        tune_proposal=draw(st.booleans()),
+    )
+
+
+def _calibration_outcome(config, seed):
+    """calibrate's posterior bytes, acceptance, warnings and diagnostics from
+    the library and the oracle, or the error either raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            posterior = calibrate(config, make_stream(seed, VISUAL_STREAM_INDEX))
+        except LvefFusionError as exc:
+            return type(exc).__name__, str(exc)
+    outcome = [posterior.parameter_chain.tobytes(), posterior.predictive_draws.tobytes(),
+               posterior.acceptance_rate, [str(w.message) for w in caught]]
+    for diagnose in (chain_diagnostics, calibration_oracle.chain_diagnostics):
+        try:
+            outcome.append(repr(diagnose(posterior)))
+        except LvefFusionError as exc:
+            outcome.append((type(exc).__name__, str(exc)))
+    return outcome
+
+
+class TestChainMatchesOracle:
+    """The block-wise chain gives the per-step oracle's states byte for byte,
+    its acceptance rate, and the per-lag oracle's diagnostics."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_chain_configs(), seed=st.integers(0, 2**32),
+           block=st.sampled_from((1, 3, 64, calibration.CHAIN_BLOCK)))
+    def test_matches_oracle(self, config, seed, block):
+        sd = config.initial_proposal_sd()
+        expected = calibration_oracle._run_chain(
+            config.observed_sigma, sd, config.chain_length, config, make_stream(seed, 0))
+        with mock.patch.object(calibration, "CHAIN_BLOCK", block):
+            states, rate = calibration._run_chain(
+                config.observed_sigma, sd, config.chain_length, config, make_stream(seed, 0))
+            outcome = _calibration_outcome(config, seed)
+        assert states.tobytes() == expected[0].tobytes()
+        assert rate == expected[1]
+        with mock.patch.object(calibration, "_run_chain", calibration_oracle._run_chain):
+            assert outcome == _calibration_outcome(config, seed)
+        if isinstance(outcome, list):
+            assert outcome[-1] == outcome[-2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=_chain_configs(),
+           mu=st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e300])
+           | st.floats(-10.0, 1e4, allow_nan=False))
+    def test_log_posterior_matches_oracle(self, config, mu):
+        """The hoisted terms keep the per-step arithmetic and its order."""
+        value = calibration._log_posterior(config)(mu)
+        assert repr(value) == repr(calibration_oracle._log_posterior(mu, config))
+
+    @pytest.mark.parametrize("sigma", [8.8, 18.1])
+    def test_default_chain_matches_oracle(self, sigma):
+        """The full default chain spans several blocks, and its diagnostics
+        run to the 1000-lag cap."""
+        config = CalibrationConfig(observed_sigma=sigma)
+        outcome = _calibration_outcome(config, 1)
+        with mock.patch.object(calibration, "_run_chain", calibration_oracle._run_chain):
+            assert outcome == _calibration_outcome(config, 1)
+        assert outcome[-1] == outcome[-2]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from lvef_fusion import cli
 from lvef_fusion.cli import main
 from lvef_fusion.report import TOOL_VERSION
 
@@ -110,6 +111,27 @@ class TestUsage:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["report", "propagate"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--replicates", "1", "replicates must be >= 2, got 1"),
+        ("--horizon", "-1", "horizon must be > 0, got -1.0"),
+        ("--horizon", "inf", "horizon must be finite, got inf"),
+        ("--horizon", "1e400", "horizon must be finite, got inf"),
+        ("--bands", "50,35",
+         "band_edges must be strictly increasing inside (0, 100), got (50.0, 35.0)"),
+    ], ids=["replicates-1", "horizon-negative", "horizon-inf", "horizon-1e400", "bands-reversed"])
+    def test_bad_run_flags_fail_before_the_cohort_is_read(
+            self, cohort_csv, tmp_path, capsys, monkeypatch, command, flag, value, message):
+        def parse_cohort_csv(source):
+            pytest.fail("the cohort was read before the run flags were checked")
+
+        monkeypatch.setattr(cli, "parse_cohort_csv", parse_cohort_csv)
+        code = main([command, "--input", str(cohort_csv), flag, value,
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_ids_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text(HEADER + "p0,50,50,100,1\np0,55,55,200,0\n")
@@ -190,6 +212,14 @@ class TestKm:
     def test_stdout_defaults_to_assimilated(self, cohort_csv, capsys):
         assert main(["km", "--input", str(cohort_csv)]) == 0
         assert json.loads(capsys.readouterr().out)["source"] == "assimilated"
+
+    @pytest.mark.parametrize("horizon", ["inf", "1e400", "nan"])
+    def test_non_finite_horizon_is_data_error(self, cohort_csv, capsys, horizon):
+        """JSON has no infinity: the echo would not parse, nor hash canonically."""
+        assert main(["km", "--input", str(cohort_csv), "--horizon", horizon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: horizon must be")
 
 
 class TestCox:

@@ -502,6 +502,8 @@ class TestConfigValidation:
         {"replicates": 1},
         {"horizon": 0.0},
         {"horizon": -5.0},
+        {"horizon": float("inf")},
+        {"horizon": float("nan")},
         {"band_edges": (50.0, 35.0)},
         {"band_edges": (0.0, 50.0)},
         {"band_edges": (35.0, 100.0)},

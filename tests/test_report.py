@@ -7,10 +7,15 @@ import math
 import re
 import warnings
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import report_oracle
+from lvef_fusion import report as report_module
 from lvef_fusion.calibration import (
     CalibrationConfig,
     ErrorPosterior,
@@ -21,6 +26,8 @@ from lvef_fusion.cohort import Cohort
 from lvef_fusion.errors import DegenerateDataError, InvalidParameterError, InvalidStateError
 from lvef_fusion.fusion import InstrumentSigma, fuse, fused_estimates, precision_ratio
 from lvef_fusion.propagation import (
+    SOURCES,
+    STRATA,
     KmBand,
     PropagationConfig,
     PropagationSummary,
@@ -344,6 +351,19 @@ class TestNonFiniteDerivedQuantities:
 
 
 class TestReportOptionsValidation:
+    @pytest.mark.parametrize("overrides", [
+        {"replicates": 1},
+        {"horizon": -1.0},
+        {"horizon": math.inf},
+        {"band_edges": (50.0, 35.0)},
+        {"seed": -1},
+        {"clamp_range": (9.0, 9.0)},
+    ])
+    def test_run_settings_rejected_up_front(self, overrides):
+        """The settings each source's PropagationConfig would reject."""
+        with pytest.raises(InvalidParameterError):
+            ReportOptions(sigmas=SIGMAS, **overrides)
+
     def test_unknown_source_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown sources"):
             ReportOptions(sigmas=SIGMAS, sources=("visual", "doppler"))
@@ -434,3 +454,88 @@ class TestKmBandCsv:
         target = "/nonexistent-dir/bands.csv"
         with pytest.raises(OSError, match="nonexistent-dir"):
             write_km_band_csv(summaries["visual"], target)
+
+
+# Values on 4-decimal rounding ties, signed zeros, NaN and band-like values.
+_BAND_VALUES = (st.sampled_from([0.0, -0.0, 5e-5, -5e-5, 1.5e-4, 0.12345, 0.99995, 1.0, 2.5,
+                                 math.nan])
+                | st.floats(-0.5, 1.5))
+_TIMES = (st.sampled_from([0.0, 1e-4, 0.00005, 365.00005, 123456.78905, 1e15, 2.0**60])
+          | st.floats(0.0, 1e6))
+
+
+@st.composite
+def _band(draw):
+    """A band whose rows mostly nest, some with a mean inside the nesting
+    slack (clamped); about one row in 30 breaks it (raises)."""
+    size = draw(st.integers(0, 6))
+    times = draw(st.lists(_TIMES, min_size=size, max_size=size))
+    lower, mean, upper = [], [], []
+    for _ in range(size):
+        lo, up = sorted(draw(st.lists(_BAND_VALUES, min_size=2, max_size=2)))
+        fraction = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        me = draw(st.sampled_from([lo, up, lo + fraction * (up - lo)]))
+        if draw(st.booleans()):
+            # Offsets under 1e-9 lie inside the slack of any mean.
+            offset = draw(st.sampled_from([0.5, 0.999])) * 1e-9
+            me = lo - offset if draw(st.booleans()) else up + offset
+        if draw(st.integers(0, 29)) == 0:
+            violation = draw(st.sampled_from(["swap", "cross", "below", "above", "any"]))
+            if violation == "swap":
+                lo, up = up, lo
+            elif violation == "cross":
+                # upper below lower by 1.5 slacks, the mean between them.
+                half = 0.75e-9 * (1.0 + abs(me))
+                lo, up = me + half, me - half
+            elif violation == "any":
+                me = draw(_BAND_VALUES)
+            else:
+                offset = draw(st.sampled_from([1.5, 3.0, 1e6])) * 1e-9
+                me = lo - offset if violation == "below" else up + offset
+        lower.append(lo)
+        mean.append(me)
+        upper.append(up)
+    return KmBand(times=np.array(times, dtype=float), lower=np.array(lower, dtype=float),
+                  mean=np.array(mean, dtype=float), upper=np.array(upper, dtype=float))
+
+
+@st.composite
+def _summaries(draw):
+    summaries = []
+    for source in draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=3)):
+        bands = {label: draw(st.none() | _band()) for label in STRATA}
+        summaries.append(PropagationSummary(
+            source=source, replicates=10, failed_replicates=0,
+            event_rates={label: StratumSummary(None, None, 0) for label in STRATA},
+            hazard_ratio_mean=1.0, hazard_ratio_q025=0.9, hazard_ratio_q975=1.1,
+            km_bands=bands, horizon=365.0,
+        ))
+    return summaries[0] if len(summaries) == 1 and draw(st.booleans()) else summaries
+
+
+def _band_outcome(write, summaries):
+    buffer = io.StringIO()
+    try:
+        write(summaries, buffer)
+    except InvalidStateError as exc:
+        return "raised", str(exc)
+    return "written", buffer.getvalue()
+
+
+class TestKmBandCsvMatchesOracle:
+    """The template writer gives the row-by-row csv.writer oracle's bytes, or
+    raises its InvalidStateError with the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(summaries=_summaries(), write_rows=st.sampled_from((1, 2, 1 << 14)))
+    def test_matches_oracle(self, summaries, write_rows):
+        expected = _band_outcome(report_oracle.write_km_band_csv, summaries)
+        with mock.patch.object(report_module, "WRITE_ROWS", write_rows):
+            assert _band_outcome(write_km_band_csv, summaries) == expected
+
+    def test_report_bands_match_oracle(self, report_and_summaries):
+        _, summaries = report_and_summaries
+        summaries = list(summaries.values())
+        expected = _band_outcome(report_oracle.write_km_band_csv, summaries)
+        assert expected[0] == "written"
+        assert _band_outcome(write_km_band_csv, summaries) == expected

@@ -193,8 +193,9 @@ class TestKaplanMeier:
     def test_event_rate_complements_survival(self):
         curve = _km_of([(10.0, 1), (20.0, 0)])
         assert km_event_rate_at(curve, 15.0) == pytest.approx(0.5)
-        with pytest.raises(InvalidParameterError):
-            km_event_rate_at(curve, 0.0)
+        for horizon in (0.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidParameterError):
+                km_event_rate_at(curve, horizon)
 
     def test_input_validation(self):
         with pytest.raises(EmptyInputError):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AcceptanceRateWarning, InitializationError, InvalidParameterError
+from .fusion import MODES
 from .stochastics import RngStream, SampleSummary, _integer, summarize
 
 __all__ = [
@@ -238,7 +239,7 @@ def reduction_distribution(visual: ErrorPosterior, simpson: ErrorPosterior, mode
     the given mode's units: the ratio itself for paper-sd, its square for
     variance.
     """
-    if mode not in ("paper-sd", "variance"):
+    if mode not in MODES:
         raise InvalidParameterError(f"mode must be 'paper-sd' or 'variance', got {mode!r}")
     v = np.asarray(visual.predictive_draws, dtype=float)
     s = np.asarray(simpson.predictive_draws, dtype=float)

@@ -17,22 +17,9 @@ from pathlib import Path
 
 from .calibration import CalibrationConfig
 from .cohort import parse_cohort_csv, write_cohort_csv, write_fused_csv
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    EmptyInputError,
-    InitializationError,
-    InvalidParameterError,
-    InvalidStateError,
-    LvefFusionWarning,
-    NonConvergenceError,
-    PropagationError,
-    RowError,
-    SchemaError,
-    SeparationError,
-)
+from .errors import LvefFusionError, LvefFusionWarning
 from .fusion import MODES, InstrumentSigma, fused_estimates, fused_sigma
-from .propagation import SOURCES, source_values, stratum_km
+from .propagation import SOURCES, _check_band_edges, source_values, stratum_km
 from .report import (
     TOOL_NAME,
     TOOL_VERSION,
@@ -49,13 +36,10 @@ from .report import (
     write_km_band_csv,
     write_report_json,
 )
-from .simulate import SimConfig, simulate
-from .survival import cox_fit_from_arrays
+from .simulate import LITERATURE_SIMPSON_SD, LITERATURE_VISUAL_SD, SimConfig, simulate
+from .survival import _check_horizon, cox_fit_from_arrays
 
 __all__ = ["build_parser", "main"]
-
-DEFAULT_SIGMA_VISUAL = 18.1
-DEFAULT_SIGMA_SIMPSON = 8.8
 
 
 class _UsageError(Exception):
@@ -85,12 +69,12 @@ def _add_sigma_flags(parser, short_aliases=False):
     visual_names = (["--visual", "--sigma-visual"] if short_aliases else ["--sigma-visual"])
     simpson_names = (["--simpson", "--sigma-simpson"] if short_aliases else ["--sigma-simpson"])
     parser.add_argument(*visual_names, dest="sigma_visual", type=float,
-                        default=DEFAULT_SIGMA_VISUAL,
+                        default=LITERATURE_VISUAL_SD,
                         help="visual measurement error sd (default %(default)s)")
     parser.add_argument(*simpson_names, dest="sigma_simpson", type=float,
-                        default=DEFAULT_SIGMA_SIMPSON,
+                        default=LITERATURE_SIMPSON_SD,
                         help="Simpson's measurement error sd (default %(default)s)")
-    parser.add_argument("--mode", choices=MODES, default="paper-sd",
+    parser.add_argument("--mode", choices=MODES, default=InstrumentSigma.mode,
                         help="fusion weighting interpretation (default %(default)s)")
 
 
@@ -105,14 +89,16 @@ def _add_output_flag(parser, default=None):
 
 
 def _add_seed_flag(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=ReportOptions.seed,
+                        help="master seed (default %(default)s)")
 
 
 def _add_strata_flags(parser):
-    parser.add_argument("--horizon", type=float, default=365.0,
+    parser.add_argument("--horizon", type=float, default=ReportOptions.horizon,
                         help="event-rate horizon in days (default %(default)s)")
-    parser.add_argument("--bands", type=_band_edges, default=(35.0, 50.0), metavar="LO,HI",
-                        help="stratum edges (default 35,50)")
+    parser.add_argument("--bands", type=_band_edges, default=ReportOptions.band_edges,
+                        metavar="LO,HI",
+                        help="stratum edges (default {:g},{:g})".format(*ReportOptions.band_edges))
 
 
 def _add_run_flags(parser):
@@ -120,7 +106,7 @@ def _add_run_flags(parser):
     parser.add_argument("--source", choices=SOURCES + ("all",), default="all",
                         help="source(s) to propagate (default %(default)s)")
     _add_seed_flag(parser)
-    parser.add_argument("--replicates", type=int, default=1000,
+    parser.add_argument("--replicates", type=int, default=ReportOptions.replicates,
                         help="noise replicates (default %(default)s)")
     _add_strata_flags(parser)
 
@@ -174,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort CSV")
-    p.add_argument("--n", type=int, default=1366, help="cohort size (default %(default)s)")
+    p.add_argument("--n", type=int, default=SimConfig.n_patients,
+                   help="cohort size (default %(default)s)")
     _add_seed_flag(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_simulate)
@@ -225,8 +212,8 @@ def _sigmas(args) -> InstrumentSigma:
 
 
 def cmd_fuse(args) -> int:
-    cohort, _ = _read_cohort(args.input)
     sigmas = _sigmas(args)
+    cohort, _ = _read_cohort(args.input)
     theta = fused_estimates(cohort, sigmas)
     destination = sys.stdout if args.output is None else _out_path(args.output, "fused.csv")
     write_fused_csv(cohort, theta, fused_sigma(sigmas), destination)
@@ -253,17 +240,18 @@ def cmd_calibrate_error(args) -> int:
     return 0
 
 
-def _source_column(cohort, args):
-    """(sigmas, values of args.source) for the km and cox commands."""
-    sigmas = _sigmas(args)
-    fused = fused_estimates(cohort, sigmas) if args.source == "assimilated" else None
-    values, _ = source_values(cohort, fused, args.source, sigmas)
-    return sigmas, values
+def _source_column(cohort, sigmas, source):
+    """The values of one source, for the km and cox commands."""
+    fused = fused_estimates(cohort, sigmas) if source == "assimilated" else None
+    return source_values(cohort, fused, source, sigmas)[0]
 
 
 def cmd_km(args) -> int:
+    sigmas = _sigmas(args)
+    _check_horizon(args.horizon)
+    _check_band_edges(args.bands)
     cohort, _ = _read_cohort(args.input)
-    sigmas, values = _source_column(cohort, args)
+    values = _source_column(cohort, sigmas, args.source)
 
     strata = {}
     for label, stratum in stratum_km(values, cohort.time, cohort.event,
@@ -297,8 +285,9 @@ def cmd_km(args) -> int:
 
 
 def cmd_cox(args) -> int:
+    sigmas = _sigmas(args)
     cohort, _ = _read_cohort(args.input)
-    sigmas, values = _source_column(cohort, args)
+    values = _source_column(cohort, sigmas, args.source)
     fit = cox_fit_from_arrays(cohort.time, cohort.event, values)
 
     payload = {
@@ -368,18 +357,14 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, RowError, EmptyInputError, DomainError,
-            DegenerateDataError, InvalidParameterError, UnicodeDecodeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (SeparationError, NonConvergenceError, PropagationError, InitializationError,
-            InvalidStateError) as exc:
+    except (LvefFusionError, UnicodeDecodeError) as exc:
+        # errors.py: a ValueError is a data error, anything else a numerical failure
+        if isinstance(exc, ValueError):
+            print(f"data error: {exc}", file=sys.stderr)
+            return 2
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return 3

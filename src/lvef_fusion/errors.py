@@ -2,7 +2,9 @@
 
 Every error raised on purpose by this package derives from LvefFusionError so
 callers (and the command-line front end) can tell deliberate rejections apart
-from genuine bugs.
+from genuine bugs.  Each concrete error is also exactly one of ValueError (the
+input or settings are at fault: the CLI exits 2) or RuntimeError (a numerical
+failure: the CLI exits 3 with a JSON diagnostic).
 """
 
 from __future__ import annotations

@@ -68,6 +68,8 @@ __all__ = [
 SOURCES = ("visual", "simpson", "assimilated")
 STRATA = ("low", "mid", "high")
 HR_DELTA = 5.0
+# Every replicate draw is clipped into this LVEF range.
+CLAMP_RANGE = (1.0, 99.0)
 # Replicates are drawn and fitted in chunks whose (replicate, patient) matrix
 # holds about CHUNK_ELEMENTS values, which bounds memory at any cohort size.
 CHUNK_ELEMENTS = 2**16
@@ -83,7 +85,6 @@ class PropagationConfig:
     replicates: int = 1000
     horizon: float = 365.0
     band_edges: tuple[float, float] = (35.0, 50.0)
-    clamp_range: tuple[float, float] = (1.0, 99.0)
 
     def __post_init__(self):
         if self.source not in SOURCES:
@@ -93,14 +94,16 @@ class PropagationConfig:
         if self.replicates < 2:
             raise InvalidParameterError(f"replicates must be >= 2, got {self.replicates}")
         _check_horizon(self.horizon)
-        lo, hi = self.band_edges
-        if not (0.0 < lo < hi < 100.0):
-            raise InvalidParameterError(
-                f"band_edges must be strictly increasing inside (0, 100), got {self.band_edges!r}"
-            )
-        clo, chi = self.clamp_range
-        if not clo < chi:
-            raise InvalidParameterError(f"clamp_range must be increasing, got {self.clamp_range!r}")
+        _check_band_edges(self.band_edges)
+
+
+def _check_band_edges(band_edges) -> None:
+    """Reject band edges that are not strictly increasing inside (0, 100)."""
+    lo, hi = band_edges
+    if not (0.0 < lo < hi < 100.0):
+        raise InvalidParameterError(
+            f"band_edges must be strictly increasing inside (0, 100), got {band_edges!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -294,7 +297,7 @@ def _fit_chunk(first, stop, time, event, order, centers, spread, config):
     realized = np.empty((stop - first, time.size))
     for row, r in zip(realized, range(first, stop)):
         draws = make_stream(config.seed, r).generator.normal(loc=centers, scale=spread)
-        row[:] = np.clip(draws, *config.clamp_range)[order]
+        row[:] = np.clip(draws, *CLAMP_RANGE)[order]
     strata = {label: _fit_stratum(mask, first, time, event, config.horizon)
               for label, mask in _strata_masks(realized, config.band_edges).items()}
     hazard_ratios, failures = [], set()

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -43,6 +43,7 @@ from .fusion import (
     total_variation,
 )
 from .propagation import (
+    CLAMP_RANGE,
     HR_DELTA,
     SOURCES,
     PropagationConfig,
@@ -80,7 +81,6 @@ class ReportOptions:
     horizon: float = 365.0
     band_edges: tuple = (35.0, 50.0)
     sources: tuple = SOURCES
-    clamp_range: tuple = (1.0, 99.0)
     calibration: CalibrationConfig | None = None
 
     def __post_init__(self):
@@ -99,7 +99,6 @@ class ReportOptions:
             replicates=self.replicates,
             horizon=self.horizon,
             band_edges=tuple(self.band_edges),
-            clamp_range=tuple(self.clamp_range),
         )
 
 
@@ -222,7 +221,7 @@ def _config_echo(options: ReportOptions, calibration: CalibrationConfig | None) 
         "horizon_days": float(options.horizon),
         "band_edges": [float(v) for v in options.band_edges],
         "sources": list(options.sources),
-        "clamp_range": [float(v) for v in options.clamp_range],
+        "clamp_range": [float(v) for v in CLAMP_RANGE],
     }
     if calibration is not None:
         echo["calibration"] = calibration_echo(calibration)
@@ -230,22 +229,14 @@ def _config_echo(options: ReportOptions, calibration: CalibrationConfig | None) 
 
 
 def calibration_echo(calibration: CalibrationConfig) -> dict:
-    """The calibration settings and stream indices a report or calibration
-    artifact echoes in its config.  proposal_sd is echoed as configured: null
-    means the default, 0.25 * observed_sigma."""
-    return {
-        "likelihood_shape": calibration.likelihood_shape,
-        "prior_shape": calibration.prior_shape,
-        "prior_rate": calibration.prior_rate,
-        "chain_length": calibration.chain_length,
-        "burn_in": calibration.burn_in,
-        "kept_samples": calibration.kept_samples,
-        "observation_weight": calibration.observation_weight,
-        "tune_proposal": calibration.tune_proposal,
-        "proposal_sd": calibration.proposal_sd,
-        "visual_stream_index": VISUAL_STREAM_INDEX,
-        "simpson_stream_index": SIMPSON_STREAM_INDEX,
-    }
+    """Every CalibrationConfig field but observed_sigma (each chain takes its
+    own from the sigmas), plus the stream indices.  proposal_sd is echoed as
+    configured: null means the default, 0.25 * observed_sigma."""
+    echo = {f.name: getattr(calibration, f.name)
+            for f in fields(calibration) if f.name != "observed_sigma"}
+    echo["visual_stream_index"] = VISUAL_STREAM_INDEX
+    echo["simpson_stream_index"] = SIMPSON_STREAM_INDEX
+    return echo
 
 
 def calibration_section(sigmas: InstrumentSigma, seed: int,

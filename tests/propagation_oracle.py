@@ -20,6 +20,7 @@ from lvef_fusion.errors import (
     SeparationError,
 )
 from lvef_fusion.propagation import (
+    CLAMP_RANGE,
     HR_DELTA,
     STRATA,
     KmBand,
@@ -47,7 +48,7 @@ def realize(cohort, fused, config, r: int) -> np.ndarray:
     """Replicate r's clamped LVEF draw, in patient order."""
     centers, spread = source_values(cohort, fused, config.source, config.sigmas)
     draws = make_stream(config.seed, r).generator.normal(loc=centers, scale=spread)
-    return np.clip(draws, *config.clamp_range)
+    return np.clip(draws, *CLAMP_RANGE)
 
 
 def run_replicate(cohort, fused, config, r: int) -> Replicate:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lvef_fusion import cli
+from lvef_fusion import cli, errors
 from lvef_fusion.cli import main
 from lvef_fusion.report import TOOL_VERSION
 
@@ -41,8 +41,33 @@ def separable_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def unread_cohort(monkeypatch):
+    """Fails the test if the command parses its cohort."""
+    def parse_cohort_csv(source):
+        pytest.fail("the cohort was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "parse_cohort_csv", parse_cohort_csv)
+
+
 def _rows(text):
     return list(csv.DictReader(text.splitlines()))
+
+
+BAD_RUN_FLAGS = [
+    ("replicates-1", "--replicates", "1", "replicates must be >= 2, got 1"),
+    ("horizon-negative", "--horizon", "-1", "horizon must be > 0, got -1.0"),
+    ("horizon-inf", "--horizon", "inf", "horizon must be finite, got inf"),
+    ("horizon-1e400", "--horizon", "1e400", "horizon must be finite, got inf"),
+    ("bands-reversed", "--bands", "50,35",
+     "band_edges must be strictly increasing inside (0, 100), got (50.0, 35.0)"),
+    ("bands-0-100", "--bands", "0,100",
+     "band_edges must be strictly increasing inside (0, 100), got (0.0, 100.0)"),
+]
+
+# Every concrete error class; main maps each by its ValueError or RuntimeError side.
+ERROR_CLASSES = [cls for cls in map(vars(errors).get, errors.__all__)
+                 if issubclass(cls, errors.LvefFusionError) and cls is not errors.LvefFusionError]
 
 
 class TestUsage:
@@ -111,26 +136,52 @@ class TestUsage:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["report", "propagate"])
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--replicates", "1", "replicates must be >= 2, got 1"),
-        ("--horizon", "-1", "horizon must be > 0, got -1.0"),
-        ("--horizon", "inf", "horizon must be finite, got inf"),
-        ("--horizon", "1e400", "horizon must be finite, got inf"),
-        ("--bands", "50,35",
-         "band_edges must be strictly increasing inside (0, 100), got (50.0, 35.0)"),
-    ], ids=["replicates-1", "horizon-negative", "horizon-inf", "horizon-1e400", "bands-reversed"])
+    @pytest.mark.parametrize("command,flag,value,message", [
+        pytest.param(command, flag, value, message, id=f"{row}-{command}")
+        for row, flag, value, message in BAD_RUN_FLAGS
+        for command in ("report", "propagate", "km")
+        if not (command == "km" and flag == "--replicates")
+    ])
     def test_bad_run_flags_fail_before_the_cohort_is_read(
-            self, cohort_csv, tmp_path, capsys, monkeypatch, command, flag, value, message):
-        def parse_cohort_csv(source):
-            pytest.fail("the cohort was read before the run flags were checked")
-
-        monkeypatch.setattr(cli, "parse_cohort_csv", parse_cohort_csv)
+            self, cohort_csv, tmp_path, capsys, unread_cohort, command, flag, value, message):
         code = main([command, "--input", str(cohort_csv), flag, value,
                      "--output", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "km", "cox", "propagate", "report"])
+    def test_bad_sigma_fails_before_the_cohort_is_read(
+            self, cohort_csv, tmp_path, capsys, unread_cohort, command):
+        code = main([command, "--input", str(cohort_csv), "--sigma-visual", "-1",
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "data error: visual_sigma must be finite and >= 0, got -1.0\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_error_class_decides_the_exit_code(self, capsys, monkeypatch, error):
+        assert issubclass(error, ValueError) != issubclass(error, RuntimeError)
+        exc = error(7, "boom") if issubclass(error, errors.RowError) else error("boom")
+
+        def cmd_simulate(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_simulate", cmd_simulate)
+        code = main(["simulate"])
+        err = capsys.readouterr().err
+        if issubclass(error, ValueError):
+            assert (code, err) == (2, f"data error: {exc}\n")
+        else:
+            assert code == 3
+            assert json.loads(err) == {"error": error.__name__, "message": str(exc)}
+
+    def test_undecodable_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(HEADER.encode() + b"p\xe9,50,50,100,1\n")
+        assert main(["fuse", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("data error: 'utf-8' codec can't decode")
 
     def test_duplicate_ids_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"

@@ -507,7 +507,6 @@ class TestConfigValidation:
         {"band_edges": (50.0, 35.0)},
         {"band_edges": (0.0, 50.0)},
         {"band_edges": (35.0, 100.0)},
-        {"clamp_range": (9.0, 9.0)},
         {"seed": -1},
         {"seed": 2**64},
         {"seed": 1.5},
@@ -525,7 +524,6 @@ class TestConfigValidation:
         assert config.replicates == 1000
         assert config.horizon == 365.0
         assert config.band_edges == (35.0, 50.0)
-        assert config.clamp_range == (1.0, 99.0)
 
     def test_assimilated_without_fused_rejected(self):
         with pytest.raises(InvalidParameterError, match="fused"):

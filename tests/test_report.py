@@ -1,6 +1,7 @@
 """Report assembly: sections, determinism, serialization, KM band CSV."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -38,6 +39,7 @@ from lvef_fusion.report import (
     TOOL_NAME,
     TOOL_VERSION,
     ReportOptions,
+    calibration_echo,
     config_hash,
     cox_fit_to_dict,
     propagation_to_dict,
@@ -201,6 +203,19 @@ class TestConfigHash:
     def test_sensitive_to_values(self):
         assert config_hash({"a": 1}) != config_hash({"a": 2})
 
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(CalibrationConfig)
+                                      if field.name != "observed_sigma"])
+    def test_every_calibration_setting_moves_the_hash(self, name):
+        base = CalibrationConfig(observed_sigma=18.1)
+        value = getattr(base, name)
+        if isinstance(value, bool):
+            changed = not value
+        else:
+            changed = 1.0 if value is None else value + 1
+        other = dataclasses.replace(base, **{name: changed})
+        assert calibration_echo(other)[name] == changed
+        assert config_hash(calibration_echo(other)) != config_hash(calibration_echo(base))
+
 
 class TestSerializationHelpers:
     def test_summary_to_dict_keys_are_strings(self):
@@ -357,7 +372,6 @@ class TestReportOptionsValidation:
         {"horizon": math.inf},
         {"band_edges": (50.0, 35.0)},
         {"seed": -1},
-        {"clamp_range": (9.0, 9.0)},
     ])
     def test_run_settings_rejected_up_front(self, overrides):
         """The settings each source's PropagationConfig would reject."""

@@ -12,14 +12,12 @@ from lvef_fusion import (
     InstrumentSigma,
     PropagationConfig,
     SimConfig,
-    fused_estimates,
     propagate,
     simulate,
 )
 
 cohort = simulate(SimConfig(n_patients=1366, seed=5))
 sigmas = InstrumentSigma(18.1, 8.8)
-fused = fused_estimates(cohort, sigmas)
 
 # Propagate each source with the same seed so the three runs share replicate
 # noise streams and differ only in the source's center and spread.
@@ -28,7 +26,7 @@ summaries = {}
 for source in ("visual", "simpson", "assimilated"):
     config = PropagationConfig(source=source, sigmas=sigmas, seed=5,
                                replicates=200)
-    summary = propagate(cohort, fused, config)
+    summary = propagate(cohort, config)
     summaries[source] = summary
     width = summary.hazard_ratio_q975 - summary.hazard_ratio_q025
     print(f"  {source:<11} mean {summary.hazard_ratio_mean:.3f}  "
@@ -50,9 +48,8 @@ for label, stratum in summaries["assimilated"].event_rates.items():
 # With the error scales set to zero every replicate is identical and the
 # bands collapse to exactly zero width.
 exact = InstrumentSigma(0.0, 0.0)
-collapsed = propagate(cohort, fused_estimates(cohort, exact),
-                      PropagationConfig(source="visual", sigmas=exact,
-                                        seed=5, replicates=20))
+collapsed = propagate(cohort, PropagationConfig(source="visual", sigmas=exact,
+                                               seed=5, replicates=20))
 print()
 print("zero-noise check: hazard-ratio band width =",
       collapsed.hazard_ratio_q975 - collapsed.hazard_ratio_q025)

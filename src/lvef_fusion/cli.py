@@ -30,7 +30,6 @@ from .report import (
     cox_fit_to_dict,
     propagate_sources,
     propagation_to_dict,
-    render_report_json,
     run_report,
     sigma_echo,
     write_km_band_csv,
@@ -200,11 +199,8 @@ def _out_path(directory, filename) -> Path:
 
 
 def _emit_json(payload: dict, output_dir, filename: str) -> None:
-    text = render_report_json(payload)
-    if output_dir is None:
-        sys.stdout.write(text)
-    else:
-        _out_path(output_dir, filename).write_text(text, encoding="utf-8")
+    write_report_json(payload, sys.stdout if output_dir is None
+                      else _out_path(output_dir, filename))
 
 
 def _sigmas(args) -> InstrumentSigma:
@@ -240,18 +236,12 @@ def cmd_calibrate_error(args) -> int:
     return 0
 
 
-def _source_column(cohort, sigmas, source):
-    """The values of one source, for the km and cox commands."""
-    fused = fused_estimates(cohort, sigmas) if source == "assimilated" else None
-    return source_values(cohort, fused, source, sigmas)[0]
-
-
 def cmd_km(args) -> int:
     sigmas = _sigmas(args)
     _check_horizon(args.horizon)
     _check_band_edges(args.bands)
     cohort, _ = _read_cohort(args.input)
-    values = _source_column(cohort, sigmas, args.source)
+    values = source_values(cohort, args.source, sigmas)[0]
 
     strata = {}
     for label, stratum in stratum_km(values, cohort.time, cohort.event,
@@ -287,7 +277,7 @@ def cmd_km(args) -> int:
 def cmd_cox(args) -> int:
     sigmas = _sigmas(args)
     cohort, _ = _read_cohort(args.input)
-    values = _source_column(cohort, sigmas, args.source)
+    values = source_values(cohort, args.source, sigmas)[0]
     fit = cox_fit_from_arrays(cohort.time, cohort.event, values)
 
     payload = {
@@ -317,8 +307,7 @@ def _report_options(args) -> ReportOptions:
 def cmd_propagate(args) -> int:
     options = _report_options(args)
     cohort, _ = _read_cohort(args.input)
-    fused = fused_estimates(cohort, options.sigmas)
-    for summary, message in propagate_sources(cohort, fused, options):
+    for summary, message in propagate_sources(cohort, options):
         if message:
             print(f"warning: {message}", file=sys.stderr)
         payload = {"metadata": artifact_metadata(args.seed), **propagation_to_dict(summary)}
@@ -338,7 +327,10 @@ def cmd_report(args) -> int:
     options = _report_options(args)
     cohort, parse_warnings = _read_cohort(args.input)
     report, summaries = run_report(cohort, options, parse_warnings=parse_warnings)
-    write_report_json(report, _out_path(args.output, "report.json"))
+    for warning in report["warnings"]:
+        if warning["category"] == "ReplicateExclusion":
+            print(f"warning: {warning['message']}", file=sys.stderr)
+    _emit_json(report, args.output, "report.json")
     for source, summary in summaries.items():
         write_km_band_csv(summary, _out_path(args.output, f"km_bands_{source}.csv"))
     return 0

@@ -6,10 +6,6 @@ as if the resampled values were exact, (3) compile the replicate statistics
 into percentile bands.  Replicate r always runs on substream (seed, r), so
 results are bit-reproducible and independent of execution order.
 
-Every entry point takes the cohort as a ``Cohort`` and, for the assimilated
-source, the per-patient theta array from ``fused_estimates`` (``fused``, which
-may be None for the visual and Simpson's sources).
-
 The stratum rule (low below the lower band edge, mid in the closed band,
 high above it) is written once, in ``_strata_masks``: ``stratify`` (string
 labels) and ``stratum_km`` (one Kaplan-Meier curve per stratum) are views of
@@ -45,7 +41,7 @@ from .errors import (
     PropagationError,
     SeparationError,
 )
-from .fusion import InstrumentSigma, fused_sigma
+from .fusion import InstrumentSigma, fused_estimates, fused_sigma
 from .stochastics import _integer, make_stream, summarize
 from .survival import (
     _check_horizon,
@@ -146,7 +142,7 @@ def _strata_masks(values, band_edges) -> dict:
     return {"low": low, "mid": mid, "high": ~(low | mid)}
 
 
-def stratify(lvef_values, band_edges=(35.0, 50.0)) -> np.ndarray:
+def stratify(lvef_values, band_edges=PropagationConfig.band_edges) -> np.ndarray:
     """Label each value low, mid or high by _strata_masks."""
     masks = _strata_masks(np.asarray(lvef_values, dtype=float), band_edges)
     labels = np.full(masks["high"].shape, "high")
@@ -172,20 +168,14 @@ def stratum_km(values, time, event, band_edges, horizon) -> dict:
     return out
 
 
-def source_values(cohort, fused, source: str, sigmas: InstrumentSigma):
+def source_values(cohort, source: str, sigmas: InstrumentSigma):
     """(centers, spread) of one source: a reading column with its instrument
-    sigma, or the fused theta (from fused_estimates) with fused_sigma."""
-    if fused is not None and len(fused) != len(cohort):
-        raise InvalidParameterError(
-            f"fused length {len(fused)} does not match cohort size {len(cohort)}"
-        )
+    sigma, or the fused theta (fused_estimates) with fused_sigma."""
     if source == "visual":
         return cohort.visual, sigmas.visual_sigma
     if source == "simpson":
         return cohort.simpson, sigmas.simpson_sigma
-    if fused is None:
-        raise InvalidParameterError("assimilated source requires fused estimates")
-    return np.asarray(fused, dtype=float), fused_sigma(sigmas)
+    return fused_estimates(cohort, sigmas), fused_sigma(sigmas)
 
 
 class _StratumCurves:
@@ -375,11 +365,11 @@ def _map_shares(fit, items) -> list:
             receiver.close()
 
 
-def propagate(cohort, fused, config: PropagationConfig) -> PropagationSummary:
+def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
     """Run all replicates on substreams (seed, r) and compile the bands."""
-    centers, spread = source_values(cohort, fused, config.source, config.sigmas)
     if int(cohort.event.sum()) == 0:
         raise DegenerateDataError("cohort has no events")
+    centers, spread = source_values(cohort, config.source, config.sigmas)
     # Follow-up sorted once; each replicate draws in patient order, then
     # its draws are permuted into time order.
     order = np.argsort(cohort.time, kind="stable")

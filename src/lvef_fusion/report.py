@@ -77,9 +77,9 @@ class ReportOptions:
 
     sigmas: InstrumentSigma
     seed: int = 0
-    replicates: int = 1000
-    horizon: float = 365.0
-    band_edges: tuple = (35.0, 50.0)
+    replicates: int = PropagationConfig.replicates
+    horizon: float = PropagationConfig.horizon
+    band_edges: tuple = PropagationConfig.band_edges
     sources: tuple = SOURCES
     calibration: CalibrationConfig | None = None
 
@@ -259,7 +259,7 @@ def calibration_section(sigmas: InstrumentSigma, seed: int,
     }
 
 
-def propagate_sources(cohort, fused, options: ReportOptions):
+def propagate_sources(cohort, options: ReportOptions):
     """Propagate each of options.sources in turn.
 
     Yields (PropagationSummary, exclusion message or None) per source, one
@@ -267,7 +267,7 @@ def propagate_sources(cohort, fused, options: ReportOptions):
     the next one runs.
     """
     for source in options.sources:
-        summary = propagate(cohort, fused, options.propagation_config(source))
+        summary = propagate(cohort, options.propagation_config(source))
         message = None
         if summary.failed_replicates:
             message = (f"source {source}: {summary.failed_replicates} of "
@@ -314,7 +314,7 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
 
         propagation_section: dict = {}
         summaries: dict = {}
-        for summary, message in propagate_sources(cohort, fused, options):
+        for summary, message in propagate_sources(cohort, options):
             summaries[summary.source] = summary
             propagation_section[summary.source] = propagation_to_dict(summary)
             if message:

@@ -44,20 +44,20 @@ class Replicate:
     hr_failure: str | None
 
 
-def realize(cohort, fused, config, r: int) -> np.ndarray:
+def realize(cohort, config, r: int) -> np.ndarray:
     """Replicate r's clamped LVEF draw, in patient order."""
-    centers, spread = source_values(cohort, fused, config.source, config.sigmas)
+    centers, spread = source_values(cohort, config.source, config.sigmas)
     draws = make_stream(config.seed, r).generator.normal(loc=centers, scale=spread)
     return np.clip(draws, *CLAMP_RANGE)
 
 
-def run_replicate(cohort, fused, config, r: int) -> Replicate:
+def run_replicate(cohort, config, r: int) -> Replicate:
     """Resample, stratify, estimate: one full analysis under draw r."""
     if int(cohort.event.sum()) == 0:
         raise DegenerateDataError("cohort has no events")
     order = np.argsort(cohort.time, kind="stable")
     time, event = cohort.time[order], cohort.event[order]
-    realized = realize(cohort, fused, config, r)[order]
+    realized = realize(cohort, config, r)[order]
     strata = stratum_km(realized, time, event, config.band_edges, config.horizon)
 
     hazard_ratio, failure = None, None
@@ -104,10 +104,9 @@ def km_band(curves) -> KmBand | None:
     return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
 
 
-def propagate(cohort, fused, config) -> PropagationSummary:
+def propagate(cohort, config) -> PropagationSummary:
     """All replicates one at a time, then the summaries and bands."""
-    source_values(cohort, fused, config.source, config.sigmas)
-    results = [run_replicate(cohort, fused, config, r) for r in range(config.replicates)]
+    results = [run_replicate(cohort, config, r) for r in range(config.replicates)]
 
     hazard_ratios = np.array([r.hazard_ratio for r in results if r.hazard_ratio is not None])
     if hazard_ratios.size == 0:

@@ -224,7 +224,7 @@ def end_to_end_rows():
         }
         widths = {}
         for source in SOURCES:
-            summary = propagate(cohort, fused, PropagationConfig(
+            summary = propagate(cohort, PropagationConfig(
                 source=source, sigmas=sigmas, seed=seed, replicates=200))
             widths[source] = summary.hazard_ratio_q975 - summary.hazard_ratio_q025
         rows.append({"seed": seed, "rmse": rmse, "widths": widths})
@@ -261,10 +261,9 @@ class TestEndToEndProperties:
     def test_zero_noise_band_collapse(self):
         cohort = simulate(SimConfig(seed=0))
         sigmas = InstrumentSigma(0.0, 0.0)
-        fused = fused_estimates(cohort, sigmas)
         worst = 0.0
         for source in SOURCES:
-            summary = propagate(cohort, fused, PropagationConfig(
+            summary = propagate(cohort, PropagationConfig(
                 source=source, sigmas=sigmas, seed=0, replicates=200))
             worst = max(worst, summary.hazard_ratio_q975 - summary.hazard_ratio_q025)
             for band in summary.km_bands.values():

@@ -189,6 +189,15 @@ class TestUsage:
         assert main(["fuse", "--input", str(path)]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fuse", "km", "cox", "propagate", "report"])
+    def test_header_only_cohort_is_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "header.csv"
+        path.write_text(HEADER)
+        code = main([command, "--input", str(path), "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("data error: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFuse:
     def test_stdout_preserves_order_and_adds_theta(self, cohort_csv, capsys):
@@ -313,13 +322,18 @@ class TestPropagate:
         assert names == {"propagation_visual.json", "km_bands_visual.csv"}
 
     def test_partial_failures_warn_on_stderr(self, separable_csv, tmp_path, capsys):
-        code = main(["propagate", "--input", str(separable_csv),
-                     "--source", "visual", "--sigma-visual", "0.005",
-                     "--replicates", "40", "--output", str(tmp_path)])
-        assert code == 0
-        assert "excluded from hazard-ratio aggregation" in capsys.readouterr().err
-        payload = json.loads((tmp_path / "propagation_visual.json").read_text())
-        assert 0 < payload["failed_replicates"] < 40
+        for command in ("propagate", "report"):
+            code = main([command, "--input", str(separable_csv),
+                         "--source", "visual", "--sigma-visual", "0.005",
+                         "--replicates", "40", "--output", str(tmp_path / command)])
+            assert code == 0
+            assert "excluded from hazard-ratio aggregation" in capsys.readouterr().err
+            if command == "propagate":
+                payload = json.loads((tmp_path / command / "propagation_visual.json").read_text())
+            else:
+                report = json.loads((tmp_path / command / "report.json").read_text())
+                payload = report["propagation"]["visual"]
+            assert 0 < payload["failed_replicates"] < 40
 
     def test_all_replicates_failing_is_numerical_failure(self, separable_csv, capsys):
         code = main(["propagate", "--input", str(separable_csv),

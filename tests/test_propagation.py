@@ -118,16 +118,16 @@ def _assert_identical(a, b, path="summary"):
         assert a == b or (a != a and b != b), f"{path}: {a!r} != {b!r}"
 
 
-def _assert_matches_oracle(cohort, fused, config):
+def _assert_matches_oracle(cohort, config):
     """propagate and the per-replicate oracle agree, in results or in errors."""
     try:
-        expected = oracle.propagate(cohort, fused, config)
+        expected = oracle.propagate(cohort, config)
     except Exception as exc:  # the engine must fail the same way
         with pytest.raises(type(exc)) as caught:
-            propagate(cohort, fused, config)
+            propagate(cohort, config)
         assert str(caught.value) == str(exc)
         return None
-    summary = propagate(cohort, fused, config)
+    summary = propagate(cohort, config)
     _assert_identical(asdict(summary), asdict(expected))
     return summary
 
@@ -139,35 +139,34 @@ class TestRealizeLvef:
     def test_deterministic_per_stream(self):
         cohort = _cohort(n=100)
         config = _config(seed=9, replicates=5)
-        a = oracle.realize(cohort, None, config, 4)
-        b = oracle.realize(cohort, None, config, 4)
+        a = oracle.realize(cohort, config, 4)
+        b = oracle.realize(cohort, config, 4)
         assert np.array_equal(a, b)
-        _assert_matches_oracle(cohort, None, config)
+        _assert_matches_oracle(cohort, config)
 
     def test_zero_spread_returns_centers(self):
         cohort = _cohort(n=100)
         config = _config(sigmas=InstrumentSigma(0.0, 0.0), seed=9, replicates=5)
-        realized = oracle.realize(cohort, None, config, 4)
+        realized = oracle.realize(cohort, config, 4)
         assert np.array_equal(realized, cohort.visual)
-        _assert_matches_oracle(cohort, None, config)
+        _assert_matches_oracle(cohort, config)
 
     def test_clamped_to_configured_range(self):
         cohort = _rows([_measurement(i, 50.0, 100.0, 1) for i in range(500)])
         config = _config(sigmas=InstrumentSigma(200.0, 8.8), replicates=3)
-        realized = oracle.realize(cohort, None, config, 0)
+        realized = oracle.realize(cohort, config, 0)
         assert realized.min() == 1.0 and realized.max() == 99.0
-        _assert_matches_oracle(cohort, None, config)
+        _assert_matches_oracle(cohort, config)
 
     def test_assimilated_uses_fused_centers(self):
         cohort = _cohort(n=100)
-        fused = fused_estimates(cohort, SIGMAS)
         config = _config(source="assimilated", seed=9, replicates=5)
-        realized = oracle.realize(cohort, fused, config, 4)
-        theta = fused
-        sigma = np.full(len(fused), fused_sigma(SIGMAS))
+        realized = oracle.realize(cohort, config, 4)
+        theta = fused_estimates(cohort, SIGMAS)
+        sigma = np.full(len(theta), fused_sigma(SIGMAS))
         expected = np.clip(make_stream(9, 4).generator.normal(theta, sigma), 1.0, 99.0)
         assert np.array_equal(realized, expected)
-        _assert_matches_oracle(cohort, fused, config)
+        _assert_matches_oracle(cohort, config)
 
 
 class TestRunReplicate:
@@ -175,14 +174,14 @@ class TestRunReplicate:
 
     def test_rates_in_unit_interval(self):
         cohort = _cohort()
-        result = oracle.run_replicate(cohort, None, _config(), 7)
+        result = oracle.run_replicate(cohort, _config(), 7)
         assert result.replicate_index == 7
         assert set(result.event_rate_by_stratum) == set(STRATA)
         for rate in result.event_rate_by_stratum.values():
             assert rate is None or 0.0 <= rate <= 1.0
         assert result.hazard_ratio is None or result.hazard_ratio > 0
 
-        summary = _assert_matches_oracle(cohort, None, _config(replicates=8))
+        summary = _assert_matches_oracle(cohort, _config(replicates=8))
         assert set(summary.event_rates) == set(STRATA)
         for stratum in summary.event_rates.values():
             rates = [] if stratum.quantiles is None else list(stratum.quantiles.values())
@@ -192,19 +191,9 @@ class TestRunReplicate:
     def test_no_events_rejected(self):
         censored = _rows([_measurement(i, 50.0 + i, 400.0, 0) for i in range(20)])
         with pytest.raises(DegenerateDataError):
-            propagate(censored, None, _config())
+            propagate(censored, _config())
         with pytest.raises(DegenerateDataError):
-            oracle.run_replicate(censored, None, _config(), 0)
-
-    def test_assimilated_requires_fused(self):
-        with pytest.raises(InvalidParameterError, match="fused"):
-            propagate(_cohort(), None, _config(source="assimilated"))
-
-    def test_fused_length_mismatch_rejected(self):
-        cohort = _cohort(n=50)
-        fused = fused_estimates(cohort, SIGMAS)[:-1]
-        with pytest.raises(InvalidParameterError, match="length"):
-            propagate(cohort, fused, _config(source="assimilated"))
+            oracle.run_replicate(censored, _config(), 0)
 
 
 @st.composite
@@ -249,21 +238,19 @@ class TestMatchesOracle:
     @given(_propagation_cases())
     def test_bit_identical_to_per_replicate_loop(self, case):
         cohort, sigmas, config, chunk_elements, band_elements, cpus = case
-        fused = fused_estimates(cohort, sigmas)
         with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), \
                 mock.patch.object(propagation, "BAND_ELEMENTS", band_elements), _cpus(cpus):
-            _assert_matches_oracle(cohort, fused, config)
+            _assert_matches_oracle(cohort, config)
 
     @pytest.mark.parametrize("chunk_elements", [1, 7 * 300, propagation.CHUNK_ELEMENTS])
     def test_chunks_on_a_simulated_cohort(self, chunk_elements):
         cohort = _cohort()
-        fused = fused_estimates(cohort, SIGMAS)
         # 3 CPUs split 20 one-replicate chunks 6/7/7 and 3 seven-replicate
         # chunks one each; one chunk of 20 starts no child.
         for cpus in (1, 2, 3):
             with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), _cpus(cpus):
                 for source in SOURCES:
-                    _assert_matches_oracle(cohort, fused, _config(source=source, replicates=20))
+                    _assert_matches_oracle(cohort, _config(source=source, replicates=20))
 
 
 class TestWorkers:
@@ -273,7 +260,7 @@ class TestWorkers:
     def _propagate(cpus=2):
         cohort = _cohort()
         with mock.patch.object(propagation, "CHUNK_ELEMENTS", 300), _cpus(cpus):
-            return propagate(cohort, None, _config(replicates=12))
+            return propagate(cohort, _config(replicates=12))
 
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_share_error_is_raised_with_its_type_and_message(self, failing):
@@ -320,8 +307,8 @@ class TestWorkers:
 class TestPropagateDeterminism:
     def test_bit_reproducible(self):
         cohort = _cohort()
-        a = propagate(cohort, None, _config(seed=21))
-        b = propagate(cohort, None, _config(seed=21))
+        a = propagate(cohort, _config(seed=21))
+        b = propagate(cohort, _config(seed=21))
         assert a.hazard_ratio_mean == b.hazard_ratio_mean
         assert a.hazard_ratio_q025 == b.hazard_ratio_q025
         assert a.hazard_ratio_q975 == b.hazard_ratio_q975
@@ -337,8 +324,8 @@ class TestPropagateDeterminism:
 
     def test_seed_changes_results(self):
         cohort = _cohort()
-        a = propagate(cohort, None, _config(seed=21))
-        b = propagate(cohort, None, _config(seed=22))
+        a = propagate(cohort, _config(seed=21))
+        b = propagate(cohort, _config(seed=22))
         assert a.hazard_ratio_mean != b.hazard_ratio_mean
 
 
@@ -346,9 +333,7 @@ class TestBands:
     @pytest.mark.parametrize("source", SOURCES)
     def test_nesting_everywhere(self, source):
         cohort = _cohort()
-        fused = fused_estimates(cohort, SIGMAS)
-        summary = propagate(cohort, fused,
-                            _config(source=source, seed=3, replicates=60))
+        summary = propagate(cohort, _config(source=source, seed=3, replicates=60))
         assert summary.hazard_ratio_q025 <= summary.hazard_ratio_mean
         assert summary.hazard_ratio_mean <= summary.hazard_ratio_q975
         for stratum in summary.event_rates.values():
@@ -385,14 +370,13 @@ class TestBands:
     def test_zero_noise_collapses_to_exact_analysis(self):
         cohort = _cohort()
         sigmas = InstrumentSigma(0.0, 0.0)
-        fused = fused_estimates(cohort, sigmas)
         config = _config(source="assimilated", sigmas=sigmas, replicates=20)
-        summary = propagate(cohort, fused, config)
+        summary = propagate(cohort, config)
 
         assert summary.hazard_ratio_q025 == summary.hazard_ratio_mean
         assert summary.hazard_ratio_mean == summary.hazard_ratio_q975
 
-        values = fused
+        values = fused_estimates(cohort, sigmas)
         time = cohort.time
         event = cohort.event
         fit = cox_fit_from_arrays(time, event, values)
@@ -415,37 +399,33 @@ class TestBands:
 
 class TestSourceComparisons:
     @staticmethod
-    def _band_width(cohort, sigmas, source, fused):
+    def _band_width(cohort, sigmas, source):
         config = PropagationConfig(source=source, sigmas=sigmas, seed=0,
                                    replicates=200)
-        summary = propagate(cohort, fused, config)
+        summary = propagate(cohort, config)
         return summary.hazard_ratio_q975 - summary.hazard_ratio_q025
 
     def test_assimilated_band_no_wider_than_simpson(self):
         sim = SimConfig(seed=0)
         cohort = simulate(sim)
         sigmas = InstrumentSigma(sim.visual_noise_sd, sim.simpson_noise_sd)
-        fused = fused_estimates(cohort, sigmas)
-        assim = self._band_width(cohort, sigmas, "assimilated", fused)
-        simpson = self._band_width(cohort, sigmas, "simpson", fused)
+        assim = self._band_width(cohort, sigmas, "assimilated")
+        simpson = self._band_width(cohort, sigmas, "simpson")
         assert assim <= simpson
 
     def test_assimilated_band_narrower_than_visual_when_concordant(self):
         sim = concordant_config(seed=0)
         cohort = simulate(sim)
         sigmas = InstrumentSigma(sim.visual_noise_sd, sim.simpson_noise_sd)
-        fused = fused_estimates(cohort, sigmas)
-        assim = self._band_width(cohort, sigmas, "assimilated", fused)
-        visual = self._band_width(cohort, sigmas, "visual", fused)
+        assim = self._band_width(cohort, sigmas, "assimilated")
+        visual = self._band_width(cohort, sigmas, "visual")
         assert assim < visual
 
     def test_low_stratum_event_rate_highest(self):
         # The generative hazard decreases with LVEF, so the low stratum must
         # carry the highest event rate and mid sits close to high.
         cohort = simulate(SimConfig(seed=0))
-        fused = fused_estimates(cohort, SIGMAS)
-        summary = propagate(cohort, fused,
-                            _config(source="assimilated", replicates=200))
+        summary = propagate(cohort, _config(source="assimilated", replicates=200))
         rates = {k: v.mean_event_rate for k, v in summary.event_rates.items()}
         assert rates["low"] > rates["mid"]
         assert rates["low"] > rates["high"]
@@ -465,17 +445,17 @@ class TestFailureHandling:
     def test_all_replicates_failed_raises(self):
         config = _config(sigmas=InstrumentSigma(1e-6, 8.8), replicates=5)
         with pytest.raises(PropagationError, match="all 5 replicates"):
-            propagate(self._SEPARABLE, None, config)
+            propagate(self._SEPARABLE, config)
 
     def test_partial_failures_counted_not_dropped(self):
         # Noise comparable to the gaps reshuffles the order in some
         # replicates, so only a subset of fits separates.
         config = _config(sigmas=InstrumentSigma(5e-3, 8.8), replicates=40)
-        summary = propagate(self._SEPARABLE, None, config)
+        summary = propagate(self._SEPARABLE, config)
         assert 0 < summary.failed_replicates < 40
 
     def test_healthy_run_has_no_failures(self):
-        summary = propagate(_cohort(), None, _config())
+        summary = propagate(_cohort(), _config())
         assert summary.failed_replicates == 0
         assert summary.replicates == 50
 
@@ -483,7 +463,7 @@ class TestFailureHandling:
         high = _rows([_measurement(i, 70.0 + (i % 20), 30.0 + 10.0 * i, i % 2)
                       for i in range(30)])
         config = _config(sigmas=InstrumentSigma(0.5, 8.8), replicates=10)
-        summary = propagate(high, None, config)
+        summary = propagate(high, config)
         for label in ("low", "mid"):
             assert summary.event_rates[label].n_present == 0
             assert summary.event_rates[label].mean_event_rate is None
@@ -493,7 +473,7 @@ class TestFailureHandling:
     def test_no_events_rejected(self):
         censored = _rows([_measurement(i, 50.0 + i, 400.0, 0) for i in range(20)])
         with pytest.raises(DegenerateDataError):
-            propagate(censored, None, _config())
+            propagate(censored, _config())
 
 
 class TestConfigValidation:
@@ -524,7 +504,3 @@ class TestConfigValidation:
         assert config.replicates == 1000
         assert config.horizon == 365.0
         assert config.band_edges == (35.0, 50.0)
-
-    def test_assimilated_without_fused_rejected(self):
-        with pytest.raises(InvalidParameterError, match="fused"):
-            propagate(_cohort(), None, _config(source="assimilated"))

@@ -25,7 +25,7 @@ from lvef_fusion.calibration import (
 )
 from lvef_fusion.cohort import Cohort
 from lvef_fusion.errors import DegenerateDataError, InvalidParameterError, InvalidStateError
-from lvef_fusion.fusion import InstrumentSigma, fuse, fused_estimates, precision_ratio
+from lvef_fusion.fusion import InstrumentSigma, fuse, precision_ratio
 from lvef_fusion.propagation import (
     SOURCES,
     STRATA,
@@ -419,11 +419,10 @@ class TestKmBandCsv:
         assert alone.getvalue() == boxed.getvalue()
 
     def test_degenerate_sigmas_give_equal_columns(self, cohort):
-        fused = fused_estimates(cohort, InstrumentSigma(0.0, 0.0))
         config = PropagationConfig(source="visual",
                                    sigmas=InstrumentSigma(0.0, 0.0),
                                    seed=0, replicates=10)
-        summary = propagate(cohort, fused, config)
+        summary = propagate(cohort, config)
         buffer = io.StringIO()
         write_km_band_csv(summary, buffer)
         rows = list(csv.reader(io.StringIO(buffer.getvalue())))[1:]
@@ -438,7 +437,7 @@ class TestKmBandCsv:
         config = PropagationConfig(source="visual",
                                    sigmas=InstrumentSigma(0.5, 8.8),
                                    seed=0, replicates=10)
-        summary = propagate(high, None, config)
+        summary = propagate(high, config)
         buffer = io.StringIO()
         write_km_band_csv(summary, buffer)
         strata = {row[1] for row in csv.reader(io.StringIO(buffer.getvalue()))}

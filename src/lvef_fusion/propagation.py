@@ -13,11 +13,12 @@ its masks, and ``propagate`` applies it to a whole chunk of replicates.
 
 ``propagate`` runs the replicates in chunks of about CHUNK_ELEMENTS draws:
 one ``km_segmented`` pass per stratum fits every replicate's Kaplan-Meier
-curve of a chunk as compact (replicate, time, S) rows, each replicate gets
-its own ``cox_fit_from_arrays`` call, and the bands are read from the rows in
-blocks of about BAND_ELEMENTS values.  The results are bit for bit those of
-one replicate at a time (``stratum_km`` and a per-curve band); the budgets
-only bound memory.
+curve of a chunk as compact (replicate, time, S) rows, one ``_cox_fit_rows``
+call fits every replicate's Cox model of the chunk as one batch of Newton
+iterations (a replicate whose fit fails fails alone), and the bands are read
+from the rows in blocks of about BAND_ELEMENTS values.  The results are bit
+for bit those of one replicate at a time (``stratum_km``,
+``cox_fit_from_arrays`` and a per-curve band); the budgets only bound memory.
 
 The chunks are split into one contiguous share per CPU the process may run
 on (never more shares than chunks).  This process fits the first share; a
@@ -34,23 +35,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    InvalidParameterError,
-    NonConvergenceError,
-    PropagationError,
-    SeparationError,
-)
+from .errors import DegenerateDataError, InvalidParameterError, PropagationError
 from .fusion import InstrumentSigma, fused_estimates, fused_sigma
 from .stochastics import _integer, make_stream, summarize
 from .survival import (
+    CoxFit,
     _check_horizon,
-    cox_fit_from_arrays,
+    _checked,
+    _cox_fit_rows,
     hazard_ratio_per,
     km_event_rate_at,
     km_from_arrays,
     km_segmented,
 )
+# Not called here: perfbench/tracing.py still wraps this name.
+from .survival import cox_fit_from_arrays  # noqa: F401
 
 __all__ = [
     "PropagationConfig",
@@ -155,8 +154,11 @@ def stratum_km(values, time, event, band_edges, horizon) -> dict:
     """Stratify by values, then fit each stratum's Kaplan-Meier curve.
 
     Returns {stratum: (patients, KmCurve, event rate by horizon)} over STRATA,
-    with None for a stratum no value falls in.
+    with None for a stratum no value falls in.  The follow-up is checked as
+    km_from_arrays checks it, so no records at all is an error, not three
+    empty strata.
     """
+    time, event = _checked(time, event)
     out = {}
     for label, mask in _strata_masks(np.asarray(values, dtype=float), band_edges).items():
         n = int(np.count_nonzero(mask))
@@ -291,12 +293,11 @@ def _fit_chunk(first, stop, time, event, order, centers, spread, config):
     strata = {label: _fit_stratum(mask, first, time, event, config.horizon)
               for label, mask in _strata_masks(realized, config.band_edges).items()}
     hazard_ratios, failures = [], set()
-    for row in realized:
-        try:
-            fit = cox_fit_from_arrays(time, event, row)
-            hazard_ratios.append(hazard_ratio_per(fit, HR_DELTA)[0])
-        except (SeparationError, NonConvergenceError, DegenerateDataError) as exc:
-            failures.add(type(exc).__name__)
+    for outcome in _cox_fit_rows(time, event, realized):
+        if isinstance(outcome, CoxFit):
+            hazard_ratios.append(hazard_ratio_per(outcome, HR_DELTA)[0])
+        else:
+            failures.add(type(outcome).__name__)
     return strata, hazard_ratios, failures
 
 

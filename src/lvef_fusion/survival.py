@@ -21,6 +21,9 @@ Two estimators, both written directly against their definitions:
   exponent shift so the objective stays finite for any reasonable beta, and
   the covariate is standardized internally for conditioning (the partial
   likelihood is exactly invariant to centering; scaling is undone on output).
+  ``_cox_fit_rows`` fits many covariates against one follow-up in one batch
+  of Newton iterations, each covariate bit for bit as it fits alone;
+  ``cox_fit_from_arrays`` is its checked one-covariate case.
 
 Ties between events and censorings at the same time follow the standard
 convention: events first, censored subjects stay in the risk set at their own
@@ -205,6 +208,12 @@ def km_event_rate_at(curve: KmCurve, horizon: float) -> float:
     return 1.0 - km_survival_at(curve, horizon)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Each row's sum, added as the sum of that row alone adds it (pairwise);
+    a 2-D sum(axis=1) may group the terms differently."""
+    return np.fromiter(map(np.add.reduce, a), float, len(a))
+
+
 class _CoxLayout:
     """Time-sorted event layout, shared by every objective evaluation."""
 
@@ -219,41 +228,60 @@ class _CoxLayout:
         keep = deaths > 0
         self.event_first = first[keep]
         self.deaths = deaths[keep]
-        # Suffix sums from a tie group's start are the reversed covariate's
-        # prefix sums at these positions.
-        self.read = t.size - 1 - self.event_first
 
     def covariate(self, xc: np.ndarray):
         """The beta-free part of evaluate for one centered, time-sorted
-        covariate: (the covariate reversed, sum of the covariate over events)."""
-        return np.ascontiguousarray(xc[::-1]), float(np.dot(self.e, xc))
+        covariate: (the covariate, its sum over events)."""
+        return xc, float(np.dot(self.e, xc))
 
     def evaluate(self, beta: float, covariate):
-        """(value, gradient, hessian) for a covariate prepared by covariate().
+        """(value, gradient, hessian) for a covariate prepared by covariate():
+        the one-row case of evaluate_rows."""
+        x, sum_event_x = covariate
+        value, gradient, hessian = self.evaluate_rows(
+            np.array([beta], dtype=float), x[None], np.array([sum_event_x]),
+            np.empty((2, 1, x.size)))
+        return float(value[0]), float(gradient[0]), float(hessian[0])
+
+    def evaluate_rows(self, beta: np.ndarray, x: np.ndarray, sum_event_x: np.ndarray,
+                      terms: np.ndarray):
+        """(value, gradient, hessian) arrays, one entry per row of x, each row
+        a covariate prepared by covariate() and evaluated at its own beta;
+        terms is a (2, rows, n) work buffer.
 
         Risk-set sums are suffix cumsums read at tie-group starts, with one
-        global exponent shift so values stay finite for betas far beyond any
-        plausible fit.
+        exponent shift per row so values stay finite for betas far beyond any
+        plausible fit.  Each row's numbers are bit for bit those of the row
+        evaluated alone.
         """
-        x, sum_event_x = covariate
-        eta = beta * x
-        shift = eta.max()
-        # w, w*x and w*x^2 share one prefix-sum pass.
-        terms = np.empty((3, x.size))
-        np.exp(eta - shift, out=terms[0])
-        np.multiply(terms[0], x, out=terms[1])
-        np.multiply(terms[1], x, out=terms[2])
-        s0, s1, s2 = np.cumsum(terms, axis=1, out=terms)[:, self.read]
+        w, wx = terms
+        np.multiply(beta[:, None], x, out=w)
+        shift = w.max(axis=1)
+        np.subtract(w, shift[:, None], out=w)
+        np.exp(w, out=w)
+        np.multiply(w, x, out=wx)
+        # w's buffer takes w*x^2 once w's own sums are read.
+        s0 = self._suffix_sums(w)
+        np.multiply(wx, x, out=w)
+        s1 = self._suffix_sums(wx)
+        s2 = self._suffix_sums(w)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             log_s0 = np.log(s0)
             mean_x = s1 / s0
             var_x = np.maximum(s2 / s0 - mean_x**2, 0.0)
 
-        value = float(beta * sum_event_x - (self.deaths * (log_s0 + shift)).sum())
-        gradient = float(sum_event_x - (self.deaths * mean_x).sum())
-        hessian = float(-(self.deaths * var_x).sum())
+        value = beta * sum_event_x - _row_sums(self.deaths * (log_s0 + shift[:, None]))
+        gradient = sum_event_x - _row_sums(self.deaths * mean_x)
+        hessian = -_row_sums(self.deaths * var_x)
         return value, gradient, hessian
+
+    def _suffix_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Each row's sums from every tie-group start to its end, taken in
+        place as prefix sums of the reversed row."""
+        backward = terms[..., ::-1]
+        np.cumsum(backward, axis=-1, out=backward)
+        return terms[..., self.event_first]
 
 
 def cox_loglik_from_arrays(beta: float, time, event, covariate):
@@ -270,70 +298,140 @@ def cox_loglik_from_arrays(beta: float, time, event, covariate):
 
 def cox_fit_from_arrays(time, event, covariate, tolerance: float = 1e-8,
                         max_iterations: int = 100) -> CoxFit:
-    """Newton-Raphson fit of the single-covariate Cox model from parallel arrays."""
+    """Newton-Raphson fit of the single-covariate Cox model from parallel
+    arrays: the checked one-row case of _cox_fit_rows."""
     time, event, covariate = _checked(time, event, covariate)
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise InvalidParameterError(f"tolerance must be > 0, got {tolerance!r}")
     if max_iterations < 1:
         raise InvalidParameterError(f"max_iterations must be >= 1, got {max_iterations!r}")
+    (outcome,) = _cox_fit_rows(time, event, covariate[None], tolerance, max_iterations)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _cox_fit_rows(time, event, rows, tolerance=1e-8, max_iterations=100) -> list:
+    """Newton-Raphson fits of the single-covariate Cox model for every
+    covariate row of rows (k, n) against one follow-up (time, event).
+
+    Returns one outcome per row: its CoxFit, or the DegenerateDataError,
+    SeparationError or NonConvergenceError (with last_fit) it fails with.
+    The rows share one event layout, and each Newton evaluation covers every
+    row still iterating at once; a row leaves the batch when it converges,
+    separates, stalls at float resolution or runs out of iterations.  Each
+    row's outcome is bit for bit its fit alone.  Inputs are not validated;
+    cox_fit_from_arrays is the checked entry point.
+    """
     if int(event.sum()) < 2:
-        raise DegenerateDataError("cox_fit requires at least 2 events")
-    if np.ptp(covariate) == 0:
-        raise DegenerateDataError("cox_fit requires a non-constant covariate")
+        return [DegenerateDataError("cox_fit requires at least 2 events") for _ in rows]
+    varies = np.ptp(rows, axis=1) > 0
+    outcomes = [None if v else DegenerateDataError("cox_fit requires a non-constant covariate")
+                for v in varies]
+    fitted = np.flatnonzero(varies)
+    if fitted.size == 0:
+        return outcomes
 
     layout = _CoxLayout(time, event)
-    # Fit on the standardized covariate; beta maps back by 1/sd.
-    sd = float(np.std(covariate))
-    xs = layout.covariate(((covariate - covariate.mean()) / sd)[layout.order])
-    xc_raw = layout.covariate((covariate - covariate.mean())[layout.order])
+    # Each row is fitted on its standardized covariate; beta maps back by 1/sd.
+    mean = rows.mean(axis=1)[fitted]
+    sd = rows.std(axis=1)[fitted]
+    k, n = fitted.size, time.size
+    x = np.empty((k, n))  # the covariate rows of `active`, in its order
+    work = np.empty(2 * k * n)
 
-    beta_s = 0.0
-    value, grad, hess = layout.evaluate(beta_s, xs)
-    # Internal threshold is tightened so the final raw-scale gradient check
-    # (tolerance on beta's own scale) passes after the back-transform.
+    def prepare(index, scale=None):
+        """Put rows fitted[index] into x in time order, centered and, given a
+        scale, divided by it; return their sums over events."""
+        sums = np.empty(len(index))
+        for j, i in enumerate(index):
+            xc = x[j]
+            np.take(rows[fitted[i]], layout.order, out=xc)
+            xc -= mean[i]
+            if scale is not None:
+                xc /= scale[i]
+            sums[j] = np.dot(layout.e, xc)
+        return sums
+
+    def evaluate(at, sums):
+        m = len(at)
+        return layout.evaluate_rows(at, x[:m], sums, work[:2 * m * n].reshape(2, m, n))
+
+    # Per row: the accepted beta with its (value, gradient, hessian), and the
+    # pending candidate = beta + step.  Internal thresholds are tightened so
+    # the final raw-scale gradient check (tolerance on beta's own scale)
+    # passes after the back-transform.
+    beta, value, grad, hess = (np.zeros(k) for _ in range(4))
+    candidate, step, slack = np.zeros(k), np.zeros(k), np.zeros(k)
+    iterations = np.zeros(k, dtype=np.int64)
+    halvings = np.zeros(k, dtype=np.int64)
+    separated = np.zeros(k, dtype=bool)
     tol_s = 0.5 * tolerance / sd
-    iterations = 0
-    while iterations < max_iterations and abs(grad) >= tol_s:
-        iterations += 1
-        step = -grad / hess if hess < 0 else math.copysign(1.0, grad)
-        candidate = beta_s + step
-        cand = layout.evaluate(candidate, xs)
+    active = np.arange(k)
+    sums = prepare(active, sd)
+    cand = evaluate(candidate, sums)
+    accept, retry = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
+    while True:
+        # Masks are over the positions of active.
+        moved = active[accept]
+        beta[moved] = candidate[moved]
+        value[moved], grad[moved], hess[moved] = (c[accept] for c in cand)
+        go = accept.copy()
+        go[accept] = (iterations[moved] < max_iterations) & (np.abs(grad[moved]) >= tol_s[moved])
+        rows_go = active[go]
+        iterations[rows_go] += 1
+        g, h = grad[rows_go], hess[rows_go]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step[rows_go] = np.where(h < 0, -g / h, np.copysign(1.0, g))
+        candidate[rows_go] = beta[rows_go] + step[rows_go]
         # Step halving guards against overshoot; the slack keeps float-level
         # "decreases" near the optimum from being fought forever.
-        slack = 1e-10 * (1.0 + abs(value))
-        halvings = 0
-        while (not np.isfinite(cand[0]) or cand[0] < value - slack) and halvings < 30:
-            step *= 0.5
-            candidate = beta_s + step
-            cand = layout.evaluate(candidate, xs)
-            halvings += 1
-        if candidate == beta_s:
-            break  # step below float resolution: no further progress possible
-        if abs(candidate / sd) > SEPARATION_BOUND:
-            raise SeparationError(
-                f"|beta| exceeded {SEPARATION_BOUND}: monotone partial likelihood "
-                "(perfect separation of event order by the covariate)"
-            )
-        beta_s = candidate
-        value, grad, hess = cand
+        slack[rows_go] = 1e-10 * (1.0 + np.abs(value[rows_go]))
+        halvings[rows_go] = 0
 
-    beta = beta_s / sd
-    raw_value, raw_grad, raw_hess = layout.evaluate(beta, xc_raw)
-    converged = abs(raw_grad) < tolerance
-    se = 1.0 / math.sqrt(-raw_hess) if raw_hess < 0 else math.nan
-    fit = CoxFit(
-        beta=beta,
-        standard_error=se,
-        iterations=iterations,
-        converged=converged,
-        log_partial_likelihood=raw_value,
-    )
-    if not converged:
-        raise NonConvergenceError(
+        # Rows that leave are dropped from x; the rest move up in order.
+        keep = np.flatnonzero(go | retry)
+        for j, i in enumerate(keep):
+            if j != i:
+                x[j] = x[i]
+        sums, active = sums[keep], active[keep]
+        if active.size == 0:
+            break
+        cand = evaluate(candidate[active], sums)
+        retry = ((~np.isfinite(cand[0]) | (cand[0] < value[active] - slack[active]))
+                 & (halvings[active] < 30))
+        rows_retry = active[retry]
+        step[rows_retry] *= 0.5
+        candidate[rows_retry] = beta[rows_retry] + step[rows_retry]
+        halvings[rows_retry] += 1
+        # A step below float resolution makes no further progress.
+        moves = ~retry & (candidate[active] != beta[active])
+        too_far = moves & (np.abs(candidate[active] / sd[active]) > SEPARATION_BOUND)
+        separated[active[too_far]] = True
+        accept = moves & ~too_far
+
+    for i in np.flatnonzero(separated):
+        outcomes[fitted[i]] = SeparationError(
+            f"|beta| exceeded {SEPARATION_BOUND}: monotone partial likelihood "
+            "(perfect separation of event order by the covariate)"
+        )
+    done = np.flatnonzero(~separated)
+    raw_beta = beta[done] / sd[done]
+    raw = evaluate(raw_beta, prepare(done))
+    for i, b, raw_value, raw_grad, raw_hess in zip(done, raw_beta, *raw):
+        converged = abs(raw_grad) < tolerance
+        fit = CoxFit(
+            beta=float(b),
+            standard_error=1.0 / math.sqrt(-raw_hess) if raw_hess < 0 else math.nan,
+            iterations=int(iterations[i]),
+            converged=bool(converged),
+            log_partial_likelihood=float(raw_value),
+        )
+        outcomes[fitted[i]] = fit if converged else NonConvergenceError(
             f"no convergence in {max_iterations} iterations (|gradient| = {abs(raw_grad):.3e})",
             last_fit=fit,
         )
-    return fit
+    return outcomes
 
 
 def hazard_ratio_per(fit: CoxFit, delta: float):

@@ -189,11 +189,16 @@ class TestUsage:
         assert main(["fuse", "--input", str(path)]) == 2
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fuse", "km", "cox", "propagate", "report"])
+    @pytest.mark.parametrize("command", [
+        pytest.param([name], id=name) for name in ["fuse", "km", "cox", "propagate", "report"]
+    ] + [
+        pytest.param(["km", "--source", source], id=f"km-{source}")
+        for source in ["visual", "simpson"]
+    ])
     def test_header_only_cohort_is_data_error(self, tmp_path, capsys, command):
         path = tmp_path / "header.csv"
         path.write_text(HEADER)
-        code = main([command, "--input", str(path), "--output", str(tmp_path / "out")])
+        code = main([*command, "--input", str(path), "--output", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("data error: ")
         assert not (tmp_path / "out").exists()

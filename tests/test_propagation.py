@@ -265,7 +265,7 @@ class TestWorkers:
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_share_error_is_raised_with_its_type_and_message(self, failing):
         pid = os.getpid()
-        fit = propagation.cox_fit_from_arrays
+        fit = propagation._cox_fit_rows
 
         def cox(*args):
             in_parent = os.getpid() == pid
@@ -276,7 +276,7 @@ class TestWorkers:
             return fit(*args)
 
         start = monotonic()
-        with mock.patch.object(propagation, "cox_fit_from_arrays", cox):
+        with mock.patch.object(propagation, "_cox_fit_rows", cox):
             with pytest.raises(InvalidParameterError) as caught:
                 self._propagate(cpus=3)
         assert monotonic() - start < 30
@@ -286,14 +286,14 @@ class TestWorkers:
 
     def test_child_exit_is_named(self):
         pid = os.getpid()
-        fit = propagation.cox_fit_from_arrays
+        fit = propagation._cox_fit_rows
 
         def cox(*args):
             if os.getpid() != pid:
                 os._exit(7)
             return fit(*args)
 
-        with mock.patch.object(propagation, "cox_fit_from_arrays", cox):
+        with mock.patch.object(propagation, "_cox_fit_rows", cox):
             with pytest.raises(PropagationError, match="exited with code 7"):
                 self._propagate()
         assert multiprocessing.active_children() == []

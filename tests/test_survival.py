@@ -3,6 +3,7 @@
 import math
 import time as clock
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+import cox_oracle
 from lvef_fusion.errors import (
     DegenerateDataError,
     DomainError,
@@ -22,6 +24,7 @@ from lvef_fusion.errors import (
 from lvef_fusion.survival import (
     CoxFit,
     _CoxLayout,
+    _cox_fit_rows,
     cox_fit_from_arrays,
     cox_loglik_from_arrays,
     hazard_ratio_per,
@@ -410,6 +413,135 @@ class TestCoxInvariance:
         # On the scaled covariate's scale the base fit's bound divides by k.
         bound = 2 * self.COX_TOL * (scaled.standard_error**2 + base.standard_error**2 / k)
         assert abs(scaled.beta - base.beta / k) <= bound
+
+
+def _outcome(result):
+    """A Cox fit's outcome as comparable bits: the CoxFit's fields, floats as
+    hex, or the exception's type name, message and last fit."""
+    if isinstance(result, Exception):
+        last = getattr(result, "last_fit", None)
+        return (type(result).__name__, str(result), None if last is None else _outcome(last))
+    return (result.beta.hex(), result.standard_error.hex(), result.iterations,
+            result.converged, result.log_partial_likelihood.hex())
+
+
+def _oracle_outcome(time, event, x, max_iterations=100):
+    try:
+        return _outcome(cox_oracle.cox_fit(time, event, x, max_iterations=max_iterations))
+    except (DegenerateDataError, SeparationError, NonConvergenceError) as exc:
+        return _outcome(exc)
+
+
+@st.composite
+def _cox_chunks(draw):
+    """(time, event, rows, max_iterations): one follow-up and 1-4 covariate
+    rows.  Integer times on a short range tie; the censoring share runs up to
+    heavy; a row is free, constant, or separable (rising with time on a tiny
+    scale, so beta runs off to the bound); small cohorts on a coarse grid make
+    Newton overshoot and halve its step now and then."""
+    n = draw(st.integers(2, 30))
+    time = np.array(draw(st.lists(st.integers(1, draw(st.sampled_from([4, 30]))),
+                                  min_size=n, max_size=n)), dtype=float)
+    censored = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    event = np.array([int(u >= censored) for u in draw(
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))])
+    rank = np.argsort(np.argsort(time, kind="stable"), kind="stable")
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["free", "free", "constant", "separable"]),
+                              min_size=1, max_size=4)):
+        if kind == "free":
+            rows.append(np.array(draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n)))
+                        / 10.0)
+        elif kind == "constant":
+            rows.append(np.full(n, draw(st.integers(0, 1000)) / 10.0))
+        else:
+            rows.append(21.0 + 0.005 * rank)
+    return time, event, np.array(rows), draw(st.sampled_from([100, 100, 1, 2]))
+
+
+# Small cohorts whose scalar fits halve the Newton step: two that converge
+# (one halving; over a thousand), one that runs out of iterations and one that
+# separates.
+HALVING_COHORTS = [
+    ([1.0, 1.0, 4.0, 2.0, 6.0, 3.0, 5.0, 6.0], [0, 0, 0, 1, 1, 0, 1, 0],
+     [48.3, 65.6, 8.4, 85.3, 9.2, 41.8, 15.2, 7.8]),
+    ([2.0, 7.0, 4.0, 1.0, 4.0, 5.0, 7.0, 3.0, 7.0], [0, 0, 1, 0, 0, 0, 1, 0, 0],
+     [31.3, 76.5, 18.9, 92.0, 80.1, 78.1, 83.3, 80.8, 73.3]),
+    ([2.0, 1.0, 3.0, 5.0, 7.0], [1, 0, 1, 0, 0], [20.1, 86.4, 41.9, 42.0, 67.3]),
+    ([3.0, 7.0, 5.0, 4.0, 1.0], [0, 1, 1, 1, 0], [14.0, 37.7, 37.5, 22.5, 71.1]),
+]
+
+
+class TestCoxBatch:
+    """_cox_fit_rows against the scalar loop in tests/cox_oracle.py: every
+    row's outcome is the oracle's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cox_chunks())
+    def test_rows_match_scalar_oracle(self, chunk):
+        time, event, rows, max_iterations = chunk
+        got = _cox_fit_rows(time, event, rows, 1e-8, max_iterations)
+        assert [_outcome(o) for o in got] == [
+            _oracle_outcome(time, event, row, max_iterations) for row in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_cox_chunks())
+    def test_single_fit_is_the_scalar_oracle(self, chunk):
+        time, event, rows, max_iterations = chunk
+        try:
+            got = _outcome(cox_fit_from_arrays(time, event, rows[0],
+                                               max_iterations=max_iterations))
+        except (DegenerateDataError, SeparationError, NonConvergenceError) as exc:
+            got = _outcome(exc)
+        assert got == _oracle_outcome(time, event, rows[0], max_iterations)
+
+    @pytest.mark.parametrize("cohort", HALVING_COHORTS)
+    def test_step_halving_rows(self, cohort):
+        time, event, x = (np.array(column) for column in cohort)
+        calls = []
+        evaluate = cox_oracle.CoxLayout.evaluate
+
+        def counted(layout, beta, covariate):
+            calls.append(beta)
+            return evaluate(layout, beta, covariate)
+
+        with mock.patch.object(cox_oracle.CoxLayout, "evaluate", counted):
+            want = _oracle_outcome(time, event, x)
+        # The start, one candidate per iteration and the raw-scale evaluation
+        # leave the rest to halvings; a separated fit has no iteration count.
+        if want[0] != "SeparationError":
+            fit = want if want[0] != "NonConvergenceError" else want[2]
+            assert len(calls) > fit[2] + 2
+        # Beside a free row of its own cohort, in both orders.
+        other = np.roll(x, 1)
+        rows = np.array([x, other])
+        got = _cox_fit_rows(time, event, rows)
+        assert _outcome(got[0]) == want
+        assert _outcome(got[1]) == _oracle_outcome(time, event, other)
+        assert _outcome(_cox_fit_rows(time, event, rows[::-1])[1]) == want
+
+    def test_failing_rows_fail_alone(self):
+        rng = np.random.default_rng(13)
+        time, event, x = _simulated_cohort(rng, 300)
+        order = np.argsort(time, kind="stable")
+        separable = np.empty(time.size)
+        separable[order] = 21.0 + 0.005 * np.arange(time.size)
+        rows = np.array([x, x + rng.normal(0.0, 5.0, x.size), separable,
+                         np.full(x.size, 40.0), x + rng.normal(0.0, 10.0, x.size)])
+        outcomes = _cox_fit_rows(time, event, rows)
+        assert isinstance(outcomes[2], SeparationError)
+        assert isinstance(outcomes[3], DegenerateDataError)
+        assert str(outcomes[3]) == "cox_fit requires a non-constant covariate"
+        for i in (0, 1, 4):
+            alone = cox_fit_from_arrays(time, event, rows[i])
+            assert outcomes[i] == alone
+            assert hazard_ratio_per(outcomes[i], 5.0) == hazard_ratio_per(alone, 5.0)
+
+    def test_too_few_events_fail_every_row(self):
+        time = np.array([1.0, 2.0, 3.0])
+        outcomes = _cox_fit_rows(time, np.array([1, 0, 0]), np.array([[1.0, 2.0, 3.0]] * 2))
+        assert [str(o) for o in outcomes] == ["cox_fit requires at least 2 events"] * 2
+        assert all(type(o) is DegenerateDataError for o in outcomes)
 
 
 class TestHazardRatio:

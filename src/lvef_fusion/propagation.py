@@ -11,14 +11,20 @@ high above it) is written once, in ``_strata_masks``: ``stratify`` (string
 labels) and ``stratum_km`` (one Kaplan-Meier curve per stratum) are views of
 its masks, and ``propagate`` applies it to a whole chunk of replicates.
 
-``propagate`` runs the replicates in chunks of about CHUNK_ELEMENTS draws:
-one ``km_segmented`` pass per stratum fits every replicate's Kaplan-Meier
-curve of a chunk as compact (replicate, time, S) rows, one ``_cox_fit_rows``
-call fits every replicate's Cox model of the chunk as one batch of Newton
-iterations (a replicate whose fit fails fails alone), and the bands are read
-from the rows in blocks of about BAND_ELEMENTS values.  The results are bit
-for bit those of one replicate at a time (``stratum_km``,
-``cox_fit_from_arrays`` and a per-curve band); the budgets only bound memory.
+``propagate`` runs the replicates in chunks of about CHUNK_ELEMENTS draws.
+Each replicate's standard normals are scaled, shifted and permuted into time
+order in its row of the chunk, and the chunk is clipped at once; each
+stratum's (replicate, patient) members come from the flat indexes of its
+membership mask.  One ``km_segmented`` pass per stratum fits every
+replicate's Kaplan-Meier curve of a chunk as compact (replicate, time, S)
+rows, and one ``_cox_fit_rows`` call fits every replicate's Cox model of the
+chunk as one batch of Newton iterations against an event layout that each
+process builds once per source (a replicate whose fit fails fails alone).  The bands are read from
+the rows in blocks of about BAND_ELEMENTS (curve, time) cells, each curve's
+row number carried forward along the grid from block to block.  The results
+are bit for bit those of one replicate at a time (``normal(loc, scale)``
+draws, ``stratum_km``, ``cox_fit_from_arrays`` and a per-curve band); the
+budgets only bound memory.
 
 The chunks are split into one contiguous share per CPU the process may run
 on (never more shares than chunks).  This process fits the first share; a
@@ -40,6 +46,7 @@ from .fusion import InstrumentSigma, fused_estimates, fused_sigma
 from .stochastics import _integer, make_stream, summarize
 from .survival import (
     CoxFit,
+    _CoxLayout,
     _check_horizon,
     _checked,
     _cox_fit_rows,
@@ -212,47 +219,78 @@ class _StratumCurves:
     def band(self) -> KmBand | None:
         """Pointwise percentile envelope of the present replicates' curves on
         the union of their event times; releases the rows it reads."""
-        curves = np.flatnonzero(self.present)
-        if curves.size == 0:
+        curves = int(np.count_nonzero(self.present))
+        if curves == 0:
             return None
-        keys, times, survival = (np.concatenate(parts) for parts in zip(*self.rows))
+        reps, times, survival = zip(*self.rows)
         self.rows.clear()
+        # One rows-long array at a time, each part released once it is
+        # joined.  Row i is read as padded[i + 1], padded[0] being S = 1.0
+        # before a curve's first event.
+        padded = np.concatenate(((1.0,), *survival))
+        del survival
+        times = np.concatenate(times)
         grid = np.unique(times)
         if grid.size == 0:
             return KmBand(times=grid, lower=grid.copy(), mean=grid.copy(), upper=grid.copy())
-        # Key (replicate, grid column): searching the rows' keys for a
-        # column's key counts the replicate's rows up to that time.
+        # Key (curve, grid column), ascending in row order: the rows run in
+        # (replicate, time) order and each row is its curve's only one at
+        # its time.
+        keys = np.concatenate(reps)
+        del reps
+        keys = (np.cumsum(self.present) - 1)[keys]
         keys *= grid.size
         keys += np.searchsorted(grid, times)
         del times
-        first_row = np.searchsorted(keys, curves * grid.size)[:, None]
-        padded = np.concatenate(([1.0], survival))
-        lower = np.empty(grid.size)
+        base = np.arange(curves) * grid.size
+        percentiles = np.empty((2, grid.size))
         mean = np.empty(grid.size)
-        upper = np.empty(grid.size)
         # A one-column block would average its column by pairwise summation,
         # unlike the row-by-row sums of wider blocks: a one-column tail joins
         # the block before it.
-        edges = list(range(0, grid.size, max(2, BAND_ELEMENTS // curves.size))) + [grid.size]
+        edges = list(range(0, grid.size, max(2, BAND_ELEMENTS // curves))) + [grid.size]
         if len(edges) > 2 and edges[-1] - edges[-2] == 1:
             del edges[-2]
+        # A block's cell (curve, column) holds the 1-based number of the
+        # curve's last row at or before the column, 0 before its first event
+        # (S = 1.0): each row is written into its own cell and carried
+        # forward along the grid, the last column into the next block.  A
+        # block's rows of one curve are one run, run_start[c] to run_stop[c].
+        run_start = np.searchsorted(keys, base)
+        carried = np.zeros(curves, dtype=np.intp)
         for start, stop in zip(edges[:-1], edges[1:]):
-            query = curves[:, None] * grid.size + np.arange(start, stop)
-            row = np.searchsorted(keys, query, side="right")
-            row[row <= first_row] = 0  # no event yet: S = 1.0
+            width = stop - start
+            run_stop = np.searchsorted(keys, base + stop)
+            count = run_stop - run_start
+            # The block's row indexes, run after run.
+            index = np.repeat(run_start - np.cumsum(count) + count, count)
+            index += np.arange(index.size)
+            run_start = run_stop
+            # Key c * grid.size + column is cell c * width + column - start.
+            cell = keys[index]
+            cell -= np.repeat(np.arange(curves) * (grid.size - width) + start, count)
+            index += 1
+            row = np.zeros((curves, width), dtype=np.intp)
+            row[:, 0] = carried
+            row.ravel()[cell] = index
+            del index, cell
+            np.maximum.accumulate(row, axis=1, out=row)
+            carried = row[:, -1].copy()
             block = padded[row]
-            lower[start:stop] = np.quantile(block, 0.025, axis=0)
-            upper[start:stop] = np.quantile(block, 0.975, axis=0)
+            del row
             # Columns where every curve agrees must average to that value
             # bit-exactly (zero-noise collapse), which summed means do not give.
             col_mean = block.mean(axis=0)
             constant = block.min(axis=0) == block.max(axis=0)
             col_mean[constant] = block[0, constant]
             mean[start:stop] = col_mean
+            # The percentiles are read last: they partition the block in place.
+            np.quantile(block, (0.025, 0.975), axis=0, overwrite_input=True,
+                        out=percentiles[:, start:stop])
         # When nearly all curves coincide at a grid point, the interpolated
         # percentiles can exclude the mean; widen so nesting always holds.
-        lower = np.minimum(lower, mean)
-        upper = np.maximum(upper, mean)
+        lower = np.minimum(percentiles[0], mean)
+        upper = np.maximum(percentiles[1], mean)
         return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
 
 
@@ -265,12 +303,17 @@ def _fit_stratum(mask, first, time, event, horizon):
     chunk's compact (replicate, time, S) rows, or None when no replicate has
     a patient in the stratum.
     """
-    chunk = mask.shape[0]
+    chunk, n = mask.shape
     present = mask.any(axis=1)
-    rep, patient = np.nonzero(mask)
-    if rep.size == 0:
+    # Flat (replicate, patient) indexes, turned into patients in place.
+    patient = np.flatnonzero(mask)
+    if patient.size == 0:
         return present, np.zeros(chunk), None
-    rep, curve = km_segmented(time[patient], event[patient], rep)
+    rep = patient // n
+    patient -= rep * n
+    members = time[patient], event[patient]
+    del patient  # the segmented fit below sets the chunk's memory peak
+    rep, curve = km_segmented(*members, rep)
     # S(horizon): the last row at or before the horizon, else 1.0.
     due = np.bincount(rep[curve.times <= horizon], minlength=chunk)
     last = np.searchsorted(rep, np.arange(chunk)) + due
@@ -279,21 +322,29 @@ def _fit_stratum(mask, first, time, event, horizon):
     return present, rate, (rep + first, curve.times, curve.survival)
 
 
-def _fit_chunk(first, stop, time, event, order, centers, spread, config):
-    """Draw and fit replicates first, ..., stop - 1 on their substreams.
+def _fit_chunk(first, stop, time, event, layout, order, centers, spread, config):
+    """Draw and fit replicates first, ..., stop - 1 on their substreams;
+    layout is the follow-up's Cox event layout and order the time order of
+    the patients.
 
     Returns ({stratum: _fit_stratum's (present, rate, rows)}, the hazard
     ratios of the fits that succeeded in replicate order, the names of the
     failures).
     """
+    # Generator.normal(loc, scale) draws loc + scale * z from the stream's
+    # standard normals z, one rounding per operation: the same numbers, made
+    # in place.
     realized = np.empty((stop - first, time.size))
     for row, r in zip(realized, range(first, stop)):
-        draws = make_stream(config.seed, r).generator.normal(loc=centers, scale=spread)
-        row[:] = np.clip(draws, *CLAMP_RANGE)[order]
+        make_stream(config.seed, r).generator.standard_normal(out=row)
+        row *= spread
+        row += centers
+        row[:] = row[order]
+    np.clip(realized, *CLAMP_RANGE, out=realized)
     strata = {label: _fit_stratum(mask, first, time, event, config.horizon)
               for label, mask in _strata_masks(realized, config.band_edges).items()}
     hazard_ratios, failures = [], set()
-    for outcome in _cox_fit_rows(time, event, realized):
+    for outcome in _cox_fit_rows(layout, realized):
         if isinstance(outcome, CoxFit):
             hazard_ratios.append(hazard_ratio_per(outcome, HR_DELTA)[0])
         else:
@@ -380,7 +431,10 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
               for first in range(0, config.replicates, per_chunk)]
 
     def fit(share):
-        return [_fit_chunk(first, stop, time, event, order, centers, spread, config)
+        # One Cox event layout serves every chunk of the share; it is freed
+        # with the share, before the other shares' results arrive.
+        layout = _CoxLayout(time, event)
+        return [_fit_chunk(first, stop, time, event, layout, order, centers, spread, config)
                 for first, stop in share]
 
     strata = {label: _StratumCurves(config.replicates) for label in STRATA}

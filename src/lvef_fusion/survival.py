@@ -21,9 +21,9 @@ Two estimators, both written directly against their definitions:
   exponent shift so the objective stays finite for any reasonable beta, and
   the covariate is standardized internally for conditioning (the partial
   likelihood is exactly invariant to centering; scaling is undone on output).
-  ``_cox_fit_rows`` fits many covariates against one follow-up in one batch
-  of Newton iterations, each covariate bit for bit as it fits alone;
-  ``cox_fit_from_arrays`` is its checked one-covariate case.
+  ``_cox_fit_rows`` fits many covariates against one follow-up's event
+  layout in one batch of Newton iterations, each covariate bit for bit as it
+  fits alone; ``cox_fit_from_arrays`` is its checked one-covariate case.
 
 Ties between events and censorings at the same time follow the standard
 convention: events first, censored subjects stay in the risk set at their own
@@ -218,8 +218,6 @@ class _CoxLayout:
     """Time-sorted event layout, shared by every objective evaluation."""
 
     def __init__(self, time: np.ndarray, event: np.ndarray):
-        if int(event.sum()) == 0:
-            raise DegenerateDataError("partial likelihood undefined with zero events")
         self.order = np.argsort(time, kind="stable")
         t = time[self.order]
         self.e = event[self.order].astype(float)
@@ -291,6 +289,8 @@ def cox_loglik_from_arrays(beta: float, time, event, covariate):
     to that shift, and the centered form conditions the risk-set sums.
     """
     time, event, covariate = _checked(time, event, covariate)
+    if int(event.sum()) == 0:
+        raise DegenerateDataError("partial likelihood undefined with zero events")
     layout = _CoxLayout(time, event)
     xc = (covariate - covariate.mean())[layout.order]
     return layout.evaluate(beta, layout.covariate(xc))
@@ -305,25 +305,27 @@ def cox_fit_from_arrays(time, event, covariate, tolerance: float = 1e-8,
         raise InvalidParameterError(f"tolerance must be > 0, got {tolerance!r}")
     if max_iterations < 1:
         raise InvalidParameterError(f"max_iterations must be >= 1, got {max_iterations!r}")
-    (outcome,) = _cox_fit_rows(time, event, covariate[None], tolerance, max_iterations)
+    (outcome,) = _cox_fit_rows(_CoxLayout(time, event), covariate[None], tolerance,
+                               max_iterations)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _cox_fit_rows(time, event, rows, tolerance=1e-8, max_iterations=100) -> list:
+def _cox_fit_rows(layout: _CoxLayout, rows, tolerance=1e-8, max_iterations=100) -> list:
     """Newton-Raphson fits of the single-covariate Cox model for every
-    covariate row of rows (k, n) against one follow-up (time, event).
+    covariate row of rows (k, n) against one follow-up, given as its event
+    layout.
 
     Returns one outcome per row: its CoxFit, or the DegenerateDataError,
     SeparationError or NonConvergenceError (with last_fit) it fails with.
-    The rows share one event layout, and each Newton evaluation covers every
-    row still iterating at once; a row leaves the batch when it converges,
-    separates, stalls at float resolution or runs out of iterations.  Each
-    row's outcome is bit for bit its fit alone.  Inputs are not validated;
-    cox_fit_from_arrays is the checked entry point.
+    Each Newton evaluation covers every row still iterating at once; a row
+    leaves the batch when it converges, separates, stalls at float resolution
+    or runs out of iterations.  Each row's outcome is bit for bit its fit
+    alone.  Inputs are not validated; cox_fit_from_arrays is the checked
+    entry point.
     """
-    if int(event.sum()) < 2:
+    if int(layout.e.sum()) < 2:
         return [DegenerateDataError("cox_fit requires at least 2 events") for _ in rows]
     varies = np.ptp(rows, axis=1) > 0
     outcomes = [None if v else DegenerateDataError("cox_fit requires a non-constant covariate")
@@ -332,26 +334,24 @@ def _cox_fit_rows(time, event, rows, tolerance=1e-8, max_iterations=100) -> list
     if fitted.size == 0:
         return outcomes
 
-    layout = _CoxLayout(time, event)
     # Each row is fitted on its standardized covariate; beta maps back by 1/sd.
     mean = rows.mean(axis=1)[fitted]
     sd = rows.std(axis=1)[fitted]
-    k, n = fitted.size, time.size
+    k, n = fitted.size, layout.order.size
     x = np.empty((k, n))  # the covariate rows of `active`, in its order
     work = np.empty(2 * k * n)
 
     def prepare(index, scale=None):
         """Put rows fitted[index] into x in time order, centered and, given a
         scale, divided by it; return their sums over events."""
-        sums = np.empty(len(index))
-        for j, i in enumerate(index):
-            xc = x[j]
-            np.take(rows[fitted[i]], layout.order, out=xc)
-            xc -= mean[i]
-            if scale is not None:
-                xc /= scale[i]
-            sums[j] = np.dot(layout.e, xc)
-        return sums
+        xc = x[:len(index)]
+        # The order's indices are all valid; "clip" writes straight into xc,
+        # where the default mode would gather into a buffer first.
+        np.take(rows[fitted[index]], layout.order, axis=1, out=xc, mode="clip")
+        xc -= mean[index, None]
+        if scale is not None:
+            xc /= scale[index, None]
+        return np.fromiter((np.dot(layout.e, row) for row in xc), float, len(index))
 
     def evaluate(at, sums):
         m = len(at)

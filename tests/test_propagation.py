@@ -30,6 +30,7 @@ from lvef_fusion.propagation import (
 from lvef_fusion.simulate import SimConfig, simulate
 from lvef_fusion.stochastics import make_stream
 from lvef_fusion.survival import (
+    KmCurve,
     cox_fit_from_arrays,
     hazard_ratio_per,
     km_from_arrays,
@@ -157,6 +158,24 @@ class TestRealizeLvef:
         realized = oracle.realize(cohort, config, 0)
         assert realized.min() == 1.0 and realized.max() == 99.0
         _assert_matches_oracle(cohort, config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**64 - 1),
+           centers=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=40),
+           spread=st.one_of(st.sampled_from([0.0, 5.92, 8.8, 18.1]), st.floats(0.0, 300.0)))
+    def test_normal_is_shifted_scaled_standard_normal(self, seed, index, centers, spread):
+        # propagate draws standard normals and scales and shifts them in
+        # place, which gives normal(loc, scale)'s numbers only while numpy
+        # rounds loc + scale * z once per operation.
+        centers = np.array(centers)
+        expected = make_stream(seed, index).generator.normal(loc=centers, scale=spread)
+        z = make_stream(seed, index).generator.standard_normal(centers.size)
+        z *= spread
+        z += centers
+        assert z.tobytes() == expected.tobytes(), (
+            "Generator.normal(loc, scale) is not loc + scale * standard_normal() "
+            "bit for bit; a numpy built to fuse the multiply-add (an FMA "
+            "platform) breaks this, and with it propagate's match with its oracle")
 
     def test_assimilated_uses_fused_centers(self):
         cohort = _cohort(n=100)
@@ -366,6 +385,32 @@ class TestBands:
         expected = oracle.km_band([km_from_arrays(time[drop], event[drop])] * 3
                                   + [km_from_arrays(time[flat], event[flat])] * 197)
         _assert_identical(asdict(band), asdict(expected))
+
+    def test_row_lookup_carries_across_block_edges(self):
+        # Five replicates on a grid of 12 event times; 4 present curves in
+        # blocks of 3 columns give 4 blocks.  Replicate 0 has a row in every
+        # block, replicate 1 none in blocks 1 and 2, replicate 3 its first
+        # event in the last block, replicate 4 no event at all, and
+        # replicate 2 no patient in the stratum.
+        events = {0: [1, 4, 5, 6, 7, 8, 9, 11], 1: [2, 3, 12], 3: [10, 12], 4: []}
+        present = np.array([True, True, False, True, True])
+        rng = np.random.default_rng(5)
+        curves, stored = [], propagation._StratumCurves(present.size)
+        for first, stop in ((0, 2), (2, 5)):
+            rows = []
+            for r in np.flatnonzero(present[first:stop]) + first:
+                times = 30.0 * np.array(events[r], dtype=float)
+                survival = np.sort(rng.uniform(0.1, 1.0, times.size))[::-1]
+                curves.append(KmCurve(times=times, survival=survival,
+                                      at_risk=np.ones(times.size, dtype=np.int64),
+                                      events=np.ones(times.size, dtype=np.int64)))
+                rows.append((np.full(times.size, r), times, survival))
+            part = (np.concatenate(column) for column in zip(*rows))
+            stored.add(first, present[first:stop], np.zeros(stop - first), tuple(part))
+        with mock.patch.object(propagation, "BAND_ELEMENTS", 12):
+            band = stored.band()
+        assert band.times.size == 12
+        _assert_identical(asdict(band), asdict(oracle.km_band(curves)))
 
     def test_zero_noise_collapses_to_exact_analysis(self):
         cohort = _cohort()

@@ -480,7 +480,7 @@ class TestCoxBatch:
     @given(_cox_chunks())
     def test_rows_match_scalar_oracle(self, chunk):
         time, event, rows, max_iterations = chunk
-        got = _cox_fit_rows(time, event, rows, 1e-8, max_iterations)
+        got = _cox_fit_rows(_CoxLayout(time, event), rows, 1e-8, max_iterations)
         assert [_outcome(o) for o in got] == [
             _oracle_outcome(time, event, row, max_iterations) for row in rows]
 
@@ -515,10 +515,10 @@ class TestCoxBatch:
         # Beside a free row of its own cohort, in both orders.
         other = np.roll(x, 1)
         rows = np.array([x, other])
-        got = _cox_fit_rows(time, event, rows)
+        got = _cox_fit_rows(_CoxLayout(time, event), rows)
         assert _outcome(got[0]) == want
         assert _outcome(got[1]) == _oracle_outcome(time, event, other)
-        assert _outcome(_cox_fit_rows(time, event, rows[::-1])[1]) == want
+        assert _outcome(_cox_fit_rows(_CoxLayout(time, event), rows[::-1])[1]) == want
 
     def test_failing_rows_fail_alone(self):
         rng = np.random.default_rng(13)
@@ -528,7 +528,7 @@ class TestCoxBatch:
         separable[order] = 21.0 + 0.005 * np.arange(time.size)
         rows = np.array([x, x + rng.normal(0.0, 5.0, x.size), separable,
                          np.full(x.size, 40.0), x + rng.normal(0.0, 10.0, x.size)])
-        outcomes = _cox_fit_rows(time, event, rows)
+        outcomes = _cox_fit_rows(_CoxLayout(time, event), rows)
         assert isinstance(outcomes[2], SeparationError)
         assert isinstance(outcomes[3], DegenerateDataError)
         assert str(outcomes[3]) == "cox_fit requires a non-constant covariate"
@@ -539,7 +539,8 @@ class TestCoxBatch:
 
     def test_too_few_events_fail_every_row(self):
         time = np.array([1.0, 2.0, 3.0])
-        outcomes = _cox_fit_rows(time, np.array([1, 0, 0]), np.array([[1.0, 2.0, 3.0]] * 2))
+        layout = _CoxLayout(time, np.array([1, 0, 0]))
+        outcomes = _cox_fit_rows(layout, np.array([[1.0, 2.0, 3.0]] * 2))
         assert [str(o) for o in outcomes] == ["cox_fit requires at least 2 events"] * 2
         assert all(type(o) is DegenerateDataError for o in outcomes)
 

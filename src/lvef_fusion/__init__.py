@@ -3,7 +3,7 @@ uncertainty propagation.
 
 The package combines a cardiologist's visual LVEF reading with the Simpson's
 biplane measurement by inverse-error weighting, calibrates the instrument
-error figures with a Metropolis sampler, and propagates measurement noise
+error figures by exact posterior sampling, and propagates measurement noise
 through stratified Kaplan-Meier and Cox analyses as replicate credible bands.
 """
 

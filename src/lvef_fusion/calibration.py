@@ -1,23 +1,25 @@
-"""Posterior calibration of instrument measurement error via Metropolis-Hastings.
+"""Exact posterior calibration of instrument measurement error.
 
 Each instrument's published error figure is treated as the summary of a small
 batch of replicated error observations, each Gamma(likelihood_shape, rate =
 likelihood_shape / mu) around a latent mean error mu with a non-informative
-Gamma prior on mu.  A random-walk Metropolis chain explores mu; each kept draw
-yields one posterior-predictive measurement error.  Pairing predictive errors
-from two instruments gives the distribution of the relative spread reduction
+Gamma prior on mu.  The posterior of mu is then a generalized inverse
+Gaussian.  In x = log mu its log density is strictly concave, so rejection
+from a three-piece envelope draws it exactly: the draws are independent, and
+need no burn-in, thinning or tuning.  Each draw yields one
+posterior-predictive measurement error.  Pairing predictive errors from two
+instruments gives the distribution of the relative spread reduction
 R = -1/(omega + 1).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import AcceptanceRateWarning, InitializationError, InvalidParameterError
+from .errors import InvalidParameterError
 from .fusion import MODES
 from .stochastics import RngStream, SampleSummary, _integer, summarize
 
@@ -25,25 +27,26 @@ __all__ = [
     "CalibrationConfig",
     "ErrorPosterior",
     "ReductionDistribution",
-    "ChainDiagnostics",
     "calibrate",
     "reduction_distribution",
-    "chain_diagnostics",
     "paired_calibration",
 ]
 
 SUMMARY_LEVELS = (0.025, 0.5, 0.975)
-ACCEPTANCE_BAND = (0.1, 0.6)
-# Pre-run tuning targets the classic random-walk efficiency band.
-TUNING_BAND = (0.25, 0.45)
 
-# Canonical substream indexes for the two instrument chains.  Kept at and
-# above 2**32 so they never collide with propagation replicate indexes,
-# which count up from zero under the same seed.
+# Canonical substream indexes for the two instruments.  Kept at and above
+# 2**32 so they never collide with propagation replicate indexes, which count
+# up from zero under the same seed.
 VISUAL_STREAM_INDEX = 2**32
 SIMPSON_STREAM_INDEX = 2**32 + 1
-# The chain reads its steps as Python floats CHAIN_BLOCK at a time (whole-chain lists: +1 MB RSS).
-CHAIN_BLOCK = 1 << 12
+# Proposals per rejection round.  Every round draws ROUND_SIZE uniforms, then
+# 2 * ROUND_SIZE exponentials, whatever the accept/reject pattern.
+ROUND_SIZE = 1 << 10
+# Bracket doublings and bisection steps that find the envelope's drop points;
+# 2100 doublings take any positive double past the largest one.
+DOUBLINGS, BISECTIONS = 2100, 20
+# 1/n! for n = 9 down to 2: the Taylor series of exp(t) - 1 - t, over t**2.
+PHI_SERIES = [1.0 / math.factorial(n) for n in range(9, 1, -1)]
 
 
 @dataclass(frozen=True)
@@ -61,46 +64,23 @@ class CalibrationConfig:
     likelihood_shape: float = 8.0
     prior_shape: float = 1e-3
     prior_rate: float = 1e-3
-    chain_length: int = 20_000
     kept_samples: int = 5_000
-    proposal_sd: float | None = None  # None -> 0.25 * observed_sigma
-    burn_in: int = 1_000
     observation_weight: float = 12.0
-    tune_proposal: bool = False
 
     def __post_init__(self):
-        for name in ("chain_length", "kept_samples", "burn_in"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        positive = {
-            "observed_sigma": self.observed_sigma,
-            "likelihood_shape": self.likelihood_shape,
-            "prior_shape": self.prior_shape,
-            "prior_rate": self.prior_rate,
-            "chain_length": self.chain_length,
-            "kept_samples": self.kept_samples,
-            "burn_in": self.burn_in,
-            "observation_weight": self.observation_weight,
-        }
-        if self.proposal_sd is not None:
-            positive["proposal_sd"] = self.proposal_sd
-        for name, value in positive.items():
+        object.__setattr__(self, "kept_samples", _integer("kept_samples", self.kept_samples))
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (np.isfinite(value) and value > 0):
-                raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
-        if self.kept_samples > self.chain_length - self.burn_in:
-            raise InvalidParameterError(
-                f"kept_samples ({self.kept_samples}) exceeds chain_length - burn_in "
-                f"({self.chain_length - self.burn_in})"
-            )
-
-    def initial_proposal_sd(self) -> float:
-        return self.proposal_sd if self.proposal_sd is not None else 0.25 * self.observed_sigma
+                raise InvalidParameterError(f"{f.name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
 class ErrorPosterior:
-    """Kept chain and posterior-predictive errors for one instrument."""
+    """Independent posterior draws of mu and predictive errors for one
+    instrument; acceptance_rate is the sampler's accepted / proposed."""
 
-    parameter_chain: np.ndarray
+    parameter_draws: np.ndarray
     predictive_draws: np.ndarray
     acceptance_rate: float
     summary: SampleSummary
@@ -114,118 +94,116 @@ class ReductionDistribution:
     summary: SampleSummary
 
 
-@dataclass(frozen=True)
-class ChainDiagnostics:
-    acceptance_rate: float
-    lag1_autocorrelation: float
-    effective_sample_size: float
+def _too_large(config: CalibrationConfig, what: str) -> InvalidParameterError:
+    return InvalidParameterError(
+        f"observed_sigma {config.observed_sigma!r} is too large: {what} is not finite")
 
 
-def _log_posterior(config: CalibrationConfig):
-    """The unnormalized log posterior of mu (-inf at mu <= 0), as a function."""
-    mk = config.observation_weight * config.likelihood_shape
-    log_k, mky = math.log(config.likelihood_shape), mk * config.observed_sigma
-    shape_1, rate, log = config.prior_shape - 1.0, config.prior_rate, math.log
+def _log_density(config: CalibrationConfig):
+    """(g, slope, x0, curvature): the log posterior density of x = log mu as
+    g(t) at x = x0 + t, shifted so that its mode is t = 0 and g(0) = 0; its
+    derivative; and -g''(0).
 
-    def log_posterior(mu):
-        if mu <= 0:
-            return -math.inf
-        log_mu = log(mu)
-        return mk * (log_k - log_mu) - mky / mu + (shape_1 * log_mu - rate * mu)
-
-    return log_posterior
-
-
-def _run_chain(start, proposal_sd, n_steps, config, stream):
-    """Random-walk Metropolis from `start`; returns (states, acceptance_rate).
-
-    Proposal noise and acceptance uniforms are pre-drawn in blocks so the
-    stream's draw layout is fixed regardless of the accept/reject pattern.
+    In x the log density is p*x - A*exp(-x) - B*exp(x), with p = prior_shape
+    - mk, A = mk * observed_sigma and B = prior_rate: strictly concave, as A
+    and B are positive.  At the mode, a = A*exp(-x0) and b = B*exp(x0)
+    satisfy b - a = p and a*b = A*B.  The larger of the two is (r + |p|) / 2
+    with r = hypot(p, 2*sqrt(A*B)), the smaller is A*B over the larger, and
+    x0 is read from the larger.  With b - a = p the linear terms cancel, so g
+    is -a*phi(-t) - b*phi(t), a sum of two terms <= 0, and no step cancels.
     """
-    gen = stream.generator
-    steps = gen.normal(0.0, proposal_sd, size=n_steps)
-    log_us = np.log(gen.uniform(size=n_steps))
-    states = np.empty(n_steps)
-    log_posterior = _log_posterior(config)
-    current, log_post = start, log_posterior(start)
-    accepted = 0
-    for first in range(0, n_steps, CHAIN_BLOCK):
-        block = slice(first, first + CHAIN_BLOCK)
-        visited = []
-        for step, log_u in zip(steps[block].tolist(), log_us[block].tolist()):
-            proposal = current + step
-            if proposal > 0:
-                log_post_prop = log_posterior(proposal)
-                if log_u < log_post_prop - log_post:
-                    current = proposal
-                    log_post = log_post_prop
-                    accepted += 1
-            visited.append(current)
-        states[block] = visited
-    return states, accepted / n_steps
+    mk = config.observation_weight * config.likelihood_shape
+    p, big_a, big_b = config.prior_shape - mk, mk * config.observed_sigma, config.prior_rate
+    half_q = np.sqrt(big_a) * np.sqrt(big_b)
+    larger = (np.hypot(p, 2.0 * half_q) + abs(p)) / 2.0
+    smaller = half_q * (half_q / larger)
+    if p <= 0:
+        a, b, x0 = larger, smaller, np.log(big_a) - np.log(larger)
+    else:
+        a, b, x0 = smaller, larger, np.log(larger) - np.log(big_b)
+
+    def g(t):
+        return -a * _phi(-t) - b * _phi(t)
+
+    def slope(t):
+        return a * np.expm1(-t) - b * np.expm1(t)
+
+    return g, slope, x0, a + b
 
 
-def _tune_proposal_sd(config, stream, max_rounds=30, pilot_steps=100):
-    """Multiplicative pilot adaptation toward the 25-45% acceptance band."""
-    sd = config.initial_proposal_sd()
-    current = config.observed_sigma
-    for _ in range(max_rounds):
-        states, rate = _run_chain(current, sd, pilot_steps, config, stream)
-        current = states[-1]
-        if rate < 0.02:
-            sd *= 0.1
-        elif rate < TUNING_BAND[0]:
-            sd *= 0.7
-        elif rate > 0.8:
-            sd *= 5.0
-        elif rate > TUNING_BAND[1]:
-            sd *= 1.4
-        else:
+def _phi(t):
+    """exp(t) - 1 - t, from its Taylor series where |t| < 0.1."""
+    return np.where(np.abs(t) < 0.1, t * t * np.polyval(PHI_SERIES, t), np.expm1(t) - t)
+
+
+def _drop_point(g, step: float) -> float:
+    """A point on `step`'s side of the mode where g has fallen to -1 or
+    below, within 2**-BISECTIONS of the bracket that doubling `step` finds."""
+    inner, outer = 0.0, step
+    for _ in range(DOUBLINGS):
+        if g(outer) <= -1.0:
             break
-    return sd
+        inner, outer = outer, 2.0 * outer
+    for _ in range(BISECTIONS):
+        middle = 0.5 * (inner + outer)
+        inner, outer = (middle, outer) if g(middle) > -1.0 else (inner, middle)
+    return outer
+
+
+def _draw_log_mu(config: CalibrationConfig, stream: RngStream):
+    """kept_samples exact draws of log mu, and accepted / proposed.
+
+    Rejection from Devroye's envelope for a log-concave density (Non-Uniform
+    Random Variate Generation, 1986, ch. VII): flat at the mode's height
+    between the points t_l < 0 < t_r where g has dropped by 1, exponential
+    beyond them along g's tangents there.  By concavity at least
+    (1 - 1/e) / (1 + 1/e), about 0.46, of the envelope's mass lies under the
+    density; the rounds are capped all the same.  Floating-point errors are
+    the caller's to silence.
+    """
+    g, slope, x0, curvature = _log_density(config)
+    step = np.sqrt(2.0 / curvature)
+    t_l, t_r = _drop_point(g, -step), _drop_point(g, step)
+    g_l, g_r, s_l, s_r = g(t_l), g(t_r), slope(t_l), slope(t_r)
+    m_l, m_r = np.exp(g_l) / s_l, np.exp(g_r) / -s_r
+    if not (np.all(np.isfinite([x0, t_l, t_r, g_l, g_r, m_l, m_r])) and m_l > 0 and m_r > 0):
+        raise _too_large(config, "its posterior envelope")
+    gen, kept, total = stream.generator, config.kept_samples, m_l + (t_r - t_l) + m_r
+    draws, accepted, proposed = [], 0, 0
+    for _ in range(4 * (kept // ROUND_SIZE + 2)):  # enough down to acceptance ~1/4
+        u = gen.uniform(0.0, total, size=ROUND_SIZE)
+        e = gen.standard_exponential(size=(2, ROUND_SIZE))
+        left, right = u < m_l, u >= total - m_r
+        t = np.where(left, t_l - e[0] / s_l, np.where(right, t_r - e[0] / s_r, t_l + (u - m_l)))
+        log_envelope = np.where(left, g_l - e[0], np.where(right, g_r - e[0], 0.0))
+        keep = g(t) - log_envelope + e[1] >= 0.0
+        draws.append(t[keep])
+        accepted, proposed = accepted + int(keep.sum()), proposed + ROUND_SIZE
+        if accepted >= kept:
+            return x0 + np.concatenate(draws)[:kept], accepted / proposed
+    raise InvalidParameterError(
+        f"observed_sigma {config.observed_sigma!r}: the posterior sampler accepted "
+        f"only {accepted} of {proposed} proposals")
 
 
 def calibrate(config: CalibrationConfig, stream: RngStream) -> ErrorPosterior:
-    """Run the Metropolis chain and return kept draws plus predictive errors.
-
-    The chain starts at mu = observed_sigma, runs chain_length steps (rejected
-    proposals repeat the previous state; proposals <= 0 are rejected outright),
-    drops burn_in states and thins the remainder uniformly to kept_samples.
-    Each kept mu yields one predictive error from Gamma(likelihood_shape,
-    likelihood_shape / mu).  Deterministic given (config, stream).
+    """kept_samples independent draws of mu from its exact posterior, and one
+    predictive error per draw from Gamma(likelihood_shape, likelihood_shape
+    / mu), both from `stream`.  Deterministic given (config, stream).
     """
-    start = config.observed_sigma
-    if not np.isfinite(_log_posterior(config)(start)):
-        raise InitializationError(f"log posterior is not finite at initial state {start}")
-
-    proposal_sd = _tune_proposal_sd(config, stream) if config.tune_proposal else config.initial_proposal_sd()
-    chain, acceptance = _run_chain(start, proposal_sd, config.chain_length, config, stream)
-
-    kept_idx = np.linspace(config.burn_in, config.chain_length - 1, config.kept_samples)
-    kept = chain[np.round(kept_idx).astype(int)]
-
-    k = config.likelihood_shape
-    predictive = stream.generator.gamma(shape=k, scale=kept / k)
-    # Spreads square deviations of the order of observed_sigma; a sigma near
-    # the top of the double range overflows them.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A sigma near the top of the double range overflows the envelope, mu,
+    # or the spreads, which square deviations of the order of observed_sigma.
+    with np.errstate(all="ignore"):
+        log_mu, acceptance = _draw_log_mu(config, stream)
+        mu = np.exp(log_mu)
+        k = config.likelihood_shape
+        predictive = stream.generator.gamma(shape=k, scale=mu / k)
         summary = summarize(predictive, SUMMARY_LEVELS)
-        spread = np.var(kept)
+        spread = np.var(mu)
     if not np.all(np.isfinite([spread, summary.mean, summary.sd, *summary.quantiles.values()])):
-        raise InvalidParameterError(
-            f"observed_sigma {config.observed_sigma!r} is too large: the spread of its "
-            "error draws is not finite"
-        )
-
-    if not ACCEPTANCE_BAND[0] <= acceptance <= ACCEPTANCE_BAND[1]:
-        warnings.warn(
-            f"Metropolis acceptance rate {acceptance:.3f} outside {list(ACCEPTANCE_BAND)}; "
-            "consider adjusting proposal_sd or enabling tune_proposal",
-            AcceptanceRateWarning,
-            stacklevel=2,
-        )
+        raise _too_large(config, "the spread of its error draws")
     return ErrorPosterior(
-        parameter_chain=kept,
+        parameter_draws=mu,
         predictive_draws=predictive,
         acceptance_rate=acceptance,
         summary=summary,
@@ -254,55 +232,13 @@ def reduction_distribution(visual: ErrorPosterior, simpson: ErrorPosterior, mode
     return ReductionDistribution(r_draws=r, summary=summarize(r, SUMMARY_LEVELS))
 
 
-def _autocorrelation(centered: np.ndarray, c0: float, lag: int) -> float:
-    if c0 == 0.0:
-        return 0.0
-    return float(np.dot(centered[:-lag], centered[lag:]) / c0)
-
-
-def chain_diagnostics(posterior: ErrorPosterior) -> ChainDiagnostics:
-    """Acceptance rate, lag-1 autocorrelation of the kept chain, and effective
-    sample size via the initial-positive-sequence estimator.
-
-    A zero-variance chain reports lag-1 autocorrelation 0 and the ESS floor 1;
-    a chain whose autocorrelations overflow raises InvalidParameterError.
-    """
-    chain = np.asarray(posterior.parameter_chain, dtype=float)
-    if chain.size == 0:
-        raise InvalidParameterError("chain_diagnostics requires a non-empty chain")
-    n = chain.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n == 1 or np.var(chain) == 0.0:
-            return ChainDiagnostics(posterior.acceptance_rate, 0.0, 1.0)
-        # Geyer's initial positive sequence: sum paired autocorrelations
-        # Gamma_m = rho(2m) + rho(2m+1) while the pairs stay positive.
-        max_lag = min(n - 1, 1000)
-        centered = chain - chain.mean()
-        c0 = float(np.dot(centered, centered))
-        rho = np.array([1.0] + [_autocorrelation(centered, c0, t) for t in range(1, max_lag + 1)])
-    if not np.all(np.isfinite(rho)):
-        raise InvalidParameterError(
-            "chain values spread too widely for finite autocorrelations"
-        )
-    lag1 = float(rho[1])
-    tau = 0.0
-    for m in range(0, (max_lag - 1) // 2 + 1):
-        gamma_m = rho[2 * m] + rho[2 * m + 1]
-        if gamma_m <= 0.0:
-            break
-        tau += 2.0 * gamma_m
-    tau -= 1.0
-    ess = n / max(tau, 1.0)
-    return ChainDiagnostics(posterior.acceptance_rate, lag1, float(np.clip(ess, 1.0, n)))
-
-
 def paired_calibration(visual_sigma: float, simpson_sigma: float, stream_visual: RngStream,
                        stream_simpson: RngStream, mode: str = "paper-sd",
                        config: CalibrationConfig | None = None):
     """Convenience wrapper: calibrate both instruments and their R distribution.
 
-    config supplies every setting except observed_sigma, which each chain
-    takes from its instrument's sigma; None means the CalibrationConfig
+    config supplies every setting except observed_sigma, which each
+    instrument takes from its own sigma; None means the CalibrationConfig
     defaults.  Returns (visual posterior, simpson posterior, reduction
     distribution).
     """

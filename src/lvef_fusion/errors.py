@@ -16,7 +16,6 @@ __all__ = [
     "DomainError",
     "EmptyInputError",
     "DegenerateDataError",
-    "InitializationError",
     "SeparationError",
     "NonConvergenceError",
     "InvalidStateError",
@@ -45,10 +44,6 @@ class EmptyInputError(LvefFusionError, ValueError):
 
 class DegenerateDataError(LvefFusionError, ValueError):
     """The data admit no fit (e.g. a survival dataset with zero events)."""
-
-
-class InitializationError(LvefFusionError, RuntimeError):
-    """A sampler could not start (non-finite log-posterior at the initial state)."""
 
 
 class SeparationError(LvefFusionError, RuntimeError):
@@ -104,7 +99,3 @@ class ExtraColumnWarning(LvefFusionWarning):
 
 class EmptyCohortWarning(LvefFusionWarning):
     """A cohort file parsed to zero data rows."""
-
-
-class AcceptanceRateWarning(LvefFusionWarning):
-    """A Metropolis chain's acceptance rate fell outside the healthy band."""

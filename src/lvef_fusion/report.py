@@ -29,7 +29,6 @@ from .calibration import (
     SUMMARY_LEVELS,
     VISUAL_STREAM_INDEX,
     CalibrationConfig,
-    chain_diagnostics,
     paired_calibration,
 )
 from .cohort import WRITE_ROWS, _open_destination
@@ -112,16 +111,11 @@ def summary_to_dict(summary: SampleSummary) -> dict:
 
 
 def posterior_to_dict(posterior) -> dict:
-    """Parameter and predictive summaries plus sampler health figures."""
-    diagnostics = chain_diagnostics(posterior)
+    """Parameter and predictive summaries plus the sampler's acceptance rate."""
     return {
         "acceptance_rate": float(posterior.acceptance_rate),
-        "parameter": summary_to_dict(summarize(posterior.parameter_chain, SUMMARY_LEVELS)),
+        "parameter": summary_to_dict(summarize(posterior.parameter_draws, SUMMARY_LEVELS)),
         "predictive": summary_to_dict(posterior.summary),
-        "diagnostics": {
-            "lag1_autocorrelation": float(diagnostics.lag1_autocorrelation),
-            "effective_sample_size": float(diagnostics.effective_sample_size),
-        },
     }
 
 
@@ -229,9 +223,8 @@ def _config_echo(options: ReportOptions, calibration: CalibrationConfig | None) 
 
 
 def calibration_echo(calibration: CalibrationConfig) -> dict:
-    """Every CalibrationConfig field but observed_sigma (each chain takes its
-    own from the sigmas), plus the stream indices.  proposal_sd is echoed as
-    configured: null means the default, 0.25 * observed_sigma."""
+    """Every CalibrationConfig field but observed_sigma (each instrument
+    takes its own from the sigmas), plus the stream indices."""
     echo = {f.name: getattr(calibration, f.name)
             for f in fields(calibration) if f.name != "observed_sigma"}
     echo["visual_stream_index"] = VISUAL_STREAM_INDEX
@@ -243,7 +236,8 @@ def calibration_section(sigmas: InstrumentSigma, seed: int,
                         calibration: CalibrationConfig) -> dict:
     """Both instruments' error posteriors and the reduction R, calibrated on
     the (seed, VISUAL/SIMPSON_STREAM_INDEX) streams; calibration supplies
-    every setting except observed_sigma, which each chain takes from sigmas."""
+    every setting except observed_sigma, which each instrument takes from
+    sigmas."""
     visual, simpson, reduction = paired_calibration(
         sigmas.visual_sigma,
         sigmas.simpson_sigma,

@@ -1,12 +1,11 @@
-"""Metropolis error calibration: determinism, shapes, and sampler health."""
-
-import warnings
-from unittest import mock
+"""Exact error calibration: determinism, shapes, and agreement in
+distribution with an independent GIG sampler and the Metropolis oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import calibration_oracle
 from lvef_fusion import calibration
@@ -16,21 +15,24 @@ from lvef_fusion.calibration import (
     CalibrationConfig,
     ErrorPosterior,
     calibrate,
-    chain_diagnostics,
     paired_calibration,
     reduction_distribution,
 )
-from lvef_fusion.errors import AcceptanceRateWarning, InvalidParameterError, LvefFusionError
+from lvef_fusion.errors import InvalidParameterError
 from lvef_fusion.stochastics import make_stream, summarize
 
+# Every KS comparison below is deterministic; this is the p-value it must
+# clear.
+KS_ALPHA = 1e-3
 
-def _posterior(chain):
-    chain = np.asarray(chain, dtype=float)
+
+def _posterior(draws):
+    draws = np.asarray(draws, dtype=float)
     return ErrorPosterior(
-        parameter_chain=chain,
-        predictive_draws=chain,
+        parameter_draws=draws,
+        predictive_draws=draws,
         acceptance_rate=0.4,
-        summary=summarize(chain),
+        summary=summarize(draws),
     )
 
 
@@ -39,7 +41,7 @@ class TestCalibrate:
         config = CalibrationConfig(observed_sigma=17.68)
         a = calibrate(config, make_stream(7, VISUAL_STREAM_INDEX))
         b = calibrate(config, make_stream(7, VISUAL_STREAM_INDEX))
-        assert np.array_equal(a.parameter_chain, b.parameter_chain)
+        assert np.array_equal(a.parameter_draws, b.parameter_draws)
         assert np.array_equal(a.predictive_draws, b.predictive_draws)
         assert a.acceptance_rate == b.acceptance_rate
 
@@ -47,62 +49,39 @@ class TestCalibrate:
         config = CalibrationConfig(observed_sigma=17.68)
         a = calibrate(config, make_stream(7, VISUAL_STREAM_INDEX))
         b = calibrate(config, make_stream(7, SIMPSON_STREAM_INDEX))
-        assert not np.array_equal(a.parameter_chain, b.parameter_chain)
+        assert not np.array_equal(a.parameter_draws, b.parameter_draws)
 
     def test_kept_sizes_and_positivity(self):
-        config = CalibrationConfig(observed_sigma=8.63, chain_length=4000,
-                                   kept_samples=1200, burn_in=400)
+        config = CalibrationConfig(observed_sigma=8.63, kept_samples=1200)
         post = calibrate(config, make_stream(0, 0))
-        assert post.parameter_chain.shape == (1200,)
+        assert post.parameter_draws.shape == (1200,)
         assert post.predictive_draws.shape == (1200,)
-        assert np.all(post.parameter_chain > 0)
+        assert np.all(post.parameter_draws > 0)
         assert np.all(post.predictive_draws > 0)
-        assert 0.0 < post.acceptance_rate < 1.0
+        assert 0.5 <= post.acceptance_rate <= 1.0
 
     def test_posterior_concentrates_near_observed_value(self):
         post = calibrate(CalibrationConfig(observed_sigma=17.68), make_stream(7, 0))
-        assert np.mean(post.parameter_chain) == pytest.approx(17.68, abs=1.2)
+        assert np.mean(post.parameter_draws) == pytest.approx(17.68, abs=1.2)
 
     def test_heavier_observation_weight_tightens_posterior(self):
-        light = calibrate(CalibrationConfig(observed_sigma=17.68, observation_weight=4.0,
-                                            proposal_sd=7.0), make_stream(3, 0))
-        heavy = calibrate(CalibrationConfig(observed_sigma=17.68, observation_weight=48.0,
-                                            proposal_sd=7.0), make_stream(3, 0))
-        assert np.std(heavy.parameter_chain) < np.std(light.parameter_chain)
-
-    def test_oversized_proposal_warns(self):
-        config = CalibrationConfig(observed_sigma=17.68, proposal_sd=500.0,
-                                   chain_length=3000, kept_samples=500, burn_in=300)
-        with pytest.warns(AcceptanceRateWarning):
-            calibrate(config, make_stream(0, 0))
-
-    def test_self_tuning_restores_healthy_acceptance(self):
-        config = CalibrationConfig(observed_sigma=17.68, proposal_sd=500.0,
-                                   tune_proposal=True)
-        post = calibrate(config, make_stream(0, 0))
-        assert 0.1 <= post.acceptance_rate <= 0.6
+        light = calibrate(CalibrationConfig(observed_sigma=17.68, observation_weight=4.0),
+                          make_stream(3, 0))
+        heavy = calibrate(CalibrationConfig(observed_sigma=17.68, observation_weight=48.0),
+                          make_stream(3, 0))
+        assert np.std(heavy.parameter_draws) < np.std(light.parameter_draws)
 
 
 class TestConfigValidation:
-    def test_kept_cannot_exceed_post_burn_chain(self):
-        with pytest.raises(InvalidParameterError):
-            CalibrationConfig(observed_sigma=10.0, chain_length=1000,
-                              burn_in=900, kept_samples=200)
-
     @pytest.mark.parametrize("field,value", [
         ("observed_sigma", 0.0),
         ("likelihood_shape", -1.0),
         ("prior_shape", 0.0),
         ("prior_rate", 0.0),
-        ("chain_length", 0),
         ("kept_samples", 0),
-        ("burn_in", -1),
         ("observation_weight", 0.0),
-        ("proposal_sd", -0.5),
-        ("chain_length", 20000.5),
         ("kept_samples", 500.0),
-        ("burn_in", 10.0),
-        ("burn_in", "10"),
+        ("kept_samples", "10"),
     ])
     def test_nonpositive_parameters_rejected(self, field, value):
         kwargs = {"observed_sigma": 10.0, field: value}
@@ -137,118 +116,86 @@ class TestReductionDistribution:
             reduction_distribution(a, a, mode="sd")
 
 
-class TestChainDiagnostics:
-    def test_constant_chain_reports_floor_values(self):
-        diag = chain_diagnostics(_posterior(np.full(200, 2.0)))
-        assert diag.lag1_autocorrelation == 0.0
-        assert diag.effective_sample_size == 1.0
-
-    def test_iid_chain_has_near_full_ess(self):
-        chain = np.random.default_rng(5).normal(size=2000)
-        diag = chain_diagnostics(_posterior(chain))
-        assert abs(diag.lag1_autocorrelation) < 0.1
-        assert 1000 <= diag.effective_sample_size <= 2000
-
-    def test_random_walk_chain_has_small_ess(self):
-        chain = np.cumsum(np.random.default_rng(5).normal(size=2000))
-        diag = chain_diagnostics(_posterior(chain))
-        assert diag.lag1_autocorrelation > 0.9
-        assert diag.effective_sample_size < 400
-
-    def test_empty_chain_rejected(self):
-        empty = ErrorPosterior(
-            parameter_chain=np.array([]),
-            predictive_draws=np.array([]),
-            acceptance_rate=0.4,
-            summary=summarize([1.0]),
-        )
-        with pytest.raises(InvalidParameterError):
-            chain_diagnostics(empty)
-
-    def test_ess_never_exceeds_chain_length(self):
-        post = calibrate(CalibrationConfig(observed_sigma=17.68), make_stream(11, 0))
-        diag = chain_diagnostics(post)
-        assert 1.0 <= diag.effective_sample_size <= post.parameter_chain.size
-
-
 @st.composite
-def _chain_configs(draw):
-    """Small chains; proposal_sd up to 20 observed sigmas proposes mu <= 0
-    about half the time."""
-    sigma = draw(st.sampled_from([1e-3, 0.5, 8.8, 18.1, 1e4])
+def _configs(draw):
+    """Every setting over a wide range; 1e300 and 1e307 sit at and past the
+    largest sigma whose draws stay finite."""
+    sigma = draw(st.sampled_from([1e-3, 0.5, 8.8, 18.1, 1e4, 1e300, 1e307])
                  | st.floats(1e-3, 1e3, allow_subnormal=False))
-    chain_length = draw(st.integers(2, 400))
-    burn_in = draw(st.integers(1, chain_length - 1))
     return CalibrationConfig(
         observed_sigma=sigma,
         likelihood_shape=draw(st.sampled_from([0.5, 2.0, 8.0, 3.7])),
         prior_shape=draw(st.sampled_from([1e-3, 1.0, 3.0])),
         prior_rate=draw(st.sampled_from([1e-3, 0.5])),
-        chain_length=chain_length,
-        burn_in=burn_in,
-        kept_samples=draw(st.integers(1, chain_length - burn_in)),
-        proposal_sd=draw(st.none() | st.floats(0.01, 20.0).map(lambda f: f * sigma)),
+        kept_samples=draw(st.integers(1, 400)),
         observation_weight=draw(st.sampled_from([1.0, 12.0, 40.0, 6.3])),
-        tune_proposal=draw(st.booleans()),
     )
 
 
-def _calibration_outcome(config, seed):
-    """calibrate's posterior bytes, acceptance, warnings and diagnostics from
-    the library and the oracle, or the error either raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            posterior = calibrate(config, make_stream(seed, VISUAL_STREAM_INDEX))
-        except LvefFusionError as exc:
-            return type(exc).__name__, str(exc)
-    outcome = [posterior.parameter_chain.tobytes(), posterior.predictive_draws.tobytes(),
-               posterior.acceptance_rate, [str(w.message) for w in caught]]
-    for diagnose in (chain_diagnostics, calibration_oracle.chain_diagnostics):
-        try:
-            outcome.append(repr(diagnose(posterior)))
-        except LvefFusionError as exc:
-            outcome.append((type(exc).__name__, str(exc)))
-    return outcome
+def _gig(config, size, seed):
+    """mu's posterior drawn by scipy's generalized inverse Gaussian: density
+    mu**(p - 1) * exp(-A/mu - B*mu) with p = prior_shape - mk,
+    A = mk * observed_sigma and B = prior_rate."""
+    mk = config.observation_weight * config.likelihood_shape
+    p, big_a, big_b = config.prior_shape - mk, mk * config.observed_sigma, config.prior_rate
+    return stats.geninvgauss(p, 2.0 * np.sqrt(big_a * big_b), scale=np.sqrt(big_a / big_b)).rvs(
+        size, random_state=np.random.default_rng(seed))
 
 
-class TestChainMatchesOracle:
-    """The block-wise chain gives the per-step oracle's states byte for byte,
-    its acceptance rate, and the per-lag oracle's diagnostics."""
+class TestExactSampler:
+    @pytest.mark.parametrize("settings", [
+        {"observed_sigma": 18.1},
+        {"observed_sigma": 8.8},
+        {"observed_sigma": 1e-3},
+        {"observed_sigma": 1e4, "prior_rate": 1.0},
+        {"observed_sigma": 2.0, "likelihood_shape": 0.5, "observation_weight": 1.0,
+         "prior_shape": 3.0},
+        {"observed_sigma": 50.0, "likelihood_shape": 3.7, "observation_weight": 6.3,
+         "prior_shape": 1.0, "prior_rate": 0.5},
+    ])
+    def test_matches_geninvgauss(self, settings):
+        config = CalibrationConfig(**settings)
+        draws = calibrate(config, make_stream(5, VISUAL_STREAM_INDEX)).parameter_draws
+        assert stats.ks_2samp(draws, _gig(config, 5000, 5)).pvalue > KS_ALPHA
+
+    @pytest.mark.parametrize("sigma", [18.1, 8.8])
+    def test_matches_oracle_chain_at_defaults(self, sigma):
+        """The chain's lag-20 autocorrelation is under 0.01 at the defaults,
+        so every 20th state after a burn-in is close to an independent draw."""
+        config = CalibrationConfig(observed_sigma=sigma)
+        states, _ = calibration_oracle._run_chain(sigma, 0.25 * sigma, 60_000, config,
+                                                  make_stream(1, 0))
+        draws = calibrate(config, make_stream(1, VISUAL_STREAM_INDEX)).parameter_draws
+        assert stats.ks_2samp(draws, states[1000::20]).pvalue > KS_ALPHA
 
     @settings(max_examples=200, deadline=None)
-    @given(config=_chain_configs(), seed=st.integers(0, 2**32),
-           block=st.sampled_from((1, 3, 64, calibration.CHAIN_BLOCK)))
-    def test_matches_oracle(self, config, seed, block):
-        sd = config.initial_proposal_sd()
-        expected = calibration_oracle._run_chain(
-            config.observed_sigma, sd, config.chain_length, config, make_stream(seed, 0))
-        with mock.patch.object(calibration, "CHAIN_BLOCK", block):
-            states, rate = calibration._run_chain(
-                config.observed_sigma, sd, config.chain_length, config, make_stream(seed, 0))
-            outcome = _calibration_outcome(config, seed)
-        assert states.tobytes() == expected[0].tobytes()
-        assert rate == expected[1]
-        with mock.patch.object(calibration, "_run_chain", calibration_oracle._run_chain):
-            assert outcome == _calibration_outcome(config, seed)
-        if isinstance(outcome, list):
-            assert outcome[-1] == outcome[-2]
+    @given(config=_configs(), seed=st.integers(0, 2**32))
+    def test_finite_draws_healthy_acceptance_and_determinism(self, config, seed):
+        try:
+            post = calibrate(config, make_stream(seed, VISUAL_STREAM_INDEX))
+        except InvalidParameterError as exc:
+            assert "is too large" in str(exc)
+            return
+        for draws in (post.parameter_draws, post.predictive_draws):
+            assert draws.shape == (config.kept_samples,)
+            assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+        assert 0.5 <= post.acceptance_rate <= 1.0
+        again = calibrate(config, make_stream(seed, VISUAL_STREAM_INDEX))
+        assert again.parameter_draws.tobytes() == post.parameter_draws.tobytes()
+        assert again.predictive_draws.tobytes() == post.predictive_draws.tobytes()
+        assert again.acceptance_rate == post.acceptance_rate
 
-    @settings(max_examples=300, deadline=None)
-    @given(config=_chain_configs(),
-           mu=st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e300])
-           | st.floats(-10.0, 1e4, allow_nan=False))
-    def test_log_posterior_matches_oracle(self, config, mu):
-        """The hoisted terms keep the per-step arithmetic and its order."""
-        value = calibration._log_posterior(config)(mu)
-        assert repr(value) == repr(calibration_oracle._log_posterior(mu, config))
+    @settings(max_examples=200, deadline=None)
+    @given(config=_configs().filter(lambda c: c.observed_sigma < 1e300),
+           z=st.floats(-4.0, 4.0))
+    def test_log_density_matches_oracle(self, config, z):
+        """The shifted, cancellation-free log density of log mu is the
+        oracle's log posterior of mu plus log mu's Jacobian, less its value at
+        the mode; z counts curvature-scaled steps from the mode."""
+        g, _, x0, curvature = calibration._log_density(config)
+        t = z / np.sqrt(curvature)
 
-    @pytest.mark.parametrize("sigma", [8.8, 18.1])
-    def test_default_chain_matches_oracle(self, sigma):
-        """The full default chain spans several blocks, and its diagnostics
-        run to the 1000-lag cap."""
-        config = CalibrationConfig(observed_sigma=sigma)
-        outcome = _calibration_outcome(config, 1)
-        with mock.patch.object(calibration, "_run_chain", calibration_oracle._run_chain):
-            assert outcome == _calibration_outcome(config, 1)
-        assert outcome[-1] == outcome[-2]
+        def direct(x):
+            return calibration_oracle._log_posterior(np.exp(x), config) + x
+
+        assert g(t) == pytest.approx(direct(x0 + t) - direct(x0), rel=1e-6, abs=1e-6)

@@ -118,7 +118,7 @@ class TestUsage:
         assert "data error" in captured.err and "overflow" in captured.err
         assert "nan" not in captured.out
 
-    @pytest.mark.parametrize("visual,simpson", [("1e300", "1e-10"), ("1e300", "1e300")])
+    @pytest.mark.parametrize("visual,simpson", [("1e300", "1e-10"), ("1e305", "1e305")])
     def test_non_finite_report_quantities_are_data_error(
             self, cohort_csv, tmp_path, capsys, visual, simpson):
         code = main(["report", "--input", str(cohort_csv), "--sigma-visual", visual,
@@ -130,11 +130,23 @@ class TestUsage:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_calibration_is_data_error(self, tmp_path, capsys):
-        code = main(["calibrate-error", "--sigma-visual", "1e300", "--sigma-simpson", "1e300",
+        code = main(["calibrate-error", "--sigma-visual", "1e305", "--sigma-simpson", "1e305",
                      "--output", str(tmp_path / "out")])
         assert code == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err and "not finite" in err and "RuntimeWarning" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_huge_calibration_gives_standard_json(self, tmp_path, capsys):
+        code = main(["calibrate-error", "--sigma-visual", "1e300", "--sigma-simpson", "1e300",
+                     "--output", str(tmp_path)])
+        assert code == 0
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        json.loads((tmp_path / "calibration.json").read_text(), parse_constant=reject)
 
     @pytest.mark.parametrize("command,flag,value,message", [
         pytest.param(command, flag, value, message, id=f"{row}-{command}")
@@ -465,9 +477,15 @@ class TestSharedSections:
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
+        # Deleted with the Metropolis chain; the tracer still names it, and
+        # its layer reads 0, until the benchmark is next changed (ROADMAP
+        # item 2).  Each entry must really be gone, so none hides a live name.
+        stale = {("report", "chain_diagnostics")}
         for module_name, attribute, _, _ in tracing.WRAPPED:
             module = importlib.import_module(f"lvef_fusion.{module_name}")
-            assert hasattr(module, attribute), f"lvef_fusion.{module_name}.{attribute}"
+            present = hasattr(module, attribute)
+            assert present != ((module_name, attribute) in stale), \
+                f"lvef_fusion.{module_name}.{attribute}"
 
 
 class TestPipeline:

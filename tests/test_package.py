@@ -22,13 +22,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 EXPORTED = {
     "__version__",
     # calibration
-    "CalibrationConfig", "ChainDiagnostics", "ErrorPosterior", "ReductionDistribution",
-    "calibrate", "chain_diagnostics", "paired_calibration", "reduction_distribution",
+    "CalibrationConfig", "ErrorPosterior", "ReductionDistribution",
+    "calibrate", "paired_calibration", "reduction_distribution",
     # cohort
     "Cohort", "parse_cohort_csv", "write_cohort_csv", "write_fused_csv",
     # errors
     "DegenerateDataError", "DomainError", "DuplicateIdError", "EmptyInputError",
-    "InitializationError", "InvalidParameterError", "InvalidStateError", "LvefFusionError",
+    "InvalidParameterError", "InvalidStateError", "LvefFusionError",
     "LvefFusionWarning", "NonConvergenceError", "PropagationError", "RowError",
     "SchemaError", "SeparationError",
     # fusion

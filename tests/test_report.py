@@ -17,12 +17,7 @@ from hypothesis import strategies as st
 
 import report_oracle
 from lvef_fusion import report as report_module
-from lvef_fusion.calibration import (
-    CalibrationConfig,
-    ErrorPosterior,
-    calibrate,
-    chain_diagnostics,
-)
+from lvef_fusion.calibration import CalibrationConfig, calibrate
 from lvef_fusion.cohort import Cohort
 from lvef_fusion.errors import DegenerateDataError, InvalidParameterError, InvalidStateError
 from lvef_fusion.fusion import InstrumentSigma, fuse, precision_ratio
@@ -53,9 +48,7 @@ from lvef_fusion.stochastics import make_stream, summarize
 from lvef_fusion.survival import CoxFit, cox_fit_from_arrays
 
 SIGMAS = InstrumentSigma(18.1, 8.8)
-FAST_CALIBRATION = CalibrationConfig(
-    observed_sigma=18.1, chain_length=2000, burn_in=100, kept_samples=400
-)
+FAST_CALIBRATION = CalibrationConfig(observed_sigma=18.1, kept_samples=400)
 
 
 def _options(**overrides):
@@ -134,10 +127,8 @@ class TestSections:
         assert set(cal) == {"visual", "simpson", "relative_reduction"}
         for side in ("visual", "simpson"):
             post = cal[side]
-            assert 0.0 < post["acceptance_rate"] < 1.0
-            assert set(post["diagnostics"]) == {
-                "lag1_autocorrelation", "effective_sample_size",
-            }
+            assert set(post) == {"acceptance_rate", "parameter", "predictive"}
+            assert 0.5 <= post["acceptance_rate"] <= 1.0
             assert post["predictive"]["n"] == 400
         assert -1.0 < cal["relative_reduction"]["mean"] < 0.0
 
@@ -167,8 +158,7 @@ class TestDeterminism:
         assert render_report_json(first) == render_report_json(second)
 
     def test_numpy_integer_counts_render_as_plain_ints(self, cohort, report_and_summaries):
-        counts = CalibrationConfig(observed_sigma=18.1, chain_length=np.int64(2000),
-                                   burn_in=np.int64(100), kept_samples=np.int64(400))
+        counts = CalibrationConfig(observed_sigma=18.1, kept_samples=np.int64(400))
         numpy_report, _ = _quiet_report(cohort, _options(calibration=counts))
         plain_report, _ = report_and_summaries
         texts = [render_report_json({**report, "metadata": {
@@ -183,17 +173,17 @@ class TestDeterminism:
         assert (other["propagation"]["visual"]["hazard_ratio"]["mean"]
                 != baseline["propagation"]["visual"]["hazard_ratio"]["mean"])
 
-    def test_proposal_sd_changes_hash(self, cohort):
-        # proposal_sd moves the chain's acceptance rate, so it must enter the
-        # hash; null stands for the default 0.25 * observed_sigma.
+    def test_prior_rate_changes_hash(self, cohort):
+        # prior_rate moves the posterior, so it must enter the hash.
         tiny = _rows([("p0", 40.0, 45.0, 100.0, 1), ("p1", 60.0, 58.0, 200.0, 0),
                       ("p2", 30.0, 35.0, 50.0, 1)])
         reports = [_quiet_report(tiny, _options(replicates=2, calibration=CalibrationConfig(
-            observed_sigma=18.1, chain_length=2000, burn_in=100, kept_samples=400,
-            proposal_sd=proposal_sd)))[0] for proposal_sd in (None, 0.5)]
-        assert [r["config"]["calibration"]["proposal_sd"] for r in reports] == [None, 0.5]
+            observed_sigma=18.1, kept_samples=400, prior_rate=prior_rate)))[0]
+            for prior_rate in (1e-3, 0.5)]
+        assert [r["config"]["calibration"]["prior_rate"] for r in reports] == [1e-3, 0.5]
         assert reports[0]["metadata"]["config_hash"] != reports[1]["metadata"]["config_hash"]
-        assert '"proposal_sd": null' in render_report_json(reports[0])
+        assert (reports[0]["error_calibration"]["visual"]["parameter"]
+                != reports[1]["error_calibration"]["visual"]["parameter"])
 
 
 class TestConfigHash:
@@ -207,11 +197,7 @@ class TestConfigHash:
                                       if field.name != "observed_sigma"])
     def test_every_calibration_setting_moves_the_hash(self, name):
         base = CalibrationConfig(observed_sigma=18.1)
-        value = getattr(base, name)
-        if isinstance(value, bool):
-            changed = not value
-        else:
-            changed = 1.0 if value is None else value + 1
+        changed = getattr(base, name) + 1
         other = dataclasses.replace(base, **{name: changed})
         assert calibration_echo(other)[name] == changed
         assert config_hash(calibration_echo(other)) != config_hash(calibration_echo(base))
@@ -262,7 +248,7 @@ class TestSerializationHelpers:
 
         posterior = calibrate(FAST_CALIBRATION, make_stream(1, 2**32))
         d = posterior_to_dict(posterior)
-        assert set(d) == {"acceptance_rate", "parameter", "predictive", "diagnostics"}
+        assert set(d) == {"acceptance_rate", "parameter", "predictive"}
         assert d["predictive"]["mean"] == pytest.approx(18.1, abs=2.0)
 
 
@@ -328,7 +314,7 @@ class TestNonFiniteDerivedQuantities:
 
     @pytest.mark.parametrize("visual,simpson,match", [
         (1e300, 1e-10, "precision ratio"),
-        (1e300, 1e300, "observed_sigma 1e\\+300 is too large"),
+        (1e305, 1e305, "observed_sigma 1e\\+305 is too large"),
     ])
     def test_run_report_rejects(self, cohort, visual, simpson, match):
         options = _options(sigmas=InstrumentSigma(visual, simpson), replicates=2)
@@ -344,20 +330,24 @@ class TestNonFiniteDerivedQuantities:
             fuse(50.0, 55.0, sigmas)
 
     def test_calibrate_rejects_overflowing_spread(self):
-        config = CalibrationConfig(observed_sigma=1e300, chain_length=400, burn_in=10,
-                                   kept_samples=100)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(InvalidParameterError, match="not finite"):
-                calibrate(config, make_stream(0, 1))
+        # At 1e307, mk * sigma overflows; at 1e305 the posterior sits near
+        # 1e154, so the predictive spread squares past the double range.
+        for sigma in (1e307, 1e305):
+            config = CalibrationConfig(observed_sigma=sigma, kept_samples=100)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(InvalidParameterError, match="too large.*not finite"):
+                    calibrate(config, make_stream(0, 1))
 
-    def test_chain_diagnostics_rejects_overflowing_chain(self):
-        chain = np.array([1e300, -1e300, 5e299, -2e299])
-        posterior = ErrorPosterior(chain, chain, 0.5, summarize([1.0, 2.0]))
+    def test_huge_sigma_calibrates_to_standard_json(self):
+        # The Gamma(1e-3, 1e-3) prior pulls sigma = 1e300's posterior to
+        # about 3.1e152, whose predictive spread is still finite.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(InvalidParameterError, match="autocorrelations"):
-                chain_diagnostics(posterior)
+            section = report_module.calibration_section(
+                InstrumentSigma(1e300, 1e300), 0, CalibrationConfig(observed_sigma=1e300))
+        assert section["visual"]["parameter"]["mean"] == pytest.approx(3.1e152, rel=0.01)
+        json.dumps(section, allow_nan=False)
 
     def test_tiny_sigmas_give_standard_json(self, cohort):
         options = _options(sigmas=InstrumentSigma(1e-300, 1e-300), replicates=2)

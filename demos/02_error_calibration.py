@@ -3,22 +3,24 @@ Calibrating instrument error with a posterior sampler
 =====================================================
 
 The error scales (18.1 and 8.8 points) are treated as observed data for a
-Gamma observation model on a latent error level.  An exact rejection sampler
+Gamma observation model on a latent error level: each is an argument of the
+calibration, taken from InstrumentSigma, while CalibrationConfig holds only
+the model and sampler settings.  An exact rejection sampler
 draws independent values from each instrument's posterior, and the two
 predictive distributions combine into a distribution for the error reduction R
 achieved by fusing.
 """
 
 from lvef_fusion import (
-    CalibrationConfig,
+    InstrumentSigma,
     calibrate,
     make_stream,
     paired_calibration,
 )
 
-# Calibrate one instrument.  Every draw is reproducible from (seed, stream).
-config = CalibrationConfig(observed_sigma=18.1)
-posterior = calibrate(config, make_stream(seed=1, stream_index=2**32))
+# Calibrate one instrument from its observed error sd, under the default
+# CalibrationConfig settings.  Every draw is reproducible from (seed, stream).
+posterior = calibrate(18.1, make_stream(seed=1, stream_index=2**32))
 
 print("single-instrument posterior (observed error sd 18.1):")
 # The draws are independent, so every one of them counts; the acceptance
@@ -30,10 +32,11 @@ print(f"  predictive sd      {posterior.summary.sd:.2f}")
 print(f"  predictive 95% CI  ({posterior.summary.quantiles[0.025]:.2f}, "
       f"{posterior.summary.quantiles[0.975]:.2f})")
 
-# Calibrate both instruments on separate streams and form the reduction
-# distribution: R = -1 / (omega + 1) applied draw by draw.
+# Calibrate both instruments on separate streams, each from its own sigma,
+# and form the reduction distribution in the sigmas' mode: R = -1 / (omega +
+# 1) applied draw by draw.
 visual, simpson, reduction = paired_calibration(
-    18.1, 8.8, make_stream(1, 2**32), make_stream(1, 2**32 + 1)
+    InstrumentSigma(18.1, 8.8), make_stream(1, 2**32), make_stream(1, 2**32 + 1)
 )
 
 print()

@@ -1,26 +1,27 @@
 """Exact posterior calibration of instrument measurement error.
 
-Each instrument's published error figure is treated as the summary of a small
-batch of replicated error observations, each Gamma(likelihood_shape, rate =
-likelihood_shape / mu) around a latent mean error mu with a non-informative
-Gamma prior on mu.  The posterior of mu is then a generalized inverse
-Gaussian.  In x = log mu its log density is strictly concave, so rejection
-from a three-piece envelope draws it exactly: the draws are independent, and
-need no burn-in, thinning or tuning.  Each draw yields one
-posterior-predictive measurement error.  Pairing predictive errors from two
-instruments gives the distribution of the relative spread reduction
-R = -1/(omega + 1).
+Each instrument's published error figure, its sigma in InstrumentSigma, is
+the datum: it is treated as the summary of a small batch of replicated error
+observations, each Gamma(likelihood_shape, rate = likelihood_shape / mu)
+around a latent mean error mu with a non-informative Gamma prior on mu, and
+CalibrationConfig holds only these model and sampler settings.  The
+posterior of mu is then a generalized inverse Gaussian.  In x = log mu its
+log density is strictly concave, so rejection from a three-piece envelope
+draws it exactly: the draws are independent, and need no burn-in, thinning
+or tuning.  Each draw yields one posterior-predictive measurement error.
+Pairing predictive errors from two instruments gives the distribution of
+the relative spread reduction R = -1/(omega + 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fusion import MODES
+from .fusion import MODES, InstrumentSigma
 from .stochastics import RngStream, SampleSummary, _integer, summarize
 
 __all__ = [
@@ -51,7 +52,9 @@ PHI_SERIES = [1.0 / math.factorial(n) for n in range(9, 1, -1)]
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Settings for one instrument's error calibration.
+    """Model and sampler settings for an instrument's error calibration.  The
+    instrument's observed sigma is the datum, not a setting: calibrate takes
+    it as an argument, and paired_calibration takes both from InstrumentSigma.
 
     observation_weight is the number of replicated error observations the
     published figure is taken to summarize.  A single observation leaves the
@@ -60,7 +63,6 @@ class CalibrationConfig:
     rather than buried in the sampler.
     """
 
-    observed_sigma: float
     likelihood_shape: float = 8.0
     prior_shape: float = 1e-3
     prior_rate: float = 1e-3
@@ -70,9 +72,12 @@ class CalibrationConfig:
     def __post_init__(self):
         object.__setattr__(self, "kept_samples", _integer("kept_samples", self.kept_samples))
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidParameterError(f"{f.name} must be finite and > 0, got {value!r}")
+            _check_positive(f.name, getattr(self, f.name))
+
+
+def _check_positive(name: str, value) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,12 +99,12 @@ class ReductionDistribution:
     summary: SampleSummary
 
 
-def _too_large(config: CalibrationConfig, what: str) -> InvalidParameterError:
+def _too_large(observed_sigma: float, what: str) -> InvalidParameterError:
     return InvalidParameterError(
-        f"observed_sigma {config.observed_sigma!r} is too large: {what} is not finite")
+        f"observed_sigma {observed_sigma!r} is too large: {what} is not finite")
 
 
-def _log_density(config: CalibrationConfig):
+def _log_density(observed_sigma: float, config: CalibrationConfig):
     """(g, slope, x0, curvature): the log posterior density of x = log mu as
     g(t) at x = x0 + t, shifted so that its mode is t = 0 and g(0) = 0; its
     derivative; and -g''(0).
@@ -113,7 +118,7 @@ def _log_density(config: CalibrationConfig):
     is -a*phi(-t) - b*phi(t), a sum of two terms <= 0, and no step cancels.
     """
     mk = config.observation_weight * config.likelihood_shape
-    p, big_a, big_b = config.prior_shape - mk, mk * config.observed_sigma, config.prior_rate
+    p, big_a, big_b = config.prior_shape - mk, mk * observed_sigma, config.prior_rate
     half_q = np.sqrt(big_a) * np.sqrt(big_b)
     larger = (np.hypot(p, 2.0 * half_q) + abs(p)) / 2.0
     smaller = half_q * (half_q / larger)
@@ -150,7 +155,7 @@ def _drop_point(g, step: float) -> float:
     return outer
 
 
-def _draw_log_mu(config: CalibrationConfig, stream: RngStream):
+def _draw_log_mu(observed_sigma: float, config: CalibrationConfig, stream: RngStream):
     """kept_samples exact draws of log mu, and accepted / proposed.
 
     Rejection from Devroye's envelope for a log-concave density (Non-Uniform
@@ -161,13 +166,13 @@ def _draw_log_mu(config: CalibrationConfig, stream: RngStream):
     density; the rounds are capped all the same.  Floating-point errors are
     the caller's to silence.
     """
-    g, slope, x0, curvature = _log_density(config)
+    g, slope, x0, curvature = _log_density(observed_sigma, config)
     step = np.sqrt(2.0 / curvature)
     t_l, t_r = _drop_point(g, -step), _drop_point(g, step)
     g_l, g_r, s_l, s_r = g(t_l), g(t_r), slope(t_l), slope(t_r)
     m_l, m_r = np.exp(g_l) / s_l, np.exp(g_r) / -s_r
     if not (np.all(np.isfinite([x0, t_l, t_r, g_l, g_r, m_l, m_r])) and m_l > 0 and m_r > 0):
-        raise _too_large(config, "its posterior envelope")
+        raise _too_large(observed_sigma, "its posterior envelope")
     gen, kept, total = stream.generator, config.kept_samples, m_l + (t_r - t_l) + m_r
     draws, accepted, proposed = [], 0, 0
     for _ in range(4 * (kept // ROUND_SIZE + 2)):  # enough down to acceptance ~1/4
@@ -182,26 +187,29 @@ def _draw_log_mu(config: CalibrationConfig, stream: RngStream):
         if accepted >= kept:
             return x0 + np.concatenate(draws)[:kept], accepted / proposed
     raise InvalidParameterError(
-        f"observed_sigma {config.observed_sigma!r}: the posterior sampler accepted "
+        f"observed_sigma {observed_sigma!r}: the posterior sampler accepted "
         f"only {accepted} of {proposed} proposals")
 
 
-def calibrate(config: CalibrationConfig, stream: RngStream) -> ErrorPosterior:
-    """kept_samples independent draws of mu from its exact posterior, and one
-    predictive error per draw from Gamma(likelihood_shape, likelihood_shape
-    / mu), both from `stream`.  Deterministic given (config, stream).
+def calibrate(observed_sigma: float, stream: RngStream,
+              config: CalibrationConfig = CalibrationConfig()) -> ErrorPosterior:
+    """kept_samples independent draws of mu from its exact posterior given the
+    instrument's observed_sigma (finite and > 0), and one predictive error per
+    draw from Gamma(likelihood_shape, likelihood_shape / mu), both from
+    `stream`.  Deterministic given (observed_sigma, stream, config).
     """
+    _check_positive("observed_sigma", observed_sigma)
     # A sigma near the top of the double range overflows the envelope, mu,
     # or the spreads, which square deviations of the order of observed_sigma.
     with np.errstate(all="ignore"):
-        log_mu, acceptance = _draw_log_mu(config, stream)
+        log_mu, acceptance = _draw_log_mu(observed_sigma, config, stream)
         mu = np.exp(log_mu)
         k = config.likelihood_shape
         predictive = stream.generator.gamma(shape=k, scale=mu / k)
         summary = summarize(predictive, SUMMARY_LEVELS)
         spread = np.var(mu)
     if not np.all(np.isfinite([spread, summary.mean, summary.sd, *summary.quantiles.values()])):
-        raise _too_large(config, "the spread of its error draws")
+        raise _too_large(observed_sigma, "the spread of its error draws")
     return ErrorPosterior(
         parameter_draws=mu,
         predictive_draws=predictive,
@@ -215,7 +223,8 @@ def reduction_distribution(visual: ErrorPosterior, simpson: ErrorPosterior, mode
 
     omega is the per-pair precision ratio (visual error / simpson error) in
     the given mode's units: the ratio itself for paper-sd, its square for
-    variance.
+    variance.  Draws whose omega overflows raise InvalidParameterError, so
+    every R is finite and in [-1, 0).
     """
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be 'paper-sd' or 'variance', got {mode!r}")
@@ -225,25 +234,28 @@ def reduction_distribution(visual: ErrorPosterior, simpson: ErrorPosterior, mode
         raise InvalidParameterError(
             f"predictive draw sequences differ in length ({v.size} vs {s.size})"
         )
-    omega = v / s
-    if mode == "variance":
-        omega = omega**2
+    with np.errstate(over="ignore"):
+        omega = v / s
+        if mode == "variance":
+            omega = omega**2
+    overflowed = omega[~np.isfinite(omega)]
+    if overflowed.size:
+        raise InvalidParameterError(
+            f"predictive errors give a precision ratio omega = {float(overflowed[0])!r} "
+            f"in {mode} mode; it must be finite")
     r = -1.0 / (omega + 1.0)
     return ReductionDistribution(r_draws=r, summary=summarize(r, SUMMARY_LEVELS))
 
 
-def paired_calibration(visual_sigma: float, simpson_sigma: float, stream_visual: RngStream,
-                       stream_simpson: RngStream, mode: str = "paper-sd",
-                       config: CalibrationConfig | None = None):
+def paired_calibration(sigmas: InstrumentSigma, stream_visual: RngStream,
+                       stream_simpson: RngStream,
+                       config: CalibrationConfig = CalibrationConfig()):
     """Convenience wrapper: calibrate both instruments and their R distribution.
 
-    config supplies every setting except observed_sigma, which each
-    instrument takes from its own sigma; None means the CalibrationConfig
-    defaults.  Returns (visual posterior, simpson posterior, reduction
-    distribution).
+    Each instrument is calibrated from its own sigma in `sigmas`, under the
+    shared settings in `config`, and R is taken in sigmas.mode.  Returns
+    (visual posterior, simpson posterior, reduction distribution).
     """
-    if config is None:
-        config = CalibrationConfig(observed_sigma=visual_sigma)
-    visual = calibrate(replace(config, observed_sigma=visual_sigma), stream_visual)
-    simpson = calibrate(replace(config, observed_sigma=simpson_sigma), stream_simpson)
-    return visual, simpson, reduction_distribution(visual, simpson, mode)
+    visual = calibrate(sigmas.visual_sigma, stream_visual, config)
+    simpson = calibrate(sigmas.simpson_sigma, stream_simpson, config)
+    return visual, simpson, reduction_distribution(visual, simpson, sigmas.mode)

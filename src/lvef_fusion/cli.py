@@ -218,19 +218,12 @@ def cmd_fuse(args) -> int:
 
 def cmd_calibrate_error(args) -> int:
     sigmas = _sigmas(args)
-    calibration = CalibrationConfig(observed_sigma=sigmas.visual_sigma)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", LvefFusionWarning)
-        section = calibration_section(sigmas, args.seed, calibration)
-    messages = [f"{w.category.__name__}: {w.message}" for w in caught]
-    for message in messages:
-        print(f"warning: {message}", file=sys.stderr)
-
+    calibration = CalibrationConfig()
     payload = {
         "metadata": artifact_metadata(args.seed),
         "config": {**sigma_echo(sigmas), **calibration_echo(calibration)},
-        **section,
-        "warnings": messages,
+        **calibration_section(sigmas, args.seed, calibration),
+        "warnings": [],
     }
     _emit_json(payload, args.output, "calibration.json")
     return 0

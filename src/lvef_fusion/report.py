@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
@@ -32,7 +31,7 @@ from .calibration import (
     paired_calibration,
 )
 from .cohort import WRITE_ROWS, _open_destination
-from .errors import InvalidParameterError, InvalidStateError, LvefFusionWarning
+from .errors import InvalidParameterError, InvalidStateError
 from .fusion import (
     InstrumentSigma,
     fused_estimates,
@@ -80,7 +79,7 @@ class ReportOptions:
     horizon: float = PropagationConfig.horizon
     band_edges: tuple = PropagationConfig.band_edges
     sources: tuple = SOURCES
-    calibration: CalibrationConfig | None = None
+    calibration: CalibrationConfig = CalibrationConfig()
 
     def __post_init__(self):
         unknown = [s for s in self.sources if s not in SOURCES]
@@ -223,10 +222,9 @@ def _config_echo(options: ReportOptions, calibration: CalibrationConfig | None) 
 
 
 def calibration_echo(calibration: CalibrationConfig) -> dict:
-    """Every CalibrationConfig field but observed_sigma (each instrument
-    takes its own from the sigmas), plus the stream indices."""
-    echo = {f.name: getattr(calibration, f.name)
-            for f in fields(calibration) if f.name != "observed_sigma"}
+    """Every CalibrationConfig setting, plus the stream indices.  The
+    instrument sigmas the calibration reads are in sigma_echo."""
+    echo = {f.name: getattr(calibration, f.name) for f in fields(calibration)}
     echo["visual_stream_index"] = VISUAL_STREAM_INDEX
     echo["simpson_stream_index"] = SIMPSON_STREAM_INDEX
     return echo
@@ -235,16 +233,13 @@ def calibration_echo(calibration: CalibrationConfig) -> dict:
 def calibration_section(sigmas: InstrumentSigma, seed: int,
                         calibration: CalibrationConfig) -> dict:
     """Both instruments' error posteriors and the reduction R, calibrated on
-    the (seed, VISUAL/SIMPSON_STREAM_INDEX) streams; calibration supplies
-    every setting except observed_sigma, which each instrument takes from
-    sigmas."""
+    the (seed, VISUAL/SIMPSON_STREAM_INDEX) streams: each instrument from its
+    own sigma in `sigmas`, under the settings in `calibration`."""
     visual, simpson, reduction = paired_calibration(
-        sigmas.visual_sigma,
-        sigmas.simpson_sigma,
+        sigmas,
         make_stream(seed, VISUAL_STREAM_INDEX),
         make_stream(seed, SIMPSON_STREAM_INDEX),
-        mode=sigmas.mode,
-        config=calibration,
+        calibration,
     )
     return {
         "visual": posterior_to_dict(visual),
@@ -274,51 +269,43 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
     """Run fusion, calibration, and propagation; assemble the report.
 
     Returns (report dict, {source: PropagationSummary}).  The propagation
-    summaries carry the KM bands, which go to CSV rather than the JSON.
-    Warnings raised by the pipeline are recorded in the report and re-emitted.
+    summaries carry the KM bands, which go to CSV rather than the JSON.  The
+    report's warnings are the parse warnings passed in, then one
+    ReplicateExclusion entry per source that excluded replicates.
     """
     sigmas = options.sigmas
     report_warnings = [{"category": "ParseWarning", "message": str(m)} for m in parse_warnings]
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", LvefFusionWarning)
+    fused = fused_estimates(cohort, sigmas)
+    fusion_section = sigma_echo(sigmas)
+    positive = sigmas.visual_sigma > 0 and sigmas.simpson_sigma > 0
+    if positive:
+        fusion_section.update(
+            omega=precision_ratio(sigmas),
+            total_variation=total_variation(sigmas),
+            relative_reduction=relative_reduction(sigmas),
+        )
+    fusion_section["theta_sigma"] = fused_sigma(sigmas)
+    fusion_section["cohort_theta"] = summary_to_dict(summarize(fused, SUMMARY_LEVELS))
+    fusion_section["n_patients"] = len(cohort)
 
-        fused = fused_estimates(cohort, sigmas)
-        fusion_section = sigma_echo(sigmas)
-        if sigmas.visual_sigma > 0 and sigmas.simpson_sigma > 0:
-            fusion_section.update(
-                omega=precision_ratio(sigmas),
-                total_variation=total_variation(sigmas),
-                relative_reduction=relative_reduction(sigmas),
-            )
-        fusion_section["theta_sigma"] = fused_sigma(sigmas)
-        fusion_section["cohort_theta"] = summary_to_dict(summarize(fused, SUMMARY_LEVELS))
-        fusion_section["n_patients"] = len(cohort)
+    if positive:
+        calibration = calibration_section(sigmas, options.seed, options.calibration)
+    else:
+        calibration = {
+            "skipped": True,
+            "reason": "error calibration requires strictly positive sigmas",
+        }
 
-        cal_config = options.calibration
-        if sigmas.visual_sigma > 0 and sigmas.simpson_sigma > 0:
-            if cal_config is None:
-                cal_config = CalibrationConfig(observed_sigma=sigmas.visual_sigma)
-            calibration = calibration_section(sigmas, options.seed, cal_config)
-        else:
-            calibration = {
-                "skipped": True,
-                "reason": "error calibration requires strictly positive sigmas",
-            }
+    propagation_section: dict = {}
+    summaries: dict = {}
+    for summary, message in propagate_sources(cohort, options):
+        summaries[summary.source] = summary
+        propagation_section[summary.source] = propagation_to_dict(summary)
+        if message:
+            report_warnings.append({"category": "ReplicateExclusion", "message": message})
 
-        propagation_section: dict = {}
-        summaries: dict = {}
-        for summary, message in propagate_sources(cohort, options):
-            summaries[summary.source] = summary
-            propagation_section[summary.source] = propagation_to_dict(summary)
-            if message:
-                report_warnings.append({"category": "ReplicateExclusion", "message": message})
-
-    for w in caught:
-        report_warnings.append({"category": w.category.__name__, "message": str(w.message)})
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-
-    config_echo = _config_echo(options, cal_config)
+    config_echo = _config_echo(options, options.calibration if positive else None)
     report = {
         "metadata": artifact_metadata(options.seed, config_echo),
         "config": config_echo,

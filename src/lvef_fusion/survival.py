@@ -227,25 +227,11 @@ class _CoxLayout:
         self.event_first = first[keep]
         self.deaths = deaths[keep]
 
-    def covariate(self, xc: np.ndarray):
-        """The beta-free part of evaluate for one centered, time-sorted
-        covariate: (the covariate, its sum over events)."""
-        return xc, float(np.dot(self.e, xc))
-
-    def evaluate(self, beta: float, covariate):
-        """(value, gradient, hessian) for a covariate prepared by covariate():
-        the one-row case of evaluate_rows."""
-        x, sum_event_x = covariate
-        value, gradient, hessian = self.evaluate_rows(
-            np.array([beta], dtype=float), x[None], np.array([sum_event_x]),
-            np.empty((2, 1, x.size)))
-        return float(value[0]), float(gradient[0]), float(hessian[0])
-
     def evaluate_rows(self, beta: np.ndarray, x: np.ndarray, sum_event_x: np.ndarray,
                       terms: np.ndarray):
         """(value, gradient, hessian) arrays, one entry per row of x, each row
-        a covariate prepared by covariate() and evaluated at its own beta;
-        terms is a (2, rows, n) work buffer.
+        a centered, time-sorted covariate evaluated at its own beta, with its
+        sum over events in sum_event_x; terms is a (2, rows, n) work buffer.
 
         Risk-set sums are suffix cumsums read at tie-group starts, with one
         exponent shift per row so values stay finite for betas far beyond any
@@ -293,7 +279,10 @@ def cox_loglik_from_arrays(beta: float, time, event, covariate):
         raise DegenerateDataError("partial likelihood undefined with zero events")
     layout = _CoxLayout(time, event)
     xc = (covariate - covariate.mean())[layout.order]
-    return layout.evaluate(beta, layout.covariate(xc))
+    value, gradient, hessian = layout.evaluate_rows(
+        np.array([beta], dtype=float), xc[None], np.array([np.dot(layout.e, xc)]),
+        np.empty((2, 1, xc.size)))
+    return float(value[0]), float(gradient[0]), float(hessian[0])
 
 
 def cox_fit_from_arrays(time, event, covariate, tolerance: float = 1e-8,

@@ -1,6 +1,10 @@
 """Exact error calibration: determinism, shapes, and agreement in
 distribution with an independent GIG sampler and the Metropolis oracle."""
 
+import dataclasses
+import types
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +23,16 @@ from lvef_fusion.calibration import (
     reduction_distribution,
 )
 from lvef_fusion.errors import InvalidParameterError
+from lvef_fusion.fusion import MODES, InstrumentSigma
 from lvef_fusion.stochastics import make_stream, summarize
 
 # Every KS comparison below is deterministic; this is the p-value it must
 # clear.
 KS_ALPHA = 1e-3
+# Positive, finite predictive errors from 1e-300 to 1e300, with every power
+# of ten among them so that ratios overflow as well as stay in range.
+_PREDICTIVE = (st.floats(1e-300, 1e300)
+               | st.integers(-300, 300).map(lambda e: float(f"1e{e}")))
 
 
 def _posterior(draws):
@@ -36,24 +45,26 @@ def _posterior(draws):
     )
 
 
+def _oracle_config(sigma, config):
+    """The settings the Metropolis oracle reads: config's, plus the sigma."""
+    return types.SimpleNamespace(observed_sigma=sigma, **dataclasses.asdict(config))
+
+
 class TestCalibrate:
     def test_deterministic_for_fixed_stream(self):
-        config = CalibrationConfig(observed_sigma=17.68)
-        a = calibrate(config, make_stream(7, VISUAL_STREAM_INDEX))
-        b = calibrate(config, make_stream(7, VISUAL_STREAM_INDEX))
+        a = calibrate(17.68, make_stream(7, VISUAL_STREAM_INDEX))
+        b = calibrate(17.68, make_stream(7, VISUAL_STREAM_INDEX))
         assert np.array_equal(a.parameter_draws, b.parameter_draws)
         assert np.array_equal(a.predictive_draws, b.predictive_draws)
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_different_streams_differ(self):
-        config = CalibrationConfig(observed_sigma=17.68)
-        a = calibrate(config, make_stream(7, VISUAL_STREAM_INDEX))
-        b = calibrate(config, make_stream(7, SIMPSON_STREAM_INDEX))
+        a = calibrate(17.68, make_stream(7, VISUAL_STREAM_INDEX))
+        b = calibrate(17.68, make_stream(7, SIMPSON_STREAM_INDEX))
         assert not np.array_equal(a.parameter_draws, b.parameter_draws)
 
     def test_kept_sizes_and_positivity(self):
-        config = CalibrationConfig(observed_sigma=8.63, kept_samples=1200)
-        post = calibrate(config, make_stream(0, 0))
+        post = calibrate(8.63, make_stream(0, 0), CalibrationConfig(kept_samples=1200))
         assert post.parameter_draws.shape == (1200,)
         assert post.predictive_draws.shape == (1200,)
         assert np.all(post.parameter_draws > 0)
@@ -61,20 +72,17 @@ class TestCalibrate:
         assert 0.5 <= post.acceptance_rate <= 1.0
 
     def test_posterior_concentrates_near_observed_value(self):
-        post = calibrate(CalibrationConfig(observed_sigma=17.68), make_stream(7, 0))
+        post = calibrate(17.68, make_stream(7, 0))
         assert np.mean(post.parameter_draws) == pytest.approx(17.68, abs=1.2)
 
     def test_heavier_observation_weight_tightens_posterior(self):
-        light = calibrate(CalibrationConfig(observed_sigma=17.68, observation_weight=4.0),
-                          make_stream(3, 0))
-        heavy = calibrate(CalibrationConfig(observed_sigma=17.68, observation_weight=48.0),
-                          make_stream(3, 0))
+        light = calibrate(17.68, make_stream(3, 0), CalibrationConfig(observation_weight=4.0))
+        heavy = calibrate(17.68, make_stream(3, 0), CalibrationConfig(observation_weight=48.0))
         assert np.std(heavy.parameter_draws) < np.std(light.parameter_draws)
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
-        ("observed_sigma", 0.0),
         ("likelihood_shape", -1.0),
         ("prior_shape", 0.0),
         ("prior_rate", 0.0),
@@ -84,23 +92,29 @@ class TestConfigValidation:
         ("kept_samples", "10"),
     ])
     def test_nonpositive_parameters_rejected(self, field, value):
-        kwargs = {"observed_sigma": 10.0, field: value}
         with pytest.raises(InvalidParameterError):
-            CalibrationConfig(**kwargs)
+            CalibrationConfig(**{field: value})
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_observed_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidParameterError,
+                           match=f"observed_sigma must be finite and > 0, got {sigma!r}"):
+            calibrate(sigma, make_stream(0, VISUAL_STREAM_INDEX))
 
 
 class TestReductionDistribution:
     def test_r_matches_pairwise_formula(self):
-        v, s, red = paired_calibration(18.1, 8.8, make_stream(1, VISUAL_STREAM_INDEX),
+        v, s, red = paired_calibration(InstrumentSigma(18.1, 8.8),
+                                       make_stream(1, VISUAL_STREAM_INDEX),
                                        make_stream(1, SIMPSON_STREAM_INDEX))
         omega = v.predictive_draws / s.predictive_draws
         assert np.array_equal(red.r_draws, -1.0 / (omega + 1.0))
         assert np.all(red.r_draws > -1.0) and np.all(red.r_draws < 0.0)
 
     def test_variance_mode_squares_the_ratio(self):
-        v, s, red = paired_calibration(18.1, 8.8, make_stream(1, VISUAL_STREAM_INDEX),
-                                       make_stream(1, SIMPSON_STREAM_INDEX),
-                                       mode="variance")
+        v, s, red = paired_calibration(InstrumentSigma(18.1, 8.8, "variance"),
+                                       make_stream(1, VISUAL_STREAM_INDEX),
+                                       make_stream(1, SIMPSON_STREAM_INDEX))
         omega = (v.predictive_draws / s.predictive_draws) ** 2
         assert np.array_equal(red.r_draws, -1.0 / (omega + 1.0))
 
@@ -115,15 +129,36 @@ class TestReductionDistribution:
         with pytest.raises(InvalidParameterError):
             reduction_distribution(a, a, mode="sd")
 
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_PREDICTIVE, _PREDICTIVE), min_size=1, max_size=20),
+           mode=st.sampled_from(MODES))
+    def test_r_in_range_or_omega_rejected(self, pairs, mode):
+        """Positive, finite predictive errors either give every R finite and
+        in [-1, 0), or an overflowing omega is rejected by name, without a
+        floating-point warning either way."""
+        visual, simpson = zip(*pairs)
+        with np.errstate(all="ignore"):  # the stand-ins' own summaries
+            visual, simpson = _posterior(visual), _posterior(simpson)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                r = reduction_distribution(visual, simpson, mode).r_draws
+            except InvalidParameterError as exc:
+                assert "precision ratio omega = inf" in str(exc) and mode in str(exc)
+                return
+        assert np.all(np.isfinite(r)) and np.all(r >= -1.0) and np.all(r < 0.0)
+
+
+# Instrument sigmas over a wide range; 1e300 and 1e307 sit at and past the
+# largest sigma whose draws stay finite.
+_SIGMAS = (st.sampled_from([1e-3, 0.5, 8.8, 18.1, 1e4, 1e300, 1e307])
+           | st.floats(1e-3, 1e3, allow_subnormal=False))
+
 
 @st.composite
 def _configs(draw):
-    """Every setting over a wide range; 1e300 and 1e307 sit at and past the
-    largest sigma whose draws stay finite."""
-    sigma = draw(st.sampled_from([1e-3, 0.5, 8.8, 18.1, 1e4, 1e300, 1e307])
-                 | st.floats(1e-3, 1e3, allow_subnormal=False))
+    """Every setting over a wide range."""
     return CalibrationConfig(
-        observed_sigma=sigma,
         likelihood_shape=draw(st.sampled_from([0.5, 2.0, 8.0, 3.7])),
         prior_shape=draw(st.sampled_from([1e-3, 1.0, 3.0])),
         prior_rate=draw(st.sampled_from([1e-3, 0.5])),
@@ -132,47 +167,46 @@ def _configs(draw):
     )
 
 
-def _gig(config, size, seed):
+def _gig(sigma, config, size, seed):
     """mu's posterior drawn by scipy's generalized inverse Gaussian: density
     mu**(p - 1) * exp(-A/mu - B*mu) with p = prior_shape - mk,
-    A = mk * observed_sigma and B = prior_rate."""
+    A = mk * sigma and B = prior_rate."""
     mk = config.observation_weight * config.likelihood_shape
-    p, big_a, big_b = config.prior_shape - mk, mk * config.observed_sigma, config.prior_rate
+    p, big_a, big_b = config.prior_shape - mk, mk * sigma, config.prior_rate
     return stats.geninvgauss(p, 2.0 * np.sqrt(big_a * big_b), scale=np.sqrt(big_a / big_b)).rvs(
         size, random_state=np.random.default_rng(seed))
 
 
 class TestExactSampler:
     @pytest.mark.parametrize("settings", [
-        {"observed_sigma": 18.1},
-        {"observed_sigma": 8.8},
-        {"observed_sigma": 1e-3},
-        {"observed_sigma": 1e4, "prior_rate": 1.0},
-        {"observed_sigma": 2.0, "likelihood_shape": 0.5, "observation_weight": 1.0,
-         "prior_shape": 3.0},
-        {"observed_sigma": 50.0, "likelihood_shape": 3.7, "observation_weight": 6.3,
-         "prior_shape": 1.0, "prior_rate": 0.5},
+        (18.1, {}),
+        (8.8, {}),
+        (1e-3, {}),
+        (1e4, {"prior_rate": 1.0}),
+        (2.0, {"likelihood_shape": 0.5, "observation_weight": 1.0, "prior_shape": 3.0}),
+        (50.0, {"likelihood_shape": 3.7, "observation_weight": 6.3,
+                "prior_shape": 1.0, "prior_rate": 0.5}),
     ])
     def test_matches_geninvgauss(self, settings):
-        config = CalibrationConfig(**settings)
-        draws = calibrate(config, make_stream(5, VISUAL_STREAM_INDEX)).parameter_draws
-        assert stats.ks_2samp(draws, _gig(config, 5000, 5)).pvalue > KS_ALPHA
+        sigma, config = settings[0], CalibrationConfig(**settings[1])
+        draws = calibrate(sigma, make_stream(5, VISUAL_STREAM_INDEX), config).parameter_draws
+        assert stats.ks_2samp(draws, _gig(sigma, config, 5000, 5)).pvalue > KS_ALPHA
 
     @pytest.mark.parametrize("sigma", [18.1, 8.8])
     def test_matches_oracle_chain_at_defaults(self, sigma):
         """The chain's lag-20 autocorrelation is under 0.01 at the defaults,
         so every 20th state after a burn-in is close to an independent draw."""
-        config = CalibrationConfig(observed_sigma=sigma)
-        states, _ = calibration_oracle._run_chain(sigma, 0.25 * sigma, 60_000, config,
-                                                  make_stream(1, 0))
-        draws = calibrate(config, make_stream(1, VISUAL_STREAM_INDEX)).parameter_draws
+        states, _ = calibration_oracle._run_chain(
+            sigma, 0.25 * sigma, 60_000, _oracle_config(sigma, CalibrationConfig()),
+            make_stream(1, 0))
+        draws = calibrate(sigma, make_stream(1, VISUAL_STREAM_INDEX)).parameter_draws
         assert stats.ks_2samp(draws, states[1000::20]).pvalue > KS_ALPHA
 
     @settings(max_examples=200, deadline=None)
-    @given(config=_configs(), seed=st.integers(0, 2**32))
-    def test_finite_draws_healthy_acceptance_and_determinism(self, config, seed):
+    @given(sigma=_SIGMAS, config=_configs(), seed=st.integers(0, 2**32))
+    def test_finite_draws_healthy_acceptance_and_determinism(self, sigma, config, seed):
         try:
-            post = calibrate(config, make_stream(seed, VISUAL_STREAM_INDEX))
+            post = calibrate(sigma, make_stream(seed, VISUAL_STREAM_INDEX), config)
         except InvalidParameterError as exc:
             assert "is too large" in str(exc)
             return
@@ -180,22 +214,22 @@ class TestExactSampler:
             assert draws.shape == (config.kept_samples,)
             assert np.all(np.isfinite(draws)) and np.all(draws > 0)
         assert 0.5 <= post.acceptance_rate <= 1.0
-        again = calibrate(config, make_stream(seed, VISUAL_STREAM_INDEX))
+        again = calibrate(sigma, make_stream(seed, VISUAL_STREAM_INDEX), config)
         assert again.parameter_draws.tobytes() == post.parameter_draws.tobytes()
         assert again.predictive_draws.tobytes() == post.predictive_draws.tobytes()
         assert again.acceptance_rate == post.acceptance_rate
 
     @settings(max_examples=200, deadline=None)
-    @given(config=_configs().filter(lambda c: c.observed_sigma < 1e300),
+    @given(sigma=_SIGMAS.filter(lambda s: s < 1e300), config=_configs(),
            z=st.floats(-4.0, 4.0))
-    def test_log_density_matches_oracle(self, config, z):
+    def test_log_density_matches_oracle(self, sigma, config, z):
         """The shifted, cancellation-free log density of log mu is the
         oracle's log posterior of mu plus log mu's Jacobian, less its value at
         the mode; z counts curvature-scaled steps from the mode."""
-        g, _, x0, curvature = calibration._log_density(config)
+        g, _, x0, curvature = calibration._log_density(sigma, config)
         t = z / np.sqrt(curvature)
 
         def direct(x):
-            return calibration_oracle._log_posterior(np.exp(x), config) + x
+            return calibration_oracle._log_posterior(np.exp(x), _oracle_config(sigma, config)) + x
 
         assert g(t) == pytest.approx(direct(x0 + t) - direct(x0), rel=1e-6, abs=1e-6)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,14 @@ def unread_cohort(monkeypatch):
 
 def _rows(text):
     return list(csv.DictReader(text.splitlines()))
+
+
+def _main_without_float_warnings(argv):
+    """main(argv) with a RuntimeWarning raised instead of shown: pytest
+    records warnings, so they never reach the captured stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(argv)
 
 
 BAD_RUN_FLAGS = [
@@ -121,25 +130,45 @@ class TestUsage:
     @pytest.mark.parametrize("visual,simpson", [("1e300", "1e-10"), ("1e305", "1e305")])
     def test_non_finite_report_quantities_are_data_error(
             self, cohort_csv, tmp_path, capsys, visual, simpson):
-        code = main(["report", "--input", str(cohort_csv), "--sigma-visual", visual,
-                     "--sigma-simpson", simpson, "--replicates", "2",
-                     "--output", str(tmp_path / "out")])
+        code = _main_without_float_warnings([
+            "report", "--input", str(cohort_csv), "--sigma-visual", visual,
+            "--sigma-simpson", simpson, "--replicates", "2", "--output", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err and "RuntimeWarning" not in err
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_calibration_is_data_error(self, tmp_path, capsys):
-        code = main(["calibrate-error", "--sigma-visual", "1e305", "--sigma-simpson", "1e305",
-                     "--output", str(tmp_path / "out")])
+        code = _main_without_float_warnings([
+            "calibrate-error", "--sigma-visual", "1e305", "--sigma-simpson", "1e305",
+            "--output", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err and "not finite" in err and "RuntimeWarning" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags", [
+        # The predictive errors' ratio overflows.
+        ["calibrate-error", "--visual", "1e300", "--simpson", "1e-300", "--seed", "1"],
+        # The sigmas' precision ratio is finite, but a predictive ratio's
+        # square overflows.
+        ["report", "--sigma-visual", "1", "--sigma-simpson", "1e-154", "--mode", "variance",
+         "--replicates", "2"],
+    ], ids=["calibrate-error-ratio", "report-variance-square"])
+    def test_overflowing_predictive_omega_is_data_error(self, cohort_csv, tmp_path, capsys,
+                                                        flags):
+        if flags[0] == "report":
+            flags = [*flags, "--input", str(cohort_csv)]
+        code = _main_without_float_warnings([*flags, "--output", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "precision ratio omega = inf" in err
+        assert not (tmp_path / "out").exists()
+
     def test_huge_calibration_gives_standard_json(self, tmp_path, capsys):
-        code = main(["calibrate-error", "--sigma-visual", "1e300", "--sigma-simpson", "1e300",
-                     "--output", str(tmp_path)])
+        code = _main_without_float_warnings([
+            "calibrate-error", "--sigma-visual", "1e300", "--sigma-simpson", "1e300",
+            "--output", str(tmp_path)])
         assert code == 0
         assert "RuntimeWarning" not in capsys.readouterr().err
 

@@ -48,7 +48,7 @@ from lvef_fusion.stochastics import make_stream, summarize
 from lvef_fusion.survival import CoxFit, cox_fit_from_arrays
 
 SIGMAS = InstrumentSigma(18.1, 8.8)
-FAST_CALIBRATION = CalibrationConfig(observed_sigma=18.1, kept_samples=400)
+FAST_CALIBRATION = CalibrationConfig(kept_samples=400)
 
 
 def _options(**overrides):
@@ -158,7 +158,7 @@ class TestDeterminism:
         assert render_report_json(first) == render_report_json(second)
 
     def test_numpy_integer_counts_render_as_plain_ints(self, cohort, report_and_summaries):
-        counts = CalibrationConfig(observed_sigma=18.1, kept_samples=np.int64(400))
+        counts = CalibrationConfig(kept_samples=np.int64(400))
         numpy_report, _ = _quiet_report(cohort, _options(calibration=counts))
         plain_report, _ = report_and_summaries
         texts = [render_report_json({**report, "metadata": {
@@ -173,12 +173,23 @@ class TestDeterminism:
         assert (other["propagation"]["visual"]["hazard_ratio"]["mean"]
                 != baseline["propagation"]["visual"]["hazard_ratio"]["mean"])
 
+    def test_default_calibration_is_explicit_defaults(self, cohort):
+        texts = []
+        for options in (ReportOptions(sigmas=SIGMAS, seed=4, replicates=2),
+                        ReportOptions(sigmas=SIGMAS, seed=4, replicates=2,
+                                      calibration=CalibrationConfig())):
+            report, _ = _quiet_report(cohort, options)
+            report["metadata"].pop("generated_at")
+            texts.append(render_report_json(report))
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["config"]["calibration"]["kept_samples"] == 5000
+
     def test_prior_rate_changes_hash(self, cohort):
         # prior_rate moves the posterior, so it must enter the hash.
         tiny = _rows([("p0", 40.0, 45.0, 100.0, 1), ("p1", 60.0, 58.0, 200.0, 0),
                       ("p2", 30.0, 35.0, 50.0, 1)])
         reports = [_quiet_report(tiny, _options(replicates=2, calibration=CalibrationConfig(
-            observed_sigma=18.1, kept_samples=400, prior_rate=prior_rate)))[0]
+            kept_samples=400, prior_rate=prior_rate)))[0]
             for prior_rate in (1e-3, 0.5)]
         assert [r["config"]["calibration"]["prior_rate"] for r in reports] == [1e-3, 0.5]
         assert reports[0]["metadata"]["config_hash"] != reports[1]["metadata"]["config_hash"]
@@ -193,10 +204,9 @@ class TestConfigHash:
     def test_sensitive_to_values(self):
         assert config_hash({"a": 1}) != config_hash({"a": 2})
 
-    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(CalibrationConfig)
-                                      if field.name != "observed_sigma"])
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(CalibrationConfig)])
     def test_every_calibration_setting_moves_the_hash(self, name):
-        base = CalibrationConfig(observed_sigma=18.1)
+        base = CalibrationConfig()
         changed = getattr(base, name) + 1
         other = dataclasses.replace(base, **{name: changed})
         assert calibration_echo(other)[name] == changed
@@ -246,7 +256,7 @@ class TestSerializationHelpers:
     def test_posterior_dict_roundtrip(self):
         from lvef_fusion.report import posterior_to_dict
 
-        posterior = calibrate(FAST_CALIBRATION, make_stream(1, 2**32))
+        posterior = calibrate(18.1, make_stream(1, 2**32), FAST_CALIBRATION)
         d = posterior_to_dict(posterior)
         assert set(d) == {"acceptance_rate", "parameter", "predictive"}
         assert d["predictive"]["mean"] == pytest.approx(18.1, abs=2.0)
@@ -257,6 +267,7 @@ class TestZeroSigmaReport:
         cal = zero_report[0]["error_calibration"]
         assert cal["skipped"] is True
         assert "positive" in cal["reason"]
+        assert "calibration" not in zero_report[0]["config"]
 
     def test_fusion_omits_ratio_fields(self, zero_report):
         fusion = zero_report[0]["fusion"]
@@ -333,11 +344,10 @@ class TestNonFiniteDerivedQuantities:
         # At 1e307, mk * sigma overflows; at 1e305 the posterior sits near
         # 1e154, so the predictive spread squares past the double range.
         for sigma in (1e307, 1e305):
-            config = CalibrationConfig(observed_sigma=sigma, kept_samples=100)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(InvalidParameterError, match="too large.*not finite"):
-                    calibrate(config, make_stream(0, 1))
+                    calibrate(sigma, make_stream(0, 1), CalibrationConfig(kept_samples=100))
 
     def test_huge_sigma_calibrates_to_standard_json(self):
         # The Gamma(1e-3, 1e-3) prior pulls sigma = 1e300's posterior to
@@ -345,7 +355,7 @@ class TestNonFiniteDerivedQuantities:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             section = report_module.calibration_section(
-                InstrumentSigma(1e300, 1e300), 0, CalibrationConfig(observed_sigma=1e300))
+                InstrumentSigma(1e300, 1e300), 0, CalibrationConfig())
         assert section["visual"]["parameter"]["mean"] == pytest.approx(3.1e152, rel=0.01)
         json.dumps(section, allow_nan=False)
 

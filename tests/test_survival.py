@@ -211,7 +211,7 @@ class TestKaplanMeier:
 
 def _three_cumsum_evaluate(layout, beta, xc):
     """The objective as three separate suffix cumsums on the time-sorted,
-    centered covariate: the oracle of _CoxLayout.evaluate."""
+    centered covariate: the oracle of cox_loglik_from_arrays."""
     eta = beta * xc
     shift = eta.max()
     w = np.exp(eta - shift)
@@ -245,7 +245,7 @@ class TestCoxObjective:
         x = np.array([v for _, _, v in subjects])
         layout = _CoxLayout(time, event)
         xc = (x - x.mean())[layout.order]
-        new = layout.evaluate(beta, layout.covariate(xc))
+        new = cox_loglik_from_arrays(beta, time, event, x)
         old = _three_cumsum_evaluate(layout, beta, xc)
         assert [v.hex() for v in new] == [v.hex() for v in old]
 

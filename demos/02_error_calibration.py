@@ -17,10 +17,13 @@ from lvef_fusion import (
     make_stream,
     paired_calibration,
 )
+from lvef_fusion.stochastics import SIMPSON_STREAM_INDEX, VISUAL_STREAM_INDEX
 
 # Calibrate one instrument from its observed error sd, under the default
-# CalibrationConfig settings.  Every draw is reproducible from (seed, stream).
-posterior = calibrate(18.1, make_stream(seed=1, stream_index=2**32))
+# CalibrationConfig settings.  Every draw is reproducible from the stream's
+# (seed, stream_index) key; the calibrations' indexes are reserved in
+# lvef_fusion.stochastics.
+posterior = calibrate(18.1, make_stream(seed=1, stream_index=VISUAL_STREAM_INDEX))
 
 print("single-instrument posterior (observed error sd 18.1):")
 # The draws are independent, so every one of them counts; the acceptance
@@ -36,7 +39,8 @@ print(f"  predictive 95% CI  ({posterior.summary.quantiles[0.025]:.2f}, "
 # and form the reduction distribution in the sigmas' mode: R = -1 / (omega +
 # 1) applied draw by draw.
 visual, simpson, reduction = paired_calibration(
-    InstrumentSigma(18.1, 8.8), make_stream(1, 2**32), make_stream(1, 2**32 + 1)
+    InstrumentSigma(18.1, 8.8), make_stream(1, VISUAL_STREAM_INDEX),
+    make_stream(1, SIMPSON_STREAM_INDEX)
 )
 
 print()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .fusion import MODES, InstrumentSigma
-from .stochastics import RngStream, SampleSummary, _integer, summarize
+from .stochastics import SampleSummary, _integer, summarize
 
 __all__ = [
     "CalibrationConfig",
@@ -33,13 +33,6 @@ __all__ = [
     "paired_calibration",
 ]
 
-SUMMARY_LEVELS = (0.025, 0.5, 0.975)
-
-# Canonical substream indexes for the two instruments.  Kept at and above
-# 2**32 so they never collide with propagation replicate indexes, which count
-# up from zero under the same seed.
-VISUAL_STREAM_INDEX = 2**32
-SIMPSON_STREAM_INDEX = 2**32 + 1
 # Proposals per rejection round.  Every round draws ROUND_SIZE uniforms, then
 # 2 * ROUND_SIZE exponentials, whatever the accept/reject pattern.
 ROUND_SIZE = 1 << 10
@@ -155,7 +148,7 @@ def _drop_point(g, step: float) -> float:
     return outer
 
 
-def _draw_log_mu(observed_sigma: float, config: CalibrationConfig, stream: RngStream):
+def _draw_log_mu(observed_sigma: float, config: CalibrationConfig, gen: np.random.Generator):
     """kept_samples exact draws of log mu, and accepted / proposed.
 
     Rejection from Devroye's envelope for a log-concave density (Non-Uniform
@@ -173,7 +166,7 @@ def _draw_log_mu(observed_sigma: float, config: CalibrationConfig, stream: RngSt
     m_l, m_r = np.exp(g_l) / s_l, np.exp(g_r) / -s_r
     if not (np.all(np.isfinite([x0, t_l, t_r, g_l, g_r, m_l, m_r])) and m_l > 0 and m_r > 0):
         raise _too_large(observed_sigma, "its posterior envelope")
-    gen, kept, total = stream.generator, config.kept_samples, m_l + (t_r - t_l) + m_r
+    kept, total = config.kept_samples, m_l + (t_r - t_l) + m_r
     draws, accepted, proposed = [], 0, 0
     for _ in range(4 * (kept // ROUND_SIZE + 2)):  # enough down to acceptance ~1/4
         u = gen.uniform(0.0, total, size=ROUND_SIZE)
@@ -191,12 +184,13 @@ def _draw_log_mu(observed_sigma: float, config: CalibrationConfig, stream: RngSt
         f"only {accepted} of {proposed} proposals")
 
 
-def calibrate(observed_sigma: float, stream: RngStream,
+def calibrate(observed_sigma: float, stream: np.random.Generator,
               config: CalibrationConfig = CalibrationConfig()) -> ErrorPosterior:
     """kept_samples independent draws of mu from its exact posterior given the
     instrument's observed_sigma (finite and > 0), and one predictive error per
-    draw from Gamma(likelihood_shape, likelihood_shape / mu), both from
-    `stream`.  Deterministic given (observed_sigma, stream, config).
+    draw from Gamma(likelihood_shape, likelihood_shape / mu), both drawn
+    from `stream`, a fresh make_stream Generator.  Deterministic given
+    (observed_sigma, the stream's key, config).
     """
     _check_positive("observed_sigma", observed_sigma)
     # A sigma near the top of the double range overflows the envelope, mu,
@@ -205,8 +199,8 @@ def calibrate(observed_sigma: float, stream: RngStream,
         log_mu, acceptance = _draw_log_mu(observed_sigma, config, stream)
         mu = np.exp(log_mu)
         k = config.likelihood_shape
-        predictive = stream.generator.gamma(shape=k, scale=mu / k)
-        summary = summarize(predictive, SUMMARY_LEVELS)
+        predictive = stream.gamma(shape=k, scale=mu / k)
+        summary = summarize(predictive)
         spread = np.var(mu)
     if not np.all(np.isfinite([spread, summary.mean, summary.sd, *summary.quantiles.values()])):
         raise _too_large(observed_sigma, "the spread of its error draws")
@@ -244,18 +238,23 @@ def reduction_distribution(visual: ErrorPosterior, simpson: ErrorPosterior, mode
             f"predictive errors give a precision ratio omega = {float(overflowed[0])!r} "
             f"in {mode} mode; it must be finite")
     r = -1.0 / (omega + 1.0)
-    return ReductionDistribution(r_draws=r, summary=summarize(r, SUMMARY_LEVELS))
+    return ReductionDistribution(r_draws=r, summary=summarize(r))
 
 
-def paired_calibration(sigmas: InstrumentSigma, stream_visual: RngStream,
-                       stream_simpson: RngStream,
+def paired_calibration(sigmas: InstrumentSigma, stream_visual: np.random.Generator,
+                       stream_simpson: np.random.Generator,
                        config: CalibrationConfig = CalibrationConfig()):
     """Convenience wrapper: calibrate both instruments and their R distribution.
 
-    Each instrument is calibrated from its own sigma in `sigmas`, under the
-    shared settings in `config`, and R is taken in sigmas.mode.  Returns
-    (visual posterior, simpson posterior, reduction distribution).
+    Each instrument is calibrated from its own sigma in `sigmas` on its own
+    stream, under the shared settings in `config`; an InvalidParameterError
+    is re-raised naming its InstrumentSigma field.  R is taken in sigmas.mode.
+    Returns (visual posterior, simpson posterior, reduction distribution).
     """
-    visual = calibrate(sigmas.visual_sigma, stream_visual, config)
-    simpson = calibrate(sigmas.simpson_sigma, stream_simpson, config)
-    return visual, simpson, reduction_distribution(visual, simpson, sigmas.mode)
+    posteriors = []
+    for name, stream in (("visual_sigma", stream_visual), ("simpson_sigma", stream_simpson)):
+        try:
+            posteriors.append(calibrate(getattr(sigmas, name), stream, config))
+        except InvalidParameterError as error:
+            raise InvalidParameterError(f"cannot calibrate {name}: {error}") from error
+    return (*posteriors, reduction_distribution(*posteriors, sigmas.mode))

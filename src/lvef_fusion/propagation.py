@@ -212,7 +212,7 @@ class _StratumCurves:
     def summary(self) -> StratumSummary:
         if not self.present.any():
             return StratumSummary(mean_event_rate=None, quantiles=None, n_present=0)
-        s = summarize(self.rate[self.present], (0.025, 0.5, 0.975))
+        s = summarize(self.rate[self.present])
         return StratumSummary(mean_event_rate=s.mean, quantiles=s.quantiles,
                               n_present=int(self.present.sum()))
 
@@ -336,7 +336,7 @@ def _fit_chunk(first, stop, time, event, layout, order, centers, spread, config)
     # in place.
     realized = np.empty((stop - first, time.size))
     for row, r in zip(realized, range(first, stop)):
-        make_stream(config.seed, r).generator.standard_normal(out=row)
+        make_stream(config.seed, r).standard_normal(out=row)
         row *= spread
         row += centers
         row[:] = row[order]

@@ -5,7 +5,8 @@ each instrument sees the truth plus its own normal noise and reports on its
 own grid (5-point for visual readings, 0.1 for Simpson's biplane).  Event
 times are exponential with a log-linear hazard in the true LVEF anchored at
 50%, censored administratively at the horizon.  Everything is deterministic
-given (config, stream), so pipeline claims can be tested against the truth.
+given config, whose seed keys the simulation stream, so pipeline claims can
+be tested against the truth.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .cohort import Cohort
 from .errors import InvalidParameterError
-from .stochastics import RngStream, _integer, make_stream
+from .stochastics import SIM_STREAM_INDEX, _integer, make_stream
 
 __all__ = [
     "SimConfig",
@@ -24,8 +25,6 @@ __all__ = [
 ]
 
 LVEF_RANGE = (1.0, 99.0)
-# Stream index reserved for cohort generation under a run's master seed.
-SIM_STREAM_INDEX = 2**33
 
 # Generative noise defaults: the published per-instrument error sds.
 LITERATURE_VISUAL_SD = 18.1
@@ -69,12 +68,10 @@ def _round_to_grid(values: np.ndarray, grid: float) -> np.ndarray:
     return np.clip(rounded, grid * np.ceil(lo / grid), grid * np.floor(hi / grid + 1e-9))
 
 
-def simulate(config: SimConfig, stream: RngStream | None = None) -> Cohort:
-    """Generate one cohort, carrying the truth that produced it as true_lvef.
-    With stream=None, uses the reserved simulation substream of config.seed."""
-    if stream is None:
-        stream = make_stream(config.seed, SIM_STREAM_INDEX)
-    gen = stream.generator
+def simulate(config: SimConfig) -> Cohort:
+    """Generate one cohort, carrying the truth that produced it as true_lvef,
+    from the stream (config.seed, SIM_STREAM_INDEX)."""
+    gen = make_stream(config.seed, SIM_STREAM_INDEX)
     n = config.n_patients
 
     true = np.clip(gen.normal(config.true_lvef_mean, config.true_lvef_sd, size=n), *LVEF_RANGE)

@@ -1,38 +1,37 @@
 """Deterministic, seedable random streams and sampling primitives.
 
-All randomness in this package flows through RngStream.  Streams are built on
-the Philox counter-based generator with key = (seed, stream_index), so any
-substream is constructed algebraically in O(1) and distinct indices give
-independent sequences by construction — no draws are burned, no spawning state
-is carried around.  Replaying a (seed, stream_index) pair reproduces the draw
-sequence bit-for-bit.
+Every draw in this package comes from make_stream(seed, stream_index): a
+numpy Generator on the Philox counter-based bit generator keyed by the pair,
+so any stream is built in O(1) and distinct keys give independent sequences
+by construction, with no draws burned and no spawning state carried around.
+Replaying a (seed, stream_index) pair reproduces the draw sequence
+bit-for-bit.  The stream-index plan and the summary levels are stated here.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInputError, InvalidParameterError
 
 __all__ = [
-    "RngStream",
     "SampleSummary",
     "make_stream",
     "summarize",
 ]
 
+# The stream-index plan under one seed: replicate r of a propagation uses
+# index r; the visual and Simpson calibrations use 2**32 and 2**32 + 1; cohort
+# simulation uses 2**33.  A new use takes an index no other use can reach.
+VISUAL_STREAM_INDEX = 2**32
+SIMPSON_STREAM_INDEX = 2**32 + 1
+SIM_STREAM_INDEX = 2**33
 
-@dataclass(frozen=True)
-class RngStream:
-    """A keyed random stream.  Equality of (seed, stream_index) implies equality
-    of the generated sequence."""
-
-    seed: int
-    stream_index: int
-    generator: np.random.Generator = field(repr=False, compare=False)
+# summarize's default levels: the median and the two-sided 95% interval.
+SUMMARY_LEVELS = (0.025, 0.5, 0.975)
 
 
 def _integer(name: str, value, uint64: bool = False) -> int:
@@ -48,11 +47,10 @@ def _integer(name: str, value, uint64: bool = False) -> int:
     return index
 
 
-def make_stream(seed: int, stream_index: int = 0) -> RngStream:
-    """Create the deterministic stream identified by (seed, stream_index)."""
+def make_stream(seed: int, stream_index: int) -> np.random.Generator:
+    """The deterministic Generator identified by (seed, stream_index)."""
     key = [_integer("seed", seed, uint64=True), _integer("stream_index", stream_index, uint64=True)]
-    generator = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-    return RngStream(seed=key[0], stream_index=key[1], generator=generator)
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class SampleSummary:
     n: int
 
 
-def summarize(values, probability_levels=(0.025, 0.5, 0.975)) -> SampleSummary:
+def summarize(values, probability_levels=SUMMARY_LEVELS) -> SampleSummary:
     """Mean, sd (denominator n-1; sd of a singleton is 0 by convention), and
     empirical quantiles by linear interpolation between order statistics."""
     arr = np.asarray(values, dtype=float).ravel()

@@ -30,9 +30,8 @@ def _run_chain(start, proposal_sd, n_steps, config, stream):
     Proposal noise and acceptance uniforms are pre-drawn in blocks so the
     stream's draw layout is fixed regardless of the accept/reject pattern.
     """
-    gen = stream.generator
-    steps = gen.normal(0.0, proposal_sd, size=n_steps)
-    log_us = np.log(gen.uniform(size=n_steps))
+    steps = stream.normal(0.0, proposal_sd, size=n_steps)
+    log_us = np.log(stream.uniform(size=n_steps))
     states = np.empty(n_steps)
     current = start
     log_post = _log_posterior(current, config)

@@ -47,7 +47,7 @@ class Replicate:
 def realize(cohort, config, r: int) -> np.ndarray:
     """Replicate r's clamped LVEF draw, in patient order."""
     centers, spread = source_values(cohort, config.source, config.sigmas)
-    draws = make_stream(config.seed, r).generator.normal(loc=centers, scale=spread)
+    draws = make_stream(config.seed, r).normal(loc=centers, scale=spread)
     return np.clip(draws, *CLAMP_RANGE)
 
 

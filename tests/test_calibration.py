@@ -14,8 +14,6 @@ from scipy import stats
 import calibration_oracle
 from lvef_fusion import calibration
 from lvef_fusion.calibration import (
-    SIMPSON_STREAM_INDEX,
-    VISUAL_STREAM_INDEX,
     CalibrationConfig,
     ErrorPosterior,
     calibrate,
@@ -24,7 +22,12 @@ from lvef_fusion.calibration import (
 )
 from lvef_fusion.errors import InvalidParameterError
 from lvef_fusion.fusion import MODES, InstrumentSigma
-from lvef_fusion.stochastics import make_stream, summarize
+from lvef_fusion.stochastics import (
+    SIMPSON_STREAM_INDEX,
+    VISUAL_STREAM_INDEX,
+    make_stream,
+    summarize,
+)
 
 # Every KS comparison below is deterministic; this is the p-value it must
 # clear.
@@ -100,6 +103,20 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError,
                            match=f"observed_sigma must be finite and > 0, got {sigma!r}"):
             calibrate(sigma, make_stream(0, VISUAL_STREAM_INDEX))
+
+    @pytest.mark.parametrize("sigmas,name,message", [
+        (InstrumentSigma(0.0, 8.8), "visual_sigma", "observed_sigma must be finite and > 0"),
+        (InstrumentSigma(18.1, 1e305), "simpson_sigma", "observed_sigma 1e\\+305 is too large"),
+    ])
+    def test_paired_calibration_names_the_instrument(self, sigmas, name, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError,
+                               match=f"^cannot calibrate {name}: {message}") as caught:
+                paired_calibration(sigmas, make_stream(1, VISUAL_STREAM_INDEX),
+                                   make_stream(1, SIMPSON_STREAM_INDEX),
+                                   CalibrationConfig(kept_samples=100))
+        assert isinstance(caught.value.__cause__, InvalidParameterError)
 
 
 class TestReductionDistribution:

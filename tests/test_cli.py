@@ -145,7 +145,17 @@ class TestUsage:
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err and "not finite" in err and "RuntimeWarning" not in err
+        assert "cannot calibrate visual_sigma: observed_sigma 1e+305 is too large" in err
         assert not (tmp_path / "out").exists()
+
+    def test_zero_sigma_calibration_names_the_instrument(self, tmp_path, capsys):
+        code = main(["calibrate-error", "--visual", "0", "--simpson", "8.8",
+                     "--output", str(tmp_path / "zero")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("cannot calibrate visual_sigma: observed_sigma must be finite and > 0, "
+                "got 0.0") in err
+        assert not (tmp_path / "zero").exists()
 
     @pytest.mark.parametrize("flags", [
         # The predictive errors' ratio overflows.

@@ -43,7 +43,7 @@ EXPORTED = {
     # simulate
     "SimConfig", "simulate",
     # stochastics
-    "RngStream", "SampleSummary", "make_stream", "summarize",
+    "SampleSummary", "make_stream", "summarize",
     # survival
     "CoxFit", "KmCurve", "cox_fit_from_arrays", "cox_loglik_from_arrays", "hazard_ratio_per",
     "km_event_rate_at", "km_from_arrays", "km_survival_at",

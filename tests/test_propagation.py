@@ -168,8 +168,8 @@ class TestRealizeLvef:
         # place, which gives normal(loc, scale)'s numbers only while numpy
         # rounds loc + scale * z once per operation.
         centers = np.array(centers)
-        expected = make_stream(seed, index).generator.normal(loc=centers, scale=spread)
-        z = make_stream(seed, index).generator.standard_normal(centers.size)
+        expected = make_stream(seed, index).normal(loc=centers, scale=spread)
+        z = make_stream(seed, index).standard_normal(centers.size)
         z *= spread
         z += centers
         assert z.tobytes() == expected.tobytes(), (
@@ -183,7 +183,7 @@ class TestRealizeLvef:
         realized = oracle.realize(cohort, config, 4)
         theta = fused_estimates(cohort, SIGMAS)
         sigma = np.full(len(theta), fused_sigma(SIGMAS))
-        expected = np.clip(make_stream(9, 4).generator.normal(theta, sigma), 1.0, 99.0)
+        expected = np.clip(make_stream(9, 4).normal(theta, sigma), 1.0, 99.0)
         assert np.array_equal(realized, expected)
         _assert_matches_oracle(cohort, config)
 

@@ -325,7 +325,7 @@ class TestNonFiniteDerivedQuantities:
 
     @pytest.mark.parametrize("visual,simpson,match", [
         (1e300, 1e-10, "precision ratio"),
-        (1e305, 1e305, "observed_sigma 1e\\+305 is too large"),
+        (1e305, 1e305, "cannot calibrate visual_sigma: observed_sigma 1e\\+305 is too large"),
     ])
     def test_run_report_rejects(self, cohort, visual, simpson, match):
         options = _options(sigmas=InstrumentSigma(visual, simpson), replicates=2)

@@ -5,8 +5,8 @@ import pytest
 
 from lvef_fusion.errors import InvalidParameterError
 from lvef_fusion.fusion import InstrumentSigma, fused_estimates
-from lvef_fusion.simulate import SIM_STREAM_INDEX, SimConfig, simulate
-from lvef_fusion.stochastics import make_stream
+from lvef_fusion.simulate import LVEF_RANGE, SimConfig, simulate
+from lvef_fusion.stochastics import SIM_STREAM_INDEX, make_stream
 from sim_helpers import concordant_config, rmse_vs_truth
 
 
@@ -26,11 +26,10 @@ class TestDeterminism:
         b = simulate(SimConfig(n_patients=200, seed=6))
         assert a != b
 
-    def test_explicit_stream_overrides_seed_field(self):
-        config = SimConfig(n_patients=50, seed=5)
-        via_field = simulate(config)
-        via_stream = simulate(config, stream=make_stream(5, SIM_STREAM_INDEX))
-        assert via_field == via_stream
+    def test_seed_field_keys_the_simulation_stream(self):
+        truth = simulate(SimConfig(n_patients=50, seed=5)).true_lvef
+        expected = np.clip(make_stream(5, SIM_STREAM_INDEX).normal(55.78, 11.37, 50), *LVEF_RANGE)
+        assert np.array_equal(truth, expected)
 
 
 class TestGeneratedValues:

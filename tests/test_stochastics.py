@@ -2,25 +2,37 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lvef_fusion.errors import EmptyInputError, InvalidParameterError
-from lvef_fusion.stochastics import make_stream, summarize
+from lvef_fusion.stochastics import (
+    SIM_STREAM_INDEX,
+    SIMPSON_STREAM_INDEX,
+    VISUAL_STREAM_INDEX,
+    make_stream,
+    summarize,
+)
+
+# Key components across the whole uint64 range, as Python and numpy integers.
+_KEYS = st.integers(0, 2**64 - 1).flatmap(lambda k: st.sampled_from(
+    [k, np.uint64(k)] + [t(k) for t in (np.int64, np.uint32, np.int32) if k <= np.iinfo(t).max]))
 
 
 class TestMakeStream:
     def test_same_key_reproduces_draws(self):
-        a = make_stream(42, 7).generator.normal(size=100)
-        b = make_stream(42, 7).generator.normal(size=100)
+        a = make_stream(42, 7).normal(size=100)
+        b = make_stream(42, 7).normal(size=100)
         assert np.array_equal(a, b)
 
     def test_distinct_indexes_are_independent_streams(self):
-        a = make_stream(42, 0).generator.normal(size=100)
-        b = make_stream(42, 1).generator.normal(size=100)
+        a = make_stream(42, 0).normal(size=100)
+        b = make_stream(42, 1).normal(size=100)
         assert not np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = make_stream(1, 0).generator.normal(size=100)
-        b = make_stream(2, 0).generator.normal(size=100)
+        a = make_stream(1, 0).normal(size=100)
+        b = make_stream(2, 0).normal(size=100)
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -2), (2**64, 0), (0, 2**64)])
@@ -34,11 +46,22 @@ class TestMakeStream:
             make_stream(seed, index)
 
     def test_numpy_integers_key_like_ints(self):
-        stream = make_stream(np.uint64(42), np.int32(7))
-        assert (stream.seed, stream.stream_index) == (42, 7)
-        assert type(stream.seed) is int
-        assert np.array_equal(stream.generator.normal(size=10),
-                              make_stream(42, 7).generator.normal(size=10))
+        assert np.array_equal(make_stream(np.uint64(42), np.int32(7)).normal(size=10),
+                              make_stream(42, 7).normal(size=10))
+
+    @given(seed=_KEYS, index=_KEYS)
+    def test_stream_is_the_philox_generator_keyed_by_the_pair(self, seed, index):
+        key = np.array([int(seed), int(index)], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key))
+        stream = make_stream(seed, index)
+        assert type(stream) is np.random.Generator
+        assert stream.random(8).tobytes() == expected.random(8).tobytes()
+        assert stream.integers(0, 2**63, 4).tobytes() == expected.integers(0, 2**63, 4).tobytes()
+
+    def test_reserved_indexes_are_distinct_and_above_replicates(self):
+        reserved = [VISUAL_STREAM_INDEX, SIMPSON_STREAM_INDEX, SIM_STREAM_INDEX]
+        assert len(set(reserved)) == len(reserved)
+        assert min(reserved) >= 2**32
 
 
 class TestSummarize:

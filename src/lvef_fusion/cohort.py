@@ -18,16 +18,19 @@ places; anything needing full double precision travels as JSON instead.
 I/O is column-wise.  The parser reads the body in blocks of whole lines.  A
 plain block (no quote, NUL or bare carriage return, one comma fewer per line
 than the header has names) is split once and converted a column at a time
-with ``float()``.  From the first block that is not plain, or whose numbers or
-events do not convert, the rest of the file goes through ``csv.reader`` row
-by row, so errors, row indexes and warnings are the row parser's.  The
-writers fill one %-template per row, a chunk of rows per write, and give the
-bytes ``csv.writer`` gives.
+with ``float()``; so is a block whose every field is quoted whole, once its
+quotes are removed.  From the first block that is neither, or whose numbers
+or events do not convert, the rest of the file goes through ``csv.reader``
+row by row, so errors, row indexes and warnings are the row parser's.  The
+writers spell a chunk of rows at a time, each number column in one pass of
+numpy digit arithmetic (``_fmt_column``, exactly ``"%.4f" % x``), and join
+the columns into lines (``_csv_lines``) with the bytes ``csv.writer`` gives.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 import warnings
@@ -58,10 +61,11 @@ REQUIRED_COLUMNS = ("patient_id", "visual_lvef", "simpson_lvef", "time_days", "e
 OPTIONAL_COLUMNS = ("true_lvef",)
 VISUAL_GRID = 5.0
 # The parser reads the body in blocks of whole lines of about this many
-# characters; the writers format this many rows per write.  Small blocks keep
-# each block's buffers below the allocator's mmap threshold: 2^18 raised the
-# peak RSS of a report on 40k patients by 0.6 MB over the row parser, 2^16
-# lowered it by 2.5 MB, at the same parse speed.
+# characters; the writers spell this many rows per write, in byte matrices of
+# about 80 bytes a row.  Small blocks keep each block's buffers below the
+# allocator's mmap threshold: 2^18 raised the peak RSS of a report on 40k
+# patients by 0.6 MB over the row parser, 2^16 lowered it by 2.5 MB, at the
+# same parse speed.
 BLOCK_CHARS = 1 << 16
 WRITE_ROWS = 1 << 14
 
@@ -260,11 +264,13 @@ def _plain_blocks(handle, header: list, id_at: int, numbers_at: list, ids: list,
 
     A block is plain when it has no quote, NUL or bare carriage return, every
     line has exactly len(header) - 1 commas and no line outgrows csv's field
-    limit: csv.reader would then split each line at its commas.  Its numbers
-    must also convert with float() and its events be 0 or 1.  Each plain
-    block appends its ids to ids and its (4, rows) numbers to blocks.  The
-    lines returned start at the first block that is not plain; the blocks
-    before it hold no quote, so that block starts a record.
+    limit: csv.reader would then split each line at its commas.  A block
+    whose every field is quoted whole, with no quote or comma inside, is
+    plain once its quotes are removed, as csv.reader removes them.  Its
+    numbers must also convert with float() and its events be 0 or 1.  Each
+    plain block appends its ids to ids and its (4, rows) numbers to blocks.
+    The lines returned start at the first block that is not plain; every
+    line before it is one whole record, so that block starts a record.
     """
     ncols, limit = len(header), csv.field_size_limit()
     count = max(1, BLOCK_CHARS // len(",".join(header)))
@@ -279,6 +285,8 @@ def _plain_blocks(handle, header: list, id_at: int, numbers_at: list, ids: list,
         if not lines:
             return lines
         text = ",".join(lines)
+        if '"' in text and _wholly_quoted(text, len(lines), ncols):
+            text = text.replace('"', "")
         if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
                 or set(map(str.count, lines, repeat(","))) != {ncols - 1}
                 or max(map(len, lines)) > limit):
@@ -296,6 +304,22 @@ def _plain_blocks(handle, header: list, id_at: int, numbers_at: list, ids: list,
         ids.extend(map(str.strip, cells[id_at::ncols]))
         blocks.append(block)
         count = max(1, BLOCK_CHARS * len(lines) // len(text))
+
+
+def _wholly_quoted(text: str, rows: int, ncols: int) -> bool:
+    """Whether each of the rows lines, joined by commas in text, is ncols
+    fields that are each one quoted run without a quote or comma inside.
+
+    Then every comma of a line sits between two quotes, and once those
+    '","' are commas the only quotes left open and close the lines.  A line
+    with other commas than ncols - 1 fails the caller's comma count.
+    """
+    if text.count('","') != rows * (ncols - 1):
+        return False
+    bare = text.replace('","', ",")
+    return (bare.count('"') == 2 * rows and bare.startswith('"')
+            and bare.count('\n,"') == rows - 1
+            and bare.count('"\n') + bare.count('"\r\n') + bare.endswith('"') == rows)
 
 
 def _raising(error: Exception):
@@ -328,40 +352,130 @@ def _open_destination(destination):
 _fmt = "{:.4f}".format
 # csv.writer's QUOTE_MINIMAL quotes a field holding any of these.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+# Pads the byte matrices a chunk of CSV lines is put together from; it is
+# dropped before the chunk is written.  No UTF-8 text holds this byte.
+_FILL = 0xFF
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The 4-byte words numbers are spelled with, as uint32: "0000" to "9999"
+    from 0, the same with leading zeros as _FILL (0 keeps its "0") from
+    _LEAD, then three _FILL before nothing, "-" or ".".
+
+    Built on first use, so that importing the package allocates nothing: a
+    report's peak RSS moves with the heap layout its imports leave."""
+    ten = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.stack(np.meshgrid(ten, ten, ten, ten, indexing="ij"), axis=-1).reshape(-1, 4)
+    lead = digits.copy()
+    lead[np.arange(10_000)[:, None] < np.array([1000, 100, 10, 0])] = _FILL
+    marks = np.array([[_FILL] * 3 + [mark] for mark in (_FILL, ord("-"), ord("."))], np.uint8)
+    return np.concatenate([digits, lead, marks]).view(np.uint32).ravel()
+
+
+_LEAD, _BLANK, _DOT = 10_000, 20_000, 20_002
 
 
 def _quoted(ids: list) -> list:
     """ids as csv.writer writes them: one holding a comma, a quote or a line
     break is quoted, its quotes doubled."""
-    if not _NEEDS_QUOTES.search("".join(ids)):
+    joined = "".join(ids)
+    if not any(mark in joined for mark in ',"\r\n'):
         return ids
     return ['"%s"' % i.replace('"', '""') if _NEEDS_QUOTES.search(i) else i for i in ids]
 
 
-def _write_rows(cohort: Cohort, destination, extra_header: list, extra_columns: list) -> None:
-    """The canonical cohort columns, then the extra ones, one row per patient.
+def _fmt_column(values: np.ndarray) -> np.ndarray:
+    """"%.4f" % x for each x of a float array, as the rows of a uint8 matrix
+    padded with _FILL.
 
-    An extra column is a float array, or one float that every row shares.
-    Rows are filled into one %-template, WRITE_ROWS at a time, and written
-    with the bytes csv.writer gives.
+    %-formatting rounds the exact |x| * 10^4 to an integer, half to even.  Its
+    float product s is within spacing(s)/2 of that, so np.rint(s) gives the
+    same integer where |x| < 1e11 (s < 2^50: halves are representable and
+    rint is exact) and s is more than spacing(s) from the nearest half.  Each
+    other value (a tie or near tie, nan, an infinity, a larger value) is
+    formatted by Python.  The sign is "-" exactly when the sign bit is set,
+    as %-formatting gives for -0.0 and for negatives that round to zero.
     """
-    columns = [cohort.visual, cohort.simpson, cohort.time, cohort.event]
-    fields = ["%s", "%.4f", "%.4f", "%.4f", "%d"]
-    for column in extra_columns:
-        if np.ndim(column):
-            columns.append(column)
-            fields.append("%.4f")
-        else:
-            fields.append(_fmt(column))
-    template = ",".join(fields) + "\r\n"
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = np.abs(values)
+        scaled = magnitude * 1e4
+        exact = (magnitude < 1e11) & (np.abs(scaled - np.floor(scaled) - 0.5) > np.spacing(scaled))
+    units = np.rint(np.where(exact, scaled, 0.0))
+    whole = np.floor(units / 1e4)
+    # Words of 4 digits: each value's integer part needs `shown`, the column
+    # as many as its widest value; the words above a value's are blank.
+    shown = 1 + (whole >= 1e4) + (whole >= 1e8)
+    width = int(shown.max(initial=1))
+    index = np.empty((values.size, width + 3), np.intp)
+    index[:, 0] = _BLANK + np.signbit(values)  # the "-" word follows the blank one
+    above = whole
+    for rank in range(width):
+        below, above = above, np.floor(above / 1e4)
+        index[:, width - rank] = (below - above * 1e4
+                                  + _LEAD * ((shown == rank + 1) + 2 * (shown <= rank)))
+    index[:, -2] = _DOT
+    index[:, -1] = units - whole * 1e4
+    matrix = _digit_words()[index].view(np.uint8)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        text = [("%.4f" % x).encode() for x in values[slow].tolist()]
+        lengths = np.array(list(map(len, text)))
+        spelled = np.full((slow.size, max(matrix.shape[1], lengths.max())), _FILL, np.uint8)
+        data = np.frombuffer(b"".join(text), np.uint8)
+        spelled[np.arange(spelled.shape[1]) < lengths[:, None]] = data
+        matrix = np.pad(matrix, ((0, 0), (0, spelled.shape[1] - matrix.shape[1])),
+                        constant_values=_FILL)
+        matrix[slow] = spelled
+    return matrix
+
+
+def _repeated(text: str, rows: int) -> np.ndarray:
+    """text's UTF-8 bytes as each of rows rows of a read-only uint8 matrix."""
+    data = np.frombuffer(text.encode(), np.uint8)
+    return np.broadcast_to(data, (rows, data.size))
+
+
+def _csv_lines(head, fields: list, tail: str) -> str:
+    """CSV text, one line per row of the fields: the line's head, a comma and
+    each field in turn, then tail.
+
+    Each field is a uint8 matrix of its rows' bytes padded with _FILL.  head
+    is one str that every line starts with, or each line's own str.  Those
+    are joined in as text: a matrix as wide as the longest would take rows
+    times its length, whatever the others'.
+    """
+    rows = len(fields[0])
+    parts = [_repeated(head, rows)] if isinstance(head, str) else []
+    for field in fields:
+        parts += [_repeated(",", rows), field]
+    matrix = np.concatenate(parts + [_repeated(tail, rows)], axis=1)
+    text = matrix.tobytes().translate(None, bytes([_FILL])).decode()
+    if isinstance(head, str):
+        return text
+    # The fields' bytes hold no line break, so each line ends at its tail.
+    pieces = [""] * (2 * rows)
+    pieces[0::2] = head
+    pieces[1::2] = text.splitlines(keepends=True)
+    return "".join(pieces)
+
+
+def _write_rows(cohort: Cohort, destination, extra_header: list, extra_columns: list,
+                tail: str = "\r\n") -> None:
+    """The canonical cohort columns, then the extra float columns, then tail
+    (which ends the line), one row per patient, WRITE_ROWS rows per write,
+    in the bytes csv.writer gives."""
     handle, close_after = _open_destination(destination)
     try:
         handle.write(",".join(list(REQUIRED_COLUMNS) + extra_header) + "\r\n")
         for start in range(0, len(cohort), WRITE_ROWS):
             chunk = slice(start, start + WRITE_ROWS)
+            fields = [_fmt_column(column[chunk])
+                      for column in (cohort.visual, cohort.simpson, cohort.time)]
+            fields.append((cohort.event[chunk] + ord("0")).astype(np.uint8)[:, None])
+            fields += [_fmt_column(column[chunk]) for column in extra_columns]
             ids = _quoted(list(map(str, cohort.patient_id[chunk])))
-            values = [column[chunk].tolist() for column in columns]
-            handle.write("".join(map(template.__mod__, zip(ids, *values))))
+            handle.write(_csv_lines(ids, fields, tail))
     finally:
         if close_after:
             handle.close()
@@ -385,4 +499,5 @@ def write_fused_csv(cohort: Cohort, theta, theta_sigma: float, destination) -> N
         raise InvalidParameterError(
             f"fused length {theta.size} does not match {len(cohort)} records"
         )
-    _write_rows(cohort, destination, ["theta", "theta_sigma"], [theta, theta_sigma])
+    _write_rows(cohort, destination, ["theta", "theta_sigma"], [theta],
+                f",{_fmt(theta_sigma)}\r\n")

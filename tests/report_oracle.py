@@ -1,4 +1,4 @@
-"""The row-by-row KM band writer, kept as the reference for the template
+"""The row-by-row KM band writer, kept as the reference for the column-wise
 writer in ``lvef_fusion.report``.
 
 ``write_km_band_csv`` checks and clamps one row at a time in

@@ -300,6 +300,11 @@ _TRICKY = {
     "quoted id": '"P1",50,55,200,1\nP2,50,55,200,1\n',
     "quoted comma and newline": '"P,1",50,55,200,1\n"P\n2",45,44,365,0\n"P\r\n3",45,44,365,0\n',
     "quoted number": 'P1,"50",55,200,1\n',
+    "wholly quoted": '"P1","50","55","200","1"\r\n" P2 ","45"," 44","365","0"\r\n',
+    "wholly quoted, then plain": '"P1","50","55","200","1"\nP2,50,55,200,1\n',
+    "wholly quoted with an escaped quote": '"P""1","50","55","200","1"\n',
+    "wholly quoted with an empty field": '"P1","","55","200","1"\n',
+    "wholly quoted with a bad number": '"P1","50","5x","200","1"\n',
     "bare CR in a field": "P\r1,50,55,200,1\n",
     "bare CR line ends": "P1,50,55,200,1\rP2,45,44,365,0\r",
     "NUL": "P\x001,50,55,200,1\n",
@@ -401,8 +406,8 @@ def _written_cohorts(draw):
 
 
 class TestWriteMatchesOracle:
-    """The template writers give csv.writer's bytes for arbitrary text ids,
-    with and without true_lvef, in chunks of any size."""
+    """The column-wise writers give csv.writer's bytes for arbitrary text
+    ids, with and without true_lvef, in chunks of any size."""
 
     @settings(max_examples=300, deadline=None)
     @given(cohort=_written_cohorts(), write_rows=st.sampled_from((1, 3, 1 << 14)))
@@ -431,6 +436,61 @@ class TestWriteMatchesOracle:
         write_cohort_csv(cohort, tmp_path / "new.csv")
         cohort_oracle.write_cohort_csv(cohort, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("artifact", ["cohort", "fused"])
+    def test_simulated_file_bytes_across_chunks(self, artifact, tmp_path):
+        """40 000 rows cross the WRITE_ROWS (2^14) chunk edge twice."""
+        cohort = simulate(SimConfig(n_patients=40_000, seed=11))
+        assert len(cohort) > 2 * cohort_module.WRITE_ROWS
+        for writer, name in ((cohort_module, "new.csv"), (cohort_oracle, "old.csv")):
+            if artifact == "cohort":
+                writer.write_cohort_csv(cohort, tmp_path / name)
+            else:
+                sigmas = InstrumentSigma(18.1, 8.8)
+                writer.write_fused_csv(cohort, fused_estimates(cohort, sigmas),
+                                       fused_sigma(sigmas), tmp_path / name)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _fmt_column_text(values: list) -> list:
+    """Each row of the kernel's byte matrix for values, as text."""
+    matrix = cohort_module._fmt_column(np.array(values, dtype=float))
+    return [row[row != cohort_module._FILL].tobytes().decode() for row in matrix]
+
+
+_HALVES = st.integers(-10**15, 10**15).map(lambda k: (k + 0.5) / 1e4)
+# Values the 4-place kernel must spell as "%.4f" does: any float, values next
+# to a half unit of the 4th place, exact binary ties and magnitudes around
+# 1e11, where the kernel hands values to Python.
+_KERNEL_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)),
+    _HALVES,
+    _HALVES.map(lambda x: float(np.nextafter(x, np.inf))),
+    _HALVES.map(lambda x: float(np.nextafter(x, -np.inf))),
+    st.integers(-2**45, 2**45).map(lambda k: k / 2**5),
+    st.floats(1e10, 1e12),
+    st.floats(-1e12, -1e10),
+    st.sampled_from([float(np.nextafter(x, toward))
+                     for x in (1e11, -1e11) for toward in (0.0, x, 2 * x)]),
+)
+
+
+class TestFmtColumn:
+    """The kernel behind every CSV writer spells each value as "%.4f" does,
+    in columns that mix widths, signs and values Python has to format."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(_KERNEL_FLOATS, min_size=1, max_size=30))
+    def test_matches_percent_format(self, values):
+        assert _fmt_column_text(values) == ["%.4f" % x for x in values]
+
+    def test_signs_and_ties(self):
+        values = [-0.0, -1e-5, 1 / 32, -3 / 32, 0.00005, 0.00015, 9999.99995, float("nan"),
+                  float("-inf"), 123456789.0]
+        assert _fmt_column_text(values) == [
+            "-0.0000", "-0.0000", "0.0312", "-0.0938", "0.0001", "0.0001", "9999.9999",
+            "nan", "-inf", "123456789.0000"]
 
 
 def _wide_and_narrow(n: int, extra: int) -> tuple:

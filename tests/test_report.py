@@ -536,8 +536,8 @@ def _band_outcome(write, summaries):
 
 
 class TestKmBandCsvMatchesOracle:
-    """The template writer gives the row-by-row csv.writer oracle's bytes, or
-    raises its InvalidStateError with the same message."""
+    """The column-wise band writer gives the row-by-row csv.writer oracle's
+    bytes, or raises its InvalidStateError with the same message."""
 
     @settings(max_examples=400, deadline=None)
     @given(summaries=_summaries(), write_rows=st.sampled_from((1, 2, 1 << 14)))

@@ -17,11 +17,13 @@ places; anything needing full double precision travels as JSON instead.
 
 I/O is column-wise.  The parser reads the body in blocks of whole lines.  A
 plain block (no quote, NUL or bare carriage return, one comma fewer per line
-than the header has names) is split once and converted a column at a time
-with ``float()``; so is a block whose every field is quoted whole, once its
-quotes are removed.  From the first block that is neither, or whose numbers
-or events do not convert, the rest of the file goes through ``csv.reader``
-row by row, so errors, row indexes and warnings are the row parser's.  The
+than the header has names) is split once at its commas; a block holding a
+quote is split by ``csv.reader`` and kept when each line is one record of as
+many fields as the header, none holding a line break.  Either is converted a
+column at a time with ``float()``.  From the first block that splits neither
+way, or whose numbers or events do not convert, the rest of the file goes
+through ``csv.reader`` row by row, so errors, row indexes and warnings are
+the row parser's; a record csv cannot read is an error of its row.  The
 writers spell a chunk of rows at a time, each number column in one pass of
 numpy digit arithmetic (``_fmt_column``, exactly ``"%.4f" % x``), and join
 the columns into lines (``_csv_lines``) with the bytes ``csv.writer`` gives.
@@ -192,7 +194,10 @@ def parse_cohort_csv(source) -> Cohort:
     """
     handle, close_after = _open_source(source)
     try:
-        header = next(csv.reader(handle), None)
+        try:
+            header = next(csv.reader(handle), None)
+        except csv.Error as error:
+            raise SchemaError(f"cannot read the header as CSV: {error}") from None
         if header is None:
             raise SchemaError("input is empty: expected a cohort CSV header")
         # Spreadsheet exports often pad names after the comma.
@@ -215,20 +220,24 @@ def parse_cohort_csv(source) -> Cohort:
         rest = _plain_blocks(handle, header, id_at, numbers_at, ids, blocks)
         iv, js, it, ie = numbers_at
         failure, index, rows = None, len(ids), []
-        for row in csv.reader(rest):
-            if not row:
-                continue
-            index += 1
-            try:
-                v, s, t, e = float(row[iv]), float(row[js]), float(row[it]), float(row[ie])
-            except (IndexError, ValueError):
-                failure = _number_failure(index, row, numbers_at)
-                break
-            if e != 0.0 and e != 1.0:
-                failure = RowError(index, f"event must be 0 or 1, got {row[ie]!r}")
-                break
-            ids.append(row[id_at].strip() if id_at < len(row) else "")
-            rows.append((v, s, t, e))
+        try:
+            for row in csv.reader(rest):
+                if not row:
+                    continue
+                index += 1
+                try:
+                    v, s, t, e = float(row[iv]), float(row[js]), float(row[it]), float(row[ie])
+                except (IndexError, ValueError):
+                    failure = _number_failure(index, row, numbers_at)
+                    break
+                if e != 0.0 and e != 1.0:
+                    failure = RowError(index, f"event must be 0 or 1, got {row[ie]!r}")
+                    break
+                ids.append(row[id_at].strip() if id_at < len(row) else "")
+                rows.append((v, s, t, e))
+        except csv.Error as error:
+            # Only reading the next record raises it.
+            failure = RowError(index + 1, f"cannot read the row as CSV: {error}")
     finally:
         if close_after:
             handle.close()
@@ -260,17 +269,16 @@ def parse_cohort_csv(source) -> Cohort:
 def _plain_blocks(handle, header: list, id_at: int, numbers_at: list, ids: list,
                   blocks: list):
     """Parse the body column-wise, one block of whole lines at a time, while
-    the blocks are plain; return the lines left for the row parser.
+    each block is whole records; return the lines left for the row parser.
 
-    A block is plain when it has no quote, NUL or bare carriage return, every
-    line has exactly len(header) - 1 commas and no line outgrows csv's field
-    limit: csv.reader would then split each line at its commas.  A block
-    whose every field is quoted whole, with no quote or comma inside, is
-    plain once its quotes are removed, as csv.reader removes them.  Its
-    numbers must also convert with float() and its events be 0 or 1.  Each
-    plain block appends its ids to ids and its (4, rows) numbers to blocks.
-    The lines returned start at the first block that is not plain; every
-    line before it is one whole record, so that block starts a record.
+    A block without a quote is split at its commas when it has no NUL or bare
+    carriage return, every line has exactly len(header) - 1 commas and no line
+    outgrows csv's field limit, as csv.reader would split it; a block with a
+    quote is split by csv.reader itself (_record_cells).  Its numbers must
+    also convert with float() and its events be 0 or 1.  Each block read
+    appends its ids to ids and its (4, rows) numbers to blocks.  The lines
+    returned start at the first block not read; every line before it is one
+    whole record, so that block starts a record.
     """
     ncols, limit = len(header), csv.field_size_limit()
     count = max(1, BLOCK_CHARS // len(",".join(header)))
@@ -285,15 +293,18 @@ def _plain_blocks(handle, header: list, id_at: int, numbers_at: list, ids: list,
         if not lines:
             return lines
         text = ",".join(lines)
-        if '"' in text and _wholly_quoted(text, len(lines), ncols):
-            text = text.replace('"', "")
-        if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
-                or set(map(str.count, lines, repeat(","))) != {ncols - 1}
-                or max(map(len, lines)) > limit):
+        if '"' in text:
+            cells = _record_cells(lines, ncols)
+        elif ("\0" in text or text.count("\r") != text.count("\r\n")
+              or set(map(str.count, lines, repeat(","))) != {ncols - 1}
+              or max(map(len, lines)) > limit):
+            cells = None
+        else:
+            # The last cell of each line keeps its line break, which float()
+            # and str.strip() ignore.
+            cells = text.split(",")
+        if cells is None:
             return chain(lines, handle)
-        # The last cell of each line keeps its line break, which float() and
-        # str.strip() ignore.
-        cells = text.split(",")
         try:
             block = np.array([np.fromiter(map(float, cells[j::ncols]), float, len(lines))
                               for j in numbers_at])
@@ -306,20 +317,19 @@ def _plain_blocks(handle, header: list, id_at: int, numbers_at: list, ids: list,
         count = max(1, BLOCK_CHARS * len(lines) // len(text))
 
 
-def _wholly_quoted(text: str, rows: int, ncols: int) -> bool:
-    """Whether each of the rows lines, joined by commas in text, is ncols
-    fields that are each one quoted run without a quote or comma inside.
-
-    Then every comma of a line sits between two quotes, and once those
-    '","' are commas the only quotes left open and close the lines.  A line
-    with other commas than ncols - 1 fails the caller's comma count.
-    """
-    if text.count('","') != rows * (ncols - 1):
-        return False
-    bare = text.replace('","', ",")
-    return (bare.count('"') == 2 * rows and bare.startswith('"')
-            and bare.count('\n,"') == rows - 1
-            and bare.count('"\n') + bare.count('"\r\n') + bare.endswith('"') == rows)
+def _record_cells(lines: list, ncols: int):
+    """The cells of lines as csv.reader splits them, record after record, or
+    None unless each line is one record of ncols cells without a line break
+    (a block may end inside a quoted field that the next block closes)."""
+    try:
+        records = list(csv.reader(lines))
+    except csv.Error:
+        return None
+    if len(records) != len(lines) or set(map(len, records)) != {ncols}:
+        return None
+    cells = list(chain.from_iterable(records))
+    joined = "".join(cells)
+    return None if "\r" in joined or "\n" in joined else cells
 
 
 def _raising(error: Exception):

@@ -29,9 +29,10 @@ budgets only bound memory.
 The chunks are split into one contiguous share per CPU the process may run
 on (never more shares than chunks).  This process fits the first share; a
 child forked for each other share fits it and sends its chunks' results
-back over a pipe.  The results are stored in replicate order, so every
-number is the same whatever the CPU count; with one CPU, or where processes
-cannot be forked, no child is started.
+back over a pipe.  The chunk results come back in replicate order and each
+stratum's parts are concatenated, so every number is the same whatever the
+CPU count; with one CPU, or where processes cannot be forked, no child is
+started.
 """
 
 from __future__ import annotations
@@ -187,111 +188,97 @@ def source_values(cohort, source: str, sigmas: InstrumentSigma):
     return fused_estimates(cohort, sigmas), fused_sigma(sigmas)
 
 
-class _StratumCurves:
-    """One stratum's KM curves over all replicates, as compact rows.
+def _stratum_summary(present: np.ndarray, rate: np.ndarray) -> StratumSummary:
+    """Summary of one stratum's event rates by the horizon over the
+    replicates it is present in."""
+    if not present.any():
+        return StratumSummary(mean_event_rate=None, quantiles=None, n_present=0)
+    s = summarize(rate[present])
+    return StratumSummary(mean_event_rate=s.mean, quantiles=s.quantiles,
+                          n_present=int(present.sum()))
 
-    Row i is the i-th event time of replicate rep[i], with its survival; the
-    rows run in (replicate, time) order.  present[r] tells whether any
-    patient fell in the stratum in replicate r, and rate[r] is then its
-    event rate by the horizon.
+
+def _km_band(present: np.ndarray, rows: list) -> KmBand | None:
+    """Pointwise percentile envelope of one stratum's replicate curves on the
+    union of their event times.
+
+    present[r] tells whether any patient fell in the stratum in replicate r;
+    rows holds the chunks' compact (replicate, time, S) rows (_fit_stratum)
+    in replicate order, and is emptied so that each part is released once
+    it is joined.
     """
-
-    def __init__(self, replicates: int):
-        self.present = np.zeros(replicates, dtype=bool)
-        self.rate = np.zeros(replicates)
-        self.rows: list = []
-
-    def add(self, first, present, rate, rows):
-        """Store one chunk's fit of the stratum (see _fit_stratum), the
-        chunk starting at replicate first."""
-        self.present[first:first + present.size] = present
-        self.rate[first:first + rate.size] = rate
-        if rows is not None:
-            self.rows.append(rows)
-
-    def summary(self) -> StratumSummary:
-        if not self.present.any():
-            return StratumSummary(mean_event_rate=None, quantiles=None, n_present=0)
-        s = summarize(self.rate[self.present])
-        return StratumSummary(mean_event_rate=s.mean, quantiles=s.quantiles,
-                              n_present=int(self.present.sum()))
-
-    def band(self) -> KmBand | None:
-        """Pointwise percentile envelope of the present replicates' curves on
-        the union of their event times; releases the rows it reads."""
-        curves = int(np.count_nonzero(self.present))
-        if curves == 0:
-            return None
-        reps, times, survival = zip(*self.rows)
-        self.rows.clear()
-        # One rows-long array at a time, each part released once it is
-        # joined.  Row i is read as padded[i + 1], padded[0] being S = 1.0
-        # before a curve's first event.
-        padded = np.concatenate(((1.0,), *survival))
-        del survival
-        times = np.concatenate(times)
-        grid = np.unique(times)
-        if grid.size == 0:
-            return KmBand(times=grid, lower=grid.copy(), mean=grid.copy(), upper=grid.copy())
-        # Key (curve, grid column), ascending in row order: the rows run in
-        # (replicate, time) order and each row is its curve's only one at
-        # its time.
-        keys = np.concatenate(reps)
-        del reps
-        keys = (np.cumsum(self.present) - 1)[keys]
-        keys *= grid.size
-        keys += np.searchsorted(grid, times)
-        del times
-        base = np.arange(curves) * grid.size
-        percentiles = np.empty((2, grid.size))
-        mean = np.empty(grid.size)
-        # A one-column block would average its column by pairwise summation,
-        # unlike the row-by-row sums of wider blocks: a one-column tail joins
-        # the block before it.
-        edges = list(range(0, grid.size, max(2, BAND_ELEMENTS // curves))) + [grid.size]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            del edges[-2]
-        # A block's cell (curve, column) holds the 1-based number of the
-        # curve's last row at or before the column, 0 before its first event
-        # (S = 1.0): each row is written into its own cell and carried
-        # forward along the grid, the last column into the next block.  A
-        # block's rows of one curve are one run, run_start[c] to run_stop[c].
-        run_start = np.searchsorted(keys, base)
-        carried = np.zeros(curves, dtype=np.intp)
-        for start, stop in zip(edges[:-1], edges[1:]):
-            width = stop - start
-            run_stop = np.searchsorted(keys, base + stop)
-            count = run_stop - run_start
-            # The block's row indexes, run after run.
-            index = np.repeat(run_start - np.cumsum(count) + count, count)
-            index += np.arange(index.size)
-            run_start = run_stop
-            # Key c * grid.size + column is cell c * width + column - start.
-            cell = keys[index]
-            cell -= np.repeat(np.arange(curves) * (grid.size - width) + start, count)
-            index += 1
-            row = np.zeros((curves, width), dtype=np.intp)
-            row[:, 0] = carried
-            row.ravel()[cell] = index
-            del index, cell
-            np.maximum.accumulate(row, axis=1, out=row)
-            carried = row[:, -1].copy()
-            block = padded[row]
-            del row
-            # Columns where every curve agrees must average to that value
-            # bit-exactly (zero-noise collapse), which summed means do not give.
-            col_mean = block.mean(axis=0)
-            constant = block.min(axis=0) == block.max(axis=0)
-            col_mean[constant] = block[0, constant]
-            mean[start:stop] = col_mean
-            # The percentiles are read last: they partition the block in place.
-            np.quantile(block, (0.025, 0.975), axis=0, overwrite_input=True,
-                        out=percentiles[:, start:stop])
-        # When nearly all curves coincide at a grid point, the interpolated
-        # percentiles can exclude the mean; widen so nesting always holds.
-        lower = np.minimum(percentiles[0], mean)
-        upper = np.maximum(percentiles[1], mean)
-        return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
+    curves = int(np.count_nonzero(present))
+    if curves == 0:
+        return None
+    reps, times, survival = zip(*rows)
+    rows.clear()
+    # One rows-long array at a time.  Row i is read as padded[i + 1],
+    # padded[0] being S = 1.0 before a curve's first event.
+    padded = np.concatenate(((1.0,), *survival))
+    del survival
+    times = np.concatenate(times)
+    grid = np.unique(times)
+    if grid.size == 0:
+        return KmBand(times=grid, lower=grid.copy(), mean=grid.copy(), upper=grid.copy())
+    # Key (curve, grid column), ascending in row order: the rows run in
+    # (replicate, time) order and each row is its curve's only one at
+    # its time.
+    keys = np.concatenate(reps)
+    del reps
+    keys = (np.cumsum(present) - 1)[keys]
+    keys *= grid.size
+    keys += np.searchsorted(grid, times)
+    del times
+    base = np.arange(curves) * grid.size
+    percentiles = np.empty((2, grid.size))
+    mean = np.empty(grid.size)
+    # A one-column block would average its column by pairwise summation,
+    # unlike the row-by-row sums of wider blocks: a one-column tail joins
+    # the block before it.
+    edges = list(range(0, grid.size, max(2, BAND_ELEMENTS // curves))) + [grid.size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    # A block's cell (curve, column) holds the 1-based number of the
+    # curve's last row at or before the column, 0 before its first event
+    # (S = 1.0): each row is written into its own cell and carried
+    # forward along the grid, the last column into the next block.  A
+    # block's rows of one curve are one run, run_start[c] to run_stop[c].
+    run_start = np.searchsorted(keys, base)
+    carried = np.zeros(curves, dtype=np.intp)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        width = stop - start
+        run_stop = np.searchsorted(keys, base + stop)
+        count = run_stop - run_start
+        # The block's row indexes, run after run.
+        index = np.repeat(run_start - np.cumsum(count) + count, count)
+        index += np.arange(index.size)
+        run_start = run_stop
+        # Key c * grid.size + column is cell c * width + column - start.
+        cell = keys[index]
+        cell -= np.repeat(np.arange(curves) * (grid.size - width) + start, count)
+        index += 1
+        row = np.zeros((curves, width), dtype=np.intp)
+        row[:, 0] = carried
+        row.ravel()[cell] = index
+        del index, cell
+        np.maximum.accumulate(row, axis=1, out=row)
+        carried = row[:, -1].copy()
+        block = padded[row]
+        del row
+        # Columns where every curve agrees must average to that value
+        # bit-exactly (zero-noise collapse), which summed means do not give.
+        col_mean = block.mean(axis=0)
+        constant = block.min(axis=0) == block.max(axis=0)
+        col_mean[constant] = block[0, constant]
+        mean[start:stop] = col_mean
+        # The percentiles are read last: they partition the block in place.
+        np.quantile(block, (0.025, 0.975), axis=0, overwrite_input=True,
+                    out=percentiles[:, start:stop])
+    # When nearly all curves coincide at a grid point, the interpolated
+    # percentiles can exclude the mean; widen so nesting always holds.
+    lower = np.minimum(percentiles[0], mean)
+    upper = np.maximum(percentiles[1], mean)
+    return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
 
 
 def _fit_stratum(mask, first, time, event, horizon):
@@ -437,27 +424,32 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
         return [_fit_chunk(first, stop, time, event, layout, order, centers, spread, config)
                 for first, stop in share]
 
-    strata = {label: _StratumCurves(config.replicates) for label in STRATA}
-    hazard_ratios, failures = [], set()
-    for (first, _), (parts, ratios, names) in zip(chunks, _map_shares(fit, chunks)):
-        for label, part in parts.items():
-            strata[label].add(first, *part)
-        hazard_ratios += ratios
-        failures |= names
-
+    results = _map_shares(fit, chunks)
+    hazard_ratios = [ratio for _, ratios, _ in results for ratio in ratios]
     if not hazard_ratios:
+        failures = set().union(*(names for _, _, names in results))
         raise PropagationError(
             f"all {config.replicates} replicates failed the Cox fit ({', '.join(sorted(failures))})"
         )
+    # Each stratum's chunk parts, joined in replicate order.  The chunk
+    # results are let go before any band is read, so that each band releases
+    # the rows it joins.
+    strata = {}
+    for label in STRATA:
+        present, rate, rows = zip(*(parts[label] for parts, _, _ in results))
+        strata[label] = (np.concatenate(present), np.concatenate(rate),
+                         [part for part in rows if part is not None])
+    del results, rows
     hr_summary = summarize(hazard_ratios, (0.025, 0.975))
     return PropagationSummary(
         source=config.source,
         replicates=config.replicates,
         failed_replicates=config.replicates - len(hazard_ratios),
-        event_rates={label: s.summary() for label, s in strata.items()},
+        event_rates={label: _stratum_summary(present, rate)
+                     for label, (present, rate, _) in strata.items()},
         hazard_ratio_mean=hr_summary.mean,
         hazard_ratio_q025=hr_summary.quantiles[0.025],
         hazard_ratio_q975=hr_summary.quantiles[0.975],
-        km_bands={label: s.band() for label, s in strata.items()},
+        km_bands={label: _km_band(present, rows) for label, (present, _, rows) in strata.items()},
         horizon=config.horizon,
     )

@@ -114,30 +114,27 @@ def km_from_arrays(time: np.ndarray, event: np.ndarray) -> KmCurve:
     """Kaplan-Meier product-limit curve from parallel time and event arrays."""
     time, event = _checked(time, event)
     order = np.argsort(time, kind="stable")
-    _, curve = km_segmented(time[order], event[order])
+    _, curve = km_segmented(time[order], event[order], np.zeros(time.size, dtype=np.intp))
     return curve
 
 
-def km_segmented(time: np.ndarray, event: np.ndarray, segment=None):
+def km_segmented(time: np.ndarray, event: np.ndarray, segment: np.ndarray):
     """Product-limit curves of many subject sets in one pass.
 
     time and int64 event are sorted by (segment, time); segment holds each
-    subject's non-decreasing curve label, or is None for a single curve.
-    Returns (curve label of each row, or None; KmCurve of the rows): one row
-    per event time of each curve, the curves' rows concatenated in label
-    order, each curve exactly what km_from_arrays gives for its subjects.
-    Inputs are not validated; km_from_arrays is the checked entry point.
+    subject's non-decreasing curve label.  Returns (curve label of each row,
+    KmCurve of the rows): one row per event time of each curve, the curves'
+    rows concatenated in label order, each curve exactly what km_from_arrays
+    gives for its subjects.  Inputs are not validated; km_from_arrays is the
+    checked entry point, one curve under one label.
     """
     first = _group_starts(time, segment)
     deaths = np.add.reduceat(event, first)
     keep = deaths > 0
     event_first = first[keep]
     d_counts = deaths[keep]
-    if segment is None:
-        label, end = None, time.size
-    else:
-        label = segment[event_first]
-        end = np.searchsorted(segment, label, side="right")
+    label = segment[event_first]
+    end = np.searchsorted(segment, label, side="right")
     # Everyone of the curve from the tie group on is at risk.
     r_counts = end - event_first
     survivors = r_counts - d_counts
@@ -146,11 +143,9 @@ def km_segmented(time: np.ndarray, event: np.ndarray, segment=None):
     # time's survivors are the next time's risk set and the product telescopes.
     block_start = np.ones(r_counts.size, dtype=bool)
     np.not_equal(r_counts[1:], survivors[:-1], out=block_start[1:])
-    opens = np.zeros(r_counts.size, dtype=bool)  # a curve's first event time
-    opens[:1] = True
-    if label is not None:
-        np.not_equal(label[1:], label[:-1], out=opens[1:])
-        block_start |= opens
+    opens = np.ones(r_counts.size, dtype=bool)  # a curve's first event time
+    np.not_equal(label[1:], label[:-1], out=opens[1:])
+    block_start |= opens
     starts = np.flatnonzero(block_start)
     block = np.cumsum(block_start) - 1
     within = survivors / r_counts[starts][block]

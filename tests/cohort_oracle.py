@@ -2,10 +2,12 @@
 references for the column-wise I/O in ``lvef_fusion.cohort``.
 
 ``parse_cohort_csv`` reads every record through ``csv.reader`` and converts
-it field by field; ``write_cohort_csv`` and ``write_fused_csv`` format each
-number with ``"{:.4f}".format`` and write rows through ``csv.writer``.  The
-library must give the same Cohort, the same warnings in the same order, the
-same exception and message, and the same bytes.
+it field by field (a ``csv.Error`` reading the header is a SchemaError,
+reading a record a RowError for that record); ``write_cohort_csv`` and
+``write_fused_csv`` format each number with ``"{:.4f}".format`` and write
+rows through ``csv.writer``.  The library must give the same Cohort, the
+same warnings in the same order, the same exception and message, and the
+same bytes.
 """
 
 import csv
@@ -37,7 +39,10 @@ def parse_cohort_csv(source) -> Cohort:
     handle, close_after = _open_source(source)
     try:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as error:
+            raise SchemaError(f"cannot read the header as CSV: {error}") from None
         if header is None:
             raise SchemaError("input is empty: expected a cohort CSV header")
         # Spreadsheet exports often pad names after the comma.
@@ -59,7 +64,14 @@ def parse_cohort_csv(source) -> Cohort:
         iv, js, it, ie = numbers_at
         ids, visual, simpson, time, event = [], [], [], [], []
         failure, index = None, 0
-        for row in reader:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as error:
+                failure = RowError(index + 1, f"cannot read the row as CSV: {error}")
+                break
             if not row:
                 continue
             index += 1

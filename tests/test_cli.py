@@ -55,6 +55,14 @@ def _rows(text):
     return list(csv.DictReader(text.splitlines()))
 
 
+def _src_env() -> dict:
+    """This environment with src first on PYTHONPATH, so that a child Python
+    imports the package from this checkout, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def _main_without_float_warnings(argv):
     """main(argv) with a RuntimeWarning raised instead of shown: pytest
     records warnings, so they never reach the captured stderr."""
@@ -173,6 +181,23 @@ class TestUsage:
         assert code == 2
         err = capsys.readouterr().err
         assert "data error" in err and "precision ratio omega = inf" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "report"])
+    @pytest.mark.parametrize("text,message", [
+        (HEADER + "p0,50,50,100,1\n" + "p" * 200_000 + ",50,50,200,0\n",
+         "data error: row 2: cannot read the row as CSV: field larger than field limit"),
+        (HEADER.replace("\n", "," + "x" * 200_000 + "\n") + "p0,50,50,100,1\n",
+         "data error: cannot read the header as CSV: field larger than field limit"),
+    ], ids=["patient_id", "header"])
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys, command, text,
+                                                message):
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        code = main([command, "--input", str(path), "--output", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_huge_calibration_gives_standard_json(self, tmp_path, capsys):
@@ -415,13 +440,11 @@ class TestForkedPropagate:
     )
 
     def _run(self, cpus, cohort, output):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-c", self.SCRIPT, str(cpus), "propagate", "--input", str(cohort),
              "--source", "all", "--sigma-visual", "0.005", "--replicates", "40",
              "--output", str(output)],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=_src_env(), capture_output=True, text=True, timeout=120)
 
     def test_children_do_not_repeat_buffered_output(self, separable_csv, tmp_path):
         single = self._run(1, separable_csv, tmp_path / "single")
@@ -533,7 +556,8 @@ class TestPipeline:
             f"{sys.executable} -m lvef_fusion.cli simulate --n 100 --seed 3"
             f" | {sys.executable} -m lvef_fusion.cli fuse"
         )
-        proc = subprocess.run(["sh", "-c", command], capture_output=True, text=True)
+        proc = subprocess.run(["sh", "-c", command], env=_src_env(), capture_output=True,
+                              text=True)
         assert proc.returncode == 0, proc.stderr
         fused = _rows(proc.stdout)
         assert len(fused) == 100
@@ -541,7 +565,7 @@ class TestPipeline:
         direct = subprocess.run(
             [sys.executable, "-m", "lvef_fusion.cli", "simulate",
              "--n", "100", "--seed", "3"],
-            capture_output=True, text=True, check=True,
+            env=_src_env(), capture_output=True, text=True, check=True,
         )
         assert ([r["patient_id"] for r in fused]
                 == [r["patient_id"] for r in _rows(direct.stdout)])

@@ -299,6 +299,8 @@ def _sources(kind, data: bytes, directory: Path):
 _TRICKY = {
     "quoted id": '"P1",50,55,200,1\nP2,50,55,200,1\n',
     "quoted comma and newline": '"P,1",50,55,200,1\n"P\n2",45,44,365,0\n"P\r\n3",45,44,365,0\n',
+    "quoted comma, then plain": '"P,1",50,55,200,1\nP2,50,55,200,1\n',
+    "quoted line break in the last field": 'P1,50,55,200,"1\n"\nP2,45,44,365,0\n',
     "quoted number": 'P1,"50",55,200,1\n',
     "wholly quoted": '"P1","50","55","200","1"\r\n" P2 ","45"," 44","365","0"\r\n',
     "wholly quoted, then plain": '"P1","50","55","200","1"\nP2,50,55,200,1\n',
@@ -369,6 +371,25 @@ class TestParseMatchesOracle:
             with mock.patch.object(cohort_module, "BLOCK_CHARS", block_chars):
                 assert _parse_outcome(parse_cohort_csv, io.BytesIO(data)) == expected
             assert expected[0][0] is (RowError if bad_row else UnicodeDecodeError)
+
+    def test_quoted_comma_ids_stay_column_wise(self):
+        """A QUOTE_MINIMAL file whose every 100th id holds a comma is read
+        block by block to its end, with the oracle's result."""
+        simulated = simulate(SimConfig(n_patients=40_000, seed=1))
+        ids = [f"P{i},{i}" if i % 100 == 0 else f"P{i}" for i in range(len(simulated))]
+        handle = io.StringIO()
+        write_cohort_csv(Cohort(ids, simulated.visual, simulated.simpson, simulated.time,
+                                simulated.event), handle)
+        text = handle.getvalue()
+        assert text.count('"') == 2 * 400
+        body = io.StringIO(text)
+        header = next(csv.reader(body))
+        read, blocks = [], []
+        rest = cohort_module._plain_blocks(body, header, 0, [1, 2, 3, 4], read, blocks)
+        assert list(rest) == []
+        assert read == ids
+        assert (_parse_outcome(parse_cohort_csv, io.StringIO(text))
+                == _parse_outcome(cohort_oracle.parse_cohort_csv, io.StringIO(text)))
 
     @settings(max_examples=100, deadline=None)
     @given(text=_cohort_files())

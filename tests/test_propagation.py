@@ -375,10 +375,9 @@ class TestBands:
         time = np.array([10.0, 400.0, 400.0])
         event = np.array([1, 0, 0])
         drop, flat = [True, True, False], [False, True, True]
-        curves = propagation._StratumCurves(200)
         mask = np.array([drop] * 3 + [flat] * 197)
-        curves.add(0, *propagation._fit_stratum(mask, 0, time, event, 365.0))
-        band = curves.band()
+        present, _, rows = propagation._fit_stratum(mask, 0, time, event, 365.0)
+        band = propagation._km_band(present, [rows])
         assert band.lower[0] == band.mean[0] == pytest.approx(0.9925)
         assert band.upper[0] == 1.0
 
@@ -395,7 +394,7 @@ class TestBands:
         events = {0: [1, 4, 5, 6, 7, 8, 9, 11], 1: [2, 3, 12], 3: [10, 12], 4: []}
         present = np.array([True, True, False, True, True])
         rng = np.random.default_rng(5)
-        curves, stored = [], propagation._StratumCurves(present.size)
+        curves, stored = [], []
         for first, stop in ((0, 2), (2, 5)):
             rows = []
             for r in np.flatnonzero(present[first:stop]) + first:
@@ -406,9 +405,9 @@ class TestBands:
                                       events=np.ones(times.size, dtype=np.int64)))
                 rows.append((np.full(times.size, r), times, survival))
             part = (np.concatenate(column) for column in zip(*rows))
-            stored.add(first, present[first:stop], np.zeros(stop - first), tuple(part))
+            stored.append(tuple(part))
         with mock.patch.object(propagation, "BAND_ELEMENTS", 12):
-            band = stored.band()
+            band = propagation._km_band(present, stored)
         assert band.times.size == 12
         _assert_identical(asdict(band), asdict(oracle.km_band(curves)))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -342,6 +343,10 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # Stdout's reader is gone (simulate | head): exit 1 quietly, flushing to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -325,11 +325,12 @@ def _record_cells(lines: list, ncols: int):
         records = list(csv.reader(lines))
     except csv.Error:
         return None
-    if len(records) != len(lines) or set(map(len, records)) != {ncols}:
+    # One record per line: only a block cut inside a quoted last field leaves a
+    # line break, in the last cell; a quote opened earlier fails the count.
+    if (len(records) != len(lines) or set(map(len, records)) != {ncols}
+            or "\r" in records[-1][-1] or "\n" in records[-1][-1]):
         return None
-    cells = list(chain.from_iterable(records))
-    joined = "".join(cells)
-    return None if "\r" in joined or "\n" in joined else cells
+    return list(chain.from_iterable(records))
 
 
 def _raising(error: Exception):

@@ -11,20 +11,21 @@ high above it) is written once, in ``_strata_masks``: ``stratify`` (string
 labels) and ``stratum_km`` (one Kaplan-Meier curve per stratum) are views of
 its masks, and ``propagate`` applies it to a whole chunk of replicates.
 
-``propagate`` runs the replicates in chunks of about CHUNK_ELEMENTS draws.
-Each replicate's standard normals are scaled, shifted and permuted into time
-order in its row of the chunk, and the chunk is clipped at once; each
-stratum's (replicate, patient) members come from the flat indexes of its
-membership mask.  One ``km_segmented`` pass per stratum fits every
-replicate's Kaplan-Meier curve of a chunk as compact (replicate, time, S)
-rows, and one ``_cox_fit_rows`` call fits every replicate's Cox model of the
-chunk as one batch of Newton iterations against an event layout that each
-process builds once per source (a replicate whose fit fails fails alone).  The bands are read from
-the rows in blocks of about BAND_ELEMENTS (curve, time) cells, each curve's
-row number carried forward along the grid from block to block.  The results
-are bit for bit those of one replicate at a time (``normal(loc, scale)``
-draws, ``stratum_km``, ``cox_fit_from_arrays`` and a per-curve band); the
-budgets only bound memory.
+``propagate`` ranks the time-sorted follow-up once (the fits compare times
+only for order and ties) and runs the replicates in chunks of about
+CHUNK_ELEMENTS draws.  Each replicate's standard normals are scaled, shifted
+and permuted into time order in its row of the chunk, and the chunk is
+clipped at once; each stratum's (replicate, patient) members come from the
+flat indexes of its membership mask.  One ``km_segmented`` pass per stratum
+fits every replicate's Kaplan-Meier curve of a chunk as compact (replicate,
+rank, S) rows, and one ``_cox_fit_rows`` call fits every replicate's Cox
+model of the chunk as one batch of Newton iterations against an event layout
+that each process builds once per source (a replicate whose fit fails fails
+alone).  The bands are read from the rows in blocks of about BAND_ELEMENTS
+(curve, time) cells, each cell by one binary search over the rows' sorted
+(curve, grid column) keys.  The results are bit for bit those of one
+replicate at a time (``normal(loc, scale)`` draws, ``stratum_km``,
+``cox_fit_from_arrays`` and a per-curve band); the budgets only bound memory.
 
 The chunks are split into one contiguous share per CPU the process may run
 on (never more shares than chunks).  This process fits the first share; a
@@ -51,6 +52,7 @@ from .survival import (
     _check_horizon,
     _checked,
     _cox_fit_rows,
+    _group_starts,
     hazard_ratio_per,
     km_event_rate_at,
     km_from_arrays,
@@ -198,28 +200,29 @@ def _stratum_summary(present: np.ndarray, rate: np.ndarray) -> StratumSummary:
                           n_present=int(present.sum()))
 
 
-def _km_band(present: np.ndarray, rows: list) -> KmBand | None:
+def _km_band(present: np.ndarray, rows: list, times: np.ndarray) -> KmBand | None:
     """Pointwise percentile envelope of one stratum's replicate curves on the
     union of their event times.
 
     present[r] tells whether any patient fell in the stratum in replicate r;
-    rows holds the chunks' compact (replicate, time, S) rows (_fit_stratum)
-    in replicate order, and is emptied so that each part is released once
-    it is joined.
+    rows holds the chunks' compact (replicate, rank, S) rows (_fit_stratum)
+    in replicate order, a rank indexing the distinct follow-up times, and is
+    emptied so that each part is released once it is joined.
     """
     curves = int(np.count_nonzero(present))
     if curves == 0:
         return None
-    reps, times, survival = zip(*rows)
+    reps, ranks, survival = zip(*rows)
     rows.clear()
     # One rows-long array at a time.  Row i is read as padded[i + 1],
     # padded[0] being S = 1.0 before a curve's first event.
     padded = np.concatenate(((1.0,), *survival))
     del survival
-    times = np.concatenate(times)
-    grid = np.unique(times)
-    if grid.size == 0:
-        return KmBand(times=grid, lower=grid.copy(), mean=grid.copy(), upper=grid.copy())
+    ranks = np.concatenate(ranks)
+    on_grid = np.bincount(ranks, minlength=times.size) > 0
+    grid = times[on_grid]
+    # Each row's grid column, in place ("clip" skips take's buffer).
+    np.take(np.cumsum(on_grid) - 1, ranks, out=ranks, mode="clip")
     # Key (curve, grid column), ascending in row order: the rows run in
     # (replicate, time) order and each row is its curve's only one at
     # its time.
@@ -227,9 +230,10 @@ def _km_band(present: np.ndarray, rows: list) -> KmBand | None:
     del reps
     keys = (np.cumsum(present) - 1)[keys]
     keys *= grid.size
-    keys += np.searchsorted(grid, times)
-    del times
-    base = np.arange(curves) * grid.size
+    keys += ranks
+    del ranks
+    base = np.arange(curves)[:, None] * grid.size
+    first_row = np.searchsorted(keys, base)
     percentiles = np.empty((2, grid.size))
     mean = np.empty(grid.size)
     # A one-column block would average its column by pairwise summation,
@@ -238,31 +242,11 @@ def _km_band(present: np.ndarray, rows: list) -> KmBand | None:
     edges = list(range(0, grid.size, max(2, BAND_ELEMENTS // curves))) + [grid.size]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    # A block's cell (curve, column) holds the 1-based number of the
-    # curve's last row at or before the column, 0 before its first event
-    # (S = 1.0): each row is written into its own cell and carried
-    # forward along the grid, the last column into the next block.  A
-    # block's rows of one curve are one run, run_start[c] to run_stop[c].
-    run_start = np.searchsorted(keys, base)
-    carried = np.zeros(curves, dtype=np.intp)
     for start, stop in zip(edges[:-1], edges[1:]):
-        width = stop - start
-        run_stop = np.searchsorted(keys, base + stop)
-        count = run_stop - run_start
-        # The block's row indexes, run after run.
-        index = np.repeat(run_start - np.cumsum(count) + count, count)
-        index += np.arange(index.size)
-        run_start = run_stop
-        # Key c * grid.size + column is cell c * width + column - start.
-        cell = keys[index]
-        cell -= np.repeat(np.arange(curves) * (grid.size - width) + start, count)
-        index += 1
-        row = np.zeros((curves, width), dtype=np.intp)
-        row[:, 0] = carried
-        row.ravel()[cell] = index
-        del index, cell
-        np.maximum.accumulate(row, axis=1, out=row)
-        carried = row[:, -1].copy()
+        # A cell (curve, column) reads the 1-based number of the curve's
+        # last row at or before the column, 0 before its first (S = 1.0).
+        row = np.searchsorted(keys, base + np.arange(start, stop), side="right")
+        row[row <= first_row] = 0
         block = padded[row]
         del row
         # Columns where every curve agrees must average to that value
@@ -281,13 +265,14 @@ def _km_band(present: np.ndarray, rows: list) -> KmBand | None:
     return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
 
 
-def _fit_stratum(mask, first, time, event, horizon):
+def _fit_stratum(mask, first, rank, event, horizon_rank):
     """Fit one stratum in replicates first, first + 1, ... of one chunk, mask
-    being the chunk's (replicate, patient) membership matrix.
+    being the chunk's (replicate, patient) membership matrix; horizon_rank is
+    the rank of the last follow-up time at or before the horizon.
 
     Returns (present, rate, rows): whether any patient fell in the stratum in
     each replicate, its event rate by the horizon (0.0 where absent), and the
-    chunk's compact (replicate, time, S) rows, or None when no replicate has
+    chunk's compact (replicate, rank, S) rows, or None when no replicate has
     a patient in the stratum.
     """
     chunk, n = mask.shape
@@ -298,44 +283,43 @@ def _fit_stratum(mask, first, time, event, horizon):
         return present, np.zeros(chunk), None
     rep = patient // n
     patient -= rep * n
-    members = time[patient], event[patient]
+    members = rank[patient], event[patient]
     del patient  # the segmented fit below sets the chunk's memory peak
     rep, curve = km_segmented(*members, rep)
     # S(horizon): the last row at or before the horizon, else 1.0.
-    due = np.bincount(rep[curve.times <= horizon], minlength=chunk)
+    due = np.bincount(rep[curve.times <= horizon_rank], minlength=chunk)
     last = np.searchsorted(rep, np.arange(chunk)) + due
     padded = np.concatenate(([1.0], curve.survival))
     rate = 1.0 - padded[np.where(due > 0, last, 0)]
     return present, rate, (rep + first, curve.times, curve.survival)
 
 
-def _fit_chunk(first, stop, time, event, layout, order, centers, spread, config):
+def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
     """Draw and fit replicates first, ..., stop - 1 on their substreams;
-    layout is the follow-up's Cox event layout and order the time order of
-    the patients.
+    follow_up is (rank, event, horizon_rank) as _fit_stratum takes them,
+    layout their Cox event layout and order the time order of the patients.
 
     Returns ({stratum: _fit_stratum's (present, rate, rows)}, the hazard
-    ratios of the fits that succeeded in replicate order, the names of the
-    failures).
+    ratios of the fits that succeeded in replicate order, {name: message}).
     """
     # Generator.normal(loc, scale) draws loc + scale * z from the stream's
     # standard normals z, one rounding per operation: the same numbers, made
     # in place.
-    realized = np.empty((stop - first, time.size))
+    realized = np.empty((stop - first, order.size))
     for row, r in zip(realized, range(first, stop)):
         make_stream(config.seed, r).standard_normal(out=row)
         row *= spread
         row += centers
         row[:] = row[order]
     np.clip(realized, *CLAMP_RANGE, out=realized)
-    strata = {label: _fit_stratum(mask, first, time, event, config.horizon)
+    strata = {label: _fit_stratum(mask, first, *follow_up)
               for label, mask in _strata_masks(realized, config.band_edges).items()}
-    hazard_ratios, failures = [], set()
+    hazard_ratios, failures = [], {}
     for outcome in _cox_fit_rows(layout, realized):
         if isinstance(outcome, CoxFit):
             hazard_ratios.append(hazard_ratio_per(outcome, HR_DELTA)[0])
         else:
-            failures.add(type(outcome).__name__)
+            failures[type(outcome).__name__] = str(outcome)
     return strata, hazard_ratios, failures
 
 
@@ -409,28 +393,36 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
     if int(cohort.event.sum()) == 0:
         raise DegenerateDataError("cohort has no events")
     centers, spread = source_values(cohort, config.source, config.sigmas)
-    # Follow-up sorted once; each replicate draws in patient order, then
-    # its draws are permuted into time order.
+    # Follow-up sorted once and ranked: times holds the distinct times and
+    # rank each patient's index into them.  Each replicate draws in patient
+    # order, then its draws are permuted into time order.
     order = np.argsort(cohort.time, kind="stable")
-    time, event = cohort.time[order], cohort.event[order]
-    per_chunk = max(1, CHUNK_ELEMENTS // time.size)
+    starts = _group_starts(cohort.time[order])
+    times = cohort.time[order[starts]]
+    rank = np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))
+    del starts
+    event = cohort.event[order]
+    follow_up = (rank, event, np.searchsorted(times, config.horizon, side="right") - 1)
+    per_chunk = max(1, CHUNK_ELEMENTS // order.size)
     chunks = [(first, min(first + per_chunk, config.replicates))
               for first in range(0, config.replicates, per_chunk)]
 
     def fit(share):
         # One Cox event layout serves every chunk of the share; it is freed
         # with the share, before the other shares' results arrive.
-        layout = _CoxLayout(time, event)
-        return [_fit_chunk(first, stop, time, event, layout, order, centers, spread, config)
+        layout = _CoxLayout(rank, event)
+        return [_fit_chunk(first, stop, follow_up, layout, order, centers, spread, config)
                 for first, stop in share]
 
     results = _map_shares(fit, chunks)
     hazard_ratios = [ratio for _, ratios, _ in results for ratio in ratios]
     if not hazard_ratios:
-        failures = set().union(*(names for _, _, names in results))
-        raise PropagationError(
-            f"all {config.replicates} replicates failed the Cox fit ({', '.join(sorted(failures))})"
-        )
+        failures = dict(pair for _, _, names in results for pair in names.items())
+        if failures.keys() == {"DegenerateDataError"}:
+            # Too few events, or values without spread: a data error, as in cox.
+            raise DegenerateDataError(failures["DegenerateDataError"])
+        raise PropagationError(f"all {config.replicates} replicates failed the Cox fit "
+                               f"({', '.join(sorted(failures))})")
     # Each stratum's chunk parts, joined in replicate order.  The chunk
     # results are let go before any band is read, so that each band releases
     # the rows it joins.
@@ -450,6 +442,7 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
         hazard_ratio_mean=hr_summary.mean,
         hazard_ratio_q025=hr_summary.quantiles[0.025],
         hazard_ratio_q975=hr_summary.quantiles[0.975],
-        km_bands={label: _km_band(present, rows) for label, (present, _, rows) in strata.items()},
+        km_bands={label: _km_band(present, rows, times)
+                  for label, (present, _, rows) in strata.items()},
         horizon=config.horizon,
     )

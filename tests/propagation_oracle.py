@@ -3,7 +3,9 @@
 Replicate r draws every patient's LVEF from its own stream make_stream(seed, r),
 fits the strata's Kaplan-Meier curves with stratum_km and the Cox model with
 cox_fit_from_arrays; the bands read every curve at every grid time with its
-own searchsorted.  ``propagate`` here must equal
+own searchsorted.  When every replicate's Cox fit fails, and each fails with a
+DegenerateDataError, the first replicate's error is raised; any other mix of
+failures raises a PropagationError naming them.  ``propagate`` here must equal
 ``lvef_fusion.propagation.propagate`` bit for bit.
 """
 
@@ -41,7 +43,7 @@ class Replicate:
     event_rate_by_stratum: dict
     km_curves: dict
     hazard_ratio: float | None
-    hr_failure: str | None
+    hr_failure: Exception | None
 
 
 def realize(cohort, config, r: int) -> np.ndarray:
@@ -65,7 +67,7 @@ def run_replicate(cohort, config, r: int) -> Replicate:
         fit = cox_fit_from_arrays(time, event, realized)
         hazard_ratio, _, _ = hazard_ratio_per(fit, HR_DELTA)
     except (SeparationError, NonConvergenceError, DegenerateDataError) as exc:
-        failure = type(exc).__name__
+        failure = exc
     return Replicate(
         replicate_index=r,
         event_rate_by_stratum={k: None if s is None else s[2] for k, s in strata.items()},
@@ -110,7 +112,10 @@ def propagate(cohort, config) -> PropagationSummary:
 
     hazard_ratios = np.array([r.hazard_ratio for r in results if r.hazard_ratio is not None])
     if hazard_ratios.size == 0:
-        reasons = sorted({r.hr_failure for r in results if r.hr_failure})
+        failures = [r.hr_failure for r in results]
+        if all(type(f) is DegenerateDataError for f in failures):
+            raise DegenerateDataError(str(failures[0]))
+        reasons = sorted({type(f).__name__ for f in failures})
         raise PropagationError(
             f"all {config.replicates} replicates failed the Cox fit ({', '.join(reasons)})"
         )

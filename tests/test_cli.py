@@ -424,6 +424,29 @@ class TestPropagate:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "PropagationError"
 
+    # A cohort no draw can be fitted on is a data error, as cox reports it:
+    # one event, or identical readings under zero sigmas.
+    UNFITTABLE = {
+        "one event": ("p0,40,42,10,1\np1,45,47,20,0\np2,50,52,400,0\np3,55,57,400,0\n",
+                      [], "cox_fit requires at least 2 events"),
+        "identical readings": ("p0,40,40,10,1\np1,40,40,20,1\np2,40,40,30,0\np3,40,40,400,0\n",
+                               ["--sigma-visual", "0", "--sigma-simpson", "0"],
+                               "cox_fit requires a non-constant covariate"),
+    }
+
+    @pytest.mark.parametrize("command", ["propagate", "report"])
+    @pytest.mark.parametrize("name", sorted(UNFITTABLE))
+    def test_unfittable_cohort_is_data_error(self, name, command, tmp_path, capsys):
+        rows, flags, message = self.UNFITTABLE[name]
+        path = tmp_path / "cohort.csv"
+        path.write_text(HEADER + rows)
+        output = tmp_path / "out"
+        code = main([command, "--input", str(path), "--replicates", "4", *flags,
+                     "--output", str(output)])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not output.exists()
+
 
 class TestForkedPropagate:
     # Writes a line that stays in the piped stdout's buffer, then runs
@@ -569,3 +592,15 @@ class TestPipeline:
         )
         assert ([r["patient_id"] for r in fused]
                 == [r["patient_id"] for r in _rows(direct.stdout)])
+
+    def test_closed_stdout_exits_quietly(self):
+        # The reader stops after the header, long before the cohort is
+        # written: the run exits 1 and prints nothing.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lvef_fusion.cli", "simulate", "--n", "100000"],
+            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"patient_id,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""

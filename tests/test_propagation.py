@@ -348,6 +348,45 @@ class TestPropagateDeterminism:
         assert a.hazard_ratio_mean != b.hazard_ratio_mean
 
 
+@st.composite
+def _band_cases(draw):
+    """One stratum's compact (replicate, rank, S) rows in chunk parts, as
+    _fit_stratum leaves them: random distinct follow-up times, replicates
+    absent from the stratum, present curves without rows, and survival
+    values that often coincide across curves."""
+    times = np.cumsum(draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=12)))
+    # Nine or more curves make a column's pairwise sum differ from the
+    # row-by-row one, which a one-column block would take.
+    replicates = draw(st.one_of(st.integers(1, 4), st.integers(9, 24)))
+    present = np.array(draw(st.lists(st.sampled_from([True, True, True, False]),
+                                     min_size=replicates, max_size=replicates)))
+    # A share of the values comes from a small common pool, the rest are
+    # uniform draws whose sums round differently in different orders.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    shared = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    curves, rows = [], {}
+    for r in np.flatnonzero(present):
+        ranks = np.array(sorted(draw(st.sets(st.integers(0, times.size - 1)))),
+                         dtype=np.intp)
+        survival = np.where(rng.random(ranks.size) < shared,
+                            rng.choice([0.25, 0.5, 1.0], ranks.size),
+                            rng.uniform(0.0, 1.0, ranks.size))
+        survival = np.sort(survival)[::-1]
+        curves.append(KmCurve(times=times[ranks], survival=survival,
+                              at_risk=np.ones(ranks.size, dtype=np.int64),
+                              events=np.ones(ranks.size, dtype=np.int64)))
+        rows[r] = (np.full(ranks.size, r, dtype=np.intp), ranks, survival)
+    # A chunk with no present replicate leaves no part.
+    per_chunk = draw(st.integers(1, replicates))
+    parts = []
+    for first in range(0, replicates, per_chunk):
+        chunk = [rows[r] for r in range(first, first + per_chunk) if r in rows]
+        if chunk:
+            parts.append(tuple(np.concatenate(column) for column in zip(*chunk)))
+    band_elements = draw(st.sampled_from([1, 2, 3, 5, 16, 2**16]))
+    return present, parts, times, curves, band_elements
+
+
 class TestBands:
     @pytest.mark.parametrize("source", SOURCES)
     def test_nesting_everywhere(self, source):
@@ -368,16 +407,31 @@ class TestBands:
             assert np.all(band.mean <= band.upper)
             assert np.all(np.diff(band.times) > 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_band_cases())
+    def test_band_matches_oracle(self, case):
+        present, parts, times, curves, band_elements = case
+        with mock.patch.object(propagation, "BAND_ELEMENTS", band_elements):
+            band = propagation._km_band(present, parts, times)
+        expected = oracle.km_band(curves)
+        if expected is None:
+            assert band is None
+        else:
+            _assert_identical(asdict(band), asdict(expected))
+
     def test_band_mean_escaping_percentiles_is_absorbed(self):
         # 3 replicate curves drop at t=10, 197 stay flat: the pointwise mean
         # (0.9925) lies below the interpolated 2.5% percentile (1.0), and the
         # envelope must widen to keep the nesting invariant.
         time = np.array([10.0, 400.0, 400.0])
         event = np.array([1, 0, 0])
+        # The distinct times, each patient's rank among them, and the last
+        # rank at or before the 365-day horizon.
+        times, rank, horizon_rank = np.array([10.0, 400.0]), np.array([0, 1, 1]), 0
         drop, flat = [True, True, False], [False, True, True]
         mask = np.array([drop] * 3 + [flat] * 197)
-        present, _, rows = propagation._fit_stratum(mask, 0, time, event, 365.0)
-        band = propagation._km_band(present, [rows])
+        present, _, rows = propagation._fit_stratum(mask, 0, rank, event, horizon_rank)
+        band = propagation._km_band(present, [rows], times)
         assert band.lower[0] == band.mean[0] == pytest.approx(0.9925)
         assert band.upper[0] == 1.0
 
@@ -390,24 +444,26 @@ class TestBands:
         # blocks of 3 columns give 4 blocks.  Replicate 0 has a row in every
         # block, replicate 1 none in blocks 1 and 2, replicate 3 its first
         # event in the last block, replicate 4 no event at all, and
-        # replicate 2 no patient in the stratum.
+        # replicate 2 no patient in the stratum.  The follow-up also holds
+        # 13 times no row falls on (15, 45, ..., 375 days).
         events = {0: [1, 4, 5, 6, 7, 8, 9, 11], 1: [2, 3, 12], 3: [10, 12], 4: []}
         present = np.array([True, True, False, True, True])
+        follow_up = 15.0 * np.arange(1, 26)
         rng = np.random.default_rng(5)
         curves, stored = [], []
         for first, stop in ((0, 2), (2, 5)):
             rows = []
             for r in np.flatnonzero(present[first:stop]) + first:
-                times = 30.0 * np.array(events[r], dtype=float)
-                survival = np.sort(rng.uniform(0.1, 1.0, times.size))[::-1]
-                curves.append(KmCurve(times=times, survival=survival,
-                                      at_risk=np.ones(times.size, dtype=np.int64),
-                                      events=np.ones(times.size, dtype=np.int64)))
-                rows.append((np.full(times.size, r), times, survival))
+                ranks = 2 * np.array(events[r], dtype=np.intp) - 1
+                survival = np.sort(rng.uniform(0.1, 1.0, ranks.size))[::-1]
+                curves.append(KmCurve(times=follow_up[ranks], survival=survival,
+                                      at_risk=np.ones(ranks.size, dtype=np.int64),
+                                      events=np.ones(ranks.size, dtype=np.int64)))
+                rows.append((np.full(ranks.size, r), ranks, survival))
             part = (np.concatenate(column) for column in zip(*rows))
             stored.append(tuple(part))
         with mock.patch.object(propagation, "BAND_ELEMENTS", 12):
-            band = propagation._km_band(present, stored)
+            band = propagation._km_band(present, stored, follow_up)
         assert band.times.size == 12
         _assert_identical(asdict(band), asdict(oracle.km_band(curves)))
 

@@ -186,22 +186,23 @@ def _read_cohort(path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LvefFusionWarning)
         cohort = parse_cohort_csv(source)
-    messages = []
-    for w in caught:
-        messages.append(f"{w.category.__name__}: {w.message}")
-        print(f"warning: {w.message}", file=sys.stderr)
-    return cohort, messages
+    _echo_warnings(w.message for w in caught)
+    return cohort, [f"{w.category.__name__}: {w.message}" for w in caught]
 
 
-def _out_path(directory, filename) -> Path:
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / filename
+def _echo_warnings(messages) -> None:
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
 
 
-def _emit_json(payload: dict, output_dir, filename: str) -> None:
-    write_report_json(payload, sys.stdout if output_dir is None
-                      else _out_path(output_dir, filename))
+def _destination(output, filename):
+    """Stdout when --output is omitted, else the file in that directory,
+    which is made here, at the first write into it."""
+    if output is None:
+        return sys.stdout
+    directory = Path(output)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / filename
 
 
 def _sigmas(args) -> InstrumentSigma:
@@ -212,8 +213,7 @@ def cmd_fuse(args) -> int:
     sigmas = _sigmas(args)
     cohort, _ = _read_cohort(args.input)
     theta = fused_estimates(cohort, sigmas)
-    destination = sys.stdout if args.output is None else _out_path(args.output, "fused.csv")
-    write_fused_csv(cohort, theta, fused_sigma(sigmas), destination)
+    write_fused_csv(cohort, theta, fused_sigma(sigmas), _destination(args.output, "fused.csv"))
     return 0
 
 
@@ -226,7 +226,7 @@ def cmd_calibrate_error(args) -> int:
         **calibration_section(sigmas, args.seed, calibration),
         "warnings": [],
     }
-    _emit_json(payload, args.output, "calibration.json")
+    write_report_json(payload, _destination(args.output, "calibration.json"))
     return 0
 
 
@@ -264,7 +264,7 @@ def cmd_km(args) -> int:
         "n_patients": len(cohort),
         "strata": strata,
     }
-    _emit_json(payload, args.output, f"km_{args.source}.json")
+    write_report_json(payload, _destination(args.output, f"km_{args.source}.json"))
     return 0
 
 
@@ -282,7 +282,7 @@ def cmd_cox(args) -> int:
         "n_events": int(cohort.event.sum()),
         "fit": cox_fit_to_dict(fit),
     }
-    _emit_json(payload, args.output, f"cox_{args.source}.json")
+    write_report_json(payload, _destination(args.output, f"cox_{args.source}.json"))
     return 0
 
 
@@ -301,19 +301,18 @@ def _report_options(args) -> ReportOptions:
 def cmd_propagate(args) -> int:
     options = _report_options(args)
     cohort, _ = _read_cohort(args.input)
-    for summary, message in propagate_sources(cohort, options):
-        if message:
-            print(f"warning: {message}", file=sys.stderr)
+    summaries, exclusions = propagate_sources(cohort, options)
+    _echo_warnings(exclusions)
+    for source, summary in summaries.items():
         payload = {"metadata": artifact_metadata(args.seed), **propagation_to_dict(summary)}
-        _emit_json(payload, args.output, f"propagation_{summary.source}.json")
-        write_km_band_csv(summary, _out_path(args.output, f"km_bands_{summary.source}.csv"))
+        write_report_json(payload, _destination(args.output, f"propagation_{source}.json"))
+        write_km_band_csv(summary, _destination(args.output, f"km_bands_{source}.csv"))
     return 0
 
 
 def cmd_simulate(args) -> int:
     config = SimConfig(n_patients=args.n, seed=args.seed)
-    destination = sys.stdout if args.output is None else _out_path(args.output, "cohort.csv")
-    write_cohort_csv(simulate(config), destination)
+    write_cohort_csv(simulate(config), _destination(args.output, "cohort.csv"))
     return 0
 
 
@@ -321,12 +320,11 @@ def cmd_report(args) -> int:
     options = _report_options(args)
     cohort, parse_warnings = _read_cohort(args.input)
     report, summaries = run_report(cohort, options, parse_warnings=parse_warnings)
-    for warning in report["warnings"]:
-        if warning["category"] == "ReplicateExclusion":
-            print(f"warning: {warning['message']}", file=sys.stderr)
-    _emit_json(report, args.output, "report.json")
+    _echo_warnings(w["message"] for w in report["warnings"]
+                   if w["category"] == "ReplicateExclusion")
+    write_report_json(report, _destination(args.output, "report.json"))
     for source, summary in summaries.items():
-        write_km_band_csv(summary, _out_path(args.output, f"km_bands_{source}.csv"))
+        write_km_band_csv(summary, _destination(args.output, f"km_bands_{source}.csv"))
     return 0
 
 

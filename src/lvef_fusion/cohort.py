@@ -15,6 +15,12 @@ emits for cohorts that carry the truth (simulated ones) and the parser accepts
 without a warning but does not read.  Numeric CSV output is fixed at 4 decimal
 places; anything needing full double precision travels as JSON instead.
 
+The reader and the writers take a path or a stream, and only the opener
+closes a handle: a path is opened and closed within the call, a caller's
+stream is borrowed and left open, and the text wrapper put around a caller's
+byte stream is detached, not closed (``_reading`` and ``_writing``, one per
+direction).
+
 I/O is column-wise.  The parser reads the body in blocks of whole lines.  A
 plain block (no quote, NUL or bare carriage return, one comma fewer per line
 than the header has names) is split once at its commas; a block holding a
@@ -36,6 +42,7 @@ import functools
 import io
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -166,22 +173,29 @@ def _check_rows(ids, visual, simpson, time, event) -> None:
         raise RowError(row + 1, message(row))
 
 
-def _open_source(source):
-    """Yield a text-mode handle for a path, text stream, or byte stream.
+@contextmanager
+def _reading(source):
+    """A text handle on a path, bytes, or a text or byte stream, for one with
+    block, owned as the module docstring says.
 
     Bytes decode as utf-8-sig, so a leading byte-order mark (as spreadsheet
     exports write) is dropped instead of becoming part of the first column name.
     """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline=""), True
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8-sig")), True
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8-sig", newline=""), False
-        return source, False
-    raise InvalidParameterError(f"cannot read cohort from {type(source).__name__}")
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
+            yield handle
+    elif isinstance(source, (bytes, bytearray)):
+        yield io.StringIO(source.decode("utf-8-sig"))
+    elif not hasattr(source, "read"):
+        raise InvalidParameterError(f"cannot read cohort from {type(source).__name__}")
+    elif isinstance(source.read(0), bytes):
+        wrapper = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
+    else:
+        yield source
 
 
 def parse_cohort_csv(source) -> Cohort:
@@ -192,8 +206,7 @@ def parse_cohort_csv(source) -> Cohort:
     skipped and not counted).  A header-only file yields an empty Cohort with
     a warning; off-grid visual values warn but pass.
     """
-    handle, close_after = _open_source(source)
-    try:
+    with _reading(source) as handle:
         try:
             header = next(csv.reader(handle), None)
         except csv.Error as error:
@@ -238,9 +251,6 @@ def parse_cohort_csv(source) -> Cohort:
         except csv.Error as error:
             # Only reading the next record raises it.
             failure = RowError(index + 1, f"cannot read the row as CSV: {error}")
-    finally:
-        if close_after:
-            handle.close()
 
     blocks.append(np.array(rows, dtype=float).reshape(-1, 4).T)
     visual, simpson, time, event = np.concatenate(blocks, axis=1)
@@ -351,12 +361,17 @@ def _number_failure(index: int, row: list, numbers_at: list) -> RowError:
             return RowError(index, f"cannot parse {column}={raw!r} as a number")
 
 
-def _open_destination(destination):
+@contextmanager
+def _writing(destination):
+    """A text handle on a path or a text stream, for one with block, owned as
+    the module docstring says."""
     if isinstance(destination, (str, Path)):
-        return open(destination, "w", encoding="utf-8", newline=""), True
-    if hasattr(destination, "write"):
-        return destination, False
-    raise InvalidParameterError(f"cannot write CSV to {type(destination).__name__}")
+        with open(destination, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    elif hasattr(destination, "write"):
+        yield destination
+    else:
+        raise InvalidParameterError(f"cannot write to {type(destination).__name__}")
 
 
 # Every number a CSV artifact carries has 4 decimal places.
@@ -476,8 +491,7 @@ def _write_rows(cohort: Cohort, destination, extra_header: list, extra_columns: 
     """The canonical cohort columns, then the extra float columns, then tail
     (which ends the line), one row per patient, WRITE_ROWS rows per write,
     in the bytes csv.writer gives."""
-    handle, close_after = _open_destination(destination)
-    try:
+    with _writing(destination) as handle:
         handle.write(",".join(list(REQUIRED_COLUMNS) + extra_header) + "\r\n")
         for start in range(0, len(cohort), WRITE_ROWS):
             chunk = slice(start, start + WRITE_ROWS)
@@ -487,9 +501,6 @@ def _write_rows(cohort: Cohort, destination, extra_header: list, extra_columns: 
             fields += [_fmt_column(column[chunk]) for column in extra_columns]
             ids = _quoted(list(map(str, cohort.patient_id[chunk])))
             handle.write(_csv_lines(ids, fields, tail))
-    finally:
-        if close_after:
-            handle.close()
 
 
 def write_cohort_csv(cohort: Cohort, destination) -> None:

@@ -10,8 +10,10 @@ in the bytes csv.writer gave.
 
 The sections other artifacts share are built here once: the metadata block
 (artifact_metadata), the sigma echo (sigma_echo), the calibration section
-(calibration_section) and the per-source propagation (propagate_sources).
-The CLI commands call these, so their artifacts match the report's.
+(calibration_section) and the per-source propagation (propagate_sources),
+which runs every requested source before it returns, so that a command
+writes nothing until every result exists.  The CLI commands call these, so
+their artifacts match the report's.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .calibration import CalibrationConfig, paired_calibration
-from .cohort import _csv_lines, _fmt_column, _open_destination
+from .cohort import _csv_lines, _fmt_column, _writing
 from .errors import InvalidParameterError, InvalidStateError
 from .fusion import (
     InstrumentSigma,
@@ -249,21 +251,19 @@ def calibration_section(sigmas: InstrumentSigma, seed: int,
     }
 
 
-def propagate_sources(cohort, options: ReportOptions):
-    """Propagate each of options.sources in turn.
+def propagate_sources(cohort, options: ReportOptions) -> tuple[dict, list]:
+    """Propagate every one of options.sources, in order.
 
-    Yields (PropagationSummary, exclusion message or None) per source, one
-    source at a time, so a caller can write each source's artifacts before
-    the next one runs.
+    Returns ({source: PropagationSummary}, exclusion messages), with one
+    message per source that excluded replicates from the hazard-ratio
+    aggregation.
     """
-    for source in options.sources:
-        summary = propagate(cohort, options.propagation_config(source))
-        message = None
-        if summary.failed_replicates:
-            message = (f"source {source}: {summary.failed_replicates} of "
-                       f"{summary.replicates} replicates excluded from "
-                       "hazard-ratio aggregation")
-        yield summary, message
+    summaries = {source: propagate(cohort, options.propagation_config(source))
+                 for source in options.sources}
+    exclusions = [f"source {s.source}: {s.failed_replicates} of {s.replicates} replicates "
+                  "excluded from hazard-ratio aggregation"
+                  for s in summaries.values() if s.failed_replicates]
+    return summaries, exclusions
 
 
 def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict, dict]:
@@ -298,13 +298,8 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
             "reason": "error calibration requires strictly positive sigmas",
         }
 
-    propagation_section: dict = {}
-    summaries: dict = {}
-    for summary, message in propagate_sources(cohort, options):
-        summaries[summary.source] = summary
-        propagation_section[summary.source] = propagation_to_dict(summary)
-        if message:
-            report_warnings.append({"category": "ReplicateExclusion", "message": message})
+    summaries, exclusions = propagate_sources(cohort, options)
+    report_warnings += [{"category": "ReplicateExclusion", "message": m} for m in exclusions]
 
     config_echo = _config_echo(options, options.calibration if positive else None)
     report = {
@@ -318,7 +313,7 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
         },
         "fusion": fusion_section,
         "error_calibration": calibration,
-        "propagation": propagation_section,
+        "propagation": {source: propagation_to_dict(s) for source, s in summaries.items()},
         "warnings": report_warnings,
     }
     return report, summaries
@@ -329,12 +324,8 @@ def render_report_json(report: dict) -> str:
 
 
 def write_report_json(report: dict, destination) -> None:
-    handle, close_after = _open_destination(destination)
-    try:
+    with _writing(destination) as handle:
         handle.write(render_report_json(report))
-    finally:
-        if close_after:
-            handle.close()
 
 
 def _nested_columns(source, label, band) -> list:
@@ -365,21 +356,16 @@ def write_km_band_csv(summaries, destination) -> None:
     summaries = list(summaries)
 
     try:
-        handle, close_after = _open_destination(destination)
+        with _writing(destination) as handle:
+            handle.write("source,stratum,time_days,lower,mean,upper\r\n")
+            for summary in summaries:
+                for label, band in summary.km_bands.items():
+                    if band is None:
+                        continue
+                    columns = _nested_columns(summary.source, label, band)
+                    for first in range(0, band.times.size, WRITE_ROWS):
+                        fields = [_fmt_column(column[first:first + WRITE_ROWS])
+                                  for column in columns]
+                        handle.write(_csv_lines(f"{summary.source},{label}", fields, "\r\n"))
     except OSError as exc:
         raise OSError(f"cannot write KM band CSV to {destination}: {exc}") from exc
-    try:
-        handle.write("source,stratum,time_days,lower,mean,upper\r\n")
-        for summary in summaries:
-            for label, band in summary.km_bands.items():
-                if band is None:
-                    continue
-                columns = _nested_columns(summary.source, label, band)
-                for first in range(0, band.times.size, WRITE_ROWS):
-                    fields = [_fmt_column(column[first:first + WRITE_ROWS]) for column in columns]
-                    handle.write(_csv_lines(f"{summary.source},{label}", fields, "\r\n"))
-    except OSError as exc:
-        raise OSError(f"cannot write KM band CSV to {destination}: {exc}") from exc
-    finally:
-        if close_after:
-            handle.close()

@@ -21,8 +21,8 @@ from lvef_fusion.cohort import (
     REQUIRED_COLUMNS,
     VISUAL_GRID,
     Cohort,
-    _open_destination,
-    _open_source,
+    _reading,
+    _writing,
 )
 from lvef_fusion.errors import (
     EmptyCohortWarning,
@@ -36,8 +36,7 @@ from lvef_fusion.errors import (
 
 def parse_cohort_csv(source) -> Cohort:
     """Read and validate a cohort CSV from a path or stream, row by row."""
-    handle, close_after = _open_source(source)
-    try:
+    with _reading(source) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -88,9 +87,6 @@ def parse_cohort_csv(source) -> Cohort:
             simpson.append(s)
             time.append(t)
             event.append(int(e))
-    finally:
-        if close_after:
-            handle.close()
 
     cohort = None
     try:
@@ -132,8 +128,7 @@ _fmt = "{:.4f}".format
 
 def _write_rows(cohort: Cohort, destination, extra_header: list, extra_columns: list) -> None:
     """The canonical cohort columns, then the extra ones, one row per patient."""
-    handle, close_after = _open_destination(destination)
-    try:
+    with _writing(destination) as handle:
         writer = csv.writer(handle)
         writer.writerow(list(REQUIRED_COLUMNS) + extra_header)
         writer.writerows(zip(
@@ -141,9 +136,6 @@ def _write_rows(cohort: Cohort, destination, extra_header: list, extra_columns: 
             map(_fmt, cohort.simpson.tolist()), map(_fmt, cohort.time.tolist()),
             cohort.event.tolist(), *extra_columns,
         ))
-    finally:
-        if close_after:
-            handle.close()
 
 
 def write_cohort_csv(cohort: Cohort, destination) -> None:

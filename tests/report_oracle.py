@@ -9,7 +9,7 @@ raise the same InvalidStateError with the same message.
 
 import csv
 
-from lvef_fusion.cohort import _fmt, _open_destination
+from lvef_fusion.cohort import _fmt, _writing
 from lvef_fusion.errors import InvalidStateError
 from lvef_fusion.propagation import PropagationSummary
 from lvef_fusion.report import _NESTING_SLACK
@@ -39,20 +39,14 @@ def write_km_band_csv(summaries, destination) -> None:
     summaries = list(summaries)
 
     try:
-        handle, close_after = _open_destination(destination)
+        with _writing(destination) as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["source", "stratum", "time_days", "lower", "mean", "upper"])
+            for summary in summaries:
+                for label, band in summary.km_bands.items():
+                    if band is None:
+                        continue
+                    for t, lo, me, up in zip(band.times, band.lower, band.mean, band.upper):
+                        writer.writerow(_checked_row(summary.source, label, t, lo, me, up))
     except OSError as exc:
         raise OSError(f"cannot write KM band CSV to {destination}: {exc}") from exc
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(["source", "stratum", "time_days", "lower", "mean", "upper"])
-        for summary in summaries:
-            for label, band in summary.km_bands.items():
-                if band is None:
-                    continue
-                for t, lo, me, up in zip(band.times, band.lower, band.mean, band.upper):
-                    writer.writerow(_checked_row(summary.source, label, t, lo, me, up))
-    except OSError as exc:
-        raise OSError(f"cannot write KM band CSV to {destination}: {exc}") from exc
-    finally:
-        if close_after:
-            handle.close()

@@ -424,6 +424,18 @@ class TestPropagate:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "PropagationError"
 
+    def test_failing_source_writes_nothing(self, separable_csv, tmp_path, capsys):
+        # The visual source runs, the simpson one fails every fit: the
+        # visual artifacts must not be left behind as a finished-looking set.
+        output = tmp_path / "out"
+        code = main(["propagate", "--input", str(separable_csv),
+                     "--sigma-visual", "30", "--sigma-simpson", "1e-6",
+                     "--replicates", "10", "--output", str(output)])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "PropagationError"
+        assert not output.exists()
+
     # A cohort no draw can be fitted on is a data error, as cox reports it:
     # one event, or identical readings under zero sigmas.
     UNFITTABLE = {

@@ -2,10 +2,13 @@
 
 import csv
 import dataclasses
+import functools
+import gc
 import io
 import json
 import math
 import re
+import sys
 import warnings
 from datetime import datetime
 from unittest import mock
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 import report_oracle
 from lvef_fusion import report as report_module
 from lvef_fusion.calibration import CalibrationConfig, calibrate
-from lvef_fusion.cohort import Cohort
+from lvef_fusion.cohort import Cohort, parse_cohort_csv, write_cohort_csv, write_fused_csv
 from lvef_fusion.errors import DegenerateDataError, InvalidParameterError, InvalidStateError
 from lvef_fusion.fusion import InstrumentSigma, fuse, precision_ratio
 from lvef_fusion.propagation import (
@@ -42,6 +45,7 @@ from lvef_fusion.report import (
     run_report,
     summary_to_dict,
     write_km_band_csv,
+    write_report_json,
 )
 from lvef_fusion.simulate import SimConfig, simulate
 from lvef_fusion.stochastics import make_stream, summarize
@@ -552,3 +556,59 @@ class TestKmBandCsvMatchesOracle:
         expected = _band_outcome(report_oracle.write_km_band_csv, summaries)
         assert expected[0] == "written"
         assert _band_outcome(write_km_band_csv, summaries) == expected
+
+
+_OWNED_CSV = "patient_id,visual_lvef,simpson_lvef,time_days,event\np0,40,42,10,1\np1,55,57,20,0\n"
+_OWNED_COHORT = Cohort(("p0", "p1"), (40.0, 55.0), (42.0, 57.0), (10.0, 20.0), (1, 0))
+_OWNED_SUMMARY = PropagationSummary(
+    source="visual", replicates=10, failed_replicates=0,
+    event_rates={label: StratumSummary(None, None, 0) for label in STRATA},
+    hazard_ratio_mean=1.0, hazard_ratio_q025=0.9, hazard_ratio_q975=1.1,
+    km_bands={"low": KmBand(times=np.array([30.0]), lower=np.array([0.4]),
+                            mean=np.array([0.5]), upper=np.array([0.6])),
+              "mid": None, "high": None},
+    horizon=365.0,
+)
+
+
+class TestOwnership:
+    """Only the opener closes a handle: the reader and the writers close the
+    files they open from a path and leave a caller's stream open."""
+
+    # (call, the caller's stream it is given, from the path); writers get a StringIO.
+    CASES = {
+        "parse_cohort_csv BytesIO": (parse_cohort_csv,
+                                     lambda path: io.BytesIO(_OWNED_CSV.encode())),
+        "parse_cohort_csv binary file": (parse_cohort_csv, lambda path: open(path, "rb")),
+        "write_cohort_csv": (functools.partial(write_cohort_csv, _OWNED_COHORT), None),
+        "write_fused_csv": (functools.partial(write_fused_csv, _OWNED_COHORT, [41.0, 56.0], 7.9),
+                            None),
+        "write_report_json": (functools.partial(write_report_json, {"n": 1}), None),
+        "write_km_band_csv": (functools.partial(write_km_band_csv, _OWNED_SUMMARY), None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_only_the_opener_closes(self, case, tmp_path, monkeypatch):
+        call, open_stream = self.CASES[case]
+        path = tmp_path / "artifact"
+        path.write_text(_OWNED_CSV)
+
+        stream = open_stream(path) if open_stream else io.StringIO()
+        call(stream)
+        gc.collect()
+        assert not stream.closed
+        stream.close()
+
+        # A file left open warns when it is collected, inside __del__, where
+        # the error the filter makes of the warning can only be unraisable.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(path)
+            gc.collect()
+        assert unraisable == []
+
+        with pytest.raises(InvalidParameterError, match=r"\bdict$") as caught:
+            call({})
+        assert "CSV" not in str(caught.value)

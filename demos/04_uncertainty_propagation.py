@@ -28,22 +28,22 @@ for source in ("visual", "simpson", "assimilated"):
                                replicates=200)
     summary = propagate(cohort, config)
     summaries[source] = summary
-    width = summary.hazard_ratio_q975 - summary.hazard_ratio_q025
-    print(f"  {source:<11} mean {summary.hazard_ratio_mean:.3f}  "
-          f"95% band ({summary.hazard_ratio_q025:.3f}, "
-          f"{summary.hazard_ratio_q975:.3f})  width {width:.4f}")
+    hazard_ratio = summary.hazard_ratio
+    lower, upper = hazard_ratio.quantiles[0.025], hazard_ratio.quantiles[0.975]
+    print(f"  {source:<11} mean {hazard_ratio.mean:.3f}  "
+          f"95% band ({lower:.3f}, {upper:.3f})  width {upper - lower:.4f}")
 
 # Per-stratum event rates with their replicate intervals, for one source.
 print()
 print("assimilated-source one-year event rate by stratum:")
 for label, stratum in summaries["assimilated"].event_rates.items():
-    if stratum.mean_event_rate is None:
+    if stratum is None:
         print(f"  {label:<5} absent in every replicate")
         continue
-    print(f"  {label:<5} mean {stratum.mean_event_rate:.3f}  "
+    print(f"  {label:<5} mean {stratum.mean:.3f}  "
           f"95% band ({stratum.quantiles[0.025]:.3f}, "
           f"{stratum.quantiles[0.975]:.3f})  "
-          f"present in {stratum.n_present}/200 replicates")
+          f"present in {stratum.n}/200 replicates")
 
 # With the error scales set to zero every replicate is identical and the
 # bands collapse to exactly zero width.
@@ -51,5 +51,5 @@ exact = InstrumentSigma(0.0, 0.0)
 collapsed = propagate(cohort, PropagationConfig(source="visual", sigmas=exact,
                                                seed=5, replicates=20))
 print()
-print("zero-noise check: hazard-ratio band width =",
-      collapsed.hazard_ratio_q975 - collapsed.hazard_ratio_q025)
+quantiles = collapsed.hazard_ratio.quantiles
+print("zero-noise check: hazard-ratio band width =", quantiles[0.975] - quantiles[0.025])

@@ -2,8 +2,9 @@
 
 The three-step procedure: (1) resample every patient's LVEF from the chosen
 source's error distribution, (2) rerun the Kaplan-Meier strata and the Cox fit
-as if the resampled values were exact, (3) compile the replicate statistics
-into percentile bands.  Replicate r always runs on substream (seed, r), so
+as if the resampled values were exact, (3) summarize the hazard ratios and
+each stratum's event rates as ``SampleSummary``s and its curves as a
+percentile ``KmBand``.  Replicate r always runs on substream (seed, r), so
 results are bit-reproducible and independent of execution order.
 
 The stratum rule (low below the lower band edge, mid in the closed band,
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidParameterError, PropagationError
 from .fusion import InstrumentSigma, fused_estimates, fused_sigma
-from .stochastics import _integer, make_stream, summarize
+from .stochastics import SampleSummary, _integer, make_stream, summarize
 from .survival import (
     CoxFit,
     _CoxLayout,
@@ -63,7 +64,6 @@ from .survival import cox_fit_from_arrays  # noqa: F401
 
 __all__ = [
     "PropagationConfig",
-    "StratumSummary",
     "KmBand",
     "PropagationSummary",
     "stratify",
@@ -112,13 +112,6 @@ def _check_band_edges(band_edges) -> None:
 
 
 @dataclass(frozen=True)
-class StratumSummary:
-    mean_event_rate: float | None
-    quantiles: dict | None
-    n_present: int
-
-
-@dataclass(frozen=True)
 class KmBand:
     """Pointwise percentile envelope of replicate survival curves."""
 
@@ -130,14 +123,19 @@ class KmBand:
 
 @dataclass(frozen=True)
 class PropagationSummary:
+    """One source's replicate statistics: hazard_ratio summarizes the hazard
+    ratios per HR_DELTA-point decrease (levels 0.025 and 0.975) of the Cox
+    fits that succeeded, failed_replicates counts the others; event_rates and
+    km_bands map each of STRATA to its event rates by the horizon summarized
+    over the replicates it is present in (n counts them) and to its KmBand,
+    or to None when no replicate has a patient in it."""
+
     source: str
     replicates: int
     failed_replicates: int
-    event_rates: dict
-    hazard_ratio_mean: float
-    hazard_ratio_q025: float
-    hazard_ratio_q975: float
-    km_bands: dict
+    event_rates: dict[str, SampleSummary | None]
+    hazard_ratio: SampleSummary
+    km_bands: dict[str, KmBand | None]
     horizon: float
 
 
@@ -188,16 +186,6 @@ def source_values(cohort, source: str, sigmas: InstrumentSigma):
     if source == "simpson":
         return cohort.simpson, sigmas.simpson_sigma
     return fused_estimates(cohort, sigmas), fused_sigma(sigmas)
-
-
-def _stratum_summary(present: np.ndarray, rate: np.ndarray) -> StratumSummary:
-    """Summary of one stratum's event rates by the horizon over the
-    replicates it is present in."""
-    if not present.any():
-        return StratumSummary(mean_event_rate=None, quantiles=None, n_present=0)
-    s = summarize(rate[present])
-    return StratumSummary(mean_event_rate=s.mean, quantiles=s.quantiles,
-                          n_present=int(present.sum()))
 
 
 def _km_band(present: np.ndarray, rows: list, times: np.ndarray) -> KmBand | None:
@@ -432,16 +420,13 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
         strata[label] = (np.concatenate(present), np.concatenate(rate),
                          [part for part in rows if part is not None])
     del results, rows
-    hr_summary = summarize(hazard_ratios, (0.025, 0.975))
     return PropagationSummary(
         source=config.source,
         replicates=config.replicates,
         failed_replicates=config.replicates - len(hazard_ratios),
-        event_rates={label: _stratum_summary(present, rate)
+        event_rates={label: summarize(rate[present]) if present.any() else None
                      for label, (present, rate, _) in strata.items()},
-        hazard_ratio_mean=hr_summary.mean,
-        hazard_ratio_q025=hr_summary.quantiles[0.025],
-        hazard_ratio_q975=hr_summary.quantiles[0.975],
+        hazard_ratio=summarize(hazard_ratios, (0.025, 0.975)),
         km_bands={label: _km_band(present, rows, times)
                   for label, (present, _, rows) in strata.items()},
         horizon=config.horizon,

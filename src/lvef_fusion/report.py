@@ -3,10 +3,11 @@
 The report JSON is deterministic for a fixed cohort, configuration, and seed:
 keys are sorted, floats are emitted at full double precision, and the only
 run-dependent field is metadata.generated_at.  CSV artifacts round to 4
-decimal places.  The band CSV checks each band's nesting whole with numpy,
-then spells each (source, stratum)'s columns with the cohort writers' kernel
-(``cohort._fmt_column`` and ``cohort._csv_lines``), WRITE_ROWS rows per write,
-in the bytes csv.writer gave.
+decimal places.  The band CSV checks every band's nesting whole with numpy
+before it opens its destination, then spells each (source, stratum)'s
+columns with the cohort writers' kernel (``cohort._fmt_column`` and
+``cohort._csv_lines``), WRITE_ROWS rows per write, in the bytes csv.writer
+gave.
 
 The sections other artifacts share are built here once: the metadata block
 (artifact_metadata), the sigma echo (sigma_echo), the calibration section
@@ -90,6 +91,8 @@ class ReportOptions:
             raise InvalidParameterError(f"unknown sources {unknown}; expected subset of {SOURCES}")
         if not self.sources:
             raise InvalidParameterError("at least one source is required")
+        if len(set(self.sources)) < len(self.sources):
+            raise InvalidParameterError(f"sources must not repeat, got {list(self.sources)}")
         self.propagation_config(self.sources[0])  # checks the run settings up front
 
     def propagation_config(self, source: str) -> PropagationConfig:
@@ -121,18 +124,20 @@ def posterior_to_dict(posterior) -> dict:
     }
 
 
-def _stratum_to_dict(stratum) -> dict:
-    if stratum.n_present == 0:
+def _stratum_to_dict(rates: SampleSummary | None) -> dict:
+    if rates is None:
         return {"present": False, "n_present": 0}
     return {
         "present": True,
-        "n_present": int(stratum.n_present),
-        "mean_event_rate": float(stratum.mean_event_rate),
-        "quantiles": {str(level): float(v) for level, v in stratum.quantiles.items()},
+        "n_present": int(rates.n),
+        "mean_event_rate": float(rates.mean),
+        "quantiles": {str(level): float(v) for level, v in rates.quantiles.items()},
     }
 
 
 def propagation_to_dict(summary: PropagationSummary) -> dict:
+    hazard_ratio = summary.hazard_ratio
+    lower, upper = hazard_ratio.quantiles[0.025], hazard_ratio.quantiles[0.975]
     return {
         "source": summary.source,
         "replicates": int(summary.replicates),
@@ -140,10 +145,10 @@ def propagation_to_dict(summary: PropagationSummary) -> dict:
         "horizon_days": float(summary.horizon),
         "hazard_ratio": {
             "per_lvef_decrease": HR_DELTA,
-            "mean": float(summary.hazard_ratio_mean),
-            "q0.025": float(summary.hazard_ratio_q025),
-            "q0.975": float(summary.hazard_ratio_q975),
-            "band_width": float(summary.hazard_ratio_q975 - summary.hazard_ratio_q025),
+            "mean": float(hazard_ratio.mean),
+            "q0.025": float(lower),
+            "q0.975": float(upper),
+            "band_width": float(upper - lower),
         },
         "event_rates": {label: _stratum_to_dict(s) for label, s in summary.event_rates.items()},
         "km_band_points": {
@@ -328,44 +333,44 @@ def write_report_json(report: dict, destination) -> None:
         handle.write(render_report_json(report))
 
 
-def _nested_columns(source, label, band) -> list:
-    """The band's columns, checked whole before any row is written: a row
-    outside the nesting slack raises InvalidStateError, and the means are
-    clamped into [lower, upper] as min(max(mean, lower), upper) clamps them."""
-    t, lo, me, up = band.times, band.lower, band.mean, band.upper
+def _check_nesting(source, label, band) -> None:
+    """Raise InvalidStateError at the band's first row outside the nesting slack."""
+    lo, me, up = band.lower, band.mean, band.upper
     slack = _NESTING_SLACK * (1.0 + np.abs(me))
     bad = np.flatnonzero((me < lo - slack) | (me > up + slack) | (up < lo - slack))
     if bad.size:
         i = bad[0]
         raise InvalidStateError(
-            f"band nesting violated for {source}/{label} at t={t[i]}: "
-            f"lower={lo[i]!r} mean={me[i]!r} upper={up[i]!r}"
+            f"band nesting violated for {source}/{label} at t={band.times[i]}: "
+            f"lower={float(lo[i])} mean={float(me[i])} upper={float(up[i])}"
         )
-    me = np.where(lo > me, lo, me)
-    return [t, lo, np.where(up < me, up, me), up]
 
 
 def write_km_band_csv(summaries, destination) -> None:
     """Long-format band CSV: source, stratum, time_days, lower, mean, upper.
 
     Accepts one PropagationSummary or a sequence; absent strata emit no rows.
-    Step-function points appear at every band time.
+    Step-function points appear at every band time.  Every band's nesting
+    is checked before the destination is opened; the means are written
+    clamped into [lower, upper] as min(max(mean, lower), upper) clamps them.
     """
     if isinstance(summaries, PropagationSummary):
         summaries = [summaries]
-    summaries = list(summaries)
+    bands = [(summary.source, label, band) for summary in summaries
+             for label, band in summary.km_bands.items() if band is not None]
+    for source, label, band in bands:
+        _check_nesting(source, label, band)
 
     try:
         with _writing(destination) as handle:
             handle.write("source,stratum,time_days,lower,mean,upper\r\n")
-            for summary in summaries:
-                for label, band in summary.km_bands.items():
-                    if band is None:
-                        continue
-                    columns = _nested_columns(summary.source, label, band)
-                    for first in range(0, band.times.size, WRITE_ROWS):
-                        fields = [_fmt_column(column[first:first + WRITE_ROWS])
-                                  for column in columns]
-                        handle.write(_csv_lines(f"{summary.source},{label}", fields, "\r\n"))
+            for source, label, band in bands:
+                lo, up = band.lower, band.upper
+                me = np.where(lo > band.mean, lo, band.mean)
+                columns = [band.times, lo, np.where(up < me, up, me), up]
+                for first in range(0, band.times.size, WRITE_ROWS):
+                    fields = [_fmt_column(column[first:first + WRITE_ROWS])
+                              for column in columns]
+                    handle.write(_csv_lines(f"{source},{label}", fields, "\r\n"))
     except OSError as exc:
         raise OSError(f"cannot write KM band CSV to {destination}: {exc}") from exc

@@ -27,7 +27,6 @@ from lvef_fusion.propagation import (
     STRATA,
     KmBand,
     PropagationSummary,
-    StratumSummary,
     source_values,
     stratum_km,
 )
@@ -119,18 +118,12 @@ def propagate(cohort, config) -> PropagationSummary:
         raise PropagationError(
             f"all {config.replicates} replicates failed the Cox fit ({', '.join(reasons)})"
         )
-    hr_summary = summarize(hazard_ratios, (0.025, 0.975))
 
     event_rates, km_bands = {}, {}
     for label in STRATA:
         present = [r.event_rate_by_stratum[label] for r in results
                    if r.event_rate_by_stratum[label] is not None]
-        if present:
-            s = summarize(present, (0.025, 0.5, 0.975))
-            event_rates[label] = StratumSummary(
-                mean_event_rate=s.mean, quantiles=s.quantiles, n_present=len(present))
-        else:
-            event_rates[label] = StratumSummary(mean_event_rate=None, quantiles=None, n_present=0)
+        event_rates[label] = summarize(present, (0.025, 0.5, 0.975)) if present else None
         km_bands[label] = km_band([r.km_curves[label] for r in results
                                    if r.km_curves[label] is not None])
 
@@ -139,9 +132,7 @@ def propagate(cohort, config) -> PropagationSummary:
         replicates=config.replicates,
         failed_replicates=config.replicates - hazard_ratios.size,
         event_rates=event_rates,
-        hazard_ratio_mean=hr_summary.mean,
-        hazard_ratio_q025=hr_summary.quantiles[0.025],
-        hazard_ratio_q975=hr_summary.quantiles[0.975],
+        hazard_ratio=summarize(hazard_ratios, (0.025, 0.975)),
         km_bands=km_bands,
         horizon=config.horizon,
     )

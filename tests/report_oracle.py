@@ -22,7 +22,7 @@ def _checked_row(source, label, t, lo, me, up):
     if me < lo - slack or me > up + slack or up < lo - slack:
         raise InvalidStateError(
             f"band nesting violated for {source}/{label} at t={t}: "
-            f"lower={lo!r} mean={me!r} upper={up!r}"
+            f"lower={float(lo)} mean={float(me)} upper={float(up)}"
         )
     me = min(max(me, lo), up)
     return [source, label, _fmt(t), _fmt(lo), _fmt(me), _fmt(up)]

@@ -226,7 +226,8 @@ def end_to_end_rows():
         for source in SOURCES:
             summary = propagate(cohort, PropagationConfig(
                 source=source, sigmas=sigmas, seed=seed, replicates=200))
-            widths[source] = summary.hazard_ratio_q975 - summary.hazard_ratio_q025
+            quantiles = summary.hazard_ratio.quantiles
+            widths[source] = quantiles[0.975] - quantiles[0.025]
         rows.append({"seed": seed, "rmse": rmse, "widths": widths})
     return rows, time.perf_counter() - started
 
@@ -265,7 +266,8 @@ class TestEndToEndProperties:
         for source in SOURCES:
             summary = propagate(cohort, PropagationConfig(
                 source=source, sigmas=sigmas, seed=0, replicates=200))
-            worst = max(worst, summary.hazard_ratio_q975 - summary.hazard_ratio_q025)
+            quantiles = summary.hazard_ratio.quantiles
+            worst = max(worst, quantiles[0.975] - quantiles[0.025])
             for band in summary.km_bands.values():
                 if band is not None:
                     worst = max(worst, float(np.max(band.upper - band.lower)))

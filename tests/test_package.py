@@ -35,7 +35,7 @@ EXPORTED = {
     "FusedEstimate", "InstrumentSigma", "fuse", "fused_estimates", "fused_sigma",
     "precision_ratio", "relative_reduction", "total_variation",
     # propagation
-    "KmBand", "PropagationConfig", "PropagationSummary", "StratumSummary", "propagate",
+    "KmBand", "PropagationConfig", "PropagationSummary", "propagate",
     "stratify",
     # report
     "ReportOptions", "render_report_json", "run_report", "write_km_band_csv",

@@ -30,7 +30,6 @@ from lvef_fusion.propagation import (
     KmBand,
     PropagationConfig,
     PropagationSummary,
-    StratumSummary,
     propagate,
 )
 from lvef_fusion.report import (
@@ -48,10 +47,12 @@ from lvef_fusion.report import (
     write_report_json,
 )
 from lvef_fusion.simulate import SimConfig, simulate
-from lvef_fusion.stochastics import make_stream, summarize
+from lvef_fusion.stochastics import SampleSummary, make_stream, summarize
 from lvef_fusion.survival import CoxFit, cox_fit_from_arrays
 
 SIGMAS = InstrumentSigma(18.1, 8.8)
+# The hazard-ratio summary of the hand-built PropagationSummary objects.
+_HAZARD_RATIO = SampleSummary(1.0, 0.05, {0.025: 0.9, 0.975: 1.1}, 10)
 FAST_CALIBRATION = CalibrationConfig(kept_samples=400)
 
 
@@ -390,6 +391,10 @@ class TestReportOptionsValidation:
         with pytest.raises(InvalidParameterError, match="at least one"):
             ReportOptions(sigmas=SIGMAS, sources=())
 
+    def test_repeated_source_rejected(self):
+        with pytest.raises(InvalidParameterError, match="must not repeat"):
+            ReportOptions(sigmas=SIGMAS, sources=("visual", "visual"))
+
 
 class TestKmBandCsv:
     def test_header(self, band_rows):
@@ -451,11 +456,11 @@ class TestKmBandCsv:
         bad = PropagationSummary(
             source="visual", replicates=10, failed_replicates=0,
             event_rates={
-                "low": StratumSummary(0.5, {0.025: 0.4, 0.5: 0.5, 0.975: 0.6}, 10),
-                "mid": StratumSummary(None, None, 0),
-                "high": StratumSummary(None, None, 0),
+                "low": SampleSummary(0.5, 0.05, {0.025: 0.4, 0.5: 0.5, 0.975: 0.6}, 10),
+                "mid": None,
+                "high": None,
             },
-            hazard_ratio_mean=1.0, hazard_ratio_q025=0.9, hazard_ratio_q975=1.1,
+            hazard_ratio=_HAZARD_RATIO,
             km_bands={
                 "low": KmBand(times=np.array([30.0]), lower=np.array([0.9]),
                               mean=np.array([0.5]), upper=np.array([1.0])),
@@ -463,8 +468,27 @@ class TestKmBandCsv:
             },
             horizon=365.0,
         )
-        with pytest.raises(InvalidStateError, match="nesting"):
+        with pytest.raises(InvalidStateError, match=re.escape(
+                "band nesting violated for visual/low at t=30.0: "
+                "lower=0.9 mean=0.5 upper=1.0")):
             write_km_band_csv(bad, io.StringIO())
+
+    def test_violated_nesting_writes_nothing(self, tmp_path):
+        """A band that does not nest, after one that does, raises before the
+        destination is opened."""
+        def band(lower, mean, upper):
+            return KmBand(times=np.array([30.0, 60.0]), lower=np.array(lower),
+                          mean=np.array(mean), upper=np.array(upper))
+
+        bad = dataclasses.replace(_OWNED_SUMMARY, km_bands={
+            "low": band([0.8, 0.7], [0.9, 0.8], [1.0, 0.9]),
+            "mid": band([0.8, 0.9], [0.9, 0.5], [1.0, 1.0]),
+            "high": None,
+        })
+        target = tmp_path / "bands.csv"
+        with pytest.raises(InvalidStateError, match="visual/mid at t=60.0"):
+            write_km_band_csv(bad, target)
+        assert not target.exists()
 
     def test_io_error_mentions_destination(self, report_and_summaries):
         _, summaries = report_and_summaries
@@ -523,8 +547,7 @@ def _summaries(draw):
         bands = {label: draw(st.none() | _band()) for label in STRATA}
         summaries.append(PropagationSummary(
             source=source, replicates=10, failed_replicates=0,
-            event_rates={label: StratumSummary(None, None, 0) for label in STRATA},
-            hazard_ratio_mean=1.0, hazard_ratio_q025=0.9, hazard_ratio_q975=1.1,
+            event_rates=dict.fromkeys(STRATA), hazard_ratio=_HAZARD_RATIO,
             km_bands=bands, horizon=365.0,
         ))
     return summaries[0] if len(summaries) == 1 and draw(st.booleans()) else summaries
@@ -562,8 +585,7 @@ _OWNED_CSV = "patient_id,visual_lvef,simpson_lvef,time_days,event\np0,40,42,10,1
 _OWNED_COHORT = Cohort(("p0", "p1"), (40.0, 55.0), (42.0, 57.0), (10.0, 20.0), (1, 0))
 _OWNED_SUMMARY = PropagationSummary(
     source="visual", replicates=10, failed_replicates=0,
-    event_rates={label: StratumSummary(None, None, 0) for label in STRATA},
-    hazard_ratio_mean=1.0, hazard_ratio_q025=0.9, hazard_ratio_q975=1.1,
+    event_rates=dict.fromkeys(STRATA), hazard_ratio=_HAZARD_RATIO,
     km_bands={"low": KmBand(times=np.array([30.0]), lower=np.array([0.4]),
                             mean=np.array([0.5]), upper=np.array([0.6])),
               "mid": None, "high": None},

@@ -28,6 +28,7 @@ from .report import (
     artifact_metadata,
     calibration_echo,
     calibration_section,
+    config_echo,
     cox_fit_to_dict,
     propagate_sources,
     propagation_to_dict,
@@ -303,8 +304,10 @@ def cmd_propagate(args) -> int:
     cohort, _ = _read_cohort(args.input)
     summaries, exclusions = propagate_sources(cohort, options)
     _echo_warnings(exclusions)
+    config = config_echo(options)
     for source, summary in summaries.items():
-        payload = {"metadata": artifact_metadata(args.seed), **propagation_to_dict(summary)}
+        payload = {"metadata": artifact_metadata(args.seed, config), "config": config,
+                   **propagation_to_dict(summary)}
         write_report_json(payload, _destination(args.output, f"propagation_{source}.json"))
         write_km_band_csv(summary, _destination(args.output, f"km_bands_{source}.csv"))
     return 0

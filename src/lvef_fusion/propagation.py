@@ -18,15 +18,17 @@ CHUNK_ELEMENTS draws.  Each replicate's standard normals are scaled, shifted
 and permuted into time order in its row of the chunk, and the chunk is
 clipped at once; each stratum's (replicate, patient) members come from the
 flat indexes of its membership mask.  One ``km_segmented`` pass per stratum
-fits every replicate's Kaplan-Meier curve of a chunk as compact (replicate,
-rank, S) rows, and one ``_cox_fit_rows`` call fits every replicate's Cox
-model of the chunk as one batch of Newton iterations against an event layout
-that each process builds once per source (a replicate whose fit fails fails
-alone).  The bands are read from the rows in blocks of about BAND_ELEMENTS
-(curve, time) cells, each cell by one binary search over the rows' sorted
-(curve, grid column) keys.  The results are bit for bit those of one
-replicate at a time (``normal(loc, scale)`` draws, ``stratum_km``,
-``cox_fit_from_arrays`` and a per-curve band); the budgets only bound memory.
+fits every replicate's Kaplan-Meier curve of a chunk as per-replicate step
+counts plus the steps' (time rank, S), and one ``_cox_fit_rows`` call fits
+every replicate's Cox model of the chunk as one batch of Newton iterations
+against an event layout that each process builds once per source (a
+replicate whose fit fails fails alone).  ``_read_curves`` reads the joined
+curves of a stratum by one lookup, each (curve, rank) cell by one binary
+search over the steps' sorted (curve, rank) keys: the event rates at the
+horizon's rank, the band on the union of the step ranks in blocks of about
+BAND_ELEMENTS cells.  The results are bit for bit those of one replicate at a
+time (``normal(loc, scale)`` draws, ``stratum_km``, ``cox_fit_from_arrays``
+and a per-curve band); the budgets only bound memory.
 
 The chunks are split into one contiguous share per CPU the process may run
 on (never more shares than chunks).  This process fits the first share; a
@@ -103,9 +105,14 @@ class PropagationConfig:
 
 
 def _check_band_edges(band_edges) -> None:
-    """Reject band edges that are not strictly increasing inside (0, 100)."""
-    lo, hi = band_edges
-    if not (0.0 < lo < hi < 100.0):
+    """Reject band edges that are not two numbers strictly increasing inside (0, 100)."""
+    try:
+        lo, hi = band_edges
+        increasing = 0.0 < lo < hi < 100.0
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"band_edges must be two numbers, got {band_edges!r}") from None
+    if not increasing:
         raise InvalidParameterError(
             f"band_edges must be strictly increasing inside (0, 100), got {band_edges!r}"
         )
@@ -188,40 +195,47 @@ def source_values(cohort, source: str, sigmas: InstrumentSigma):
     return fused_estimates(cohort, sigmas), fused_sigma(sigmas)
 
 
-def _km_band(present: np.ndarray, rows: list, times: np.ndarray) -> KmBand | None:
-    """Pointwise percentile envelope of one stratum's replicate curves on the
-    union of their event times.
+def _read_curves(parts: list, times: np.ndarray, horizon_rank) -> tuple:
+    """One stratum's event rates by the horizon and its KmBand, read from its
+    replicate curves by one lookup.
 
-    present[r] tells whether any patient fell in the stratum in replicate r;
-    rows holds the chunks' compact (replicate, rank, S) rows (_fit_stratum)
-    in replicate order, a rank indexing the distinct follow-up times, and is
-    emptied so that each part is released once it is joined.
+    parts holds the chunks' (present, steps, ranks, survival) parts
+    (_fit_stratum) in replicate order, a rank indexing times, and is emptied
+    so that each part is released once it is joined; horizon_rank is the
+    rank of the last time at or before the horizon, -1 before them all.
+    Returns (the present replicates' event rates as a SampleSummary, their
+    pointwise percentile envelope on the union of their step times), or
+    (None, None) when no replicate has a patient in the stratum.
     """
+    present, steps, ranks, survival = zip(*parts)
+    parts.clear()
+    present = np.concatenate(present)
     curves = int(np.count_nonzero(present))
     if curves == 0:
-        return None
-    reps, ranks, survival = zip(*rows)
-    rows.clear()
-    # One rows-long array at a time.  Row i is read as padded[i + 1],
-    # padded[0] being S = 1.0 before a curve's first event.
+        return None, None
+    # One steps-long array at a time.  Step i is read as padded[i + 1],
+    # padded[0] being S = 1.0 before a curve's first step.
     padded = np.concatenate(((1.0,), *survival))
     del survival
     ranks = np.concatenate(ranks)
-    on_grid = np.bincount(ranks, minlength=times.size) > 0
-    grid = times[on_grid]
-    # Each row's grid column, in place ("clip" skips take's buffer).
-    np.take(np.cumsum(on_grid) - 1, ranks, out=ranks, mode="clip")
-    # Key (curve, grid column), ascending in row order: the rows run in
-    # (replicate, time) order and each row is its curve's only one at
-    # its time.
-    keys = np.concatenate(reps)
-    del reps
-    keys = (np.cumsum(present) - 1)[keys]
-    keys *= grid.size
+    grid = np.flatnonzero(np.bincount(ranks, minlength=times.size))
+    steps = np.concatenate(steps)
+    # Key (curve, rank), ascending in step order: the steps run in
+    # (replicate, time) order and each is its curve's only one at its rank.
+    keys = np.repeat(np.arange(steps.size) * times.size, steps)
     keys += ranks
     del ranks
-    base = np.arange(curves)[:, None] * grid.size
-    first_row = np.searchsorted(keys, base)
+    base = np.flatnonzero(present)[:, None] * times.size
+    first = (np.cumsum(steps) - steps)[present][:, None]
+
+    def survival_at(cells):
+        # A cell (curve, rank) reads the 1-based number of the curve's last
+        # step at or before the rank, 0 before its first (S = 1.0).
+        step = np.searchsorted(keys, base + cells, side="right")
+        step[step <= first] = 0
+        return padded[step]
+
+    rates = summarize(1.0 - survival_at(horizon_rank)[:, 0])
     percentiles = np.empty((2, grid.size))
     mean = np.empty(grid.size)
     # A one-column block would average its column by pairwise summation,
@@ -231,12 +245,7 @@ def _km_band(present: np.ndarray, rows: list, times: np.ndarray) -> KmBand | Non
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     for start, stop in zip(edges[:-1], edges[1:]):
-        # A cell (curve, column) reads the 1-based number of the curve's
-        # last row at or before the column, 0 before its first (S = 1.0).
-        row = np.searchsorted(keys, base + np.arange(start, stop), side="right")
-        row[row <= first_row] = 0
-        block = padded[row]
-        del row
+        block = survival_at(grid[start:stop])
         # Columns where every curve agrees must average to that value
         # bit-exactly (zero-noise collapse), which summed means do not give.
         col_mean = block.mean(axis=0)
@@ -250,45 +259,36 @@ def _km_band(present: np.ndarray, rows: list, times: np.ndarray) -> KmBand | Non
     # percentiles can exclude the mean; widen so nesting always holds.
     lower = np.minimum(percentiles[0], mean)
     upper = np.maximum(percentiles[1], mean)
-    return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
+    return rates, KmBand(times=times[grid], lower=lower, mean=mean, upper=upper)
 
 
-def _fit_stratum(mask, first, rank, event, horizon_rank):
-    """Fit one stratum in replicates first, first + 1, ... of one chunk, mask
-    being the chunk's (replicate, patient) membership matrix; horizon_rank is
-    the rank of the last follow-up time at or before the horizon.
+def _fit_stratum(mask, rank, event):
+    """Fit one stratum in every replicate of one chunk, mask being the
+    chunk's (replicate, patient) membership matrix.
 
-    Returns (present, rate, rows): whether any patient fell in the stratum in
-    each replicate, its event rate by the horizon (0.0 where absent), and the
-    chunk's compact (replicate, rank, S) rows, or None when no replicate has
-    a patient in the stratum.
+    Returns (present, steps, ranks, survival): whether any patient fell in
+    the stratum in each replicate, each replicate's number of curve steps,
+    and the steps' time ranks and S values in (replicate, time) order.
     """
     chunk, n = mask.shape
     present = mask.any(axis=1)
     # Flat (replicate, patient) indexes, turned into patients in place.
     patient = np.flatnonzero(mask)
-    if patient.size == 0:
-        return present, np.zeros(chunk), None
     rep = patient // n
     patient -= rep * n
     members = rank[patient], event[patient]
     del patient  # the segmented fit below sets the chunk's memory peak
     rep, curve = km_segmented(*members, rep)
-    # S(horizon): the last row at or before the horizon, else 1.0.
-    due = np.bincount(rep[curve.times <= horizon_rank], minlength=chunk)
-    last = np.searchsorted(rep, np.arange(chunk)) + due
-    padded = np.concatenate(([1.0], curve.survival))
-    rate = 1.0 - padded[np.where(due > 0, last, 0)]
-    return present, rate, (rep + first, curve.times, curve.survival)
+    return present, np.bincount(rep, minlength=chunk), curve.times, curve.survival
 
 
 def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
     """Draw and fit replicates first, ..., stop - 1 on their substreams;
-    follow_up is (rank, event, horizon_rank) as _fit_stratum takes them,
-    layout their Cox event layout and order the time order of the patients.
+    follow_up is (rank, event) as _fit_stratum takes them, layout their Cox
+    event layout and order the time order of the patients.
 
-    Returns ({stratum: _fit_stratum's (present, rate, rows)}, the hazard
-    ratios of the fits that succeeded in replicate order, {name: message}).
+    Returns ({stratum: _fit_stratum's part}, the hazard ratios of the fits
+    that succeeded in replicate order, {name: message}).
     """
     # Generator.normal(loc, scale) draws loc + scale * z from the stream's
     # standard normals z, one rounding per operation: the same numbers, made
@@ -300,7 +300,7 @@ def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
         row += centers
         row[:] = row[order]
     np.clip(realized, *CLAMP_RANGE, out=realized)
-    strata = {label: _fit_stratum(mask, first, *follow_up)
+    strata = {label: _fit_stratum(mask, *follow_up)
               for label, mask in _strata_masks(realized, config.band_edges).items()}
     hazard_ratios, failures = [], {}
     for outcome in _cox_fit_rows(layout, realized):
@@ -390,7 +390,6 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
     rank = np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))
     del starts
     event = cohort.event[order]
-    follow_up = (rank, event, np.searchsorted(times, config.horizon, side="right") - 1)
     per_chunk = max(1, CHUNK_ELEMENTS // order.size)
     chunks = [(first, min(first + per_chunk, config.replicates))
               for first in range(0, config.replicates, per_chunk)]
@@ -399,7 +398,7 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
         # One Cox event layout serves every chunk of the share; it is freed
         # with the share, before the other shares' results arrive.
         layout = _CoxLayout(rank, event)
-        return [_fit_chunk(first, stop, follow_up, layout, order, centers, spread, config)
+        return [_fit_chunk(first, stop, (rank, event), layout, order, centers, spread, config)
                 for first, stop in share]
 
     results = _map_shares(fit, chunks)
@@ -411,23 +410,20 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
             raise DegenerateDataError(failures["DegenerateDataError"])
         raise PropagationError(f"all {config.replicates} replicates failed the Cox fit "
                                f"({', '.join(sorted(failures))})")
-    # Each stratum's chunk parts, joined in replicate order.  The chunk
-    # results are let go before any band is read, so that each band releases
-    # the rows it joins.
-    strata = {}
-    for label in STRATA:
-        present, rate, rows = zip(*(parts[label] for parts, _, _ in results))
-        strata[label] = (np.concatenate(present), np.concatenate(rate),
-                         [part for part in rows if part is not None])
-    del results, rows
+    # Each stratum's chunk parts, in replicate order.  The chunk results are
+    # let go before any stratum is read, so that each reading releases the
+    # parts it joins.
+    strata = {label: [parts[label] for parts, _, _ in results] for label in STRATA}
+    del results
+    horizon_rank = np.searchsorted(times, config.horizon, side="right") - 1
+    read = {label: _read_curves(parts, times, horizon_rank)
+            for label, parts in strata.items()}
     return PropagationSummary(
         source=config.source,
         replicates=config.replicates,
         failed_replicates=config.replicates - len(hazard_ratios),
-        event_rates={label: summarize(rate[present]) if present.any() else None
-                     for label, (present, rate, _) in strata.items()},
+        event_rates={label: rates for label, (rates, _) in read.items()},
         hazard_ratio=summarize(hazard_ratios, (0.025, 0.975)),
-        km_bands={label: _km_band(present, rows, times)
-                  for label, (present, _, rows) in strata.items()},
+        km_bands={label: band for label, (_, band) in read.items()},
         horizon=config.horizon,
     )

@@ -10,11 +10,12 @@ columns with the cohort writers' kernel (``cohort._fmt_column`` and
 gave.
 
 The sections other artifacts share are built here once: the metadata block
-(artifact_metadata), the sigma echo (sigma_echo), the calibration section
-(calibration_section) and the per-source propagation (propagate_sources),
-which runs every requested source before it returns, so that a command
-writes nothing until every result exists.  The CLI commands call these, so
-their artifacts match the report's.
+(artifact_metadata), the sigma echo (sigma_echo), the run's config echo
+(config_echo), the calibration section (calibration_section) and the
+per-source propagation (propagate_sources), which runs every requested
+source before it returns, so that a command writes nothing until every
+result exists.  The CLI commands call these, so their artifacts match the
+report's.
 """
 
 from __future__ import annotations
@@ -214,7 +215,9 @@ def sigma_echo(sigmas: InstrumentSigma) -> dict:
     }
 
 
-def _config_echo(options: ReportOptions, calibration: CalibrationConfig | None) -> dict:
+def config_echo(options: ReportOptions, calibration: CalibrationConfig | None = None) -> dict:
+    """The run's settings as report and propagate echo them, with the
+    calibration settings when the run calibrates."""
     echo = {
         **sigma_echo(options.sigmas),
         "seed": int(options.seed),
@@ -306,10 +309,10 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
     summaries, exclusions = propagate_sources(cohort, options)
     report_warnings += [{"category": "ReplicateExclusion", "message": m} for m in exclusions]
 
-    config_echo = _config_echo(options, options.calibration if positive else None)
+    config = config_echo(options, options.calibration if positive else None)
     report = {
-        "metadata": artifact_metadata(options.seed, config_echo),
-        "config": config_echo,
+        "metadata": artifact_metadata(options.seed, config),
+        "config": config,
         "units": {
             "lvef": "percent",
             "time": "days",

@@ -33,6 +33,7 @@ censoring time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,8 @@ def km_survival_at(curve: KmCurve, horizon):
 
 def _check_horizon(horizon) -> None:
     """Reject a horizon that is not a finite number of days > 0."""
+    if not isinstance(horizon, numbers.Real):
+        raise InvalidParameterError(f"horizon must be a number of days, got {horizon!r}")
     if not horizon > 0:
         raise InvalidParameterError(f"horizon must be > 0, got {horizon!r}")
     if not math.isfinite(horizon):

@@ -14,7 +14,7 @@ import pytest
 
 from lvef_fusion import cli, errors
 from lvef_fusion.cli import main
-from lvef_fusion.report import TOOL_VERSION
+from lvef_fusion.report import TOOL_VERSION, config_hash
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEADER = "patient_id,visual_lvef,simpson_lvef,time_days,event\n"
@@ -562,7 +562,12 @@ class TestSharedSections:
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         for source in ("visual", "simpson", "assimilated"):
             payload = json.loads((tmp_path / "p" / f"propagation_{source}.json").read_text())
-            assert payload.pop("metadata")["seed"] == report["metadata"]["seed"]
+            metadata, config = payload.pop("metadata"), payload.pop("config")
+            assert metadata["seed"] == report["metadata"]["seed"]
+            # The run's settings, as the report echoes them but for the
+            # calibration that propagate does not run; the hash covers them.
+            assert config == {k: v for k, v in report["config"].items() if k != "calibration"}
+            assert metadata["config_hash"] == config_hash(config)
             assert payload == report["propagation"][source]
             name = f"km_bands_{source}.csv"
             assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()

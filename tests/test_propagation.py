@@ -28,11 +28,12 @@ from lvef_fusion.propagation import (
     stratify,
 )
 from lvef_fusion.simulate import SimConfig, simulate
-from lvef_fusion.stochastics import make_stream
+from lvef_fusion.stochastics import make_stream, summarize
 from lvef_fusion.survival import (
     KmCurve,
     cox_fit_from_arrays,
     hazard_ratio_per,
+    km_event_rate_at,
     km_from_arrays,
     km_survival_at,
 )
@@ -220,7 +221,8 @@ def _propagation_cases(draw):
     """Small cohorts with tied times, censorings tied with events, heavy
     censoring, narrow or far strata (absent ones, event-free ones), spreads
     from zero to wide (separating fits included), several replicate chunks
-    and several band blocks."""
+    and several band blocks.  The follow-up runs from 30 to 360 days, so a
+    15-day horizon lies before every time and a 360-day one may tie one."""
     n = draw(st.one_of(st.integers(2, 6), st.integers(2, 30)))
     times = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
     event_share = draw(st.sampled_from([0.1, 0.5, 0.9]))
@@ -238,7 +240,7 @@ def _propagation_cases(draw):
         sigmas=sigmas,
         seed=draw(st.integers(0, 2**32)),
         replicates=draw(st.integers(2, 12)),
-        horizon=draw(st.sampled_from([45.0, 200.0, 365.0])),
+        horizon=draw(st.sampled_from([15.0, 45.0, 200.0, 360.0, 365.0])),
         band_edges=draw(st.sampled_from([(35.0, 50.0), (10.0, 11.0), (49.0, 51.0)])),
     )
     per_chunk = draw(st.integers(1, config.replicates + 1))
@@ -348,10 +350,11 @@ class TestPropagateDeterminism:
 
 @st.composite
 def _band_cases(draw):
-    """One stratum's compact (replicate, rank, S) rows in chunk parts, as
+    """One stratum's (present, steps, ranks, survival) chunk parts, as
     _fit_stratum leaves them: random distinct follow-up times, replicates
-    absent from the stratum, present curves without rows, and survival
-    values that often coincide across curves."""
+    absent from the stratum, present curves without steps, survival values
+    that often coincide across curves, and a horizon rank from before the
+    first time (-1) to the last."""
     times = np.cumsum(draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=12)))
     # Nine or more curves make a column's pairwise sum differ from the
     # row-by-row one, which a one-column block would take.
@@ -362,7 +365,9 @@ def _band_cases(draw):
     # uniform draws whose sums round differently in different orders.
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     shared = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    curves, rows = [], {}
+    curves = []
+    # An absent replicate has no steps.
+    steps = [(np.empty(0, dtype=np.intp), np.empty(0))] * replicates
     for r in np.flatnonzero(present):
         ranks = np.array(sorted(draw(st.sets(st.integers(0, times.size - 1)))),
                          dtype=np.intp)
@@ -373,16 +378,24 @@ def _band_cases(draw):
         curves.append(KmCurve(times=times[ranks], survival=survival,
                               at_risk=np.ones(ranks.size, dtype=np.int64),
                               events=np.ones(ranks.size, dtype=np.int64)))
-        rows[r] = (np.full(ranks.size, r, dtype=np.intp), ranks, survival)
-    # A chunk with no present replicate leaves no part.
+        steps[r] = (ranks, survival)
     per_chunk = draw(st.integers(1, replicates))
     parts = []
     for first in range(0, replicates, per_chunk):
-        chunk = [rows[r] for r in range(first, first + per_chunk) if r in rows]
-        if chunk:
-            parts.append(tuple(np.concatenate(column) for column in zip(*chunk)))
+        chunk = steps[first:first + per_chunk]
+        parts.append((present[first:first + per_chunk],
+                      np.array([ranks.size for ranks, _ in chunk]),
+                      np.concatenate([ranks for ranks, _ in chunk]),
+                      np.concatenate([survival for _, survival in chunk])))
+    horizon_rank = draw(st.integers(-1, times.size - 1))
+    horizon = times[horizon_rank] if horizon_rank >= 0 else times[0] / 2
     band_elements = draw(st.sampled_from([1, 2, 3, 5, 16, 2**16]))
-    return present, parts, times, curves, band_elements
+    return parts, times, horizon_rank, horizon, curves, band_elements
+
+
+def _oracle_rates(curves, horizon):
+    """The curves' event rates by the horizon, read curve by curve."""
+    return summarize([km_event_rate_at(curve, horizon) for curve in curves])
 
 
 class TestBands:
@@ -409,14 +422,16 @@ class TestBands:
     @settings(max_examples=300, deadline=None)
     @given(_band_cases())
     def test_band_matches_oracle(self, case):
-        present, parts, times, curves, band_elements = case
+        parts, times, horizon_rank, horizon, curves, band_elements = case
         with mock.patch.object(propagation, "BAND_ELEMENTS", band_elements):
-            band = propagation._km_band(present, parts, times)
+            rates, band = propagation._read_curves(parts, times, horizon_rank)
+        assert parts == []
         expected = oracle.km_band(curves)
         if expected is None:
-            assert band is None
+            assert rates is None and band is None
         else:
             _assert_identical(asdict(band), asdict(expected))
+            _assert_identical(asdict(rates), asdict(_oracle_rates(curves, horizon)))
 
     def test_band_mean_escaping_percentiles_is_absorbed(self):
         # 3 replicate curves drop at t=10, 197 stay flat: the pointwise mean
@@ -429,14 +444,19 @@ class TestBands:
         times, rank, horizon_rank = np.array([10.0, 400.0]), np.array([0, 1, 1]), 0
         drop, flat = [True, True, False], [False, True, True]
         mask = np.array([drop] * 3 + [flat] * 197)
-        present, _, rows = propagation._fit_stratum(mask, 0, rank, event, horizon_rank)
-        band = propagation._km_band(present, [rows], times)
+        part = propagation._fit_stratum(mask, rank, event)
+        rates, band = propagation._read_curves([part], times, horizon_rank)
         assert band.lower[0] == band.mean[0] == pytest.approx(0.9925)
         assert band.upper[0] == 1.0
+        # The dropping curves reach S = 0.5 by the horizon, the flat ones 1.0.
+        assert rates.mean == pytest.approx(0.0075)
+        assert rates.quantiles[0.025] == 0.0
+        assert rates.n == 200
 
-        expected = oracle.km_band([km_from_arrays(time[drop], event[drop])] * 3
-                                  + [km_from_arrays(time[flat], event[flat])] * 197)
-        _assert_identical(asdict(band), asdict(expected))
+        curves = ([km_from_arrays(time[drop], event[drop])] * 3
+                  + [km_from_arrays(time[flat], event[flat])] * 197)
+        _assert_identical(asdict(band), asdict(oracle.km_band(curves)))
+        _assert_identical(asdict(rates), asdict(_oracle_rates(curves, 365.0)))
 
     def test_row_lookup_carries_across_block_edges(self):
         # Five replicates on a grid of 12 event times; 4 present curves in
@@ -451,20 +471,25 @@ class TestBands:
         rng = np.random.default_rng(5)
         curves, stored = [], []
         for first, stop in ((0, 2), (2, 5)):
-            rows = []
-            for r in np.flatnonzero(present[first:stop]) + first:
-                ranks = 2 * np.array(events[r], dtype=np.intp) - 1
+            steps = []
+            for r in range(first, stop):
+                ranks = 2 * np.array(events.get(r, []), dtype=np.intp) - 1
                 survival = np.sort(rng.uniform(0.1, 1.0, ranks.size))[::-1]
-                curves.append(KmCurve(times=follow_up[ranks], survival=survival,
-                                      at_risk=np.ones(ranks.size, dtype=np.int64),
-                                      events=np.ones(ranks.size, dtype=np.int64)))
-                rows.append((np.full(ranks.size, r), ranks, survival))
-            part = (np.concatenate(column) for column in zip(*rows))
-            stored.append(tuple(part))
+                if present[r]:
+                    curves.append(KmCurve(times=follow_up[ranks], survival=survival,
+                                          at_risk=np.ones(ranks.size, dtype=np.int64),
+                                          events=np.ones(ranks.size, dtype=np.int64)))
+                steps.append((ranks, survival))
+            ranks, survival = zip(*steps)
+            stored.append((present[first:stop], np.array([r.size for r in ranks]),
+                           np.concatenate(ranks), np.concatenate(survival)))
+        # A 200-day horizon has rank 12 (195 days): replicates 0 and 1 read
+        # a step before it, replicate 3 none yet (S = 1.0).
         with mock.patch.object(propagation, "BAND_ELEMENTS", 12):
-            band = propagation._km_band(present, stored, follow_up)
+            rates, band = propagation._read_curves(stored, follow_up, 12)
         assert band.times.size == 12
         _assert_identical(asdict(band), asdict(oracle.km_band(curves)))
+        _assert_identical(asdict(rates), asdict(_oracle_rates(curves, 200.0)))
 
     def test_zero_noise_collapses_to_exact_analysis(self):
         cohort = _cohort()
@@ -593,6 +618,11 @@ class TestConfigValidation:
         {"seed": "1"},
         {"replicates": 20.0},
         {"replicates": "20"},
+        {"band_edges": (30.0, 40.0, 50.0)},
+        {"band_edges": "35,50"},
+        {"band_edges": (35.0,)},
+        {"horizon": "365"},
+        {"horizon": None},
     ])
     def test_invalid_config_rejected(self, overrides):
         with pytest.raises(InvalidParameterError):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from lvef_fusion import (
     InstrumentSigma,
-    ReportOptions,
+    PropagationConfig,
     SimConfig,
     parse_cohort_csv,
     run_report,
@@ -36,11 +36,12 @@ write_cohort_csv(cohort, out / "cohort.csv")
 cohort = parse_cohort_csv(out / "cohort.csv")
 print(f"cohort: {len(cohort)} patients -> {out / 'cohort.csv'}")
 
-# Run every stage.  The report dict is JSON-ready; the propagation summaries
-# carry the Kaplan-Meier bands, which go to a long-format CSV instead.
-options = ReportOptions(sigmas=InstrumentSigma(18.1, 8.8), seed=7,
-                        replicates=200)
-report, summaries = run_report(cohort, options)
+# Run every stage.  One PropagationConfig describes the run; source "all"
+# propagates every source, as `report --source all` does.  The report dict
+# is JSON-ready; the propagation summaries carry the Kaplan-Meier bands,
+# which go to a long-format CSV instead.
+config = PropagationConfig("all", InstrumentSigma(18.1, 8.8), seed=7, replicates=200)
+report, summaries = run_report(cohort, config)
 
 write_report_json(report, out / "report.json")
 write_km_band_csv(list(summaries.values()), out / "km_bands.csv")
@@ -62,7 +63,7 @@ print("warnings recorded in the report:", len(report["warnings"]))
 
 # Rerunning with the same cohort, flags, and seed reproduces report.json
 # byte-for-byte except the generated_at timestamp.
-rerun, _ = run_report(cohort, options)
+rerun, _ = run_report(cohort, config)
 stable = {k: v for k, v in report.items() if k != "metadata"}
 stable_rerun = {k: v for k, v in rerun.items() if k != "metadata"}
 print("deterministic rerun:", json.dumps(stable, sort_keys=True)

@@ -20,11 +20,11 @@ from .calibration import CalibrationConfig
 from .cohort import parse_cohort_csv, write_cohort_csv, write_fused_csv
 from .errors import LvefFusionError, LvefFusionWarning
 from .fusion import MODES, InstrumentSigma, fused_estimates, fused_sigma
-from .propagation import SOURCES, _check_band_edges, source_values, stratum_km
+from .propagation import (SOURCES, PropagationConfig, _check_band_edges, source_values,
+                          stratum_km)
 from .report import (
     TOOL_NAME,
     TOOL_VERSION,
-    ReportOptions,
     artifact_metadata,
     calibration_echo,
     calibration_section,
@@ -90,16 +90,16 @@ def _add_output_flag(parser, default=None):
 
 
 def _add_seed_flag(parser):
-    parser.add_argument("--seed", type=int, default=ReportOptions.seed,
+    parser.add_argument("--seed", type=int, default=PropagationConfig.seed,
                         help="master seed (default %(default)s)")
 
 
 def _add_strata_flags(parser):
-    parser.add_argument("--horizon", type=float, default=ReportOptions.horizon,
+    parser.add_argument("--horizon", type=float, default=PropagationConfig.horizon,
                         help="event-rate horizon in days (default %(default)s)")
-    parser.add_argument("--bands", type=_band_edges, default=ReportOptions.band_edges,
-                        metavar="LO,HI",
-                        help="stratum edges (default {:g},{:g})".format(*ReportOptions.band_edges))
+    edges = PropagationConfig.band_edges
+    parser.add_argument("--bands", type=_band_edges, default=edges, metavar="LO,HI",
+                        help="stratum edges (default {:g},{:g})".format(*edges))
 
 
 def _add_run_flags(parser):
@@ -107,7 +107,7 @@ def _add_run_flags(parser):
     parser.add_argument("--source", choices=SOURCES + ("all",), default="all",
                         help="source(s) to propagate (default %(default)s)")
     _add_seed_flag(parser)
-    parser.add_argument("--replicates", type=int, default=ReportOptions.replicates,
+    parser.add_argument("--replicates", type=int, default=PropagationConfig.replicates,
                         help="noise replicates (default %(default)s)")
     _add_strata_flags(parser)
 
@@ -221,9 +221,10 @@ def cmd_fuse(args) -> int:
 def cmd_calibrate_error(args) -> int:
     sigmas = _sigmas(args)
     calibration = CalibrationConfig()
+    config = {**sigma_echo(sigmas), "seed": args.seed, **calibration_echo(calibration)}
     payload = {
-        "metadata": artifact_metadata(args.seed),
-        "config": {**sigma_echo(sigmas), **calibration_echo(calibration)},
+        "metadata": artifact_metadata(config, args.seed),
+        "config": config,
         **calibration_section(sigmas, args.seed, calibration),
         "warnings": [],
     }
@@ -253,14 +254,15 @@ def cmd_km(args) -> int:
                       for name in ("times", "survival", "at_risk", "events")},
         }
 
+    config = {
+        "source": args.source,
+        **sigma_echo(sigmas),
+        "horizon_days": args.horizon,
+        "band_edges": list(args.bands),
+    }
     payload = {
-        "metadata": artifact_metadata(),
-        "config": {
-            "source": args.source,
-            **sigma_echo(sigmas),
-            "horizon_days": args.horizon,
-            "band_edges": list(args.bands),
-        },
+        "metadata": artifact_metadata(config),
+        "config": config,
         "source": args.source,
         "n_patients": len(cohort),
         "strata": strata,
@@ -275,9 +277,10 @@ def cmd_cox(args) -> int:
     values = source_values(cohort, args.source, sigmas)[0]
     fit = cox_fit_from_arrays(cohort.time, cohort.event, values)
 
+    config = {"source": args.source, **sigma_echo(sigmas)}
     payload = {
-        "metadata": artifact_metadata(),
-        "config": {"source": args.source, **sigma_echo(sigmas)},
+        "metadata": artifact_metadata(config),
+        "config": config,
         "source": args.source,
         "n_patients": len(cohort),
         "n_events": int(cohort.event.sum()),
@@ -287,26 +290,21 @@ def cmd_cox(args) -> int:
     return 0
 
 
-def _report_options(args) -> ReportOptions:
-    """ReportOptions from the sigma and run flags of propagate and report."""
-    return ReportOptions(
-        sigmas=_sigmas(args),
-        seed=args.seed,
-        replicates=args.replicates,
-        horizon=args.horizon,
-        band_edges=args.bands,
-        sources=SOURCES if args.source == "all" else (args.source,),
-    )
+def _run_config(args) -> PropagationConfig:
+    """The run's config from the sigma and run flags of propagate and report."""
+    return PropagationConfig(args.source, _sigmas(args), seed=args.seed,
+                             replicates=args.replicates, horizon=args.horizon,
+                             band_edges=args.bands)
 
 
 def cmd_propagate(args) -> int:
-    options = _report_options(args)
+    config = _run_config(args)
     cohort, _ = _read_cohort(args.input)
-    summaries, exclusions = propagate_sources(cohort, options)
+    summaries, exclusions = propagate_sources(cohort, config)
     _echo_warnings(exclusions)
-    config = config_echo(options)
+    echo = config_echo(config)
     for source, summary in summaries.items():
-        payload = {"metadata": artifact_metadata(args.seed, config), "config": config,
+        payload = {"metadata": artifact_metadata(echo, args.seed), "config": echo,
                    **propagation_to_dict(summary)}
         write_report_json(payload, _destination(args.output, f"propagation_{source}.json"))
         write_km_band_csv(summary, _destination(args.output, f"km_bands_{source}.csv"))
@@ -320,9 +318,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    options = _report_options(args)
+    config = _run_config(args)
     cohort, parse_warnings = _read_cohort(args.input)
-    report, summaries = run_report(cohort, options, parse_warnings=parse_warnings)
+    report, summaries = run_report(cohort, config, parse_warnings=parse_warnings)
     _echo_warnings(w["message"] for w in report["warnings"]
                    if w["category"] == "ReplicateExclusion")
     write_report_json(report, _destination(args.output, "report.json"))

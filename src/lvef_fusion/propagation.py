@@ -7,6 +7,11 @@ each stratum's event rates as ``SampleSummary``s and its curves as a
 percentile ``KmBand``.  Replicate r always runs on substream (seed, r), so
 results are bit-reproducible and independent of execution order.
 
+``PropagationConfig`` holds one run's settings.  Its source is one of
+SOURCES, or "all" for a run of every source, which ``report`` splits into
+one config per source; ``propagate`` runs exactly one source and rejects
+"all" (``source_values``).
+
 The stratum rule (low below the lower band edge, mid in the closed band,
 high above it) is written once, in ``_strata_masks``: ``stratify`` (string
 labels) and ``stratum_km`` (one Kaplan-Meier curve per stratum) are views of
@@ -86,22 +91,32 @@ BAND_ELEMENTS = 2**16
 
 @dataclass(frozen=True)
 class PropagationConfig:
+    """One run's settings.  source is one of SOURCES, or "all" for a run of
+    every source (report, propagate_sources); propagate runs one source."""
+
     source: str
     sigmas: InstrumentSigma
-    seed: int
+    seed: int = 0
     replicates: int = 1000
     horizon: float = 365.0
     band_edges: tuple[float, float] = (35.0, 50.0)
 
     def __post_init__(self):
-        if self.source not in SOURCES:
-            raise InvalidParameterError(f"source must be one of {SOURCES}, got {self.source!r}")
+        if self.source not in SOURCES + ("all",):
+            raise InvalidParameterError(
+                f"source must be one of {SOURCES} or 'all', got {self.source!r}")
         object.__setattr__(self, "seed", _integer("seed", self.seed, uint64=True))
         object.__setattr__(self, "replicates", _integer("replicates", self.replicates))
         if self.replicates < 2:
             raise InvalidParameterError(f"replicates must be >= 2, got {self.replicates}")
         _check_horizon(self.horizon)
         _check_band_edges(self.band_edges)
+        object.__setattr__(self, "band_edges", tuple(self.band_edges))
+
+    @property
+    def sources(self) -> tuple:
+        """The sources the run propagates, in SOURCES order."""
+        return SOURCES if self.source == "all" else (self.source,)
 
 
 def _check_band_edges(band_edges) -> None:
@@ -192,7 +207,9 @@ def source_values(cohort, source: str, sigmas: InstrumentSigma):
         return cohort.visual, sigmas.visual_sigma
     if source == "simpson":
         return cohort.simpson, sigmas.simpson_sigma
-    return fused_estimates(cohort, sigmas), fused_sigma(sigmas)
+    if source == "assimilated":
+        return fused_estimates(cohort, sigmas), fused_sigma(sigmas)
+    raise InvalidParameterError(f"one source of {SOURCES} is needed, got {source!r}")
 
 
 def _read_curves(parts: list, times: np.ndarray, horizon_rank) -> tuple:
@@ -377,7 +394,8 @@ def _map_shares(fit, items) -> list:
 
 
 def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
-    """Run all replicates on substreams (seed, r) and compile the bands."""
+    """Run all replicates of config.source on substreams (seed, r) and
+    compile the bands."""
     if int(cohort.event.sum()) == 0:
         raise DegenerateDataError("cohort has no events")
     centers, spread = source_values(cohort, config.source, config.sigmas)

@@ -9,13 +9,15 @@ columns with the cohort writers' kernel (``cohort._fmt_column`` and
 ``cohort._csv_lines``), WRITE_ROWS rows per write, in the bytes csv.writer
 gave.
 
-The sections other artifacts share are built here once: the metadata block
-(artifact_metadata), the sigma echo (sigma_echo), the run's config echo
-(config_echo), the calibration section (calibration_section) and the
-per-source propagation (propagate_sources), which runs every requested
-source before it returns, so that a command writes nothing until every
-result exists.  The CLI commands call these, so their artifacts match the
-report's.
+A run is described by one ``PropagationConfig`` (source "all" for every
+source) and, when it calibrates, one ``CalibrationConfig``.  The sections
+other artifacts share are built here once: the metadata block
+(artifact_metadata, which hashes the artifact's config echo), the sigma echo
+(sigma_echo), the run's config echo (config_echo), the calibration section
+(calibration_section) and the per-source propagation (propagate_sources),
+which runs every source of the config before it returns, so that a command
+writes nothing until every result exists.  The CLI commands call these, so
+their artifacts match the report's.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .calibration import CalibrationConfig, paired_calibration
 from .cohort import _csv_lines, _fmt_column, _writing
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InvalidStateError
 from .fusion import (
     InstrumentSigma,
     fused_estimates,
@@ -42,7 +44,6 @@ from .fusion import (
 from .propagation import (
     CLAMP_RANGE,
     HR_DELTA,
-    SOURCES,
     PropagationConfig,
     PropagationSummary,
     propagate,
@@ -52,7 +53,6 @@ from .stochastics import (SIMPSON_STREAM_INDEX, VISUAL_STREAM_INDEX, SampleSumma
 from .survival import CoxFit, hazard_ratio_per
 
 __all__ = [
-    "ReportOptions",
     "run_report",
     "render_report_json",
     "write_report_json",
@@ -72,39 +72,6 @@ _NESTING_SLACK = 1e-9
 # 40k-patient report peaked about 0.25 MB higher with 2^10 rows than with
 # 2^9, which writes 51k band rows in 31 ms against 21 ms.
 WRITE_ROWS = 1 << 9
-
-
-@dataclass(frozen=True)
-class ReportOptions:
-    """Everything the full pipeline needs beyond the cohort itself."""
-
-    sigmas: InstrumentSigma
-    seed: int = 0
-    replicates: int = PropagationConfig.replicates
-    horizon: float = PropagationConfig.horizon
-    band_edges: tuple = PropagationConfig.band_edges
-    sources: tuple = SOURCES
-    calibration: CalibrationConfig = CalibrationConfig()
-
-    def __post_init__(self):
-        unknown = [s for s in self.sources if s not in SOURCES]
-        if unknown:
-            raise InvalidParameterError(f"unknown sources {unknown}; expected subset of {SOURCES}")
-        if not self.sources:
-            raise InvalidParameterError("at least one source is required")
-        if len(set(self.sources)) < len(self.sources):
-            raise InvalidParameterError(f"sources must not repeat, got {list(self.sources)}")
-        self.propagation_config(self.sources[0])  # checks the run settings up front
-
-    def propagation_config(self, source: str) -> PropagationConfig:
-        return PropagationConfig(
-            source=source,
-            sigmas=self.sigmas,
-            seed=self.seed,
-            replicates=self.replicates,
-            horizon=self.horizon,
-            band_edges=tuple(self.band_edges),
-        )
 
 
 def summary_to_dict(summary: SampleSummary) -> dict:
@@ -190,19 +157,18 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def artifact_metadata(seed=None, config=None) -> dict:
-    """The metadata block every JSON artifact carries: tool, version and
-    generation time, plus the seed when there is one and the hash of the
-    config echo when there is one."""
+def artifact_metadata(config: dict, seed=None) -> dict:
+    """The metadata block every JSON artifact carries: tool, version,
+    generation time and the hash of the artifact's config echo, plus the
+    seed when there is one."""
     out = {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "config_hash": config_hash(config),
     }
     if seed is not None:
         out["seed"] = int(seed)
-    if config is not None:
-        out["config_hash"] = config_hash(config)
     return out
 
 
@@ -215,16 +181,17 @@ def sigma_echo(sigmas: InstrumentSigma) -> dict:
     }
 
 
-def config_echo(options: ReportOptions, calibration: CalibrationConfig | None = None) -> dict:
+def config_echo(config: PropagationConfig,
+                calibration: CalibrationConfig | None = None) -> dict:
     """The run's settings as report and propagate echo them, with the
     calibration settings when the run calibrates."""
     echo = {
-        **sigma_echo(options.sigmas),
-        "seed": int(options.seed),
-        "replicates": int(options.replicates),
-        "horizon_days": float(options.horizon),
-        "band_edges": [float(v) for v in options.band_edges],
-        "sources": list(options.sources),
+        **sigma_echo(config.sigmas),
+        "seed": int(config.seed),
+        "replicates": int(config.replicates),
+        "horizon_days": float(config.horizon),
+        "band_edges": [float(v) for v in config.band_edges],
+        "sources": list(config.sources),
         "clamp_range": [float(v) for v in CLAMP_RANGE],
     }
     if calibration is not None:
@@ -259,30 +226,33 @@ def calibration_section(sigmas: InstrumentSigma, seed: int,
     }
 
 
-def propagate_sources(cohort, options: ReportOptions) -> tuple[dict, list]:
-    """Propagate every one of options.sources, in order.
+def propagate_sources(cohort, config: PropagationConfig) -> tuple[dict, list]:
+    """Propagate every one of config.sources, in order, each on the config
+    with that source.
 
     Returns ({source: PropagationSummary}, exclusion messages), with one
     message per source that excluded replicates from the hazard-ratio
     aggregation.
     """
-    summaries = {source: propagate(cohort, options.propagation_config(source))
-                 for source in options.sources}
+    summaries = {source: propagate(cohort, replace(config, source=source))
+                 for source in config.sources}
     exclusions = [f"source {s.source}: {s.failed_replicates} of {s.replicates} replicates "
                   "excluded from hazard-ratio aggregation"
                   for s in summaries.values() if s.failed_replicates]
     return summaries, exclusions
 
 
-def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict, dict]:
-    """Run fusion, calibration, and propagation; assemble the report.
+def run_report(cohort, config: PropagationConfig, calibration=CalibrationConfig(),
+               parse_warnings=()) -> tuple[dict, dict]:
+    """Run fusion, calibration under `calibration`, and propagation of
+    config.sources; assemble the report.
 
     Returns (report dict, {source: PropagationSummary}).  The propagation
     summaries carry the KM bands, which go to CSV rather than the JSON.  The
     report's warnings are the parse warnings passed in, then one
     ReplicateExclusion entry per source that excluded replicates.
     """
-    sigmas = options.sigmas
+    sigmas = config.sigmas
     report_warnings = [{"category": "ParseWarning", "message": str(m)} for m in parse_warnings]
 
     fused = fused_estimates(cohort, sigmas)
@@ -299,20 +269,20 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
     fusion_section["n_patients"] = len(cohort)
 
     if positive:
-        calibration = calibration_section(sigmas, options.seed, options.calibration)
+        calibrated = calibration_section(sigmas, config.seed, calibration)
     else:
-        calibration = {
+        calibrated = {
             "skipped": True,
             "reason": "error calibration requires strictly positive sigmas",
         }
 
-    summaries, exclusions = propagate_sources(cohort, options)
+    summaries, exclusions = propagate_sources(cohort, config)
     report_warnings += [{"category": "ReplicateExclusion", "message": m} for m in exclusions]
 
-    config = config_echo(options, options.calibration if positive else None)
+    echo = config_echo(config, calibration if positive else None)
     report = {
-        "metadata": artifact_metadata(options.seed, config),
-        "config": config,
+        "metadata": artifact_metadata(echo, config.seed),
+        "config": echo,
         "units": {
             "lvef": "percent",
             "time": "days",
@@ -320,7 +290,7 @@ def run_report(cohort, options: ReportOptions, parse_warnings=()) -> tuple[dict,
             "hazard_ratio": f"per {HR_DELTA:g}-point LVEF decrease",
         },
         "fusion": fusion_section,
-        "error_calibration": calibration,
+        "error_calibration": calibrated,
         "propagation": {source: propagation_to_dict(s) for source, s in summaries.items()},
         "warnings": report_warnings,
     }

@@ -194,10 +194,10 @@ def _check_horizon(horizon) -> None:
     """Reject a horizon that is not a finite number of days > 0."""
     if not isinstance(horizon, numbers.Real):
         raise InvalidParameterError(f"horizon must be a number of days, got {horizon!r}")
-    if not horizon > 0:
-        raise InvalidParameterError(f"horizon must be > 0, got {horizon!r}")
     if not math.isfinite(horizon):
         raise InvalidParameterError(f"horizon must be finite, got {horizon!r}")
+    if not horizon > 0:
+        raise InvalidParameterError(f"horizon must be > 0, got {horizon!r}")
 
 
 def km_event_rate_at(curve: KmCurve, horizon: float) -> float:

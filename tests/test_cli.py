@@ -76,6 +76,7 @@ BAD_RUN_FLAGS = [
     ("horizon-negative", "--horizon", "-1", "horizon must be > 0, got -1.0"),
     ("horizon-inf", "--horizon", "inf", "horizon must be finite, got inf"),
     ("horizon-1e400", "--horizon", "1e400", "horizon must be finite, got inf"),
+    ("horizon-nan", "--horizon", "nan", "horizon must be finite, got nan"),
     ("bands-reversed", "--bands", "50,35",
      "band_edges must be strictly increasing inside (0, 100), got (50.0, 35.0)"),
     ("bands-0-100", "--bands", "0,100",
@@ -571,6 +572,21 @@ class TestSharedSections:
             assert payload == report["propagation"][source]
             name = f"km_bands_{source}.csv"
             assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv,name", [
+        pytest.param(["calibrate-error", "--seed", "5"], "calibration.json", id="calibrate-error"),
+        pytest.param(["km", "--source", "simpson"], "km_simpson.json", id="km"),
+        pytest.param(["cox", "--source", "simpson"], "cox_simpson.json", id="cox"),
+    ])
+    def test_every_json_artifact_hashes_its_config(self, cohort_csv, tmp_path, argv, name):
+        if argv[0] != "calibrate-error":
+            argv = [*argv, "--input", str(cohort_csv)]
+        assert main([*argv, "--output", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / name).read_text())
+        assert payload["metadata"]["config_hash"] == config_hash(payload["config"])
+        if name == "calibration.json":
+            # The seed keys the streams the calibration draws from.
+            assert payload["config"]["seed"] == payload["metadata"]["seed"] == 5
 
     def test_benchmark_tracer_names_exist(self):
         # perfbench/tracing.py times the layers by wrapping these module-level

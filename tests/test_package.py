@@ -38,7 +38,7 @@ EXPORTED = {
     "KmBand", "PropagationConfig", "PropagationSummary", "propagate",
     "stratify",
     # report
-    "ReportOptions", "render_report_json", "run_report", "write_km_band_csv",
+    "render_report_json", "run_report", "write_km_band_csv",
     "write_report_json",
     # simulate
     "SimConfig", "simulate",

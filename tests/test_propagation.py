@@ -623,13 +623,32 @@ class TestConfigValidation:
         {"band_edges": (35.0,)},
         {"horizon": "365"},
         {"horizon": None},
+        {"source": "all", "replicates": 1},
+        {"source": "all", "horizon": -1.0},
+        {"source": "all", "horizon": float("inf")},
+        {"source": "all", "band_edges": (50.0, 35.0)},
+        {"source": "all", "seed": -1},
     ])
     def test_invalid_config_rejected(self, overrides):
         with pytest.raises(InvalidParameterError):
             _config(**overrides)
 
     def test_defaults(self):
-        config = PropagationConfig(source="visual", sigmas=SIGMAS, seed=0)
+        config = PropagationConfig(source="visual", sigmas=SIGMAS)
+        assert config.seed == 0
         assert config.replicates == 1000
         assert config.horizon == 365.0
         assert config.band_edges == (35.0, 50.0)
+
+    def test_all_runs_every_source(self):
+        config = PropagationConfig("all", SIGMAS, band_edges=[30, 45])
+        assert config.sources == SOURCES
+        assert config.band_edges == (30, 45)
+        assert _config(source="simpson").sources == ("simpson",)
+
+    def test_one_source_needed_to_propagate(self):
+        cohort = _cohort(n=50)
+        with pytest.raises(InvalidParameterError, match="one source of"):
+            propagate(cohort, _config(source="all"))
+        with pytest.raises(InvalidParameterError, match="one source of"):
+            propagation.source_values(cohort, "all", SIGMAS)

@@ -35,7 +35,6 @@ from lvef_fusion.propagation import (
 from lvef_fusion.report import (
     TOOL_NAME,
     TOOL_VERSION,
-    ReportOptions,
     calibration_echo,
     config_hash,
     cox_fit_to_dict,
@@ -56,10 +55,10 @@ _HAZARD_RATIO = SampleSummary(1.0, 0.05, {0.025: 0.9, 0.975: 1.1}, 10)
 FAST_CALIBRATION = CalibrationConfig(kept_samples=400)
 
 
-def _options(**overrides):
-    base = dict(sigmas=SIGMAS, seed=4, replicates=40, calibration=FAST_CALIBRATION)
+def _config(**overrides):
+    base = dict(source="all", sigmas=SIGMAS, seed=4, replicates=40)
     base.update(overrides)
-    return ReportOptions(**base)
+    return PropagationConfig(**base)
 
 
 def _rows(rows):
@@ -67,10 +66,10 @@ def _rows(rows):
     return Cohort(*zip(*rows))
 
 
-def _quiet_report(cohort, options, **kwargs):
+def _quiet_report(cohort, config, calibration=FAST_CALIBRATION, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_report(cohort, options, **kwargs)
+        return run_report(cohort, config, calibration, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +79,12 @@ def cohort():
 
 @pytest.fixture(scope="module")
 def report_and_summaries(cohort):
-    return _quiet_report(cohort, _options())
+    return _quiet_report(cohort, _config())
 
 
 @pytest.fixture(scope="module")
 def zero_report(cohort):
-    options = ReportOptions(sigmas=InstrumentSigma(0.0, 0.0), seed=4,
-                            replicates=10)
-    return _quiet_report(cohort, options)
+    return _quiet_report(cohort, _config(sigmas=InstrumentSigma(0.0, 0.0), replicates=10))
 
 
 @pytest.fixture(scope="module")
@@ -153,10 +150,17 @@ class TestSections:
             assert set(entry) == {"category", "message"}
 
 
+class TestSingleSource:
+    def test_echo_and_sections_name_the_source(self, cohort):
+        report, summaries = _quiet_report(cohort, _config(source="simpson", replicates=2))
+        assert report["config"]["sources"] == ["simpson"]
+        assert list(report["propagation"]) == list(summaries) == ["simpson"]
+
+
 class TestDeterminism:
     def test_identical_excluding_timestamp(self, cohort):
-        first, _ = _quiet_report(cohort, _options())
-        second, _ = _quiet_report(cohort, _options())
+        first, _ = _quiet_report(cohort, _config())
+        second, _ = _quiet_report(cohort, _config())
         first["metadata"].pop("generated_at")
         second["metadata"].pop("generated_at")
         assert first == second
@@ -164,7 +168,7 @@ class TestDeterminism:
 
     def test_numpy_integer_counts_render_as_plain_ints(self, cohort, report_and_summaries):
         counts = CalibrationConfig(kept_samples=np.int64(400))
-        numpy_report, _ = _quiet_report(cohort, _options(calibration=counts))
+        numpy_report, _ = _quiet_report(cohort, _config(), calibration=counts)
         plain_report, _ = report_and_summaries
         texts = [render_report_json({**report, "metadata": {
             key: value for key, value in report["metadata"].items() if key != "generated_at"}})
@@ -173,17 +177,19 @@ class TestDeterminism:
 
     def test_seed_changes_hash_and_results(self, cohort, report_and_summaries):
         baseline, _ = report_and_summaries
-        other, _ = _quiet_report(cohort, _options(seed=5))
+        other, _ = _quiet_report(cohort, _config(seed=5))
         assert other["metadata"]["config_hash"] != baseline["metadata"]["config_hash"]
         assert (other["propagation"]["visual"]["hazard_ratio"]["mean"]
                 != baseline["propagation"]["visual"]["hazard_ratio"]["mean"])
 
     def test_default_calibration_is_explicit_defaults(self, cohort):
+        config = _config(replicates=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reports = [run_report(cohort, config)[0],
+                       run_report(cohort, config, CalibrationConfig())[0]]
         texts = []
-        for options in (ReportOptions(sigmas=SIGMAS, seed=4, replicates=2),
-                        ReportOptions(sigmas=SIGMAS, seed=4, replicates=2,
-                                      calibration=CalibrationConfig())):
-            report, _ = _quiet_report(cohort, options)
+        for report in reports:
             report["metadata"].pop("generated_at")
             texts.append(render_report_json(report))
         assert texts[0] == texts[1]
@@ -193,8 +199,8 @@ class TestDeterminism:
         # prior_rate moves the posterior, so it must enter the hash.
         tiny = _rows([("p0", 40.0, 45.0, 100.0, 1), ("p1", 60.0, 58.0, 200.0, 0),
                       ("p2", 30.0, 35.0, 50.0, 1)])
-        reports = [_quiet_report(tiny, _options(replicates=2, calibration=CalibrationConfig(
-            kept_samples=400, prior_rate=prior_rate)))[0]
+        reports = [_quiet_report(tiny, _config(replicates=2), calibration=CalibrationConfig(
+            kept_samples=400, prior_rate=prior_rate))[0]
             for prior_rate in (1e-3, 0.5)]
         assert [r["config"]["calibration"]["prior_rate"] for r in reports] == [1e-3, 0.5]
         assert reports[0]["metadata"]["config_hash"] != reports[1]["metadata"]["config_hash"]
@@ -291,7 +297,7 @@ class TestZeroSigmaReport:
 
 class TestWarnings:
     def test_parse_warnings_passed_through(self, cohort):
-        report, _ = _quiet_report(cohort, _options(),
+        report, _ = _quiet_report(cohort, _config(),
                                   parse_warnings=["row 3: visual off grid"])
         assert {"category": "ParseWarning",
                 "message": "row 3: visual off grid"} in report["warnings"]
@@ -305,10 +311,8 @@ class TestWarnings:
             ("p2", 21.010, 21.010, 400.0, 0),
             ("p3", 21.015, 21.015, 400.0, 0),
         ])
-        options = ReportOptions(sigmas=InstrumentSigma(5e-3, 8.8), seed=0,
-                                replicates=40, sources=("visual",),
-                                calibration=FAST_CALIBRATION)
-        report, summaries = _quiet_report(cohort, options)
+        config = _config(source="visual", sigmas=InstrumentSigma(5e-3, 8.8), seed=0)
+        report, summaries = _quiet_report(cohort, config)
         excluded = summaries["visual"].failed_replicates
         assert excluded > 0
         matches = [w for w in report["warnings"]
@@ -320,7 +324,7 @@ class TestWarnings:
         censored = _rows([(f"p{i}", 50.0, 50.0, 400.0, 0)
                           for i in range(10)])
         with pytest.raises(DegenerateDataError):
-            _quiet_report(censored, _options())
+            _quiet_report(censored, _config())
 
 
 class TestNonFiniteDerivedQuantities:
@@ -333,9 +337,9 @@ class TestNonFiniteDerivedQuantities:
         (1e305, 1e305, "cannot calibrate visual_sigma: observed_sigma 1e\\+305 is too large"),
     ])
     def test_run_report_rejects(self, cohort, visual, simpson, match):
-        options = _options(sigmas=InstrumentSigma(visual, simpson), replicates=2)
+        config = _config(sigmas=InstrumentSigma(visual, simpson), replicates=2)
         with pytest.raises(InvalidParameterError, match=match):
-            _quiet_report(cohort, options)
+            _quiet_report(cohort, config)
 
     @pytest.mark.parametrize("sigmas", [InstrumentSigma(1e300, 1e-10),
                                         InstrumentSigma(1e150, 1e-10, "variance")])
@@ -365,35 +369,9 @@ class TestNonFiniteDerivedQuantities:
         json.dumps(section, allow_nan=False)
 
     def test_tiny_sigmas_give_standard_json(self, cohort):
-        options = _options(sigmas=InstrumentSigma(1e-300, 1e-300), replicates=2)
-        report, _ = _quiet_report(cohort, options)
+        config = _config(sigmas=InstrumentSigma(1e-300, 1e-300), replicates=2)
+        report, _ = _quiet_report(cohort, config)
         json.dumps(report, allow_nan=False)
-
-
-class TestReportOptionsValidation:
-    @pytest.mark.parametrize("overrides", [
-        {"replicates": 1},
-        {"horizon": -1.0},
-        {"horizon": math.inf},
-        {"band_edges": (50.0, 35.0)},
-        {"seed": -1},
-    ])
-    def test_run_settings_rejected_up_front(self, overrides):
-        """The settings each source's PropagationConfig would reject."""
-        with pytest.raises(InvalidParameterError):
-            ReportOptions(sigmas=SIGMAS, **overrides)
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown sources"):
-            ReportOptions(sigmas=SIGMAS, sources=("visual", "doppler"))
-
-    def test_empty_sources_rejected(self):
-        with pytest.raises(InvalidParameterError, match="at least one"):
-            ReportOptions(sigmas=SIGMAS, sources=())
-
-    def test_repeated_source_rejected(self):
-        with pytest.raises(InvalidParameterError, match="must not repeat"):
-            ReportOptions(sigmas=SIGMAS, sources=("visual", "visual"))
 
 
 class TestKmBandCsv:

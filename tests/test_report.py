@@ -157,6 +157,13 @@ class TestSingleSource:
         assert list(report["propagation"]) == list(summaries) == ["simpson"]
 
 
+class TestReportOptionsValidation:
+    def test_unknown_source_rejected(self, cohort):
+        """A report's run config naming a source outside SOURCES is refused."""
+        with pytest.raises(InvalidParameterError, match="source must be one of"):
+            _quiet_report(cohort, _config(source="doppler"))
+
+
 class TestDeterminism:
     def test_identical_excluding_timestamp(self, cohort):
         first, _ = _quiet_report(cohort, _config())

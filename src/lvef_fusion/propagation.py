@@ -37,16 +37,18 @@ and a per-curve band); the budgets only bound memory.
 
 The chunks are split into one contiguous share per CPU the process may run
 on (never more shares than chunks).  This process fits the first share; a
-child forked for each other share fits it and sends its chunks' results
-back over a pipe.  The chunk results come back in replicate order and each
-stratum's parts are concatenated, so every number is the same whatever the
-CPU count; with one CPU, or where processes cannot be forked, no child is
-started.
+plain ``os.fork`` child fits each other one, pickles its chunks' results
+into a pipe and leaves through ``os._exit``.  The results are read back in
+replicate order and each stratum's parts are concatenated, so every number
+is the same whatever the CPU count or platform; with one CPU, or where
+processes cannot be forked, no child is started.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,22 +332,9 @@ def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
 
 def _cpu_count() -> int:
     """The CPUs this process may run on; 1 where it cannot fork."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _send_share(fit, share, sender):
-    """A forked child's whole work: send fit(share), or what it raised."""
-    try:
-        result = fit(share)
-    except BaseException as exc:  # the parent re-raises it
-        result = exc
-    sender.send(result)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _map_shares(fit, items) -> list:
@@ -353,44 +342,56 @@ def _map_shares(fit, items) -> list:
     in item order: this process runs the first share and a forked child
     each other one.  fit(share) returns a list; a child's exception is
     raised here, and no child outlives the call."""
-    import multiprocessing
-
     k = min(_cpu_count(), len(items))
     bounds = [len(items) * i // k for i in range(k + 1)]
     shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    children = []
+    pids, pipes = [], []  # of the forked shares; pipes holds the read ends
     try:
-        for share in shares[1:]:
-            # A forked child starts with the cohort and the modules in place
-            # (the program starts no threads).  Reached only with a second
-            # share, hence where fork exists.
-            context = multiprocessing.get_context("fork")
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_send_share, args=(fit, share, sender))
-            with sender:
-                process.start()
-            children.append((process, receiver))
+        for share in shares[1:]:  # only where fork exists (_cpu_count)
+            reader, writer = os.pipe()
+            pipes.append(open(reader, "rb"))
+            with open(writer, "wb") as sender:
+                pid = os.fork()
+                if pid == 0:
+                    # With the cohort and modules in place (the program starts
+                    # no threads), the child pickles fit(share), or what it
+                    # raised, and skips the parent's exit handlers and buffers.
+                    try:
+                        for pipe in pipes:
+                            pipe.close()
+                        try:
+                            result = fit(share)
+                        except BaseException as exc:  # the parent re-raises it
+                            result = exc
+                        pickle.dump(result, sender)
+                        sender.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
         results = fit(shares[0])
-        for process, receiver in children:
+        for pid, pipe in zip(pids, pipes):
             try:
-                result = receiver.recv()
-            except EOFError:
-                process.join()
-                raise PropagationError(
-                    f"replicate worker exited with code {process.exitcode} "
-                    "before sending its results") from None
+                result = pickle.load(pipe)
+            except Exception:  # end of file, or a torn pickle
+                pipe.close()  # first, so that a child still writing fails
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pids.remove(pid)
+                raise PropagationError(f"replicate worker exited with code {code} "
+                                       "before sending its results") from None
             if isinstance(result, BaseException):
                 raise result
             results += result
         return results
     except BaseException:
-        for process, _ in children:
-            process.terminate()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for process, receiver in children:
-            process.join()
-            receiver.close()
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
@@ -400,12 +401,12 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
         raise DegenerateDataError("cohort has no events")
     centers, spread = source_values(cohort, config.source, config.sigmas)
     # Follow-up sorted once and ranked: times holds the distinct times and
-    # rank each patient's index into them.  Each replicate draws in patient
-    # order, then its draws are permuted into time order.
+    # rank each patient's int32 index into them.  Each replicate draws in
+    # patient order, then its draws are permuted into time order.
     order = np.argsort(cohort.time, kind="stable")
     starts = _group_starts(cohort.time[order])
     times = cohort.time[order[starts]]
-    rank = np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))
+    rank = np.repeat(np.arange(starts.size, dtype=np.int32), np.diff(starts, append=order.size))
     del starts
     event = cohort.event[order]
     per_chunk = max(1, CHUNK_ELEMENTS // order.size)

@@ -7,12 +7,13 @@ Two estimators, both written directly against their definitions:
   censored, each event time's survivors are the next one's risk set, so
   prod (r_i - d_i) / r_i over such a block is (r_i - d_i) / r_start, one
   correctly rounded division.  Only the factors of whole blocks, one per
-  stretch of event times without censoring between them, are multiplied in
-  floating point (extended precision where the platform has it), so the
-  product costs linear work after the time sort.  The first block carries the
-  factor 1.0 exactly, so when every censoring falls before the first event
-  time or at or after the last one (in particular without censoring) the
-  curve coincides bit-for-bit with the empirical survival function.
+  stretch of event times without censoring between them, are multiplied,
+  in float64: linear work after the time sort, and within about B ulps of
+  the exact product after B blocks on every platform (Higham 2002, 3.1).
+  The first block carries the factor 1.0 exactly, so when every censoring
+  falls before the first event time or at or after the last one (in
+  particular without censoring) the curve coincides bit-for-bit with the
+  empirical survival function.
   ``km_segmented`` runs this product over many curves in one pass (the
   product restarts at exactly 1.0 for each); ``km_from_arrays`` is its
   one-curve case.
@@ -152,22 +153,20 @@ def km_segmented(time: np.ndarray, event: np.ndarray, segment: np.ndarray):
     within = survivors / r_counts[starts][block]
     # Survival carried into each block: the product of the curve's earlier
     # blocks' factors, exactly 1.0 for its first block.  One row per curve,
-    # padded with 1.0, so one cumprod restarts at every curve.  Factors and
-    # product are kept in extended precision where the platform has it, so
-    # thousands of blocks still leave S within about one ulp of the exact
-    # product.
+    # padded with 1.0, so one cumprod restarts at every curve.  Each factor
+    # is one correctly rounded float64 division, so a curve's S after B
+    # blocks is within about B ulps of the exact product.
     first_block = opens[starts]
     owner = np.cumsum(first_block) - 1
     column = np.arange(starts.size) - np.flatnonzero(first_block)[owner]
-    carried = np.ones((owner[-1] + 1, column.max() + 1) if starts.size else (0, 0),
-                      dtype=np.longdouble)
+    carried = np.ones((owner[-1] + 1, column.max() + 1) if starts.size else (0, 0))
     inner = np.flatnonzero(~first_block)
     carried[owner[inner], column[inner]] = (
-        survivors[starts[inner] - 1] / r_counts[starts[inner - 1]].astype(np.longdouble))
+        survivors[starts[inner] - 1] / r_counts[starts[inner - 1]])
     carried = np.cumprod(carried, axis=1)[owner, column]
     return label, KmCurve(
         times=time[event_first],
-        survival=(carried[block] * within).astype(float),
+        survival=carried[block] * within,
         at_risk=r_counts,
         events=d_counts,
     )

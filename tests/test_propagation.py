@@ -1,7 +1,10 @@
 """Uncertainty propagation: resampling, strata, percentile bands, sources."""
 
-import multiprocessing
 import os
+import pickle
+import signal
+import subprocess
+import sys
 from dataclasses import asdict
 from time import monotonic, sleep
 from unittest import mock
@@ -274,6 +277,19 @@ class TestMatchesOracle:
                     _assert_matches_oracle(cohort, _config(source=source, replicates=20))
 
 
+def _open_fds():
+    """This process's open file descriptors, or None where /proc is absent."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _assert_nothing_left(fds):
+    """No child process is left, reaped or not, and no fd beyond fds is open."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if fds is not None:
+        assert _open_fds() == fds
+
+
 class TestWorkers:
     """Forked children: errors reach the caller, and none outlives propagate."""
 
@@ -283,8 +299,22 @@ class TestWorkers:
         with mock.patch.object(propagation, "CHUNK_ELEMENTS", 300), _cpus(cpus):
             return propagate(cohort, _config(replicates=12))
 
+    @staticmethod
+    def _in_child(act):
+        """A patch of _cox_fit_rows that runs act() first in every forked child."""
+        pid = os.getpid()
+        fit = propagation._cox_fit_rows
+
+        def cox(*args):
+            if os.getpid() != pid:
+                act()
+            return fit(*args)
+
+        return mock.patch.object(propagation, "_cox_fit_rows", cox)
+
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_share_error_is_raised_with_its_type_and_message(self, failing):
+        fds = _open_fds()
         pid = os.getpid()
         fit = propagation._cox_fit_rows
 
@@ -303,26 +333,62 @@ class TestWorkers:
         assert monotonic() - start < 30
         assert type(caught.value) is InvalidParameterError
         assert str(caught.value) == "boom"
-        assert multiprocessing.active_children() == []
+        _assert_nothing_left(fds)
 
     def test_child_exit_is_named(self):
-        pid = os.getpid()
-        fit = propagation._cox_fit_rows
-
-        def cox(*args):
-            if os.getpid() != pid:
-                os._exit(7)
-            return fit(*args)
-
-        with mock.patch.object(propagation, "_cox_fit_rows", cox):
+        fds = _open_fds()
+        with self._in_child(lambda: os._exit(7)):
             with pytest.raises(PropagationError, match="exited with code 7"):
                 self._propagate()
-        assert multiprocessing.active_children() == []
+        _assert_nothing_left(fds)
+
+    def test_killed_child_is_named_by_its_signal(self):
+        fds = _open_fds()
+        with self._in_child(lambda: os.kill(os.getpid(), signal.SIGKILL)):
+            with pytest.raises(PropagationError, match="exited with code -9 before sending"):
+                self._propagate()
+        _assert_nothing_left(fds)
+
+    def test_torn_pickle_is_named(self):
+        fds = _open_fds()
+
+        def half(result, pipe):
+            data = pickle.dumps(result)
+            pipe.write(data[:len(data) // 2])
+            pipe.flush()
+            os._exit(5)
+
+        with mock.patch.object(pickle, "dump", half):
+            with pytest.raises(PropagationError, match="exited with code 5 before sending"):
+                self._propagate()
+        _assert_nothing_left(fds)
 
     def test_children_joined_after_success(self):
+        fds = _open_fds()
         summary = self._propagate(cpus=3)
-        assert multiprocessing.active_children() == []
+        _assert_nothing_left(fds)
         _assert_identical(asdict(summary), asdict(self._propagate(cpus=1)))
+
+    def test_forking_imports_no_multiprocessing(self):
+        script = (
+            "import os, sys\n"
+            "from lvef_fusion import propagation\n"
+            "from lvef_fusion.fusion import InstrumentSigma\n"
+            "from lvef_fusion.simulate import SimConfig, simulate\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            "propagation.CHUNK_ELEMENTS, propagation._cpu_count = 300, lambda: 2\n"
+            "propagation.propagate(simulate(SimConfig(n_patients=300, seed=11)),\n"
+            "    propagation.PropagationConfig('visual', InstrumentSigma(18.1, 8.8),\n"
+            "                                  replicates=12))\n"
+            "print(len(forks), 'multiprocessing' in sys.modules)\n"
+        )
+        # The package this process imported, installed or from src.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(propagation.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1 False\n"
 
 
 class TestPropagateDeterminism:

@@ -68,6 +68,25 @@ def _censored_outside_event_span(draw):
     return [(t, 1) for t in event_times] + [(t, 0) for t in censor_times]
 
 
+@st.composite
+def _many_blocks(draw):
+    """(subjects, blocks): up to 2000 blocks of event times, each followed by
+    a censoring that is tied with its last event time or falls just after
+    it, so the curve has exactly blocks blocks.  A quarter of the blocks
+    hold a second event time and a quarter of the event times a second,
+    tied event."""
+    blocks = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subjects, t = [], 0
+    for _ in range(blocks):
+        for _ in range(1 + (rng.random() < 0.25)):
+            t += 1
+            subjects += [(t, 1)] * (1 + (rng.random() < 0.25))
+        t += int(rng.integers(0, 2))
+        subjects.append((t, 0))
+    return subjects, blocks
+
+
 def _km_of(subjects):
     times = np.array([t for t, _ in subjects], dtype=float)
     events = np.array([e for _, e in subjects], dtype=np.int64)
@@ -153,6 +172,20 @@ class TestKaplanMeier:
         assert len(curve.survival) == len(oracle)
         for s, exact in zip(curve.survival.tolist(), oracle):
             assert s == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+    # Each of the B block factors and each product is one float64 rounding,
+    # as are the within-block quotient and its product: a relative error of
+    # about B ulps (Higham 2002, section 3.1) on any platform.
+    @settings(max_examples=8, deadline=None)
+    @given(_many_blocks())
+    def test_float64_product_within_block_count_ulps(self, case):
+        subjects, blocks = case
+        curve = _km_of(subjects)
+        oracle = _product_limit_oracle([t for t, _ in subjects], [e for _, e in subjects])
+        assert len(curve.survival) == len(oracle)
+        bound = Fraction(blocks + 2, 2**52)
+        for s, exact in zip(curve.survival.tolist(), oracle):
+            assert abs(Fraction(s) - exact) <= bound * exact
 
     @settings(deadline=None)
     @given(_censored_outside_event_span())

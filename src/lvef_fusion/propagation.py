@@ -28,12 +28,16 @@ counts plus the steps' (time rank, S), and one ``_cox_fit_rows`` call fits
 every replicate's Cox model of the chunk as one batch of Newton iterations
 against an event layout that each process builds once per source (a
 replicate whose fit fails fails alone).  ``_read_curves`` reads the joined
-curves of a stratum by one lookup, each (curve, rank) cell by one binary
-search over the steps' sorted (curve, rank) keys: the event rates at the
-horizon's rank, the band on the union of the step ranks in blocks of about
-BAND_ELEMENTS cells.  The results are bit for bit those of one replicate at a
-time (``normal(loc, scale)`` draws, ``stratum_km``, ``cox_fit_from_arrays``
-and a per-curve band); the budgets only bound memory.
+curves of a stratum through the steps' sorted (curve, rank) keys: the event
+rates by one binary search per curve at the horizon's rank, the band on the
+union of the step ranks in blocks of about BAND_ELEMENTS cells.  In a block,
+two searches per curve bound its steps; each row starts from the step the
+curve carries in from before the block, takes the block's step numbers at
+their columns and is filled forward, so the read costs about steps + cells
+and holds no per-step array beyond the keys.  The results are bit for bit
+those of one replicate at a time (``normal(loc, scale)`` draws,
+``stratum_km``, ``cox_fit_from_arrays`` and a per-curve band); the budgets
+only bound memory.
 
 The chunks are split into one contiguous share per CPU the process may run
 on (never more shares than chunks).  This process fits the first share; a
@@ -216,7 +220,7 @@ def source_values(cohort, source: str, sigmas: InstrumentSigma):
 
 def _read_curves(parts: list, times: np.ndarray, horizon_rank) -> tuple:
     """One stratum's event rates by the horizon and its KmBand, read from its
-    replicate curves by one lookup.
+    replicate curves through one set of sorted step keys.
 
     parts holds the chunks' (present, steps, ranks, survival) parts
     (_fit_stratum) in replicate order, a rank indexing times, and is emptied
@@ -237,24 +241,25 @@ def _read_curves(parts: list, times: np.ndarray, horizon_rank) -> tuple:
     padded = np.concatenate(((1.0,), *survival))
     del survival
     ranks = np.concatenate(ranks)
-    grid = np.flatnonzero(np.bincount(ranks, minlength=times.size))
+    # The grid is the union of the step ranks; column[rank] counts the grid
+    # ranks at or before rank, the 1-based grid column of a step's rank.
+    column = np.bincount(ranks, minlength=times.size)
+    grid = np.flatnonzero(column)
+    np.cumsum(column > 0, out=column)
     steps = np.concatenate(steps)
     # Key (curve, rank), ascending in step order: the steps run in
     # (replicate, time) order and each is its curve's only one at its rank.
     keys = np.repeat(np.arange(steps.size) * times.size, steps)
     keys += ranks
     del ranks
-    base = np.flatnonzero(present)[:, None] * times.size
-    first = (np.cumsum(steps) - steps)[present][:, None]
+    base = np.flatnonzero(present) * times.size
+    first = (np.cumsum(steps) - steps)[present]
 
-    def survival_at(cells):
-        # A cell (curve, rank) reads the 1-based number of the curve's last
-        # step at or before the rank, 0 before its first (S = 1.0).
-        step = np.searchsorted(keys, base + cells, side="right")
-        step[step <= first] = 0
-        return padded[step]
-
-    rates = summarize(1.0 - survival_at(horizon_rank)[:, 0])
+    # A curve's 1-based number of its last step at or before the horizon, 0
+    # before its first (S = 1.0).
+    step = np.searchsorted(keys, base + horizon_rank, side="right")
+    step[step <= first] = 0
+    rates = summarize(1.0 - padded[step])
     percentiles = np.empty((2, grid.size))
     mean = np.empty(grid.size)
     # A one-column block would average its column by pairwise summation,
@@ -264,7 +269,23 @@ def _read_curves(parts: list, times: np.ndarray, horizon_rank) -> tuple:
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     for start, stop in zip(edges[:-1], edges[1:]):
-        block = survival_at(grid[start:stop])
+        # Each cell (curve, column) reads the number of the curve's last step
+        # at or before the column: each row starts from the step carried in
+        # from before the block, takes the block's own steps at their columns
+        # and is filled forward, step numbers rising along a curve.
+        lo = np.searchsorted(keys, base + grid[start])
+        hi = np.searchsorted(keys, base + grid[stop - 1], side="right")
+        cells = np.empty((curves, stop - start), dtype=np.int64)
+        cells[:] = np.where(lo > first, lo, 0)[:, None]
+        count = hi - lo
+        step = np.repeat(lo - (np.cumsum(count) - count), count)
+        step += np.arange(step.size)
+        cell = column[keys[step] % times.size] - 1 - start
+        cell += np.repeat(np.arange(curves) * (stop - start), count)
+        cells.ravel()[cell] = step + 1
+        np.maximum.accumulate(cells, axis=1, out=cells)
+        block = padded[cells]
+        del cells
         # Columns where every curve agrees must average to that value
         # bit-exactly (zero-noise collapse), which summed means do not give.
         col_mean = block.mean(axis=0)

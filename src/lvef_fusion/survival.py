@@ -22,6 +22,16 @@ Two estimators, both written directly against their definitions:
   exponent shift so the objective stays finite for any reasonable beta, and
   the covariate is standardized internally for conditioning (the partial
   likelihood is exactly invariant to centering; scaling is undone on output).
+  The risk-set sums S0, S1 and S2 are taken by tie group (Therneau &
+  Grambsch 2000): the terms are summed within each event group, the group
+  running to the next one's start, then suffix-summed over the G groups
+  only.  Every sum is a numpy reduction of a C-contiguous last axis, so
+  each row is summed as it is alone and no BLAS call (whose bits can follow
+  its thread count) is made.  The start at beta = 0 is exact without an
+  exp: every weight is 1.0, so S0 is the risk-set size.  The raw-scale
+  value, gradient and Hessian are the last standardized evaluation's, the
+  derivatives scaled by sd and sd^2, so a fit costs one evaluation per
+  Newton step or halving besides its start.
   ``_cox_fit_rows`` fits many covariates against one follow-up's event
   layout in one batch of Newton iterations, each covariate bit for bit as it
   fits alone; ``cox_fit_from_arrays`` is its checked one-covariate case.
@@ -205,64 +215,81 @@ def km_event_rate_at(curve: KmCurve, horizon: float) -> float:
     return 1.0 - km_survival_at(curve, horizon)
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Each row's sum, added as the sum of that row alone adds it (pairwise);
-    a 2-D sum(axis=1) may group the terms differently."""
-    return np.fromiter(map(np.add.reduce, a), float, len(a))
-
-
 class _CoxLayout:
     """Time-sorted event layout, shared by every objective evaluation."""
 
     def __init__(self, time: np.ndarray, event: np.ndarray):
         self.order = np.argsort(time, kind="stable")
         t = time[self.order]
-        self.e = event[self.order].astype(float)
+        e = event[self.order]
+        self.events = np.flatnonzero(e)
         first = _group_starts(t)
-        deaths = np.add.reduceat(self.e, first)
+        deaths = np.add.reduceat(e.astype(float), first)
         keep = deaths > 0
         self.event_first = first[keep]
         self.deaths = deaths[keep]
+        # Each event group's risk-set size: S0 at beta = 0, where every
+        # weight is exactly 1.0.
+        self.at_risk = (t.size - self.event_first).astype(float)
+
+    def event_sums(self, x: np.ndarray) -> np.ndarray:
+        """Each row's sum over the events of a time-sorted covariate x (rows, n),
+        each row summed as that row alone is."""
+        return np.add.reduce(np.take(x, self.events, axis=-1), axis=-1)
 
     def evaluate_rows(self, beta: np.ndarray, x: np.ndarray, sum_event_x: np.ndarray,
                       terms: np.ndarray):
         """(value, gradient, hessian) arrays, one entry per row of x, each row
         a centered, time-sorted covariate evaluated at its own beta, with its
-        sum over events in sum_event_x; terms is a (2, rows, n) work buffer.
+        sum over events in sum_event_x; terms is a (3, rows, n) work buffer.
 
-        Risk-set sums are suffix cumsums read at tie-group starts, with one
-        exponent shift per row so values stay finite for betas far beyond any
-        plausible fit.  Each row's numbers are bit for bit those of the row
-        evaluated alone.
+        One exponent shift per row keeps the values finite for betas far
+        beyond any plausible fit.  Each row's numbers are bit for bit those
+        of the row evaluated alone.
         """
-        w, wx = terms
+        w, wx, wx2 = terms
         np.multiply(beta[:, None], x, out=w)
         shift = w.max(axis=1)
         np.subtract(w, shift[:, None], out=w)
         np.exp(w, out=w)
         np.multiply(w, x, out=wx)
-        # w's buffer takes w*x^2 once w's own sums are read.
-        s0 = self._suffix_sums(w)
-        np.multiply(wx, x, out=w)
-        s1 = self._suffix_sums(wx)
-        s2 = self._suffix_sums(w)
+        np.multiply(wx, x, out=wx2)
+        return self._statistics(beta * sum_event_x, sum_event_x, shift, *self._risk_sums(terms))
 
+    def evaluate_at_zero(self, x: np.ndarray, sum_event_x: np.ndarray, terms: np.ndarray):
+        """evaluate_rows at beta = 0 for every row, bit for bit, with terms a
+        (2, rows, n) work buffer.  Every weight exp(0 * x - shift) is exactly
+        1.0, so S0 is the risk-set size, S1 and S2 sum x and x^2, and no
+        shift moves log S0."""
+        terms[0] = x
+        np.multiply(x, x, out=terms[1])
+        s1, s2 = self._risk_sums(terms)
+        return self._statistics(0.0 * sum_event_x, sum_event_x, None, self.at_risk, s1, s2)
+
+    def _risk_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Each row's terms (..., n) summed over the risk set of every event
+        group (..., G): summed within the groups, each holding the subjects
+        from its start to the next group's, then suffix-summed over the
+        groups in place."""
+        sums = np.add.reduceat(terms, self.event_first, axis=-1)
+        backward = sums[..., ::-1]
+        np.cumsum(backward, axis=-1, out=backward)
+        return sums
+
+    def _statistics(self, beta_sum, sum_event_x, shift, s0, s1, s2):
+        """(value, gradient, hessian) from the risk-set sums and the rows'
+        exponent shifts (None: no shift); each row is summed as that row
+        alone is, the rows being C-contiguous."""
         with np.errstate(divide="ignore", invalid="ignore"):
             log_s0 = np.log(s0)
             mean_x = s1 / s0
             var_x = np.maximum(s2 / s0 - mean_x**2, 0.0)
-
-        value = beta * sum_event_x - _row_sums(self.deaths * (log_s0 + shift[:, None]))
-        gradient = sum_event_x - _row_sums(self.deaths * mean_x)
-        hessian = -_row_sums(self.deaths * var_x)
+        if shift is not None:
+            log_s0 += shift[:, None]
+        value = beta_sum - np.add.reduce(self.deaths * log_s0, axis=-1)
+        gradient = sum_event_x - np.add.reduce(self.deaths * mean_x, axis=-1)
+        hessian = -np.add.reduce(self.deaths * var_x, axis=-1)
         return value, gradient, hessian
-
-    def _suffix_sums(self, terms: np.ndarray) -> np.ndarray:
-        """Each row's sums from every tie-group start to its end, taken in
-        place as prefix sums of the reversed row."""
-        backward = terms[..., ::-1]
-        np.cumsum(backward, axis=-1, out=backward)
-        return terms[..., self.event_first]
 
 
 def cox_loglik_from_arrays(beta: float, time, event, covariate):
@@ -277,8 +304,8 @@ def cox_loglik_from_arrays(beta: float, time, event, covariate):
     layout = _CoxLayout(time, event)
     xc = (covariate - covariate.mean())[layout.order]
     value, gradient, hessian = layout.evaluate_rows(
-        np.array([beta], dtype=float), xc[None], np.array([np.dot(layout.e, xc)]),
-        np.empty((2, 1, xc.size)))
+        np.array([beta], dtype=float), xc[None], layout.event_sums(xc[None]),
+        np.empty((3, 1, xc.size)))
     return float(value[0]), float(gradient[0]), float(hessian[0])
 
 
@@ -311,7 +338,7 @@ def _cox_fit_rows(layout: _CoxLayout, rows, tolerance=1e-8, max_iterations=100) 
     alone.  Inputs are not validated; cox_fit_from_arrays is the checked
     entry point.
     """
-    if int(layout.e.sum()) < 2:
+    if layout.events.size < 2:
         return [DegenerateDataError("cox_fit requires at least 2 events") for _ in rows]
     varies = np.ptp(rows, axis=1) > 0
     outcomes = [None if v else DegenerateDataError("cox_fit requires a non-constant covariate")
@@ -320,33 +347,23 @@ def _cox_fit_rows(layout: _CoxLayout, rows, tolerance=1e-8, max_iterations=100) 
     if fitted.size == 0:
         return outcomes
 
-    # Each row is fitted on its standardized covariate; beta maps back by 1/sd.
-    mean = rows.mean(axis=1)[fitted]
+    # Each row is fitted on its standardized covariate, put in time order;
+    # beta maps back by 1/sd.  The order's indices are all valid: "clip"
+    # writes straight into x, where the default mode would gather into a
+    # buffer first.
     sd = rows.std(axis=1)[fitted]
     k, n = fitted.size, layout.order.size
     x = np.empty((k, n))  # the covariate rows of `active`, in its order
-    work = np.empty(2 * k * n)
-
-    def prepare(index, scale=None):
-        """Put rows fitted[index] into x in time order, centered and, given a
-        scale, divided by it; return their sums over events."""
-        xc = x[:len(index)]
-        # The order's indices are all valid; "clip" writes straight into xc,
-        # where the default mode would gather into a buffer first.
-        np.take(rows[fitted[index]], layout.order, axis=1, out=xc, mode="clip")
-        xc -= mean[index, None]
-        if scale is not None:
-            xc /= scale[index, None]
-        return np.fromiter((np.dot(layout.e, row) for row in xc), float, len(index))
-
-    def evaluate(at, sums):
-        m = len(at)
-        return layout.evaluate_rows(at, x[:m], sums, work[:2 * m * n].reshape(2, m, n))
+    np.take(rows[fitted], layout.order, axis=1, out=x, mode="clip")
+    x -= rows.mean(axis=1)[fitted, None]
+    x /= sd[:, None]
+    sums = layout.event_sums(x)
+    work = np.empty(3 * k * n)
 
     # Per row: the accepted beta with its (value, gradient, hessian), and the
     # pending candidate = beta + step.  Internal thresholds are tightened so
     # the final raw-scale gradient check (tolerance on beta's own scale)
-    # passes after the back-transform.
+    # passes after the back-transform.  Every row starts at beta = 0.
     beta, value, grad, hess = (np.zeros(k) for _ in range(4))
     candidate, step, slack = np.zeros(k), np.zeros(k), np.zeros(k)
     iterations = np.zeros(k, dtype=np.int64)
@@ -354,8 +371,7 @@ def _cox_fit_rows(layout: _CoxLayout, rows, tolerance=1e-8, max_iterations=100) 
     separated = np.zeros(k, dtype=bool)
     tol_s = 0.5 * tolerance / sd
     active = np.arange(k)
-    sums = prepare(active, sd)
-    cand = evaluate(candidate, sums)
+    cand = layout.evaluate_at_zero(x, sums, work[:2 * k * n].reshape(2, k, n))
     accept, retry = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
     while True:
         # Masks are over the positions of active.
@@ -377,13 +393,13 @@ def _cox_fit_rows(layout: _CoxLayout, rows, tolerance=1e-8, max_iterations=100) 
 
         # Rows that leave are dropped from x; the rest move up in order.
         keep = np.flatnonzero(go | retry)
-        for j, i in enumerate(keep):
-            if j != i:
-                x[j] = x[i]
+        x[:keep.size] = x[keep]
         sums, active = sums[keep], active[keep]
         if active.size == 0:
             break
-        cand = evaluate(candidate[active], sums)
+        m = active.size
+        cand = layout.evaluate_rows(candidate[active], x[:m], sums,
+                                    work[:3 * m * n].reshape(3, m, n))
         retry = ((~np.isfinite(cand[0]) | (cand[0] < value[active] - slack[active]))
                  & (halvings[active] < 30))
         rows_retry = active[retry]
@@ -401,20 +417,23 @@ def _cox_fit_rows(layout: _CoxLayout, rows, tolerance=1e-8, max_iterations=100) 
             f"|beta| exceeded {SEPARATION_BOUND}: monotone partial likelihood "
             "(perfect separation of event order by the covariate)"
         )
+    # The raw-scale statistics at beta / sd are those of the last accepted
+    # standardized evaluation, the derivatives scaled by sd and sd^2.
     done = np.flatnonzero(~separated)
-    raw_beta = beta[done] / sd[done]
-    raw = evaluate(raw_beta, prepare(done))
-    for i, b, raw_value, raw_grad, raw_hess in zip(done, raw_beta, *raw):
+    scale = sd[done]
+    raw = beta[done] / scale, value[done], scale * grad[done], scale * scale * hess[done]
+    for i, raw_beta, raw_value, raw_grad, raw_hess in zip(done, *raw):
         converged = abs(raw_grad) < tolerance
         fit = CoxFit(
-            beta=float(b),
+            beta=float(raw_beta),
             standard_error=1.0 / math.sqrt(-raw_hess) if raw_hess < 0 else math.nan,
             iterations=int(iterations[i]),
             converged=bool(converged),
             log_partial_likelihood=float(raw_value),
         )
         outcomes[fitted[i]] = fit if converged else NonConvergenceError(
-            f"no convergence in {max_iterations} iterations (|gradient| = {abs(raw_grad):.3e})",
+            f"no convergence after {fit.iterations} of {max_iterations} iterations "
+            f"(|gradient| = {abs(raw_grad):.3e})",
             last_fit=fit,
         )
     return outcomes

@@ -1,9 +1,11 @@
 """The scalar Cox Newton-Raphson loop, kept as the oracle of the batched kernel.
 
 One covariate at a time: its own event layout, its own objective evaluations
-(one exponent shift and one three-row cumsum each) and its own step-halving
-loop.  ``cox_fit`` here must equal ``lvef_fusion.survival.cox_fit_from_arrays``,
-and each row of ``lvef_fusion.survival._cox_fit_rows``, bit for bit: the same
+(one exponent shift each, the three risk-set sums summed within each event
+group and then suffix-summed over the groups) and its own step-halving loop.
+The start is a general evaluation at beta = 0, which the kernel shortcuts.
+``cox_fit`` here must equal ``lvef_fusion.survival.cox_fit_from_arrays``, and
+each row of ``lvef_fusion.survival._cox_fit_rows``, bit for bit: the same
 beta, standard error, iteration count, convergence flag and log-likelihood,
 or the same exception with the same message.
 """
@@ -31,37 +33,38 @@ class CoxLayout:
             raise DegenerateDataError("partial likelihood undefined with zero events")
         self.order = np.argsort(time, kind="stable")
         t = time[self.order]
-        self.e = event[self.order].astype(float)
+        e = event[self.order]
+        self.events = np.flatnonzero(e)
         first = _group_starts(t)
-        deaths = np.add.reduceat(self.e, first)
+        deaths = np.add.reduceat(e.astype(float), first)
         keep = deaths > 0
         self.event_first = first[keep]
         self.deaths = deaths[keep]
-        # Suffix sums from a tie group's start are the reversed covariate's
-        # prefix sums at these positions.
-        self.read = t.size - 1 - self.event_first
 
     def covariate(self, xc: np.ndarray):
         """The beta-free part of evaluate for one centered, time-sorted
-        covariate: (the covariate reversed, sum of the covariate over events)."""
-        return np.ascontiguousarray(xc[::-1]), float(np.dot(self.e, xc))
+        covariate: (the covariate, its sum over events)."""
+        return xc, float(np.add.reduce(xc[self.events]))
 
     def evaluate(self, beta: float, covariate):
         """(value, gradient, hessian) for a covariate prepared by covariate().
 
-        Risk-set sums are suffix cumsums read at tie-group starts, with one
-        global exponent shift so values stay finite for betas far beyond any
+        Each risk-set sum is its event group's terms (the group running to
+        the next group's start) plus every later group's, with one global
+        exponent shift so values stay finite for betas far beyond any
         plausible fit.
         """
         x, sum_event_x = covariate
         eta = beta * x
         shift = eta.max()
-        # w, w*x and w*x^2 share one prefix-sum pass.
         terms = np.empty((3, x.size))
         np.exp(eta - shift, out=terms[0])
         np.multiply(terms[0], x, out=terms[1])
         np.multiply(terms[1], x, out=terms[2])
-        s0, s1, s2 = np.cumsum(terms, axis=1, out=terms)[:, self.read]
+        # w, w*x and w*x^2: each group's sum, then one suffix-sum pass over
+        # the groups.
+        groups = np.add.reduceat(terms, self.event_first, axis=1)
+        s0, s1, s2 = np.cumsum(groups[:, ::-1], axis=1)[:, ::-1]
 
         with np.errstate(divide="ignore", invalid="ignore"):
             log_s0 = np.log(s0)
@@ -91,7 +94,6 @@ def cox_fit(time, event, covariate, tolerance: float = 1e-8,
     # Fit on the standardized covariate; beta maps back by 1/sd.
     sd = float(np.std(covariate))
     xs = layout.covariate(((covariate - covariate.mean()) / sd)[layout.order])
-    xc_raw = layout.covariate((covariate - covariate.mean())[layout.order])
 
     beta_s = 0.0
     value, grad, hess = layout.evaluate(beta_s, xs)
@@ -124,7 +126,9 @@ def cox_fit(time, event, covariate, tolerance: float = 1e-8,
         value, grad, hess = cand
 
     beta = beta_s / sd
-    raw_value, raw_grad, raw_hess = layout.evaluate(beta, xc_raw)
+    # On the raw scale the objective at beta is the standardized one at
+    # beta_s, its derivatives scaled by sd and sd^2.
+    raw_value, raw_grad, raw_hess = value, sd * grad, sd * sd * hess
     converged = abs(raw_grad) < tolerance
     se = 1.0 / math.sqrt(-raw_hess) if raw_hess < 0 else math.nan
     fit = CoxFit(
@@ -136,7 +140,8 @@ def cox_fit(time, event, covariate, tolerance: float = 1e-8,
     )
     if not converged:
         raise NonConvergenceError(
-            f"no convergence in {max_iterations} iterations (|gradient| = {abs(raw_grad):.3e})",
+            f"no convergence after {iterations} of {max_iterations} iterations "
+            f"(|gradient| = {abs(raw_grad):.3e})",
             last_fit=fit,
         )
     return fit

@@ -5,6 +5,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from time import monotonic, sleep
 from unittest import mock
@@ -556,6 +557,36 @@ class TestBands:
         assert band.times.size == 12
         _assert_identical(asdict(band), asdict(oracle.km_band(curves)))
         _assert_identical(asdict(rates), asdict(_oracle_rates(curves, 200.0)))
+
+    @pytest.mark.parametrize("unblocked", [False, True])
+    def test_band_read_memory_is_bounded_by_its_blocks(self, unblocked):
+        # 400 curves of 1000 steps each among 5000 ranks, in four chunks.
+        # Beyond its parts, which it takes over, the read holds the steps'
+        # keys and, at a time, one block of about BAND_ELEMENTS cells: its
+        # step numbers, its S values and their temporaries, plus the grid's
+        # own arrays, all within 6 * BAND_ELEMENTS * 8 bytes beside the keys.
+        # One block of every cell (400 x 5000) takes far more.
+        curves, ranks, steps = 400, 5000, 1000
+        times = np.arange(1.0, ranks + 1.0)
+        rng = np.random.default_rng(3)
+        bound = curves * steps * 8 + 6 * propagation.BAND_ELEMENTS * 8
+        tracemalloc.start()
+        try:
+            parts = [(np.ones(100, dtype=bool), np.full(100, steps),
+                      np.concatenate([np.sort(rng.choice(ranks, steps, replace=False))
+                                      for _ in range(100)]).astype(np.int32),
+                      np.sort(rng.random((100, steps)), axis=1)[:, ::-1].ravel())
+                     for _ in range(curves // 100)]
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            band_elements = curves * ranks if unblocked else propagation.BAND_ELEMENTS
+            with mock.patch.object(propagation, "BAND_ELEMENTS", band_elements):
+                _, band = propagation._read_curves(parts, times, ranks // 2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert band.times.size == ranks
+        assert (peak > bound) if unblocked else (peak < bound)
 
     def test_zero_noise_collapses_to_exact_analysis(self):
         cohort = _cohort()

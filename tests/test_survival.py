@@ -243,16 +243,19 @@ class TestKaplanMeier:
 
 
 def _three_cumsum_evaluate(layout, beta, xc):
-    """The objective as three separate suffix cumsums on the time-sorted,
-    centered covariate: the oracle of cox_loglik_from_arrays."""
+    """The objective as three separate suffix cumsums over the event groups'
+    sums of the time-sorted, centered covariate's terms: the oracle of
+    cox_loglik_from_arrays."""
     eta = beta * xc
     shift = eta.max()
     w = np.exp(eta - shift)
     wx = w * xc
-    s0 = np.cumsum(w[::-1])[::-1][layout.event_first]
-    s1 = np.cumsum(wx[::-1])[::-1][layout.event_first]
-    s2 = np.cumsum((wx * xc)[::-1])[::-1][layout.event_first]
-    sum_event_x = float(np.dot(layout.e, xc))
+
+    def suffix_sums(terms):
+        return np.cumsum(np.add.reduceat(terms, layout.event_first)[::-1])[::-1]
+
+    s0, s1, s2 = suffix_sums(w), suffix_sums(wx), suffix_sums(wx * xc)
+    sum_event_x = float(np.sum(xc[layout.events]))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_s0 = np.log(s0)
@@ -325,6 +328,69 @@ class TestCoxObjective:
                                    np.array([1.0, 2.0]))
 
 
+@st.composite
+def _risk_set_cases(draw):
+    """(time, event, x, beta): tied integer times, a censoring share up to
+    heavy, and an all-censored tail after the last event time; a covariate
+    of either sign and a beta for which the exponent shift matters."""
+    n = draw(st.integers(1, 60))
+    time = draw(st.lists(st.integers(1, draw(st.sampled_from([3, 30]))), min_size=n, max_size=n))
+    censored = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    event = [int(u >= censored) for u in draw(
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))]
+    event[0] = 1
+    tail = draw(st.integers(0, 20))
+    time += [draw(st.integers(31, 40)) for _ in range(tail)]
+    event += [0] * tail
+    x = draw(st.lists(st.floats(-100.0, 100.0), min_size=n + tail, max_size=n + tail))
+    beta = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0), st.floats(-50.0, 50.0)))
+    return np.array(time, dtype=float), np.array(event), np.array(x), beta
+
+
+class TestRiskSums:
+    """The grouped risk-set sums and the beta = 0 shortcut of _CoxLayout."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_risk_set_cases())
+    def test_grouped_sums_within_summation_bound(self, case):
+        # Any order of summing m terms by pairwise additions, the group sums
+        # followed by the suffix sum over the groups included, is off the
+        # exact sum by at most gamma(m - 1) * sum |t_i|, gamma(k) = k*u /
+        # (1 - k*u) with u = 2^-53 (Higham 2002, section 4.2).  math.fsum
+        # rounds the exact sum once more, by at most half an ulp of it.
+        time, event, x, beta = case
+        layout = _CoxLayout(time, event)
+        xc = x[layout.order]
+        w = np.exp(beta * xc - (beta * xc).max())
+        terms = np.array([w, w * xc, w * xc * xc])
+        sums = layout._risk_sums(terms[:, None].copy())[:, 0]
+        u = 2.0**-53
+        for j, start in enumerate(layout.event_first):
+            m = xc.size - start
+            gamma = (m - 1) * u / (1 - (m - 1) * u)
+            for k in range(3):
+                exact = math.fsum(terms[k, start:])
+                bound = gamma * math.fsum(np.abs(terms[k, start:])) + 0.5 * math.ulp(exact)
+                assert abs(sums[k, j] - exact) <= bound
+        # S0 at beta = 0 counts the risk set exactly.
+        assert np.array_equal(layout.at_risk, xc.size - layout.event_first)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_risk_set_cases(), st.integers(1, 4))
+    def test_zero_shortcut_is_the_evaluation_at_zero(self, case, rows):
+        # Negative covariates make 0 * x = -0.0 and shift the exponent by a
+        # signed zero, which the shortcut leaves out.
+        time, event, x, _ = case
+        layout = _CoxLayout(time, event)
+        xc = np.array([np.roll(x - x.mean(), r)[layout.order] for r in range(rows)])
+        sums = layout.event_sums(xc)
+        n = xc.shape[1]
+        shortcut = layout.evaluate_at_zero(xc, sums, np.empty((2, rows, n)))
+        general = layout.evaluate_rows(np.zeros(rows), xc, sums, np.empty((3, rows, n)))
+        assert [[v.hex() for v in a] for a in shortcut] == [
+            [v.hex() for v in a] for a in general]
+
+
 class TestCoxFit:
     def test_matches_independent_optimizer(self):
         rng = np.random.default_rng(77)
@@ -378,6 +444,19 @@ class TestCoxFit:
         last = excinfo.value.last_fit
         assert last is not None and not last.converged
         assert last.iterations == 1
+
+    def test_nonconvergence_names_the_iterations_run(self):
+        rng = np.random.default_rng(21)
+        time, event, x = _simulated_cohort(rng, 300)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^no convergence after 1 of 1 iterations \(\|gradient\| = "):
+            cox_fit_from_arrays(time, event, x, max_iterations=1)
+        # The halving cohort that runs out of iterations.
+        time, event, x = (np.array(column) for column in HALVING_COHORTS[2])
+        with pytest.raises(NonConvergenceError) as excinfo:
+            cox_fit_from_arrays(time, event, x)
+        assert excinfo.value.last_fit.iterations == 100
+        assert str(excinfo.value).startswith("no convergence after 100 of 100 iterations ")
 
     def test_degenerate_inputs(self):
         time = np.array([1.0, 2.0, 3.0])
@@ -492,9 +571,9 @@ def _cox_chunks(draw):
     return time, event, np.array(rows), draw(st.sampled_from([100, 100, 1, 2]))
 
 
-# Small cohorts whose scalar fits halve the Newton step: two that converge
-# (one halving; over a thousand), one that runs out of iterations and one that
-# separates.
+# Small cohorts whose scalar fits halve the Newton step: one that separates
+# after hundreds of halvings, one that converges after one halving, one that
+# runs out of iterations and one that separates.
 HALVING_COHORTS = [
     ([1.0, 1.0, 4.0, 2.0, 6.0, 3.0, 5.0, 6.0], [0, 0, 0, 1, 1, 0, 1, 0],
      [48.3, 65.6, 8.4, 85.3, 9.2, 41.8, 15.2, 7.8]),
@@ -540,11 +619,11 @@ class TestCoxBatch:
 
         with mock.patch.object(cox_oracle.CoxLayout, "evaluate", counted):
             want = _oracle_outcome(time, event, x)
-        # The start, one candidate per iteration and the raw-scale evaluation
-        # leave the rest to halvings; a separated fit has no iteration count.
+        # The start and one candidate per iteration leave the rest to
+        # halvings; a separated fit has no iteration count.
         if want[0] != "SeparationError":
             fit = want if want[0] != "NonConvergenceError" else want[2]
-            assert len(calls) > fit[2] + 2
+            assert len(calls) > fit[2] + 1
         # Beside a free row of its own cohort, in both orders.
         other = np.roll(x, 1)
         rows = np.array([x, other])

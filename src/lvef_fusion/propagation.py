@@ -19,9 +19,10 @@ its masks, and ``propagate`` applies it to a whole chunk of replicates.
 
 ``propagate`` ranks the time-sorted follow-up once (the fits compare times
 only for order and ties) and runs the replicates in chunks of about
-CHUNK_ELEMENTS draws.  Each replicate's standard normals are scaled, shifted
-and permuted into time order in its row of the chunk, and the chunk is
-clipped at once; each stratum's (replicate, patient) members come from the
+CHUNK_ELEMENTS draws.  Each replicate's standard normals, drawn by one
+Generator per chunk restarted at the replicate's key, are scaled, shifted and
+permuted into time order in its row of the chunk, and the chunk is clipped at
+once; each stratum's (replicate, patient) members come from the
 flat indexes of its membership mask.  One ``km_segmented`` pass per stratum
 fits every replicate's Kaplan-Meier curve of a chunk as per-replicate step
 counts plus the steps' (time rank, S), and one ``_cox_fit_rows`` call fits
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidParameterError, PropagationError
 from .fusion import InstrumentSigma, fused_estimates, fused_sigma
-from .stochastics import SampleSummary, _integer, make_stream, summarize
+from .stochastics import SampleSummary, _integer, _restart_stream, make_stream, summarize
 from .survival import (
     CoxFit,
     _CoxLayout,
@@ -334,8 +335,10 @@ def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
     # standard normals z, one rounding per operation: the same numbers, made
     # in place.
     realized = np.empty((stop - first, order.size))
+    stream = make_stream(config.seed, first)
     for row, r in zip(realized, range(first, stop)):
-        make_stream(config.seed, r).standard_normal(out=row)
+        _restart_stream(stream, config.seed, r)
+        stream.standard_normal(out=row)
         row *= spread
         row += centers
         row[:] = row[order]

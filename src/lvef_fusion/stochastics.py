@@ -53,6 +53,19 @@ def make_stream(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
+def _restart_stream(stream: np.random.Generator, seed: int, stream_index: int) -> None:
+    """Put a make_stream Generator in the state make_stream(seed, stream_index)
+    starts in: the Philox key set, its counter zeroed and its buffers emptied.
+    The same draws follow, without building a Generator (whose bit generator
+    would first read OS entropy it then discards)."""
+    key = [_integer("seed", seed, uint64=True), _integer("stream_index", stream_index, uint64=True)]
+    stream.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array(key, dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
 @dataclass(frozen=True)
 class SampleSummary:
     """Moments and empirical quantiles of a sample."""

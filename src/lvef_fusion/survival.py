@@ -393,8 +393,9 @@ def _cox_fit_rows(layout: _CoxLayout, rows, tolerance=1e-8, max_iterations=100) 
 
         # Rows that leave are dropped from x; the rest move up in order.
         keep = np.flatnonzero(go | retry)
-        x[:keep.size] = x[keep]
-        sums, active = sums[keep], active[keep]
+        if keep.size < active.size:
+            x[:keep.size] = x[keep]
+            sums, active = sums[keep], active[keep]
         if active.size == 0:
             break
         m = active.size

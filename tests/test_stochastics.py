@@ -10,6 +10,7 @@ from lvef_fusion.stochastics import (
     SIM_STREAM_INDEX,
     SIMPSON_STREAM_INDEX,
     VISUAL_STREAM_INDEX,
+    _restart_stream,
     make_stream,
     summarize,
 )
@@ -62,6 +63,26 @@ class TestMakeStream:
         reserved = [VISUAL_STREAM_INDEX, SIMPSON_STREAM_INDEX, SIM_STREAM_INDEX]
         assert len(set(reserved)) == len(reserved)
         assert min(reserved) >= 2**32
+
+    @given(seed=_KEYS, index=_KEYS, used=st.integers(0, 9))
+    def test_restarted_stream_draws_as_a_new_one(self, seed, index, used):
+        # A stream part-way through its counter, with a buffered 64-bit word
+        # and a half-used one, draws after the restart what a new stream of
+        # the pair draws.
+        stream = make_stream(3, 5)
+        stream.standard_normal(used)
+        stream.integers(0, 2**32, 1 + used % 2, dtype=np.uint32)
+        _restart_stream(stream, seed, index)
+        expected = make_stream(seed, index)
+        assert stream.standard_normal(9).tobytes() == expected.standard_normal(9).tobytes()
+        assert stream.integers(0, 2**32, 3, dtype=np.uint32).tobytes() == \
+            expected.integers(0, 2**32, 3, dtype=np.uint32).tobytes()
+        assert stream.random(5).tobytes() == expected.random(5).tobytes()
+
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (0, 2**64), (1.5, 0)])
+    def test_restart_validates_the_key(self, seed, index):
+        with pytest.raises(InvalidParameterError):
+            _restart_stream(make_stream(0, 0), seed, index)
 
 
 class TestSummarize:

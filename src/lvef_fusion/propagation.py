@@ -22,23 +22,22 @@ only for order and ties) and runs the replicates in chunks of about
 CHUNK_ELEMENTS draws.  Each replicate's standard normals, drawn by one
 Generator per chunk restarted at the replicate's key, are scaled, shifted and
 permuted into time order in its row of the chunk, and the chunk is clipped at
-once; each stratum's (replicate, patient) members come from the
-flat indexes of its membership mask.  One ``km_segmented`` pass per stratum
-fits every replicate's Kaplan-Meier curve of a chunk as per-replicate step
-counts plus the steps' (time rank, S), and one ``_cox_fit_rows`` call fits
-every replicate's Cox model of the chunk as one batch of Newton iterations
-against an event layout that each process builds once per source (a
-replicate whose fit fails fails alone).  ``_read_curves`` reads the joined
-curves of a stratum through the steps' sorted (curve, rank) keys: the event
-rates by one binary search per curve at the horizon's rank, the band on the
-union of the step ranks in blocks of about BAND_ELEMENTS cells.  In a block,
-two searches per curve bound its steps; each row starts from the step the
-curve carries in from before the block, takes the block's step numbers at
-their columns and is filled forward, so the read costs about steps + cells
-and holds no per-step array beyond the keys.  The results are bit for bit
-those of one replicate at a time (``normal(loc, scale)`` draws,
-``stratum_km``, ``cox_fit_from_arrays`` and a per-curve band); the budgets
-only bound memory.
+once; each stratum's (replicate, patient) members come from the flat indexes
+of its membership mask.  One ``km_segmented`` pass per stratum fits every
+replicate's Kaplan-Meier curve of a chunk as per-replicate step counts plus
+the steps' (time rank, S), and one ``_cox_fit_rows`` call fits every
+replicate's Cox model of the chunk as one batch of Newton iterations against
+an event layout that each process builds once per source (a replicate whose
+fit fails fails alone).  ``_read_curves`` reads the joined curves of a stratum
+through the steps' sorted (curve, rank) keys: the event rates by one binary
+search per curve at the horizon's rank, the band on the union of the step
+ranks in blocks of about BAND_ELEMENTS cells.  In a block, two searches per
+curve bound its steps; each row starts from the step the curve carries in from
+before the block, takes the block's step numbers at their columns and is
+filled forward, so the read costs about steps + cells and holds no per-step
+array beyond the keys.  The results are bit for bit those of one replicate at
+a time (``normal(loc, scale)`` draws, ``stratum_km``, ``cox_fit_from_arrays``
+and a per-curve band); the budgets only bound memory.
 
 The chunks are split into one contiguous share per CPU the process may run
 on (never more shares than chunks).  This process fits the first share; a

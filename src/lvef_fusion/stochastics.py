@@ -47,10 +47,15 @@ def _integer(name: str, value, uint64: bool = False) -> int:
     return index
 
 
+def _key(seed, stream_index) -> np.ndarray:
+    """The Philox key of stream (seed, stream_index), each part checked."""
+    return np.array([_integer("seed", seed, uint64=True),
+                     _integer("stream_index", stream_index, uint64=True)], dtype=np.uint64)
+
+
 def make_stream(seed: int, stream_index: int) -> np.random.Generator:
     """The deterministic Generator identified by (seed, stream_index)."""
-    key = [_integer("seed", seed, uint64=True), _integer("stream_index", stream_index, uint64=True)]
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream_index)))
 
 
 def _restart_stream(stream: np.random.Generator, seed: int, stream_index: int) -> None:
@@ -58,10 +63,9 @@ def _restart_stream(stream: np.random.Generator, seed: int, stream_index: int) -
     starts in: the Philox key set, its counter zeroed and its buffers emptied.
     The same draws follow, without building a Generator (whose bit generator
     would first read OS entropy it then discards)."""
-    key = [_integer("seed", seed, uint64=True), _integer("stream_index", stream_index, uint64=True)]
     stream.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array(key, dtype=np.uint64)},
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(seed, stream_index)},
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
 

@@ -327,8 +327,8 @@ def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
     follow_up is (rank, event) as _fit_stratum takes them, layout their Cox
     event layout and order the time order of the patients.
 
-    Returns ({stratum: _fit_stratum's part}, the hazard ratios of the fits
-    that succeeded in replicate order, {name: message}).
+    Returns ({stratum: _fit_stratum's part}, each replicate's outcome in
+    replicate order: its hazard ratio, or the exception its Cox fit raised).
     """
     # Generator.normal(loc, scale) draws loc + scale * z from the stream's
     # standard normals z, one rounding per operation: the same numbers, made
@@ -344,13 +344,8 @@ def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
     np.clip(realized, *CLAMP_RANGE, out=realized)
     strata = {label: _fit_stratum(mask, *follow_up)
               for label, mask in _strata_masks(realized, config.band_edges).items()}
-    hazard_ratios, failures = [], {}
-    for outcome in _cox_fit_rows(layout, realized):
-        if isinstance(outcome, CoxFit):
-            hazard_ratios.append(hazard_ratio_per(outcome, HR_DELTA)[0])
-        else:
-            failures[type(outcome).__name__] = str(outcome)
-    return strata, hazard_ratios, failures
+    return strata, [hazard_ratio_per(o, HR_DELTA)[0] if isinstance(o, CoxFit) else o
+                    for o in _cox_fit_rows(layout, realized)]
 
 
 def _cpu_count() -> int:
@@ -444,18 +439,19 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
                 for first, stop in share]
 
     results = _map_shares(fit, chunks)
-    hazard_ratios = [ratio for _, ratios, _ in results for ratio in ratios]
+    outcomes = [outcome for _, chunk_outcomes in results for outcome in chunk_outcomes]
+    hazard_ratios = [o for o in outcomes if not isinstance(o, Exception)]
     if not hazard_ratios:
-        failures = dict(pair for _, _, names in results for pair in names.items())
-        if failures.keys() == {"DegenerateDataError"}:
+        if all(type(o) is DegenerateDataError for o in outcomes):
             # Too few events, or values without spread: a data error, as in cox.
-            raise DegenerateDataError(failures["DegenerateDataError"])
+            raise DegenerateDataError(str(outcomes[0]))
+        failures = sorted({type(o).__name__ for o in outcomes})
         raise PropagationError(f"all {config.replicates} replicates failed the Cox fit "
-                               f"({', '.join(sorted(failures))})")
+                               f"({', '.join(failures)})")
     # Each stratum's chunk parts, in replicate order.  The chunk results are
     # let go before any stratum is read, so that each reading releases the
     # parts it joins.
-    strata = {label: [parts[label] for parts, _, _ in results] for label in STRATA}
+    strata = {label: [parts[label] for parts, _ in results] for label in STRATA}
     del results
     horizon_rank = np.searchsorted(times, config.horizon, side="right") - 1
     read = {label: _read_curves(parts, times, horizon_rank)

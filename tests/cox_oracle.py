@@ -62,9 +62,11 @@ class CoxLayout:
         np.multiply(terms[0], x, out=terms[1])
         np.multiply(terms[1], x, out=terms[2])
         # w, w*x and w*x^2: each group's sum, then one suffix-sum pass over
-        # the groups.
+        # the groups.  The sums are made contiguous: numpy takes the log of a
+        # strided array by another routine than of a contiguous one, and the
+        # two can differ in the last place.
         groups = np.add.reduceat(terms, self.event_first, axis=1)
-        s0, s1, s2 = np.cumsum(groups[:, ::-1], axis=1)[:, ::-1]
+        s0, s1, s2 = np.ascontiguousarray(np.cumsum(groups[:, ::-1], axis=1)[:, ::-1])
 
         with np.errstate(divide="ignore", invalid="ignore"):
             log_s0 = np.log(s0)

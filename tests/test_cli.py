@@ -494,6 +494,32 @@ class TestForkedPropagate:
             assert ((tmp_path / "forked" / name).read_bytes()
                     == (tmp_path / "single" / name).read_bytes())
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    @pytest.mark.parametrize("n,replicates", [(300, 500), (3000, 600)])
+    def test_report_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, n, replicates):
+        """report on every CPU this process may use, and pinned to one, which
+        forks no child.  At n=300 a chunk holds 218 replicates, so 500 make
+        three chunks to split between processes; at n=3000 and 600
+        replicates a stratum's band is read in about 4 blocks of columns,
+        each after the first starting every curve from the step it carries
+        in from the blocks before."""
+        assert main(["simulate", "--n", str(n), "--seed", "11", "--output", str(tmp_path)]) == 0
+        one_cpu = {min(os.sched_getaffinity(0))}
+        for output, preexec_fn in (("all", None),
+                                   ("one", lambda: os.sched_setaffinity(0, one_cpu))):
+            subprocess.run(
+                [sys.executable, "-m", "lvef_fusion.cli", "report",
+                 "--input", str(tmp_path / "cohort.csv"), "--replicates", str(replicates),
+                 "--seed", "3", "--output", str(tmp_path / output)],
+                env=_src_env(), capture_output=True, check=True, timeout=120,
+                preexec_fn=preexec_fn)
+        reports = [[line for line in (tmp_path / output / "report.json").read_bytes().splitlines()
+                    if b'"generated_at"' not in line] for output in ("all", "one")]
+        assert reports[0] == reports[1]
+        for source in ("visual", "simpson", "assimilated"):
+            name = f"km_bands_{source}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
 
 class TestSimulate:
     def test_stdout_includes_truth_column(self, capsys):
@@ -635,5 +661,6 @@ class TestPipeline:
         assert proc.stdout.readline().startswith(b"patient_id,")
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == b""

@@ -391,6 +391,18 @@ class TestParseMatchesOracle:
         assert (_parse_outcome(parse_cohort_csv, io.StringIO(text))
                 == _parse_outcome(cohort_oracle.parse_cohort_csv, io.StringIO(text)))
 
+    def test_quote_all_file_reads_as_the_plain_one(self):
+        """A QUOTE_ALL copy of a 40 000-row cohort, every cell quoted, is
+        split by csv.reader a block at a time into the plain file's cohort."""
+        handle = io.StringIO()
+        write_cohort_csv(simulate(SimConfig(n_patients=40_000, seed=11)), handle)
+        plain = handle.getvalue()
+        quoted = io.StringIO()
+        csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows(csv.reader(io.StringIO(plain)))
+        assert quoted.getvalue().startswith('"patient_id","visual_lvef",')
+        assert (_parse_outcome(parse_cohort_csv, io.StringIO(quoted.getvalue()))
+                == _parse_outcome(parse_cohort_csv, io.StringIO(plain)))
+
     @settings(max_examples=100, deadline=None)
     @given(text=_cohort_files())
     def test_stdin_through_the_cli(self, text):

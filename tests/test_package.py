@@ -17,7 +17,8 @@ from lvef_fusion import (
     survival,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 EXPORTED = {
     "__version__",
@@ -93,3 +94,11 @@ def test_cli_import_loads_no_extra_modules():
     multiprocessing_loaded, modules = json.loads(out)
     assert not multiprocessing_loaded
     assert modules == CLI_MODULES
+
+
+def test_console_script_runs_the_cli_main():
+    # The one thing true only once installed; CI runs the script as a smoke
+    # test, and the rest of the suite calls cli.main in process.
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'lvef-fusion = "lvef_fusion.cli:main"'

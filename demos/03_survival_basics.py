@@ -14,26 +14,22 @@ from lvef_fusion import (
     SimConfig,
     cox_fit_from_arrays,
     hazard_ratio_per,
-    km_event_rate_at,
-    km_from_arrays,
     km_survival_at,
     simulate,
-    stratify,
+    stratum_km,
 )
 
 # One synthetic cohort, fully determined by the seed.
 cohort = simulate(SimConfig(n_patients=1366, seed=5))
 simpson, time_days, event = cohort.simpson, cohort.time, cohort.event
 
-# Kaplan-Meier per LVEF stratum: low (< 35), mid ([35, 50]), high (> 50).
-labels = stratify(simpson)
+# Kaplan-Meier per LVEF stratum: low (< 35), mid ([35, 50]), high (> 50),
+# each with its event rate by one year.
+strata = stratum_km(simpson, time_days, event, band_edges=(35.0, 50.0), horizon=365.0)
 print("one-year event rate by Simpson's LVEF stratum:")
-for label in ("low", "mid", "high"):
-    mask = labels == label
-    curve = km_from_arrays(time_days[mask], event[mask])
-    rate = km_event_rate_at(curve, 365.0)
+for label, (n, curve, rate) in strata.items():
     half_year = 1.0 - km_survival_at(curve, 182.5)
-    print(f"  {label:<5} n={int(mask.sum()):4d}  "
+    print(f"  {label:<5} n={n:4d}  "
           f"6-month {half_year:.3f}  1-year {rate:.3f}")
 
 # The proportional-hazards fit uses the measurement as a continuous covariate.

@@ -20,8 +20,7 @@ from .calibration import CalibrationConfig
 from .cohort import parse_cohort_csv, write_cohort_csv, write_fused_csv
 from .errors import LvefFusionError, LvefFusionWarning
 from .fusion import MODES, InstrumentSigma, fused_estimates, fused_sigma
-from .propagation import (SOURCES, PropagationConfig, _check_band_edges, source_values,
-                          stratum_km)
+from .propagation import SOURCES, PropagationConfig, source_values, stratum_km
 from .report import (
     TOOL_NAME,
     TOOL_VERSION,
@@ -38,7 +37,7 @@ from .report import (
     write_report_json,
 )
 from .simulate import LITERATURE_SIMPSON_SD, LITERATURE_VISUAL_SD, SimConfig, simulate
-from .survival import _check_horizon, cox_fit_from_arrays
+from .survival import cox_fit_from_arrays
 
 __all__ = ["build_parser", "main"]
 
@@ -233,15 +232,15 @@ def cmd_calibrate_error(args) -> int:
 
 
 def cmd_km(args) -> int:
-    sigmas = _sigmas(args)
-    _check_horizon(args.horizon)
-    _check_band_edges(args.bands)
+    # The config checks the horizon and band edges before the cohort is read.
+    run = PropagationConfig(args.source, _sigmas(args), horizon=args.horizon,
+                            band_edges=args.bands)
     cohort, _ = _read_cohort(args.input)
-    values = source_values(cohort, args.source, sigmas)[0]
+    values = source_values(cohort, run.source, run.sigmas)[0]
 
     strata = {}
     for label, stratum in stratum_km(values, cohort.time, cohort.event,
-                                     args.bands, args.horizon).items():
+                                     run.band_edges, run.horizon).items():
         if stratum is None:
             strata[label] = {"present": False, "n": 0}
             continue
@@ -255,10 +254,10 @@ def cmd_km(args) -> int:
         }
 
     config = {
-        "source": args.source,
-        **sigma_echo(sigmas),
-        "horizon_days": args.horizon,
-        "band_edges": list(args.bands),
+        "source": run.source,
+        **sigma_echo(run.sigmas),
+        "horizon_days": run.horizon,
+        "band_edges": list(run.band_edges),
     }
     payload = {
         "metadata": artifact_metadata(config),

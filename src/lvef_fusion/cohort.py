@@ -175,8 +175,8 @@ def _check_rows(ids, visual, simpson, time, event) -> None:
 
 @contextmanager
 def _reading(source):
-    """A text handle on a path, bytes, or a text or byte stream, for one with
-    block, owned as the module docstring says.
+    """A text handle on a path or a text or byte stream, for one with block,
+    owned as the module docstring says.
 
     Bytes decode as utf-8-sig, so a leading byte-order mark (as spreadsheet
     exports write) is dropped instead of becoming part of the first column name.
@@ -184,8 +184,6 @@ def _reading(source):
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             yield handle
-    elif isinstance(source, (bytes, bytearray)):
-        yield io.StringIO(source.decode("utf-8-sig"))
     elif not hasattr(source, "read"):
         raise InvalidParameterError(f"cannot read cohort from {type(source).__name__}")
     elif isinstance(source.read(0), bytes):

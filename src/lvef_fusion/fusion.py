@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 MODES = ("paper-sd", "variance")
+# The reportable LVEF range, inside the [0, 100] domain _check_lvef accepts:
+# simulated readings and every propagation replicate draw are clipped into it.
+LVEF_RANGE = (1.0, 99.0)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ one config per source; ``propagate`` runs exactly one source and rejects
 "all" (``source_values``).
 
 The stratum rule (low below the lower band edge, mid in the closed band,
-high above it) is written once, in ``_strata_masks``: ``stratify`` (string
-labels) and ``stratum_km`` (one Kaplan-Meier curve per stratum) are views of
-its masks, and ``propagate`` applies it to a whole chunk of replicates.
+high above it) is written once, in ``_strata_masks``: ``stratum_km`` fits one
+Kaplan-Meier curve per stratum of its masks, and ``propagate`` applies it to
+a whole chunk of replicates.
 
 ``propagate`` ranks the time-sorted follow-up once (the fits compare times
 only for order and ties) and runs the replicates in chunks of about
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InvalidParameterError, PropagationError
-from .fusion import InstrumentSigma, fused_estimates, fused_sigma
+from .fusion import LVEF_RANGE, InstrumentSigma, fused_estimates, fused_sigma
 from .stochastics import SampleSummary, _integer, _restart_stream, make_stream, summarize
 from .survival import (
     CoxFit,
@@ -72,22 +72,18 @@ from .survival import (
     km_from_arrays,
     km_segmented,
 )
-# Not called here: perfbench/tracing.py still wraps this name.
-from .survival import cox_fit_from_arrays  # noqa: F401
 
 __all__ = [
     "PropagationConfig",
     "KmBand",
     "PropagationSummary",
-    "stratify",
+    "stratum_km",
     "propagate",
 ]
 
 SOURCES = ("visual", "simpson", "assimilated")
 STRATA = ("low", "mid", "high")
 HR_DELTA = 5.0
-# Every replicate draw is clipped into this LVEF range.
-CLAMP_RANGE = (1.0, 99.0)
 # Replicates are drawn and fitted in chunks whose (replicate, patient) matrix
 # holds about CHUNK_ELEMENTS values, which bounds memory at any cohort size.
 CHUNK_ELEMENTS = 2**16
@@ -170,30 +166,22 @@ class PropagationSummary:
 def _strata_masks(values, band_edges) -> dict:
     """{stratum: membership mask} over STRATA: low below the lower edge, mid
     in the closed band, high above it (or NaN).  The one statement of the
-    stratum rule; stratify, stratum_km and propagate all read it."""
+    stratum rule; stratum_km and propagate both read it."""
     lo, hi = band_edges
     low = values < lo
     mid = ~low & (values <= hi)
     return {"low": low, "mid": mid, "high": ~(low | mid)}
 
 
-def stratify(lvef_values, band_edges=PropagationConfig.band_edges) -> np.ndarray:
-    """Label each value low, mid or high by _strata_masks."""
-    masks = _strata_masks(np.asarray(lvef_values, dtype=float), band_edges)
-    labels = np.full(masks["high"].shape, "high")
-    labels[masks["low"]] = "low"
-    labels[masks["mid"]] = "mid"
-    return labels
-
-
 def stratum_km(values, time, event, band_edges, horizon) -> dict:
     """Stratify by values, then fit each stratum's Kaplan-Meier curve.
 
     Returns {stratum: (patients, KmCurve, event rate by horizon)} over STRATA,
-    with None for a stratum no value falls in.  The follow-up is checked as
-    km_from_arrays checks it, so no records at all is an error, not three
-    empty strata.
+    with None for a stratum no value falls in.  The band edges are checked
+    as PropagationConfig checks them, and the follow-up as km_from_arrays
+    checks it, so no records at all is an error, not three empty strata.
     """
+    _check_band_edges(band_edges)
     time, event = _checked(time, event)
     out = {}
     for label, mask in _strata_masks(np.asarray(values, dtype=float), band_edges).items():
@@ -341,7 +329,8 @@ def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
         row *= spread
         row += centers
         row[:] = row[order]
-    np.clip(realized, *CLAMP_RANGE, out=realized)
+    # Every draw is clipped into the reportable LVEF range.
+    np.clip(realized, *LVEF_RANGE, out=realized)
     strata = {label: _fit_stratum(mask, *follow_up)
               for label, mask in _strata_masks(realized, config.band_edges).items()}
     return strata, [hazard_ratio_per(o, HR_DELTA)[0] if isinstance(o, CoxFit) else o

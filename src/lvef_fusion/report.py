@@ -34,6 +34,7 @@ from .calibration import CalibrationConfig, paired_calibration
 from .cohort import _csv_lines, _fmt_column, _writing
 from .errors import InvalidStateError
 from .fusion import (
+    LVEF_RANGE,
     InstrumentSigma,
     fused_estimates,
     fused_sigma,
@@ -41,20 +42,13 @@ from .fusion import (
     relative_reduction,
     total_variation,
 )
-from .propagation import (
-    CLAMP_RANGE,
-    HR_DELTA,
-    PropagationConfig,
-    PropagationSummary,
-    propagate,
-)
+from .propagation import HR_DELTA, PropagationConfig, PropagationSummary, propagate
 from .stochastics import (SIMPSON_STREAM_INDEX, VISUAL_STREAM_INDEX, SampleSummary,
                           make_stream, summarize)
 from .survival import CoxFit, hazard_ratio_per
 
 __all__ = [
     "run_report",
-    "render_report_json",
     "write_report_json",
     "write_km_band_csv",
 ]
@@ -192,7 +186,7 @@ def config_echo(config: PropagationConfig,
         "horizon_days": float(config.horizon),
         "band_edges": [float(v) for v in config.band_edges],
         "sources": list(config.sources),
-        "clamp_range": [float(v) for v in CLAMP_RANGE],
+        "clamp_range": [float(v) for v in LVEF_RANGE],
     }
     if calibration is not None:
         echo["calibration"] = calibration_echo(calibration)
@@ -297,13 +291,10 @@ def run_report(cohort, config: PropagationConfig, calibration=CalibrationConfig(
     return report, summaries
 
 
-def render_report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
 def write_report_json(report: dict, destination) -> None:
+    """The report as sorted, two-space-indented JSON ending in a newline."""
     with _writing(destination) as handle:
-        handle.write(render_report_json(report))
+        handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _check_nesting(source, label, band) -> None:

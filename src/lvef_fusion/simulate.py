@@ -17,14 +17,13 @@ import numpy as np
 
 from .cohort import Cohort
 from .errors import InvalidParameterError
+from .fusion import LVEF_RANGE
 from .stochastics import SIM_STREAM_INDEX, _integer, make_stream
 
 __all__ = [
     "SimConfig",
     "simulate",
 ]
-
-LVEF_RANGE = (1.0, 99.0)
 
 # Generative noise defaults: the published per-instrument error sds.
 LITERATURE_VISUAL_SD = 18.1

@@ -192,7 +192,10 @@ def _group_starts(sorted_time: np.ndarray, segment=None) -> np.ndarray:
 
 
 def km_survival_at(curve: KmCurve, horizon):
-    """S(horizon) with right-continuous step evaluation; scalar or array."""
+    """S(horizon) with right-continuous step evaluation; scalar or array.
+    A NaN time is refused: it has no place among the step times."""
+    if np.isnan(horizon).any():
+        raise InvalidParameterError("cannot evaluate S at a NaN time")
     idx = np.searchsorted(curve.times, horizon, side="right")
     padded = np.concatenate(([1.0], curve.survival))
     result = padded[idx]
@@ -448,8 +451,8 @@ def hazard_ratio_per(fit: CoxFit, delta: float):
     """
     if not fit.converged:
         raise InvalidStateError("hazard_ratio_per requires a converged fit")
-    if delta == 0:
-        raise InvalidParameterError("delta must be non-zero")
+    if not (math.isfinite(delta) and delta != 0):
+        raise InvalidParameterError(f"delta must be finite and non-zero, got {delta!r}")
     center = -delta * fit.beta
     half_width = 1.96 * abs(delta) * fit.standard_error
     return (_safe_exp(center), _safe_exp(center - half_width), _safe_exp(center + half_width))

@@ -21,8 +21,8 @@ from lvef_fusion.errors import (
     PropagationError,
     SeparationError,
 )
+from lvef_fusion.fusion import LVEF_RANGE
 from lvef_fusion.propagation import (
-    CLAMP_RANGE,
     HR_DELTA,
     STRATA,
     KmBand,
@@ -49,7 +49,7 @@ def realize(cohort, config, r: int) -> np.ndarray:
     """Replicate r's clamped LVEF draw, in patient order."""
     centers, spread = source_values(cohort, config.source, config.sigmas)
     draws = make_stream(config.seed, r).normal(loc=centers, scale=spread)
-    return np.clip(draws, *CLAMP_RANGE)
+    return np.clip(draws, *LVEF_RANGE)
 
 
 def run_replicate(cohort, config, r: int) -> Replicate:

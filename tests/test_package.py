@@ -1,5 +1,8 @@
-"""The package surface: the exported names and what importing the CLI loads."""
+"""The package surface: the exported names, the names each module imports,
+and what importing the CLI loads."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -36,11 +39,9 @@ EXPORTED = {
     "FusedEstimate", "InstrumentSigma", "fuse", "fused_estimates", "fused_sigma",
     "precision_ratio", "relative_reduction", "total_variation",
     # propagation
-    "KmBand", "PropagationConfig", "PropagationSummary", "propagate",
-    "stratify",
+    "KmBand", "PropagationConfig", "PropagationSummary", "propagate", "stratum_km",
     # report
-    "render_report_json", "run_report", "write_km_band_csv",
-    "write_report_json",
+    "run_report", "write_km_band_csv", "write_report_json",
     # simulate
     "SimConfig", "simulate",
     # stochastics
@@ -79,6 +80,42 @@ def test_module_lists_are_the_package_api():
         for name in module.__all__:
             assert name in lvef_fusion.__all__, f"{module.__name__}.{name}"
             assert getattr(lvef_fusion, name) is getattr(module, name)
+
+
+def _imported_names(tree) -> dict:
+    """{bound name: imported name} of a module's imports, __future__ aside."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(((a.asname or a.name).split(".")[0], a.name) for a in node.names)
+    return names
+
+
+def _module_tree(name):
+    return ast.parse((SRC / "lvef_fusion" / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def test_every_import_is_used_or_exported():
+    # An import kept only so that something outside the program can reach
+    # it through the module is surface that no code of the program runs.
+    unused = []
+    for path in sorted((SRC / "lvef_fusion").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = _module_tree(path.stem)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(importlib.import_module(f"lvef_fusion.{path.stem}").__all__)
+        unused += [f"{path.stem}.{bound}" for bound in _imported_names(tree)
+                   if bound not in used]
+    assert unused == []
+
+
+def test_cli_imports_no_private_name():
+    # The front end reaches the library through its public names only.
+    imported = _imported_names(_module_tree("cli")).values()
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def test_version_is_the_tool_version():

@@ -28,8 +28,9 @@ from lvef_fusion.propagation import (
     SOURCES,
     STRATA,
     PropagationConfig,
+    _strata_masks,
     propagate,
-    stratify,
+    stratum_km,
 )
 from lvef_fusion.simulate import SimConfig, simulate
 from lvef_fusion.stochastics import make_stream, summarize
@@ -100,14 +101,28 @@ class TestFusedEstimates:
         assert fused_sigma(InstrumentSigma(1e-8, 8.8)) < 1e-5
 
 
+def _labels(values, band_edges=PropagationConfig.band_edges) -> list:
+    """Each value's stratum under _strata_masks, whose masks must partition them."""
+    masks = _strata_masks(np.asarray(values, dtype=float), band_edges)
+    assert list(masks) == list(STRATA)
+    assert np.array_equal(sum(m.astype(int) for m in masks.values()), np.ones(len(values)))
+    return [next(label for label, mask in masks.items() if mask[i])
+            for i in range(len(values))]
+
+
 class TestStratify:
     def test_closed_middle_band(self):
-        labels = stratify([34.999, 35.0, 42.0, 50.0, 50.001])
-        assert list(labels) == ["low", "mid", "mid", "mid", "high"]
+        labels = _labels([34.999, 35.0, 42.0, 50.0, 50.001])
+        assert labels == ["low", "mid", "mid", "mid", "high"]
 
     def test_custom_edges(self):
-        labels = stratify([30.0, 40.0, 60.0], band_edges=(40.0, 55.0))
-        assert list(labels) == ["low", "mid", "high"]
+        labels = _labels([30.0, 40.0, 60.0], band_edges=(40.0, 55.0))
+        assert labels == ["low", "mid", "high"]
+
+    def test_stratum_km_refuses_reversed_edges(self):
+        # Reversed edges would leave mid empty and put 40 in low.
+        with pytest.raises(InvalidParameterError, match="band_edges"):
+            stratum_km([30.0, 40.0, 60.0], [1.0, 2.0, 3.0], [1, 1, 1], (50.0, 35.0), 365.0)
 
 
 def _assert_identical(a, b, path="summary"):
@@ -605,10 +620,8 @@ class TestBands:
         exact_hr, _, _ = hazard_ratio_per(fit, 5.0)
         assert summary.hazard_ratio.mean == exact_hr
 
-        labels = stratify(values)
-        for label in STRATA:
+        for label, mask in _strata_masks(values, config.band_edges).items():
             band = summary.km_bands[label]
-            mask = labels == label
             if not mask.any():
                 assert band is None
                 continue

@@ -39,7 +39,6 @@ from lvef_fusion.report import (
     config_hash,
     cox_fit_to_dict,
     propagation_to_dict,
-    render_report_json,
     run_report,
     summary_to_dict,
     write_km_band_csv,
@@ -64,6 +63,13 @@ def _config(**overrides):
 def _rows(rows):
     """A Cohort from (patient_id, visual, simpson, time, event) rows."""
     return Cohort(*zip(*rows))
+
+
+def render_report_json(report: dict) -> str:
+    """The text write_report_json writes for report."""
+    buffer = io.StringIO()
+    write_report_json(report, buffer)
+    return buffer.getvalue()
 
 
 def _quiet_report(cohort, config, calibration=FAST_CALIBRATION, **kwargs):

@@ -5,7 +5,8 @@ import pytest
 
 from lvef_fusion.errors import InvalidParameterError
 from lvef_fusion.fusion import InstrumentSigma, fused_estimates
-from lvef_fusion.simulate import LVEF_RANGE, SimConfig, simulate
+from lvef_fusion.fusion import LVEF_RANGE
+from lvef_fusion.simulate import SimConfig, simulate
 from lvef_fusion.stochastics import SIM_STREAM_INDEX, make_stream
 from sim_helpers import concordant_config, rmse_vs_truth
 

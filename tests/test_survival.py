@@ -222,6 +222,15 @@ class TestKaplanMeier:
         assert km_survival_at(curve, 2.0) == pytest.approx(1.0 / 3.0)
         assert km_survival_at(curve, 99.0) == pytest.approx(1.0 / 3.0)
 
+    def test_nan_time_is_rejected(self):
+        # searchsorted would place NaN after every time and read the last S.
+        curve = _km_of([(1.0, 1), (2.0, 1), (3.0, 0)])
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            km_survival_at(curve, math.nan)
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            km_survival_at(curve, np.array([0.5, math.nan]))
+        assert km_survival_at(curve, 0.0) == km_survival_at(curve, -1.0) == 1.0
+
     def test_array_evaluation_matches_scalars(self):
         curve = _km_of([(1.0, 1), (2.0, 1)])
         grid = np.array([0.5, 1.0, 1.7, 2.4])
@@ -701,6 +710,11 @@ class TestHazardRatio:
     def test_zero_delta_is_rejected(self):
         with pytest.raises(InvalidParameterError):
             hazard_ratio_per(self._fit(), 0.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_is_rejected(self, delta):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            hazard_ratio_per(self._fit(), delta)
 
 
 def _km(time, event, x):

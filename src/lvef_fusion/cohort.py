@@ -23,16 +23,16 @@ direction).
 
 I/O is column-wise.  The parser reads the body in blocks of whole lines.  A
 plain block (no quote, NUL or bare carriage return, one comma fewer per line
-than the header has names) is split once at its commas; a block holding a
-quote is split by ``csv.reader`` and kept when each line is one record of as
-many fields as the header, none holding a line break.  Either is converted a
-column at a time with ``float()``.  From the first block that splits neither
-way, or whose numbers or events do not convert, the rest of the file goes
-through ``csv.reader`` row by row, so errors, row indexes and warnings are
-the row parser's; a record csv cannot read is an error of its row.  The
-writers spell a chunk of rows at a time, each number column in one pass of
-numpy digit arithmetic (``_fmt_column``, exactly ``"%.4f" % x``), and join
-the columns into lines (``_csv_lines``) with the bytes ``csv.writer`` gives.
+than the header has names) is split once at its commas and converted a
+column at a time with ``float()``.  From the first block that is not plain,
+or whose numbers or events do not convert, the rest of the file goes through
+``csv.reader`` row by row, so errors, row indexes and warnings are the row
+parser's; a record csv cannot read is an error of its row.  A quoted file,
+including one of the program's own outputs whose ids hold a comma, is read
+row by row from its first quoted block.  The writers spell a chunk of rows at
+a time, each number column in one pass of numpy digit arithmetic
+(``_fmt_column``, exactly ``"%.4f" % x``), and join the columns into lines
+(``_csv_lines``) with the bytes ``csv.writer`` gives.
 """
 
 from __future__ import annotations
@@ -277,16 +277,15 @@ def parse_cohort_csv(source) -> Cohort:
 def _plain_blocks(handle, header: list, id_at: int, numbers_at: list, ids: list,
                   blocks: list):
     """Parse the body column-wise, one block of whole lines at a time, while
-    each block is whole records; return the lines left for the row parser.
+    each block is plain; return the lines left for the row parser.
 
-    A block without a quote is split at its commas when it has no NUL or bare
-    carriage return, every line has exactly len(header) - 1 commas and no line
-    outgrows csv's field limit, as csv.reader would split it; a block with a
-    quote is split by csv.reader itself (_record_cells).  Its numbers must
-    also convert with float() and its events be 0 or 1.  Each block read
-    appends its ids to ids and its (4, rows) numbers to blocks.  The lines
-    returned start at the first block not read; every line before it is one
-    whole record, so that block starts a record.
+    A block is plain, and split at its commas as csv.reader would split it,
+    when it has no quote, NUL or bare carriage return, every line has exactly
+    len(header) - 1 commas and no line outgrows csv's field limit.  Its
+    numbers must also convert with float() and its events be 0 or 1.  Each
+    block read appends its ids to ids and its (4, rows) numbers to blocks.
+    The lines returned start at the first block not read; every line before
+    it is one whole record, so that block starts a record.
     """
     ncols, limit = len(header), csv.field_size_limit()
     count = max(1, BLOCK_CHARS // len(",".join(header)))
@@ -301,18 +300,13 @@ def _plain_blocks(handle, header: list, id_at: int, numbers_at: list, ids: list,
         if not lines:
             return lines
         text = ",".join(lines)
-        if '"' in text:
-            cells = _record_cells(lines, ncols)
-        elif ("\0" in text or text.count("\r") != text.count("\r\n")
-              or set(map(str.count, lines, repeat(","))) != {ncols - 1}
-              or max(map(len, lines)) > limit):
-            cells = None
-        else:
-            # The last cell of each line keeps its line break, which float()
-            # and str.strip() ignore.
-            cells = text.split(",")
-        if cells is None:
+        if ('"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
+                or set(map(str.count, lines, repeat(","))) != {ncols - 1}
+                or max(map(len, lines)) > limit):
             return chain(lines, handle)
+        # The last cell of each line keeps its line break, which float() and
+        # str.strip() ignore.
+        cells = text.split(",")
         try:
             block = np.array([np.fromiter(map(float, cells[j::ncols]), float, len(lines))
                               for j in numbers_at])
@@ -323,22 +317,6 @@ def _plain_blocks(handle, header: list, id_at: int, numbers_at: list, ids: list,
         ids.extend(map(str.strip, cells[id_at::ncols]))
         blocks.append(block)
         count = max(1, BLOCK_CHARS * len(lines) // len(text))
-
-
-def _record_cells(lines: list, ncols: int):
-    """The cells of lines as csv.reader splits them, record after record, or
-    None unless each line is one record of ncols cells without a line break
-    (a block may end inside a quoted field that the next block closes)."""
-    try:
-        records = list(csv.reader(lines))
-    except csv.Error:
-        return None
-    # One record per line: only a block cut inside a quoted last field leaves a
-    # line break, in the last cell; a quote opened earlier fails the count.
-    if (len(records) != len(lines) or set(map(len, records)) != {ncols}
-            or "\r" in records[-1][-1] or "\n" in records[-1][-1]):
-        return None
-    return list(chain.from_iterable(records))
 
 
 def _raising(error: Exception):
@@ -460,26 +438,24 @@ def _repeated(text: str, rows: int) -> np.ndarray:
     return np.broadcast_to(data, (rows, data.size))
 
 
-def _csv_lines(head, fields: list, tail: str) -> str:
+def _csv_lines(heads: list, fields: list, tail: str) -> str:
     """CSV text, one line per row of the fields: the line's head, a comma and
     each field in turn, then tail.
 
-    Each field is a uint8 matrix of its rows' bytes padded with _FILL.  head
-    is one str that every line starts with, or each line's own str.  Those
-    are joined in as text: a matrix as wide as the longest would take rows
-    times its length, whatever the others'.
+    Each field is a uint8 matrix of its rows' bytes padded with _FILL; heads
+    holds each line's own str.  The heads are joined in as text: a matrix as
+    wide as the longest would take rows times its length, whatever the
+    others'.
     """
-    rows = len(fields[0])
-    parts = [_repeated(head, rows)] if isinstance(head, str) else []
+    rows = len(heads)
+    parts = []
     for field in fields:
         parts += [_repeated(",", rows), field]
     matrix = np.concatenate(parts + [_repeated(tail, rows)], axis=1)
     text = matrix.tobytes().translate(None, bytes([_FILL])).decode()
-    if isinstance(head, str):
-        return text
     # The fields' bytes hold no line break, so each line ends at its tail.
     pieces = [""] * (2 * rows)
-    pieces[0::2] = head
+    pieces[0::2] = heads
     pieces[1::2] = text.splitlines(keepends=True)
     return "".join(pieces)
 

@@ -58,8 +58,9 @@ TOOL_NAME = "lvef-fusion"
 # (pyproject.toml) both read it from here.
 TOOL_VERSION = "0.1.0"
 
-# Slack for re-checking band nesting at write time; replicate means can sit
-# a few ulps outside the percentile envelope when all replicates agree.
+# Slack for re-checking band nesting at write time.  propagate widens its
+# bands to take in the mean, but a PropagationSummary built by hand can carry
+# a mean a few ulps outside its envelope.
 _NESTING_SLACK = 1e-9
 # Band rows per write.  A block's arrays and text live until it is written,
 # and after propagation they can set a report's peak RSS: the benchmark's
@@ -335,6 +336,7 @@ def write_km_band_csv(summaries, destination) -> None:
                 for first in range(0, band.times.size, WRITE_ROWS):
                     fields = [_fmt_column(column[first:first + WRITE_ROWS])
                               for column in columns]
-                    handle.write(_csv_lines(f"{source},{label}", fields, "\r\n"))
+                    heads = [f"{source},{label}"] * len(fields[0])
+                    handle.write(_csv_lines(heads, fields, "\r\n"))
     except OSError as exc:
         raise OSError(f"cannot write KM band CSV to {destination}: {exc}") from exc

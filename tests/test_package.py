@@ -118,6 +118,24 @@ def test_cli_imports_no_private_name():
     assert [name for name in imported if name.startswith("_")] == []
 
 
+def test_src_imports_only_the_stdlib_and_numpy():
+    # numpy is the one runtime dependency; scipy and the rest of the test
+    # extra must not reach the program (ROADMAP item 15).
+    assert '\ndependencies = ["numpy>=1.24"]\n' in (ROOT / "pyproject.toml").read_text()
+    allowed = sys.stdlib_module_names | {"numpy"}
+    foreign = []
+    for path in sorted((SRC / "lvef_fusion").glob("*.py")):
+        for node in ast.walk(_module_tree(path.stem)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.stem}: {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert foreign == []
+
+
 def test_version_is_the_tool_version():
     assert lvef_fusion.__version__ == report.TOOL_VERSION
 

@@ -24,7 +24,7 @@ from .propagation import SOURCES, PropagationConfig, source_values, stratum_km
 from .report import (
     TOOL_NAME,
     TOOL_VERSION,
-    artifact_metadata,
+    artifact,
     calibration_echo,
     calibration_section,
     config_echo,
@@ -32,7 +32,6 @@ from .report import (
     propagate_sources,
     propagation_to_dict,
     run_report,
-    sigma_echo,
     write_km_band_csv,
     write_report_json,
 )
@@ -220,13 +219,8 @@ def cmd_fuse(args) -> int:
 def cmd_calibrate_error(args) -> int:
     sigmas = _sigmas(args)
     calibration = CalibrationConfig()
-    config = {**sigma_echo(sigmas), "seed": args.seed, **calibration_echo(calibration)}
-    payload = {
-        "metadata": artifact_metadata(config, args.seed),
-        "config": config,
-        **calibration_section(sigmas, args.seed, calibration),
-        "warnings": [],
-    }
+    payload = artifact(sigmas, {"seed": args.seed, **calibration_echo(calibration)},
+                       **calibration_section(sigmas, args.seed, calibration), warnings=[])
     write_report_json(payload, _destination(args.output, "calibration.json"))
     return 0
 
@@ -253,19 +247,10 @@ def cmd_km(args) -> int:
                       for name in ("times", "survival", "at_risk", "events")},
         }
 
-    config = {
-        "source": run.source,
-        **sigma_echo(run.sigmas),
-        "horizon_days": run.horizon,
-        "band_edges": list(run.band_edges),
-    }
-    payload = {
-        "metadata": artifact_metadata(config),
-        "config": config,
-        "source": args.source,
-        "n_patients": len(cohort),
-        "strata": strata,
-    }
+    settings = {"source": run.source, "horizon_days": run.horizon,
+                "band_edges": list(run.band_edges)}
+    payload = artifact(run.sigmas, settings, source=args.source,
+                       n_patients=len(cohort), strata=strata)
     write_report_json(payload, _destination(args.output, f"km_{args.source}.json"))
     return 0
 
@@ -276,15 +261,9 @@ def cmd_cox(args) -> int:
     values = source_values(cohort, args.source, sigmas)[0]
     fit = cox_fit_from_arrays(cohort.time, cohort.event, values)
 
-    config = {"source": args.source, **sigma_echo(sigmas)}
-    payload = {
-        "metadata": artifact_metadata(config),
-        "config": config,
-        "source": args.source,
-        "n_patients": len(cohort),
-        "n_events": int(cohort.event.sum()),
-        "fit": cox_fit_to_dict(fit),
-    }
+    payload = artifact(sigmas, {"source": args.source}, source=args.source,
+                       n_patients=len(cohort), n_events=int(cohort.event.sum()),
+                       fit=cox_fit_to_dict(fit))
     write_report_json(payload, _destination(args.output, f"cox_{args.source}.json"))
     return 0
 
@@ -303,8 +282,7 @@ def cmd_propagate(args) -> int:
     _echo_warnings(exclusions)
     echo = config_echo(config)
     for source, summary in summaries.items():
-        payload = {"metadata": artifact_metadata(echo, args.seed), "config": echo,
-                   **propagation_to_dict(summary)}
+        payload = artifact(config.sigmas, echo, **propagation_to_dict(summary))
         write_report_json(payload, _destination(args.output, f"propagation_{source}.json"))
         write_km_band_csv(summary, _destination(args.output, f"km_bands_{source}.csv"))
     return 0

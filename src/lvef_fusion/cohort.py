@@ -140,13 +140,12 @@ def _first(mask: np.ndarray) -> int:
 
 
 def _first_repeat(ids: tuple) -> int:
-    """Index of the first id already seen earlier, or len(ids)."""
+    """Index of the first id already seen earlier; ids must repeat one."""
     seen = set()
     for index, patient_id in enumerate(ids):
         if patient_id in seen:
             return index
         seen.add(patient_id)
-    return len(ids)
 
 
 def _check_rows(ids, visual, simpson, time, event) -> None:

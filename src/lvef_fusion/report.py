@@ -11,13 +11,13 @@ gave.
 
 A run is described by one ``PropagationConfig`` (source "all" for every
 source) and, when it calibrates, one ``CalibrationConfig``.  The sections
-other artifacts share are built here once: the metadata block
-(artifact_metadata, which hashes the artifact's config echo), the sigma echo
-(sigma_echo), the run's config echo (config_echo), the calibration section
-(calibration_section) and the per-source propagation (propagate_sources),
-which runs every source of the config before it returns, so that a command
-writes nothing until every result exists.  The CLI commands call these, so
-their artifacts match the report's.
+other artifacts share are built here once: every JSON artifact (artifact,
+which echoes the sigmas and the command's settings as its config and hashes
+that echo into its metadata), the run's settings (config_echo), the
+calibration section (calibration_section) and the per-source propagation
+(propagate_sources), which runs every source of the config before it
+returns, so that a command writes nothing until every result exists.  The
+CLI commands call these, so their artifacts match the report's.
 """
 
 from __future__ import annotations
@@ -152,19 +152,20 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def artifact_metadata(config: dict, seed=None) -> dict:
-    """The metadata block every JSON artifact carries: tool, version,
-    generation time and the hash of the artifact's config echo, plus the
-    seed when there is one."""
-    out = {
+def artifact(sigmas: InstrumentSigma, settings: dict, /, **sections) -> dict:
+    """A JSON artifact: its config echoes the sigmas and `settings`, its
+    metadata holds the tool, version, generation time and the config's hash,
+    plus the config's seed when it echoes one, and the sections follow."""
+    config = {**sigma_echo(sigmas), **settings}
+    metadata = {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "config_hash": config_hash(config),
     }
-    if seed is not None:
-        out["seed"] = int(seed)
-    return out
+    if "seed" in config:
+        metadata["seed"] = config["seed"]
+    return {"metadata": metadata, "config": config, **sections}
 
 
 def sigma_echo(sigmas: InstrumentSigma) -> dict:
@@ -178,10 +179,9 @@ def sigma_echo(sigmas: InstrumentSigma) -> dict:
 
 def config_echo(config: PropagationConfig,
                 calibration: CalibrationConfig | None = None) -> dict:
-    """The run's settings as report and propagate echo them, with the
-    calibration settings when the run calibrates."""
+    """The run's settings as report and propagate echo them beside the
+    sigmas, with the calibration settings when the run calibrates."""
     echo = {
-        **sigma_echo(config.sigmas),
         "seed": int(config.seed),
         "replicates": int(config.replicates),
         "horizon_days": float(config.horizon),
@@ -196,7 +196,7 @@ def config_echo(config: PropagationConfig,
 
 def calibration_echo(calibration: CalibrationConfig) -> dict:
     """Every CalibrationConfig setting, plus the stream indices.  The
-    instrument sigmas the calibration reads are in sigma_echo."""
+    instrument sigmas the calibration reads are in the artifact's sigma echo."""
     echo = {f.name: getattr(calibration, f.name) for f in fields(calibration)}
     echo["visual_stream_index"] = VISUAL_STREAM_INDEX
     echo["simpson_stream_index"] = SIMPSON_STREAM_INDEX
@@ -274,21 +274,19 @@ def run_report(cohort, config: PropagationConfig, calibration=CalibrationConfig(
     summaries, exclusions = propagate_sources(cohort, config)
     report_warnings += [{"category": "ReplicateExclusion", "message": m} for m in exclusions]
 
-    echo = config_echo(config, calibration if positive else None)
-    report = {
-        "metadata": artifact_metadata(echo, config.seed),
-        "config": echo,
-        "units": {
+    report = artifact(
+        sigmas, config_echo(config, calibration if positive else None),
+        units={
             "lvef": "percent",
             "time": "days",
             "event_rate": "cumulative event probability by the horizon",
             "hazard_ratio": f"per {HR_DELTA:g}-point LVEF decrease",
         },
-        "fusion": fusion_section,
-        "error_calibration": calibrated,
-        "propagation": {source: propagation_to_dict(s) for source, s in summaries.items()},
-        "warnings": report_warnings,
-    }
+        fusion=fusion_section,
+        error_calibration=calibrated,
+        propagation={source: propagation_to_dict(s) for source, s in summaries.items()},
+        warnings=report_warnings,
+    )
     return report, summaries
 
 

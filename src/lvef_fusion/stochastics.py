@@ -98,10 +98,9 @@ def summarize(values, probability_levels=SUMMARY_LEVELS) -> SampleSummary:
             mean=value, sd=0.0, quantiles={p: value for p in levels}, n=int(arr.size)
         )
     sd = float(np.std(arr, ddof=1))
-    qs = np.quantile(arr, levels) if levels else np.array([])
     return SampleSummary(
         mean=float(np.mean(arr)),
         sd=sd,
-        quantiles={p: float(q) for p, q in zip(levels, qs)},
+        quantiles={p: float(q) for p, q in zip(levels, np.quantile(arr, levels))},
         n=int(arr.size),
     )

@@ -97,9 +97,11 @@ class TestUsage:
         assert main(["frobnicate"]) == 1
 
     def test_malformed_band_edges(self, cohort_csv, capsys):
-        code = main(["km", "--input", str(cohort_csv), "--bands", "35"])
-        assert code == 1
-        assert "usage error" in capsys.readouterr().err
+        for edges, message in (("35", "expected two comma-separated edges"),
+                               ("a,b", "cannot parse band edges 'a,b'")):
+            code = main(["km", "--input", str(cohort_csv), "--bands", edges])
+            assert code == 1
+            assert f"usage error: argument --bands: {message}" in capsys.readouterr().err
 
     def test_missing_input_file(self, capsys):
         assert main(["fuse", "--input", "/no/such/file.csv"]) == 1
@@ -350,6 +352,14 @@ class TestKm:
             curve = stratum["curve"]
             assert (len(curve["times"]) == len(curve["survival"])
                     == len(curve["at_risk"]) == len(curve["events"]))
+
+    def test_empty_strata_read_absent(self, cohort_csv, capsys):
+        # Every reading lies above 2, so only the high stratum has patients.
+        assert main(["km", "--input", str(cohort_csv), "--source", "visual",
+                     "--bands", "1.5,2"]) == 0
+        strata = json.loads(capsys.readouterr().out)["strata"]
+        assert strata["low"] == strata["mid"] == {"present": False, "n": 0}
+        assert strata["high"]["present"] and strata["high"]["n"] == 200
 
     def test_stdout_defaults_to_assimilated(self, cohort_csv, capsys):
         assert main(["km", "--input", str(cohort_csv)]) == 0
@@ -603,16 +613,27 @@ class TestSharedSections:
         pytest.param(["calibrate-error", "--seed", "5"], "calibration.json", id="calibrate-error"),
         pytest.param(["km", "--source", "simpson"], "km_simpson.json", id="km"),
         pytest.param(["cox", "--source", "simpson"], "cox_simpson.json", id="cox"),
+        pytest.param(["propagate", "--source", "simpson", "--seed", "5", "--replicates", "4"],
+                     "propagation_simpson.json", id="propagate"),
+        pytest.param(["report", "--seed", "5", "--replicates", "4"], "report.json", id="report"),
     ])
     def test_every_json_artifact_hashes_its_config(self, cohort_csv, tmp_path, argv, name):
         if argv[0] != "calibrate-error":
             argv = [*argv, "--input", str(cohort_csv)]
         assert main([*argv, "--output", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / name).read_text())
-        assert payload["metadata"]["config_hash"] == config_hash(payload["config"])
-        if name == "calibration.json":
-            # The seed keys the streams the calibration draws from.
-            assert payload["config"]["seed"] == payload["metadata"]["seed"] == 5
+        metadata, config = payload["metadata"], payload["config"]
+        assert metadata["config_hash"] == config_hash(config)
+        assert {"mode", "sigma_visual", "sigma_simpson"} <= set(config)
+        # The metadata names the seed exactly when the config echoes one.
+        assert ("seed" in metadata) == ("seed" in config)
+        assert metadata.get("seed") == config.get("seed")
+        if "--seed" in argv:
+            # The seed keys the streams the command draws from.
+            assert config["seed"] == metadata["seed"] == 5
+        else:
+            # km and cox draw no random numbers.
+            assert "seed" not in metadata
 
     def test_benchmark_tracer_names_exist(self):
         # perfbench/tracing.py times the layers by wrapping these module-level

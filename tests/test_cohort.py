@@ -204,6 +204,16 @@ class TestArrays:
         assert event.tolist() == [1, 0]
         assert event.dtype == np.int64
 
+    def test_equality_needs_a_cohort_with_the_same_columns(self):
+        rows = (("P1", 50.0, 55.0, 200.0, 1), ("P2", 45.0, 44.0, 365.0, 0))
+        cohort = _cohort(*rows)
+        assert cohort == _cohort(*rows)
+        assert cohort.__eq__(cohort.patient_id) is NotImplemented
+        assert cohort != cohort.patient_id
+        # A copy that differs only by carrying the truth column.
+        assert cohort != _cohort(*rows, true_lvef=[52.0, 44.5])
+        assert _cohort(*rows, true_lvef=[52.0, 44.5]) != cohort
+
 
 # Cells of every kind the parser must treat as the row-by-row oracle does.
 _ODD_NUMBERS = ("55.3", " 5 ", "1_000", "nan", "inf", "-inf", "-0", "1e2", "52", "",

@@ -118,6 +118,24 @@ def test_cli_imports_no_private_name():
     assert [name for name in imported if name.startswith("_")] == []
 
 
+def test_only_report_builds_artifact_metadata():
+    # report.artifact is the one builder of an artifact's metadata block: no
+    # other module writes a "metadata" key, in a dict display or by subscript.
+    builders = []
+    for path in sorted((SRC / "lvef_fusion").glob("*.py")):
+        for node in ast.walk(_module_tree(path.stem)):
+            if isinstance(node, ast.Dict):
+                keys = node.keys
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                keys = [node.slice]
+            else:
+                continue
+            if any(isinstance(k, ast.Constant) and k.value == "metadata" for k in keys):
+                builders.append(f"{path.stem}:{node.lineno}")
+    assert [b for b in builders if not b.startswith("report:")] == []
+    assert builders
+
+
 def test_src_imports_only_the_stdlib_and_numpy():
     # numpy is the one runtime dependency; scipy and the rest of the test
     # extra must not reach the program (ROADMAP item 15).

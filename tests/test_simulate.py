@@ -111,6 +111,7 @@ class TestConfig:
         ("n_patients", 10.0),
         ("seed", 1.5),
         ("seed", -1),
+        ("true_lvef_mean", float("nan")),
     ])
     def test_validation(self, field, value):
         with pytest.raises(InvalidParameterError):

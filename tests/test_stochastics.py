@@ -123,3 +123,4 @@ class TestSummarize:
         assert set(s.quantiles) == {0.1, 0.9}
         assert s.quantiles[0.1] == pytest.approx(10.0)
         assert s.quantiles[0.9] == pytest.approx(90.0)
+        assert summarize([1.0, 2.0], ()).quantiles == {}

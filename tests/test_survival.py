@@ -478,6 +478,9 @@ class TestCoxFit:
         with pytest.raises(InvalidParameterError):
             cox_fit_from_arrays(time, np.array([1, 1, 0]), np.array([1.0, 2.0, 3.0]),
                                 tolerance=0.0)
+        with pytest.raises(InvalidParameterError, match="max_iterations must be >= 1, got 0"):
+            cox_fit_from_arrays(time, np.array([1, 1, 0]), np.array([1.0, 2.0, 3.0]),
+                                max_iterations=0)
 
 
 # Cohorts for the Cox invariance properties: tied integer times, and an

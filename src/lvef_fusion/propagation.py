@@ -24,28 +24,34 @@ Generator per chunk restarted at the replicate's key, are scaled, shifted and
 permuted into time order in its row of the chunk, and the chunk is clipped at
 once; each stratum's (replicate, patient) members come from the flat indexes
 of its membership mask.  One ``km_segmented`` pass per stratum fits every
-replicate's Kaplan-Meier curve of a chunk as per-replicate step counts plus
-the steps' (time rank, S), and one ``_cox_fit_rows`` call fits every
-replicate's Cox model of the chunk as one batch of Newton iterations against
-an event layout that each process builds once per source (a replicate whose
-fit fails fails alone).  ``_read_curves`` reads the joined curves of a stratum
-through the steps' sorted (curve, rank) keys: the event rates by one binary
-search per curve at the horizon's rank, the band on the union of the step
-ranks in blocks of about BAND_ELEMENTS cells.  In a block, two searches per
-curve bound its steps; each row starts from the step the curve carries in from
-before the block, takes the block's step numbers at their columns and is
-filled forward, so the read costs about steps + cells and holds no per-step
-array beyond the keys.  The results are bit for bit those of one replicate at
-a time (``normal(loc, scale)`` draws, ``stratum_km``, ``cox_fit_from_arrays``
-and a per-curve band); the budgets only bound memory.
+replicate's Kaplan-Meier curve of a chunk, and one ``_cox_fit_rows`` call
+fits every replicate's Cox model of the chunk as one batch of Newton
+iterations against an event layout that each process builds once per source
+(a replicate whose fit fails fails alone).
 
-The chunks are split into one contiguous share per CPU the process may run
-on (never more shares than chunks).  This process fits the first share; a
-plain ``os.fork`` child fits each other one, pickles its chunks' results
-into a pipe and leaves through ``os._exit``.  The results are read back in
-replicate order and each stratum's parts are concatenated, so every number
-is the same whatever the CPU count or platform; with one CPU, or where
-processes cannot be forked, no child is started.
+A chunk's curves go straight into its stratum's ``_BandSummary`` and are not
+kept.  The summary's grid has one column per event time of the cohort, which
+holds every step of every curve.  It evaluates the curves on the grid in
+blocks of about BAND_ELEMENTS cells (two searches per curve bound its steps
+in a block; each row starts from the step it carries in and is filled
+forward) and keeps, per column, the k smallest and k largest values, which
+are all that np.quantile reads at the band's levels, a seen mask, and the
+column sums; and one event rate by the horizon per present curve.  The
+mean's sums follow a fixed order: each chunk in replicate order, the chunks
+of a group (_group_bounds) in chunk order, the groups in group order.  The
+results are bit for bit those of one replicate at a time (``normal(loc,
+scale)`` draws, ``stratum_km``, ``cox_fit_from_arrays`` and a per-curve band
+whose mean is summed in the same chunks and groups); the budgets only bound
+memory, which grows with R only by one rate and one hazard ratio per
+replicate and the k values per column.
+
+The groups of chunks are split into one contiguous share per CPU the process
+may run on (never more shares than groups).  This process fits the first
+share; a plain ``os.fork`` child fits each other one, pickles its summaries,
+hazard ratios and failures into a pipe and leaves through ``os._exit``.  The
+parent merges the shares in order, so every number is the same whatever the
+CPU count or platform; with one CPU, or where processes cannot be forked, no
+child is started.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from .survival import (
     _checked,
     _cox_fit_rows,
     _group_starts,
-    hazard_ratio_per,
+    _safe_exp,
     km_event_rate_at,
     km_from_arrays,
     km_segmented,
@@ -87,8 +93,12 @@ HR_DELTA = 5.0
 # Replicates are drawn and fitted in chunks whose (replicate, patient) matrix
 # holds about CHUNK_ELEMENTS values, which bounds memory at any cohort size.
 CHUNK_ELEMENTS = 2**16
-# Band columns are read in blocks of about BAND_ELEMENTS (curve, column) values.
+# Band columns are evaluated and read in blocks of about BAND_ELEMENTS
+# (curve, column) values.
 BAND_ELEMENTS = 2**16
+# Each group of chunks keeps its own band column sums; the groups' sums
+# together hold at most SUM_CELLS values per stratum.
+SUM_CELLS = 2**19
 
 
 @dataclass(frozen=True)
@@ -206,98 +216,219 @@ def source_values(cohort, source: str, sigmas: InstrumentSigma):
     raise InvalidParameterError(f"one source of {SOURCES} is needed, got {source!r}")
 
 
-def _read_curves(parts: list, times: np.ndarray, horizon_rank) -> tuple:
-    """One stratum's event rates by the horizon and its KmBand, read from its
-    replicate curves through one set of sorted step keys.
+def _smallest(kept, new, rows):
+    """The rows smallest values of each column of kept and new stacked,
+    sorted ascending, kept being a previous result.  Once kept holds rows
+    values, only the columns that a new value undercuts change, in kept."""
+    if kept.shape[0] < rows:
+        return np.sort(np.concatenate((kept, new)), axis=0)[:rows]
+    if new.shape[0] > 1:
+        columns = np.flatnonzero((new < kept[-1]).any(axis=0))
+        union = np.concatenate((kept[:, columns], new[:, columns]))
+        kept[:, columns] = np.sort(union, axis=0)[:rows]
+        return kept
+    # One new value v per column goes into sorted s: the smallest rows of
+    # both are min(s[0], v) and min(s[j], max(s[j - 1], v)) for j >= 1,
+    # which leaves a column that v does not undercut as it was.  Where few
+    # columns are undercut, only they are gathered.
+    value = new[0]
+    undercut = value < kept[-1]
+    if 4 * np.count_nonzero(undercut) >= undercut.size:
+        _insert(kept, value)
+    else:
+        columns = np.flatnonzero(undercut)
+        part = kept[:, columns]
+        _insert(part, value[columns])
+        kept[:, columns] = part
+    return kept
 
-    parts holds the chunks' (present, steps, ranks, survival) parts
-    (_fit_stratum) in replicate order, a rank indexing times, and is emptied
-    so that each part is released once it is joined; horizon_rank is the
-    rank of the last time at or before the horizon, -1 before them all.
-    Returns (the present replicates' event rates as a SampleSummary, their
-    pointwise percentile envelope on the union of their step times), or
-    (None, None) when no replicate has a patient in the stratum.
+
+def _insert(kept, value) -> None:
+    """Put value into each column of kept, sorted ascending, in place of its
+    largest entry where value is smaller, keeping the columns sorted."""
+    shifted = np.maximum(kept[:-1], value)
+    np.minimum(kept[1:], shifted, out=kept[1:])
+    np.minimum(kept[0], value, out=kept[0])
+
+
+def _percentiles(low, high, curves):
+    """np.quantile at 0.025 and 0.975 of each column of curves values, given
+    the column's smallest values (low) and largest (high), each sorted
+    ascending and holding enough rows for both levels.
+
+    Each column is rebuilt in order: its kept smallest, its kept largest,
+    and between them the largest kept small value in every other row, so
+    np.quantile reads the order statistics it reads among all the values.
     """
-    present, steps, ranks, survival = zip(*parts)
-    parts.clear()
-    present = np.concatenate(present)
-    curves = int(np.count_nonzero(present))
-    if curves == 0:
-        return None, None
-    # One steps-long array at a time.  Step i is read as padded[i + 1],
-    # padded[0] being S = 1.0 before a curve's first step.
-    padded = np.concatenate(((1.0,), *survival))
-    del survival
-    ranks = np.concatenate(ranks)
-    # The grid is the union of the step ranks; column[rank] counts the grid
-    # ranks at or before rank, the 1-based grid column of a step's rank.
-    column = np.bincount(ranks, minlength=times.size)
-    grid = np.flatnonzero(column)
-    np.cumsum(column > 0, out=column)
-    steps = np.concatenate(steps)
-    # Key (curve, rank), ascending in step order: the steps run in
-    # (replicate, time) order and each is its curve's only one at its rank.
-    keys = np.repeat(np.arange(steps.size) * times.size, steps)
-    keys += ranks
-    del ranks
-    base = np.flatnonzero(present) * times.size
-    first = (np.cumsum(steps) - steps)[present]
+    percentiles = np.empty((2, low.shape[1]))
+    block = max(1, BAND_ELEMENTS // curves)
+    for start in range(0, low.shape[1], block):
+        stop = min(start + block, low.shape[1])
+        column = np.empty((curves, stop - start))
+        column[:] = low[-1, start:stop]
+        column[:low.shape[0]] = low[:, start:stop]
+        column[curves - high.shape[0]:] = high[:, start:stop]
+        np.quantile(column, (0.025, 0.975), axis=0, overwrite_input=True,
+                    out=percentiles[:, start:stop])
+    return percentiles
 
-    # A curve's 1-based number of its last step at or before the horizon, 0
-    # before its first (S = 1.0).
-    step = np.searchsorted(keys, base + horizon_rank, side="right")
-    step[step <= first] = 0
-    rates = summarize(1.0 - padded[step])
-    percentiles = np.empty((2, grid.size))
-    mean = np.empty(grid.size)
-    # A one-column block would average its column by pairwise summation,
-    # unlike the row-by-row sums of wider blocks: a one-column tail joins
-    # the block before it.
-    edges = list(range(0, grid.size, max(2, BAND_ELEMENTS // curves))) + [grid.size]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    for start, stop in zip(edges[:-1], edges[1:]):
-        # Each cell (curve, column) reads the number of the curve's last step
-        # at or before the column: each row starts from the step carried in
-        # from before the block, takes the block's own steps at their columns
-        # and is filled forward, step numbers rising along a curve.
-        lo = np.searchsorted(keys, base + grid[start])
-        hi = np.searchsorted(keys, base + grid[stop - 1], side="right")
-        cells = np.empty((curves, stop - start), dtype=np.int64)
-        cells[:] = np.where(lo > first, lo, 0)[:, None]
-        count = hi - lo
-        step = np.repeat(lo - (np.cumsum(count) - count), count)
-        step += np.arange(step.size)
-        cell = column[keys[step] % times.size] - 1 - start
-        cell += np.repeat(np.arange(curves) * (stop - start), count)
-        cells.ravel()[cell] = step + 1
-        np.maximum.accumulate(cells, axis=1, out=cells)
-        block = padded[cells]
-        del cells
+
+def _group_bounds(chunks: int, columns: int) -> list:
+    """Chunk bounds of the groups whose band sums are added up apart: one
+    group per chunk while their column sums fit in SUM_CELLS values, fewer
+    groups of consecutive chunks otherwise.  A function of the chunk and
+    grid column counts alone, so of n and R, never of the CPU count."""
+    groups = max(1, min(chunks, SUM_CELLS // columns))
+    return [chunks * i // groups for i in range(groups + 1)]
+
+
+class _BandSummary:
+    """One stratum's event rates and KM band over some chunks, as numbers
+    that merge.
+
+    The grid holds one column per event time of the cohort, a superset of
+    any curve's step times.  Per column the summary keeps the k smallest
+    present-curve values (low) and the k largest (high, negated), each
+    sorted ascending, which is enough for np.quantile at the band's levels
+    over up to 40 * (k - 1) curves; whether any curve stepped there (seen);
+    and per group of chunks the column sums, each chunk summed in replicate
+    order and the chunks added in chunk order.  The groups' sums are added
+    in group order: a summary that starts at the first group (leading) adds
+    each group it has finished into total at once, any other keeps them
+    apart in sums until it is merged into the summary of the chunks before
+    it.  rates[:curves] holds the present curves' event rates by the grid
+    column horizon_column, in replicate order, among room for one per
+    replicate.
+    """
+
+    def __init__(self, columns: int, k: int, horizon_column: int, leading: bool,
+                 replicates: int):
+        self.k = k
+        self.horizon_column = horizon_column
+        self.leading = leading
+        self.curves = 0
+        self.low = np.empty((0, columns))
+        self.high = np.empty((0, columns))
+        self.seen = np.zeros(columns, dtype=bool)
+        self.rates = np.empty(replicates)
+        self.total = np.zeros(columns)
+        self.sums = []
+        self.group = None
+
+    def add(self, present, steps, columns, survival, group) -> None:
+        """Take in one chunk's curves: whether each replicate is present,
+        its number of curve steps, and the steps' grid columns and S values
+        in (replicate, time) order; group numbers the chunk's group."""
+        curves = int(np.count_nonzero(present))
+        if curves == 0:
+            return
+        width = self.seen.size
+        self.seen[columns] = True
+        steps = steps[present]
+        # Step i is read as padded[i + 1], padded[0] being S = 1.0 before a
+        # curve's first step.  Keys (curve, column) ascend in step order.
+        padded = np.concatenate(((1.0,), survival))
+        base = np.arange(curves) * width
+        keys = np.repeat(base, steps)
+        keys += columns
+        first = np.cumsum(steps) - steps
+        # Each curve's 1-based number of its last step at or before the
+        # horizon, 0 before its first (S = 1.0).
+        step = np.searchsorted(keys, base + self.horizon_column)
+        step[step <= first] = 0
+        np.subtract(1.0, padded[step], out=self.rates[self.curves:self.curves + curves])
+
+        if group != self.group:
+            if self.leading and self.sums:
+                self.total += self.sums.pop()
+            self.sums.append(np.zeros(width))
+            self.group = group
+        rows = min(self.k, self.curves + curves)
+        full = self.low.shape[0] == rows
+        if full:
+            low, high = self.low, self.high
+        else:
+            low, high = np.empty((rows, width)), np.empty((rows, width))
+        block = max(1, BAND_ELEMENTS // curves)
+        for start in range(0, width, block):
+            stop = min(start + block, width)
+            # Each cell (curve, column) reads the number of the curve's last
+            # step at or before the column: each row starts from the step
+            # carried in from before the block, takes the block's own steps
+            # at their columns and is filled forward, step numbers rising
+            # along a curve.
+            lo = np.searchsorted(keys, base + start)
+            hi = np.searchsorted(keys, base + stop)
+            cells = np.empty((curves, stop - start), dtype=np.int64)
+            cells[:] = np.where(lo > first, lo, 0)[:, None]
+            count = hi - lo
+            step = np.repeat(lo - (np.cumsum(count) - count), count)
+            step += np.arange(step.size)
+            cell = columns[step] - start
+            cell += np.repeat(np.arange(curves) * (stop - start), count)
+            cells.ravel()[cell] = step + 1
+            np.maximum.accumulate(cells, axis=1, out=cells)
+            values = padded[cells]
+            del cells
+            # Row by row, so the chunk's sum runs in replicate order whatever
+            # the block's shape (numpy sums a lone column pairwise).
+            total = np.zeros(stop - start)
+            for row in values:
+                total += row
+            self.sums[-1][start:stop] += total
+            kept = _smallest(self.low[:, start:stop], values, rows)
+            np.negative(values, out=values)
+            negated = _smallest(self.high[:, start:stop], values, rows)
+            if not full:
+                low[:, start:stop], high[:, start:stop] = kept, negated
+        self.low, self.high = low, high
+        self.curves += curves
+
+    def merge(self, other: _BandSummary) -> None:
+        """Take in the summary of the whole groups right after this one's,
+        this one leading."""
+        if other.curves == 0:
+            return
+        rows = min(self.k, self.curves + other.curves)
+        self.low = _smallest(self.low, other.low, rows)
+        self.high = _smallest(self.high, other.high, rows)
+        self.rates = np.concatenate((self.rates[:self.curves], other.rates[:other.curves]))
+        self.curves += other.curves
+        self.seen |= other.seen
+        for sums in self.sums:
+            self.total += sums
+        self.sums = other.sums
+        other.sums = []
+
+    def read(self, times: np.ndarray) -> tuple:
+        """(the event rates as a SampleSummary, the KmBand on the seen
+        columns, times holding each grid column's time), or (None, None)
+        when no replicate has a patient in the stratum."""
+        if self.curves == 0:
+            return None, None
+        rates = summarize(self.rates[:self.curves])
+        seen = np.flatnonzero(self.seen)
+        total = self.total[seen]
+        for sums in self.sums:
+            total += sums[seen]
+        mean = total / self.curves
+        low, high = self.low[:, seen], -self.high[::-1, seen]
         # Columns where every curve agrees must average to that value
         # bit-exactly (zero-noise collapse), which summed means do not give.
-        col_mean = block.mean(axis=0)
-        constant = block.min(axis=0) == block.max(axis=0)
-        col_mean[constant] = block[0, constant]
-        mean[start:stop] = col_mean
-        # The percentiles are read last: they partition the block in place.
-        np.quantile(block, (0.025, 0.975), axis=0, overwrite_input=True,
-                    out=percentiles[:, start:stop])
-    # When nearly all curves coincide at a grid point, the interpolated
-    # percentiles can exclude the mean; widen so nesting always holds.
-    lower = np.minimum(percentiles[0], mean)
-    upper = np.maximum(percentiles[1], mean)
-    return rates, KmBand(times=times[grid], lower=lower, mean=mean, upper=upper)
+        constant = low[0] == high[-1]
+        mean[constant] = low[0, constant]
+        percentiles = _percentiles(low, high, self.curves)
+        # When nearly all curves coincide at a grid point, the interpolated
+        # percentiles can exclude the mean; widen so nesting always holds.
+        lower = np.minimum(percentiles[0], mean)
+        upper = np.maximum(percentiles[1], mean)
+        return rates, KmBand(times=times[seen], lower=lower, mean=mean, upper=upper)
 
 
-def _fit_stratum(mask, rank, event):
+def _fit_stratum(mask, rank, event, column, summary, group) -> None:
     """Fit one stratum in every replicate of one chunk, mask being the
-    chunk's (replicate, patient) membership matrix.
-
-    Returns (present, steps, ranks, survival): whether any patient fell in
-    the stratum in each replicate, each replicate's number of curve steps,
-    and the steps' time ranks and S values in (replicate, time) order.
-    """
+    chunk's (replicate, patient) membership matrix, column each time rank's
+    grid column, and add the curves to the stratum's summary."""
     chunk, n = mask.shape
     present = mask.any(axis=1)
     # Flat (replicate, patient) indexes, turned into patients in place.
@@ -307,16 +438,18 @@ def _fit_stratum(mask, rank, event):
     members = rank[patient], event[patient]
     del patient  # the segmented fit below sets the chunk's memory peak
     rep, curve = km_segmented(*members, rep)
-    return present, np.bincount(rep, minlength=chunk), curve.times, curve.survival
+    summary.add(present, np.bincount(rep, minlength=chunk), column[curve.times],
+                curve.survival, group)
 
 
-def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
+def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config, bands, group):
     """Draw and fit replicates first, ..., stop - 1 on their substreams;
-    follow_up is (rank, event) as _fit_stratum takes them, layout their Cox
-    event layout and order the time order of the patients.
+    follow_up is (rank, event, column) as _fit_stratum takes them, layout
+    their Cox event layout, order the time order of the patients, and bands
+    each stratum's summary, which the chunk's curves join under group.
 
-    Returns ({stratum: _fit_stratum's part}, each replicate's outcome in
-    replicate order: its hazard ratio, or the exception its Cox fit raised).
+    Returns (each replicate's hazard ratio, NaN where its Cox fit failed,
+    and the exceptions the failed fits raised), both in replicate order.
     """
     # Generator.normal(loc, scale) draws loc + scale * z from the stream's
     # standard normals z, one rounding per operation: the same numbers, made
@@ -331,10 +464,14 @@ def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config):
         row[:] = row[order]
     # Every draw is clipped into the reportable LVEF range.
     np.clip(realized, *LVEF_RANGE, out=realized)
-    strata = {label: _fit_stratum(mask, *follow_up)
-              for label, mask in _strata_masks(realized, config.band_edges).items()}
-    return strata, [hazard_ratio_per(o, HR_DELTA)[0] if isinstance(o, CoxFit) else o
-                    for o in _cox_fit_rows(layout, realized)]
+    for label, mask in _strata_masks(realized, config.band_edges).items():
+        _fit_stratum(mask, *follow_up, bands[label], group)
+    outcomes = _cox_fit_rows(layout, realized)
+    # hazard_ratio_per's point estimate, without its Wald endpoints: finite
+    # or inf for every converged fit, so NaN marks only the failures.
+    hazard_ratios = np.array([_safe_exp(-HR_DELTA * o.beta) if isinstance(o, CoxFit)
+                              else np.nan for o in outcomes])
+    return hazard_ratios, [o for o in outcomes if not isinstance(o, CoxFit)]
 
 
 def _cpu_count() -> int:
@@ -419,36 +556,60 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
     per_chunk = max(1, CHUNK_ELEMENTS // order.size)
     chunks = [(first, min(first + per_chunk, config.replicates))
               for first in range(0, config.replicates, per_chunk)]
+    # The band grid: one column per event time; column maps each time rank
+    # to its column (a curve steps only at event times).
+    is_event = np.zeros(times.size, dtype=bool)
+    is_event[rank[event > 0]] = True
+    grid = np.flatnonzero(is_event)
+    column = np.cumsum(is_event) - 1
+    del is_event
+    bounds = _group_bounds(len(chunks), grid.size)
+    groups = [[(group, *chunk) for chunk in chunks[a:b]]
+              for group, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    # np.quantile at 0.025 and 0.975 over m <= R values reads ranks up to
+    # floor((m - 1) / 40) + 1 from either end.
+    k = (config.replicates - 1) // 40 + 2
+    horizon_column = int(np.searchsorted(times[grid], config.horizon, side="right"))
 
     def fit(share):
         # One Cox event layout serves every chunk of the share; it is freed
         # with the share, before the other shares' results arrive.
         layout = _CoxLayout(rank, event)
-        return [_fit_chunk(first, stop, (rank, event), layout, order, centers, spread, config)
-                for first, stop in share]
+        share = [chunk for group in share for chunk in group]
+        start, end = share[0][1], share[-1][2]
+        bands = {label: _BandSummary(grid.size, k, horizon_column, start == 0, end - start)
+                 for label in STRATA}
+        hazard_ratios, failures = np.empty(end - start), []
+        for group, first, stop in share:
+            hazard_ratios[first - start:stop - start], chunk_failures = _fit_chunk(
+                first, stop, (rank, event, column), layout, order, centers, spread, config,
+                bands, group)
+            failures += chunk_failures
+        return [(bands, hazard_ratios, failures)]
 
-    results = _map_shares(fit, chunks)
-    outcomes = [outcome for _, chunk_outcomes in results for outcome in chunk_outcomes]
-    hazard_ratios = [o for o in outcomes if not isinstance(o, Exception)]
-    if not hazard_ratios:
-        if all(type(o) is DegenerateDataError for o in outcomes):
+    results = _map_shares(fit, groups)
+    bands, hazard_ratios, failures = results.pop(0)
+    hazard_ratios = [hazard_ratios]
+    while results:
+        other, more_ratios, more_failures = results.pop(0)
+        for label in STRATA:
+            bands[label].merge(other[label])
+        hazard_ratios.append(more_ratios)
+        failures += more_failures
+    hazard_ratios = np.concatenate(hazard_ratios)
+    hazard_ratios = hazard_ratios[~np.isnan(hazard_ratios)]
+    if not hazard_ratios.size:
+        if all(type(o) is DegenerateDataError for o in failures):
             # Too few events, or values without spread: a data error, as in cox.
-            raise DegenerateDataError(str(outcomes[0]))
-        failures = sorted({type(o).__name__ for o in outcomes})
+            raise DegenerateDataError(str(failures[0]))
+        names = sorted({type(o).__name__ for o in failures})
         raise PropagationError(f"all {config.replicates} replicates failed the Cox fit "
-                               f"({', '.join(failures)})")
-    # Each stratum's chunk parts, in replicate order.  The chunk results are
-    # let go before any stratum is read, so that each reading releases the
-    # parts it joins.
-    strata = {label: [parts[label] for parts, _ in results] for label in STRATA}
-    del results
-    horizon_rank = np.searchsorted(times, config.horizon, side="right") - 1
-    read = {label: _read_curves(parts, times, horizon_rank)
-            for label, parts in strata.items()}
+                               f"({', '.join(names)})")
+    read = {label: summary.read(times[grid]) for label, summary in bands.items()}
     return PropagationSummary(
         source=config.source,
         replicates=config.replicates,
-        failed_replicates=config.replicates - len(hazard_ratios),
+        failed_replicates=len(failures),
         event_rates={label: rates for label, (rates, _) in read.items()},
         hazard_ratio=summarize(hazard_ratios, (0.025, 0.975)),
         km_bands={label: band for label, (_, band) in read.items()},

@@ -9,11 +9,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from lvef_fusion import cli, errors
+from lvef_fusion import cli, errors, propagation
 from lvef_fusion.cli import main
+from lvef_fusion.cohort import parse_cohort_csv
 from lvef_fusion.report import TOOL_VERSION, config_hash
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -472,8 +474,9 @@ class TestPropagate:
 
 
 class TestForkedPropagate:
-    # Writes a line that stays in the piped stdout's buffer, then runs
-    # propagate over one-replicate chunks split across the given CPU count.
+    # Writes a line that stays in the piped stdout's buffer, then runs the
+    # command over one-replicate chunks split across the given CPU count,
+    # with the given SUM_CELLS.
     SCRIPT = (
         "import sys\n"
         "from unittest import mock\n"
@@ -481,13 +484,15 @@ class TestForkedPropagate:
         "from lvef_fusion.cli import main\n"
         "sys.stdout.write('written before propagate\\n')\n"
         "with mock.patch.object(propagation, 'CHUNK_ELEMENTS', 1), \\\n"
+        "        mock.patch.object(propagation, 'SUM_CELLS', int(sys.argv[2])), \\\n"
         "        mock.patch.object(propagation, '_cpu_count', return_value=int(sys.argv[1])):\n"
-        "    sys.exit(main(sys.argv[2:]))\n"
+        "    sys.exit(main(sys.argv[3:]))\n"
     )
 
     def _run(self, cpus, cohort, output):
         return subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(cpus), "propagate", "--input", str(cohort),
+            [sys.executable, "-c", self.SCRIPT, str(cpus), str(propagation.SUM_CELLS),
+             "propagate", "--input", str(cohort),
              "--source", "all", "--sigma-visual", "0.005", "--replicates", "40",
              "--output", str(output)],
             env=_src_env(), capture_output=True, text=True, timeout=120)
@@ -504,15 +509,37 @@ class TestForkedPropagate:
             assert ((tmp_path / "forked" / name).read_bytes()
                     == (tmp_path / "single" / name).read_bytes())
 
+    def test_grouped_band_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        """report over 200 one-replicate chunks in 7 groups, in one process
+        and split 2/2/3 between three: either way each group's chunk sums
+        are added in chunk order and the groups' sums in group order."""
+        assert main(["simulate", "--n", "300", "--seed", "11", "--output", str(tmp_path)]) == 0
+        cohort = parse_cohort_csv(tmp_path / "cohort.csv")
+        columns = len(set(cohort.time[cohort.event > 0].tolist()))
+        with mock.patch.object(propagation, "SUM_CELLS", 7 * columns):
+            assert len(propagation._group_bounds(200, columns)) == 8
+        for cpus in (1, 3):
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(cpus), str(7 * columns), "report",
+                 "--input", str(tmp_path / "cohort.csv"), "--replicates", "200",
+                 "--seed", "3", "--output", str(tmp_path / str(cpus))],
+                env=_src_env(), capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        reports = [[line for line in (tmp_path / cpus / "report.json").read_bytes().splitlines()
+                    if b'"generated_at"' not in line] for cpus in ("1", "3")]
+        assert reports[0] == reports[1]
+        for source in ("visual", "simpson", "assimilated"):
+            name = f"km_bands_{source}.csv"
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     @pytest.mark.parametrize("n,replicates", [(300, 500), (3000, 600)])
     def test_report_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, n, replicates):
         """report on every CPU this process may use, and pinned to one, which
         forks no child.  At n=300 a chunk holds 218 replicates, so 500 make
         three chunks to split between processes; at n=3000 and 600
-        replicates a stratum's band is read in about 4 blocks of columns,
-        each after the first starting every curve from the step it carries
-        in from the blocks before."""
+        replicates the 29 chunks split between processes, and a stratum's
+        percentiles are read in about 4 blocks of columns."""
         assert main(["simulate", "--n", str(n), "--seed", "11", "--output", str(tmp_path)]) == 0
         one_cpu = {min(os.sched_getaffinity(0))}
         for output, preexec_fn in (("all", None),

@@ -240,8 +240,9 @@ def _propagation_cases(draw):
     """Small cohorts with tied times, censorings tied with events, heavy
     censoring, narrow or far strata (absent ones, event-free ones), spreads
     from zero to wide (separating fits included), several replicate chunks
-    and several band blocks.  The follow-up runs from 30 to 360 days, so a
-    15-day horizon lies before every time and a 360-day one may tie one."""
+    and several band blocks, the chunks alone or in fewer groups.  The
+    follow-up runs from 30 to 360 days, so a 15-day horizon lies before
+    every time and a 360-day one may tie one."""
     n = draw(st.one_of(st.integers(2, 6), st.integers(2, 30)))
     times = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
     event_share = draw(st.sampled_from([0.1, 0.5, 0.9]))
@@ -264,8 +265,10 @@ def _propagation_cases(draw):
     )
     per_chunk = draw(st.integers(1, config.replicates + 1))
     band_elements = draw(st.sampled_from([1, 5, 16, propagation.BAND_ELEMENTS]))
+    # At most 12 event times: 1 makes one group, 30 two or more.
+    sum_cells = draw(st.sampled_from([1, 30, propagation.SUM_CELLS]))
     cpus = draw(st.sampled_from([1, 2, 3]))
-    return cohort, sigmas, config, per_chunk * n, band_elements, cpus
+    return cohort, sigmas, config, per_chunk * n, band_elements, sum_cells, cpus
 
 
 def _cpus(count):
@@ -277,9 +280,10 @@ class TestMatchesOracle:
     @settings(max_examples=200, deadline=None)
     @given(_propagation_cases())
     def test_bit_identical_to_per_replicate_loop(self, case):
-        cohort, sigmas, config, chunk_elements, band_elements, cpus = case
+        cohort, sigmas, config, chunk_elements, band_elements, sum_cells, cpus = case
         with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), \
-                mock.patch.object(propagation, "BAND_ELEMENTS", band_elements), _cpus(cpus):
+                mock.patch.object(propagation, "BAND_ELEMENTS", band_elements), \
+                mock.patch.object(propagation, "SUM_CELLS", sum_cells), _cpus(cpus):
             _assert_matches_oracle(cohort, config)
 
     @pytest.mark.parametrize("chunk_elements", [1, 7 * 300, propagation.CHUNK_ELEMENTS])
@@ -291,6 +295,20 @@ class TestMatchesOracle:
             with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), _cpus(cpus):
                 for source in SOURCES:
                     _assert_matches_oracle(cohort, _config(source=source, replicates=20))
+
+    @pytest.mark.parametrize("chunk_elements,chunks,groups", [(1, 20, 7), (7 * 300, 3, 1)])
+    def test_grouped_chunks_on_a_simulated_cohort(self, chunk_elements, chunks, groups):
+        cohort = _cohort()
+        columns = np.unique(cohort.time[cohort.event > 0]).size
+        # 20 one-replicate chunks in 7 groups, which 3 CPUs split 2/2/3, or
+        # 3 seven-replicate chunks in one group, which starts no child.
+        with mock.patch.object(propagation, "SUM_CELLS", groups * columns):
+            assert len(propagation._group_bounds(chunks, columns)) == groups + 1
+            for cpus in (1, 2, 3):
+                with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), \
+                        _cpus(cpus):
+                    for source in SOURCES:
+                        _assert_matches_oracle(cohort, _config(source=source, replicates=20))
 
 
 def _open_fds():
@@ -432,14 +450,15 @@ class TestPropagateDeterminism:
 
 @st.composite
 def _band_cases(draw):
-    """One stratum's (present, steps, ranks, survival) chunk parts, as
-    _fit_stratum leaves them: random distinct follow-up times, replicates
-    absent from the stratum, present curves without steps, survival values
-    that often coincide across curves, and a horizon rank from before the
-    first time (-1) to the last."""
+    """One stratum's (present, steps, columns, survival) chunk parts, as
+    _fit_stratum hands them to its summary: random distinct follow-up
+    times, each a grid column, replicates absent from the stratum, present
+    curves without steps, survival values that often coincide across
+    curves, and a horizon from before the first time to the last.  The
+    chunks fall in groups, and the groups in shares."""
     times = np.cumsum(draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=12)))
     # Nine or more curves make a column's pairwise sum differ from the
-    # row-by-row one, which a one-column block would take.
+    # row-by-row one.
     replicates = draw(st.one_of(st.integers(1, 4), st.integers(9, 24)))
     present = np.array(draw(st.lists(st.sampled_from([True, True, True, False]),
                                      min_size=replicates, max_size=replicates)))
@@ -447,32 +466,58 @@ def _band_cases(draw):
     # uniform draws whose sums round differently in different orders.
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     shared = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    curves = []
+    curves = [None] * replicates
     # An absent replicate has no steps.
     steps = [(np.empty(0, dtype=np.intp), np.empty(0))] * replicates
     for r in np.flatnonzero(present):
-        ranks = np.array(sorted(draw(st.sets(st.integers(0, times.size - 1)))),
-                         dtype=np.intp)
-        survival = np.where(rng.random(ranks.size) < shared,
-                            rng.choice([0.25, 0.5, 1.0], ranks.size),
-                            rng.uniform(0.0, 1.0, ranks.size))
+        columns = np.array(sorted(draw(st.sets(st.integers(0, times.size - 1)))),
+                           dtype=np.intp)
+        survival = np.where(rng.random(columns.size) < shared,
+                            rng.choice([0.25, 0.5, 1.0], columns.size),
+                            rng.uniform(0.0, 1.0, columns.size))
         survival = np.sort(survival)[::-1]
-        curves.append(KmCurve(times=times[ranks], survival=survival,
-                              at_risk=np.ones(ranks.size, dtype=np.int64),
-                              events=np.ones(ranks.size, dtype=np.int64)))
-        steps[r] = (ranks, survival)
+        curves[r] = KmCurve(times=times[columns], survival=survival,
+                            at_risk=np.ones(columns.size, dtype=np.int64),
+                            events=np.ones(columns.size, dtype=np.int64))
+        steps[r] = (columns, survival)
     per_chunk = draw(st.integers(1, replicates))
-    parts = []
+    parts, chunks = [], []
     for first in range(0, replicates, per_chunk):
         chunk = steps[first:first + per_chunk]
         parts.append((present[first:first + per_chunk],
-                      np.array([ranks.size for ranks, _ in chunk]),
-                      np.concatenate([ranks for ranks, _ in chunk]),
+                      np.array([columns.size for columns, _ in chunk]),
+                      np.concatenate([columns for columns, _ in chunk]),
                       np.concatenate([survival for _, survival in chunk])))
-    horizon_rank = draw(st.integers(-1, times.size - 1))
-    horizon = times[horizon_rank] if horizon_rank >= 0 else times[0] / 2
-    band_elements = draw(st.sampled_from([1, 2, 3, 5, 16, 2**16]))
-    return parts, times, horizon_rank, horizon, curves, band_elements
+        chunks.append([curve for curve in curves[first:first + per_chunk] if curve is not None])
+    groups = draw(st.integers(1, len(parts)))
+    bounds = [len(parts) * i // groups for i in range(groups + 1)]
+    horizon_column = draw(st.integers(0, times.size))
+    horizon = times[horizon_column - 1] if horizon_column else times[0] / 2
+    return dict(parts=parts, times=times, horizon_column=horizon_column, bounds=bounds,
+                shares=draw(st.integers(1, 3)), k=draw(st.sampled_from([2, 3, 30])),
+                band_elements=draw(st.sampled_from([1, 2, 3, 5, 16, 2**16]))), \
+        (chunks, bounds, horizon)
+
+
+def _summarize(parts, times, horizon_column, bounds, shares=1, k=2):
+    """One stratum's summary of parts, each chunk's (present, steps,
+    columns, survival), taken in as propagate takes them: chunk by chunk
+    into one summary per share of whole groups (bounds in chunks), then the
+    shares merged in order."""
+    groups = len(bounds) - 1
+    cuts = [groups * i // shares for i in range(shares + 1)]
+    summaries = []
+    for a, b in zip(cuts, cuts[1:]):
+        share = parts[bounds[a]:bounds[b]]
+        summary = propagation._BandSummary(times.size, k, horizon_column, a == 0,
+                                           sum(present.size for present, *_ in share))
+        for group in range(a, b):
+            for part in parts[bounds[group]:bounds[group + 1]]:
+                summary.add(*part, group)
+        summaries.append(summary)
+    for other in summaries[1:]:
+        summaries[0].merge(other)
+    return summaries[0]
 
 
 def _oracle_rates(curves, horizon):
@@ -504,15 +549,16 @@ class TestBands:
     @settings(max_examples=300, deadline=None)
     @given(_band_cases())
     def test_band_matches_oracle(self, case):
-        parts, times, horizon_rank, horizon, curves, band_elements = case
+        case, (chunks, bounds, horizon) = case
+        band_elements = case.pop("band_elements")
         with mock.patch.object(propagation, "BAND_ELEMENTS", band_elements):
-            rates, band = propagation._read_curves(parts, times, horizon_rank)
-        assert parts == []
-        expected = oracle.km_band(curves)
+            rates, band = _summarize(**case).read(case["times"])
+        expected = oracle.km_band(chunks, bounds)
         if expected is None:
             assert rates is None and band is None
         else:
             _assert_identical(asdict(band), asdict(expected))
+            curves = [curve for chunk in chunks for curve in chunk]
             _assert_identical(asdict(rates), asdict(_oracle_rates(curves, horizon)))
 
     def test_band_mean_escaping_percentiles_is_absorbed(self):
@@ -521,13 +567,14 @@ class TestBands:
         # envelope must widen to keep the nesting invariant.
         time = np.array([10.0, 400.0, 400.0])
         event = np.array([1, 0, 0])
-        # The distinct times, each patient's rank among them, and the last
-        # rank at or before the 365-day horizon.
-        times, rank, horizon_rank = np.array([10.0, 400.0]), np.array([0, 1, 1]), 0
+        # Each patient's rank among the distinct times, each rank's grid
+        # column (one event time), and the 365-day horizon after it.
+        rank, column = np.array([0, 1, 1]), np.array([0, 0])
         drop, flat = [True, True, False], [False, True, True]
         mask = np.array([drop] * 3 + [flat] * 197)
-        part = propagation._fit_stratum(mask, rank, event)
-        rates, band = propagation._read_curves([part], times, horizon_rank)
+        summary = propagation._BandSummary(1, 6, 1, True, 200)
+        propagation._fit_stratum(mask, rank, event, column, summary, 0)
+        rates, band = summary.read(np.array([10.0]))
         assert band.lower[0] == band.mean[0] == pytest.approx(0.9925)
         assert band.upper[0] == 1.0
         # The dropping curves reach S = 0.5 by the horizon, the flat ones 1.0.
@@ -537,7 +584,7 @@ class TestBands:
 
         curves = ([km_from_arrays(time[drop], event[drop])] * 3
                   + [km_from_arrays(time[flat], event[flat])] * 197)
-        _assert_identical(asdict(band), asdict(oracle.km_band(curves)))
+        _assert_identical(asdict(band), asdict(oracle.km_band([curves])))
         _assert_identical(asdict(rates), asdict(_oracle_rates(curves, 365.0)))
 
     def test_row_lookup_carries_across_block_edges(self):
@@ -546,62 +593,142 @@ class TestBands:
         # block, replicate 1 none in blocks 1 and 2, replicate 3 its first
         # event in the last block, replicate 4 no event at all, and
         # replicate 2 no patient in the stratum.  The follow-up also holds
-        # 13 times no row falls on (15, 45, ..., 375 days).
+        # 13 censoring times (15, 45, ..., 375 days), which are no column.
         events = {0: [1, 4, 5, 6, 7, 8, 9, 11], 1: [2, 3, 12], 3: [10, 12], 4: []}
         present = np.array([True, True, False, True, True])
         follow_up = 15.0 * np.arange(1, 26)
+        grid = follow_up[1::2]
         rng = np.random.default_rng(5)
-        curves, stored = [], []
+        chunks, stored = [], []
         for first, stop in ((0, 2), (2, 5)):
-            steps = []
+            steps, curves = [], []
             for r in range(first, stop):
-                ranks = 2 * np.array(events.get(r, []), dtype=np.intp) - 1
-                survival = np.sort(rng.uniform(0.1, 1.0, ranks.size))[::-1]
+                columns = np.array(events.get(r, []), dtype=np.intp) - 1
+                survival = np.sort(rng.uniform(0.1, 1.0, columns.size))[::-1]
                 if present[r]:
-                    curves.append(KmCurve(times=follow_up[ranks], survival=survival,
-                                          at_risk=np.ones(ranks.size, dtype=np.int64),
-                                          events=np.ones(ranks.size, dtype=np.int64)))
-                steps.append((ranks, survival))
-            ranks, survival = zip(*steps)
-            stored.append((present[first:stop], np.array([r.size for r in ranks]),
-                           np.concatenate(ranks), np.concatenate(survival)))
-        # A 200-day horizon has rank 12 (195 days): replicates 0 and 1 read
-        # a step before it, replicate 3 none yet (S = 1.0).
+                    curves.append(KmCurve(times=grid[columns], survival=survival,
+                                          at_risk=np.ones(columns.size, dtype=np.int64),
+                                          events=np.ones(columns.size, dtype=np.int64)))
+                steps.append((columns, survival))
+            columns, survival = zip(*steps)
+            stored.append((present[first:stop], np.array([c.size for c in columns]),
+                           np.concatenate(columns), np.concatenate(survival)))
+            chunks.append(curves)
+        # A 200-day horizon follows 6 event times (30, ..., 180 days):
+        # replicates 0 and 1 read a step before it, replicate 3 none yet
+        # (S = 1.0).
         with mock.patch.object(propagation, "BAND_ELEMENTS", 12):
-            rates, band = propagation._read_curves(stored, follow_up, 12)
+            rates, band = _summarize(stored, grid, 6, [0, 1, 2]).read(grid)
         assert band.times.size == 12
-        _assert_identical(asdict(band), asdict(oracle.km_band(curves)))
-        _assert_identical(asdict(rates), asdict(_oracle_rates(curves, 200.0)))
+        _assert_identical(asdict(band), asdict(oracle.km_band(chunks, [0, 1, 2])))
+        _assert_identical(asdict(rates),
+                          asdict(_oracle_rates(chunks[0] + chunks[1], 200.0)))
 
     @pytest.mark.parametrize("unblocked", [False, True])
     def test_band_read_memory_is_bounded_by_its_blocks(self, unblocked):
-        # 400 curves of 1000 steps each among 5000 ranks, in four chunks.
-        # Beyond its parts, which it takes over, the read holds the steps'
-        # keys and, at a time, one block of about BAND_ELEMENTS cells: its
-        # step numbers, its S values and their temporaries, plus the grid's
-        # own arrays, all within 6 * BAND_ELEMENTS * 8 bytes beside the keys.
-        # One block of every cell (400 x 5000) takes far more.
-        curves, ranks, steps = 400, 5000, 1000
-        times = np.arange(1.0, ranks + 1.0)
+        # 400 curves of 1000 steps each among 5000 columns, in four chunks.
+        # Beyond its parts, the summary holds its own arrays (k = 11
+        # smallest and largest values, two sums and one rate per curve), a
+        # chunk's step keys and S values while it takes the chunk in, and
+        # at a time one block of about BAND_ELEMENTS cells: their step
+        # numbers, their S values, the partition's union with the kept
+        # values and the rebuilt columns the percentiles are read from, all
+        # within 8 * BAND_ELEMENTS * 8 bytes.  One block of a whole chunk's
+        # cells (100 x 5000) takes far more.
+        curves, columns, steps = 400, 5000, 1000
+        times = np.arange(1.0, columns + 1.0)
         rng = np.random.default_rng(3)
-        bound = curves * steps * 8 + 6 * propagation.BAND_ELEMENTS * 8
+        k = (curves - 1) // 40 + 2
+        bound = ((2 * k + 2) * columns + curves + 2 * (curves // 4) * steps
+                 + 8 * propagation.BAND_ELEMENTS) * 8
         tracemalloc.start()
         try:
             parts = [(np.ones(100, dtype=bool), np.full(100, steps),
-                      np.concatenate([np.sort(rng.choice(ranks, steps, replace=False))
-                                      for _ in range(100)]).astype(np.int32),
+                      np.concatenate([np.sort(rng.choice(columns, steps, replace=False))
+                                      for _ in range(100)]),
                       np.sort(rng.random((100, steps)), axis=1)[:, ::-1].ravel())
                      for _ in range(curves // 100)]
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            band_elements = curves * ranks if unblocked else propagation.BAND_ELEMENTS
+            band_elements = 100 * columns if unblocked else propagation.BAND_ELEMENTS
             with mock.patch.object(propagation, "BAND_ELEMENTS", band_elements):
-                _, band = propagation._read_curves(parts, times, ranks // 2)
+                _, band = _summarize(parts, times, columns // 2, [0, 1, 2, 3, 4],
+                                     k=k).read(times)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert band.times.size == ranks
+        assert band.times.size == columns
         assert (peak > bound) if unblocked else (peak < bound)
+
+    def test_peak_memory_does_not_grow_with_the_replicates(self):
+        # A stratum keeps k = (R - 1) // 40 + 2 values per side and grid
+        # column, one event rate and one hazard ratio per replicate, never
+        # the curves' steps: on this cohort's 173 event times, R = 1000
+        # (k = 26) holds about 0.2 MB more than R = 50 (k = 3).
+        cohort = simulate(SimConfig(n_patients=1366, seed=1))
+        peaks = {}
+        with _cpus(1):
+            propagate(cohort, _config(source="assimilated", replicates=2))
+            for replicates in (50, 1000):
+                tracemalloc.start()
+                try:
+                    propagate(cohort, _config(source="assimilated", replicates=replicates))
+                    peaks[replicates] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1000] - peaks[50] < 0.25e6
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.one_of(st.integers(1, 90), st.integers(1, 3001)),
+           extra=st.sampled_from([0, 1, 500]), columns=st.integers(1, 6),
+           pool=st.sampled_from([0, 1, 2, 7]), constant=st.booleans(),
+           seed=st.integers(0, 2**32))
+    def test_percentiles_from_kept_extremes_are_the_full_columns(
+            self, m, extra, columns, pool, constant, seed):
+        # m values per column, from a pool of a few values (ties) or uniform
+        # on [0, 1], one column constant or not; k as propagate sets it for
+        # R = m + extra replicates.
+        rng = np.random.default_rng(seed)
+        values = rng.random((m, columns))
+        if pool:
+            values = rng.choice(rng.random(pool), (m, columns))
+        if constant:
+            values[:, 0] = values[0, 0]
+        k = (m + extra - 1) // 40 + 2
+        ordered = np.sort(values, axis=0)
+        low, high = ordered[:k], ordered[max(0, m - k):]
+        got = propagation._percentiles(low, high, m)
+        expected = np.quantile(values, (0.025, 0.975), axis=0)
+        assert [x.hex() for x in got.ravel()] == [x.hex() for x in expected.ravel()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 400), cuts=st.lists(st.integers(1, 399), max_size=8),
+           k=st.integers(2, 12), pool=st.sampled_from([0, 3]), shares=st.integers(1, 3),
+           data=st.data())
+    def test_kept_extremes_do_not_depend_on_the_chunk_order(
+            self, m, cuts, k, pool, shares, data):
+        # Each row a curve that steps at every column with the row's values;
+        # the chunks are taken in, in replicate order and shuffled, by one
+        # summary per share merged in order.  Either way the summary keeps
+        # exactly the min(k, m) smallest and largest values per column, in
+        # order.
+        columns = 5
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        values = rng.random((m, columns))
+        if pool:
+            values = rng.choice(rng.random(pool), (m, columns))
+        bounds = sorted({0, m, *(c for c in cuts if c < m)})
+        chunks = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+        ordered = np.sort(values, axis=0)
+        rows = min(k, m)
+        for order in (list(range(len(chunks))), data.draw(st.permutations(range(len(chunks))))):
+            parts = [(np.ones(len(chunks[i]), dtype=bool), np.full(len(chunks[i]), columns),
+                      np.tile(np.arange(columns), len(chunks[i])), chunks[i].ravel())
+                     for i in order]
+            summary = _summarize(parts, np.arange(1.0, columns + 1.0), columns,
+                                 list(range(len(parts) + 1)), shares=shares, k=k)
+            assert np.array_equal(summary.low, ordered[:rows])
+            assert np.array_equal(-summary.high[::-1], ordered[m - rows:])
 
     def test_zero_noise_collapses_to_exact_analysis(self):
         cohort = _cohort()

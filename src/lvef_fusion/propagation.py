@@ -43,15 +43,16 @@ results are bit for bit those of one replicate at a time (``normal(loc,
 scale)`` draws, ``stratum_km``, ``cox_fit_from_arrays`` and a per-curve band
 whose mean is summed in the same chunks and groups); the budgets only bound
 memory, which grows with R only by one rate and one hazard ratio per
-replicate and the k values per column.
+replicate, the k values per column and the groups' sums (SUM_CELLS).
 
 The groups of chunks are split into one contiguous share per CPU the process
 may run on (never more shares than groups).  This process fits the first
-share; a plain ``os.fork`` child fits each other one, pickles its summaries,
-hazard ratios and failures into a pipe and leaves through ``os._exit``.  The
-parent merges the shares in order, so every number is the same whatever the
-CPU count or platform; with one CPU, or where processes cannot be forked, no
-child is started.
+share; a plain ``os.fork`` child fits each other one, pickles its hazard
+ratios and failures, then each stratum's summary apart, into a pipe and
+leaves through ``os._exit``.  The parent merges the shares in order, each
+part as it is read, so every number is the same whatever the CPU count or
+platform; with one CPU, or where processes cannot be forked, no child is
+started.
 """
 
 from __future__ import annotations
@@ -222,30 +223,21 @@ def _smallest(kept, new, rows):
     values, only the columns that a new value undercuts change, in kept."""
     if kept.shape[0] < rows:
         return np.sort(np.concatenate((kept, new)), axis=0)[:rows]
-    if new.shape[0] > 1:
-        columns = np.flatnonzero((new < kept[-1]).any(axis=0))
-        union = np.concatenate((kept[:, columns], new[:, columns]))
-        kept[:, columns] = np.sort(union, axis=0)[:rows]
-        return kept
-    # One new value v per column goes into sorted s: the smallest rows of
-    # both are min(s[0], v) and min(s[j], max(s[j - 1], v)) for j >= 1,
-    # which leaves a column that v does not undercut as it was.  Where few
-    # columns are undercut, only they are gathered.
-    value = new[0]
-    undercut = value < kept[-1]
-    if 4 * np.count_nonzero(undercut) >= undercut.size:
-        _insert(kept, value)
+    columns = np.flatnonzero((new < kept[-1]).any(axis=0))
+    part = kept[:, columns]
+    if new.shape[0] == 1:
+        _insert(part, new[0, columns])
     else:
-        columns = np.flatnonzero(undercut)
-        part = kept[:, columns]
-        _insert(part, value[columns])
-        kept[:, columns] = part
+        part = np.sort(np.concatenate((part, new[:, columns])), axis=0)[:rows]
+    kept[:, columns] = part
     return kept
 
 
 def _insert(kept, value) -> None:
     """Put value into each column of kept, sorted ascending, in place of its
-    largest entry where value is smaller, keeping the columns sorted."""
+    largest entry where value is smaller, keeping the columns sorted: the
+    smallest of both are min(s[0], v) and min(s[j], max(s[j - 1], v)) for
+    j >= 1."""
     shifted = np.maximum(kept[:-1], value)
     np.minimum(kept[1:], shifted, out=kept[1:])
     np.minimum(kept[0], value, out=kept[0])
@@ -291,14 +283,12 @@ class _BandSummary:
     present-curve values (low) and the k largest (high, negated), each
     sorted ascending, which is enough for np.quantile at the band's levels
     over up to 40 * (k - 1) curves; whether any curve stepped there (seen);
-    and per group of chunks the column sums, each chunk summed in replicate
-    order and the chunks added in chunk order.  The groups' sums are added
-    in group order: a summary that starts at the first group (leading) adds
-    each group it has finished into total at once, any other keeps them
-    apart in sums until it is merged into the summary of the chunks before
-    it.  rates[:curves] holds the present curves' event rates by the grid
-    column horizon_column, in replicate order, among room for one per
-    replicate.
+    and in sums, per group of chunks in group order, the column sums, each
+    chunk summed in replicate order and the chunks added in chunk order.  A
+    summary that starts at the first group (leading) adds each group it has
+    finished into sums[0] at once, which the read's sum over the groups in
+    order, from zero, turns into the same bits.  rates[:curves] holds the present curves' event rates by the grid column
+    horizon_column, in replicate order, among room for one per replicate.
     """
 
     def __init__(self, columns: int, k: int, horizon_column: int, leading: bool,
@@ -311,7 +301,6 @@ class _BandSummary:
         self.high = np.empty((0, columns))
         self.seen = np.zeros(columns, dtype=bool)
         self.rates = np.empty(replicates)
-        self.total = np.zeros(columns)
         self.sums = []
         self.group = None
 
@@ -339,16 +328,12 @@ class _BandSummary:
         np.subtract(1.0, padded[step], out=self.rates[self.curves:self.curves + curves])
 
         if group != self.group:
-            if self.leading and self.sums:
-                self.total += self.sums.pop()
+            if self.leading and len(self.sums) == 2:
+                self.sums[0] += self.sums.pop()
             self.sums.append(np.zeros(width))
             self.group = group
         rows = min(self.k, self.curves + curves)
-        full = self.low.shape[0] == rows
-        if full:
-            low, high = self.low, self.high
-        else:
-            low, high = np.empty((rows, width)), np.empty((rows, width))
+        low, high = self._room(rows)
         block = max(1, BAND_ELEMENTS // curves)
         for start in range(0, width, block):
             stop = min(start + block, width)
@@ -376,29 +361,48 @@ class _BandSummary:
             for row in values:
                 total += row
             self.sums[-1][start:stop] += total
-            kept = _smallest(self.low[:, start:stop], values, rows)
-            np.negative(values, out=values)
-            negated = _smallest(self.high[:, start:stop], values, rows)
-            if not full:
-                low[:, start:stop], high[:, start:stop] = kept, negated
+            self._keep(low, high, start, stop, values, rows)
         self.low, self.high = low, high
         self.curves += curves
 
     def merge(self, other: _BandSummary) -> None:
-        """Take in the summary of the whole groups right after this one's,
-        this one leading."""
+        """Take in the summary of the whole groups right after this one's."""
         if other.curves == 0:
             return
         rows = min(self.k, self.curves + other.curves)
-        self.low = _smallest(self.low, other.low, rows)
-        self.high = _smallest(self.high, other.high, rows)
+        low, high = self._room(rows)
+        # In column blocks, so that merging needs no more than a block's
+        # room beyond both summaries.
+        block = max(1, BAND_ELEMENTS // (2 * self.k))
+        for start in range(0, self.seen.size, block):
+            stop = min(start + block, self.seen.size)
+            self._keep(low, high, start, stop, other.low[:, start:stop], rows,
+                       other.high[:, start:stop])
+        self.low, self.high = low, high
         self.rates = np.concatenate((self.rates[:self.curves], other.rates[:other.curves]))
         self.curves += other.curves
         self.seen |= other.seen
-        for sums in self.sums:
-            self.total += sums
-        self.sums = other.sums
-        other.sums = []
+        self.sums += other.sums
+
+    def _room(self, rows: int) -> tuple:
+        """The arrays that will hold rows kept values per side: low and high
+        themselves once they hold that many, which then change in place."""
+        if self.low.shape[0] == rows:
+            return self.low, self.high
+        width = self.seen.size
+        return np.empty((rows, width)), np.empty((rows, width))
+
+    def _keep(self, low, high, start, stop, values, rows, negated=None) -> None:
+        """Keep the rows smallest and largest values of columns start, ...,
+        stop - 1 among the kept ones and values, writing them to low and
+        high (_room).  negated holds the new values to keep the largest of,
+        negated as in high: values, negated in place, unless given."""
+        kept = _smallest(self.low[:, start:stop], values, rows)
+        if negated is None:
+            negated = np.negative(values, out=values)
+        negated = _smallest(self.high[:, start:stop], negated, rows)
+        if low is not self.low:
+            low[:, start:stop], high[:, start:stop] = kept, negated
 
     def read(self, times: np.ndarray) -> tuple:
         """(the event rates as a SampleSummary, the KmBand on the seen
@@ -408,7 +412,7 @@ class _BandSummary:
             return None, None
         rates = summarize(self.rates[:self.curves])
         seen = np.flatnonzero(self.seen)
-        total = self.total[seen]
+        total = np.zeros(seen.size)
         for sums in self.sums:
             total += sums[seen]
         mean = total / self.curves
@@ -481,11 +485,13 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _map_shares(fit, items) -> list:
-    """fit over contiguous shares of items, one share per CPU, concatenated
-    in item order: this process runs the first share and a forked child
-    each other one.  fit(share) returns a list; a child's exception is
-    raised here, and no child outlives the call."""
+def _map_shares(fit, items, merge) -> None:
+    """fit over contiguous shares of items, one share per CPU: this process
+    runs the first share and a forked child each other one.  fit(share)
+    returns a list of parts, and merge takes every part of every share in
+    item order, each as soon as it arrives, so that no more than one part of
+    a child is held here at a time.  A child's exception is raised here, and
+    no child outlives the call."""
     k = min(_cpu_count(), len(items))
     bounds = [len(items) * i // k for i in range(k + 1)]
     shares = [items[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -498,35 +504,44 @@ def _map_shares(fit, items) -> list:
                 pid = os.fork()
                 if pid == 0:
                     # With the cohort and modules in place (the program starts
-                    # no threads), the child pickles fit(share), or what it
-                    # raised, and skips the parent's exit handlers and buffers.
+                    # no threads), the child pickles the number of parts of
+                    # fit(share) and then each part, or what fit raised, and
+                    # skips the parent's exit handlers and buffers.
                     try:
                         for pipe in pipes:
                             pipe.close()
                         try:
-                            result = fit(share)
+                            parts = fit(share)
+                            head = len(parts)
                         except BaseException as exc:  # the parent re-raises it
-                            result = exc
-                        pickle.dump(result, sender)
+                            parts, head = [], exc
+                        pickle.dump(head, sender)
+                        for part in parts:
+                            pickle.dump(part, sender)
                         sender.flush()
                         os._exit(0)
                     finally:
                         os._exit(1)
             pids.append(pid)
-        results = fit(shares[0])
-        for pid, pipe in zip(pids, pipes):
+
+        def receive(pid, pipe):
             try:
-                result = pickle.load(pipe)
+                return pickle.load(pipe)
             except Exception:  # end of file, or a torn pickle
                 pipe.close()  # first, so that a child still writing fails
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 pids.remove(pid)
                 raise PropagationError(f"replicate worker exited with code {code} "
                                        "before sending its results") from None
-            if isinstance(result, BaseException):
-                raise result
-            results += result
-        return results
+
+        for part in fit(shares[0]):
+            merge(part)
+        for pid, pipe in zip(pids, pipes):
+            head = receive(pid, pipe)
+            if isinstance(head, BaseException):
+                raise head
+            for _ in range(head):
+                merge(receive(pid, pipe))
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGTERM)
@@ -585,17 +600,23 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
                 first, stop, (rank, event, column), layout, order, centers, spread, config,
                 bands, group)
             failures += chunk_failures
-        return [(bands, hazard_ratios, failures)]
+        return [(None, (hazard_ratios, failures)), *bands.items()]
 
-    results = _map_shares(fit, groups)
-    bands, hazard_ratios, failures = results.pop(0)
-    hazard_ratios = [hazard_ratios]
-    while results:
-        other, more_ratios, more_failures = results.pop(0)
-        for label in STRATA:
-            bands[label].merge(other[label])
-        hazard_ratios.append(more_ratios)
-        failures += more_failures
+    # Each share's parts, in share order: its hazard ratios and failures,
+    # then one summary per stratum.
+    bands, hazard_ratios, failures = {}, [], []
+
+    def merge(part):
+        label, value = part
+        if label is None:
+            hazard_ratios.append(value[0])
+            failures.extend(value[1])
+        elif label in bands:
+            bands[label].merge(value)
+        else:
+            bands[label] = value
+
+    _map_shares(fit, groups, merge)
     hazard_ratios = np.concatenate(hazard_ratios)
     hazard_ratios = hazard_ratios[~np.isnan(hazard_ratios)]
     if not hazard_ratios.size:

@@ -661,11 +661,22 @@ class TestBands:
         assert (peak > bound) if unblocked else (peak < bound)
 
     def test_peak_memory_does_not_grow_with_the_replicates(self):
-        # A stratum keeps k = (R - 1) // 40 + 2 values per side and grid
-        # column, one event rate and one hazard ratio per replicate, never
-        # the curves' steps: on this cohort's 173 event times, R = 1000
-        # (k = 26) holds about 0.2 MB more than R = 50 (k = 3).
+        # From R = 50 to R = 1000 each stratum's summary grows by its kept
+        # values, k = (R - 1) // 40 + 2 per side and grid column, by at most
+        # one column sum per group of chunks (SUM_CELLS values), and by
+        # one event rate per replicate, and the source by one hazard ratio
+        # per replicate; nothing grows with the curves' steps, which at
+        # R = 1000 take about 2 MB more than at R = 50 on this cohort.
         cohort = simulate(SimConfig(n_patients=1366, seed=1))
+        columns = np.unique(cohort.time[cohort.event > 0]).size
+        per_chunk = propagation.CHUNK_ELEMENTS // cohort.time.size
+
+        def state(replicates):
+            k = (replicates - 1) // 40 + 2
+            chunks = -(-replicates // per_chunk)
+            groups = len(propagation._group_bounds(chunks, columns)) - 1
+            return 8 * (len(STRATA) * ((2 * k + groups) * columns + replicates) + replicates)
+
         peaks = {}
         with _cpus(1):
             propagate(cohort, _config(source="assimilated", replicates=2))
@@ -676,7 +687,7 @@ class TestBands:
                     peaks[replicates] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-        assert peaks[1000] - peaks[50] < 0.25e6
+        assert peaks[1000] - peaks[50] < state(1000) - state(50) + 0.25e6
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.one_of(st.integers(1, 90), st.integers(1, 3001)),

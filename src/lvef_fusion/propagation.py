@@ -235,9 +235,9 @@ def _smallest(kept, new, rows):
 
 def _insert(kept, value) -> None:
     """Put value into each column of kept, sorted ascending, in place of its
-    largest entry where value is smaller, keeping the columns sorted: the
-    smallest of both are min(s[0], v) and min(s[j], max(s[j - 1], v)) for
-    j >= 1."""
+    largest entry where value is smaller, keeping the columns sorted: of a
+    column s and its value v, the len(s) smallest are min(s[0], v) and
+    min(s[j], max(s[j - 1], v)) for j >= 1."""
     shifted = np.maximum(kept[:-1], value)
     np.minimum(kept[1:], shifted, out=kept[1:])
     np.minimum(kept[0], value, out=kept[0])
@@ -287,8 +287,9 @@ class _BandSummary:
     chunk summed in replicate order and the chunks added in chunk order.  A
     summary that starts at the first group (leading) adds each group it has
     finished into sums[0] at once, which the read's sum over the groups in
-    order, from zero, turns into the same bits.  rates[:curves] holds the present curves' event rates by the grid column
-    horizon_column, in replicate order, among room for one per replicate.
+    order, from zero, turns into the same bits.  rates[:curves] holds the
+    present curves' event rates by the grid column horizon_column, in
+    replicate order, among room for one per replicate.
     """
 
     def __init__(self, columns: int, k: int, horizon_column: int, leading: bool,

@@ -36,22 +36,21 @@ blocks of about BAND_ELEMENTS cells (two searches per curve bound its steps
 in a block; each row starts from the step it carries in and is filled
 forward) and keeps, per column, the k smallest and k largest values, which
 are all that np.quantile reads at the band's levels, a seen mask, and the
-column sums; and one event rate by the horizon per present curve.  The
-mean's sums follow a fixed order: each chunk in replicate order, the chunks
-of a group (_group_bounds) in chunk order, the groups in group order.  The
-results are bit for bit those of one replicate at a time (``normal(loc,
-scale)`` draws, ``stratum_km``, ``cox_fit_from_arrays`` and a per-curve band
-whose mean is summed in the same chunks and groups); the budgets only bound
+column sums of each value's three parts (``_parts``), which are exact, so
+no order of summing changes them; and one event rate by the horizon per
+present curve.  The results are bit for bit those of one replicate at a
+time (``normal(loc, scale)`` draws, ``stratum_km``, ``cox_fit_from_arrays``
+and a per-curve band whose mean is summed exactly); the budgets only bound
 memory, which grows with R only by one rate and one hazard ratio per
-replicate, the k values per column and the groups' sums (SUM_CELLS).
+replicate and the k values per column.
 
-The groups of chunks are split into one contiguous share per CPU the process
-may run on (never more shares than groups).  This process fits the first
-share; a plain ``os.fork`` child fits each other one, pickles its hazard
-ratios and failures, then each stratum's summary apart, into a pipe and
-leaves through ``os._exit``.  The parent merges the shares in order, each
-part as it is read, so every number is the same whatever the CPU count or
-platform; with one CPU, or where processes cannot be forked, no child is
+The chunks are split into one contiguous share per CPU the process may run
+on (never more shares than chunks).  This process fits the first share; a
+plain ``os.fork`` child fits each other one, pickles its hazard ratios and
+failures, then each stratum's summary apart, into a pipe and leaves through
+``os._exit``.  The parent merges the shares in order, each part as it is
+read, so every number is the same whatever the chunk size, the CPU count or
+the platform; with one CPU, or where processes cannot be forked, no child is
 started.
 """
 
@@ -97,9 +96,6 @@ CHUNK_ELEMENTS = 2**16
 # Band columns are evaluated and read in blocks of about BAND_ELEMENTS
 # (curve, column) values.
 BAND_ELEMENTS = 2**16
-# Each group of chunks keeps its own band column sums; the groups' sums
-# together hold at most SUM_CELLS values per stratum.
-SUM_CELLS = 2**19
 
 
 @dataclass(frozen=True)
@@ -265,13 +261,28 @@ def _percentiles(low, high, curves):
     return percentiles
 
 
-def _group_bounds(chunks: int, columns: int) -> list:
-    """Chunk bounds of the groups whose band sums are added up apart: one
-    group per chunk while their column sums fit in SUM_CELLS values, fewer
-    groups of consecutive chunks otherwise.  A function of the chunk and
-    grid column counts alone, so of n and R, never of the CPU count."""
-    groups = max(1, min(chunks, SUM_CELLS // columns))
-    return [chunks * i // groups for i in range(groups + 1)]
+def _parts(values) -> tuple:
+    """Three arrays that add up exactly to values, each value in [0, 1]: it
+    rounded to a multiple of 2**-23, the remainder rounded to a multiple of
+    2**-47, and what is left.  Adding 1.5 * 2**29 (or 1.5 * 2**5) rounds to
+    the spacing of the floats of that binade, and subtracting it is exact.
+
+    Each part's partial sums are exact, in any order, for R curves over n
+    patients while R < 2**30 and n * R < 2**47: a sum of multiples of a
+    spacing is exact while it stays below 2**53 spacings.  The first parts
+    are multiples of 2**-23 in [0, 1], the second multiples of 2**-47 of
+    size at most 2**-24.  A nonzero Kaplan-Meier value is at least 1/n, up
+    to its rounding, as its product of (r_i - d_i) / r_i telescopes with
+    r_(i+1) <= r_i - d_i; so it, and its last part, is a multiple of
+    2**-53 / n, and the last parts are at most 2**-48 in size.
+    """
+    high = values + 1.5 * 2**29
+    high -= 1.5 * 2**29
+    rest = values - high
+    middle = rest + 1.5 * 2**5
+    middle -= 1.5 * 2**5
+    rest -= middle
+    return high, middle, rest
 
 
 class _BandSummary:
@@ -283,32 +294,26 @@ class _BandSummary:
     present-curve values (low) and the k largest (high, negated), each
     sorted ascending, which is enough for np.quantile at the band's levels
     over up to 40 * (k - 1) curves; whether any curve stepped there (seen);
-    and in sums, per group of chunks in group order, the column sums, each
-    chunk summed in replicate order and the chunks added in chunk order.  A
-    summary that starts at the first group (leading) adds each group it has
-    finished into sums[0] at once, which the read's sum over the groups in
-    order, from zero, turns into the same bits.  rates[:curves] holds the
-    present curves' event rates by the grid column horizon_column, in
-    replicate order, among room for one per replicate.
+    and in sums[i] the column sums of the values' parts i (_parts), exact
+    whatever the order.  rates[:curves] holds the present curves' event
+    rates by the grid column horizon_column, in replicate order, among room
+    for one per replicate.
     """
 
-    def __init__(self, columns: int, k: int, horizon_column: int, leading: bool,
-                 replicates: int):
+    def __init__(self, columns: int, k: int, horizon_column: int, replicates: int):
         self.k = k
         self.horizon_column = horizon_column
-        self.leading = leading
         self.curves = 0
         self.low = np.empty((0, columns))
         self.high = np.empty((0, columns))
         self.seen = np.zeros(columns, dtype=bool)
         self.rates = np.empty(replicates)
-        self.sums = []
-        self.group = None
+        self.sums = np.zeros((3, columns))
 
-    def add(self, present, steps, columns, survival, group) -> None:
+    def add(self, present, steps, columns, survival) -> None:
         """Take in one chunk's curves: whether each replicate is present,
         its number of curve steps, and the steps' grid columns and S values
-        in (replicate, time) order; group numbers the chunk's group."""
+        in (replicate, time) order."""
         curves = int(np.count_nonzero(present))
         if curves == 0:
             return
@@ -328,11 +333,6 @@ class _BandSummary:
         step[step <= first] = 0
         np.subtract(1.0, padded[step], out=self.rates[self.curves:self.curves + curves])
 
-        if group != self.group:
-            if self.leading and len(self.sums) == 2:
-                self.sums[0] += self.sums.pop()
-            self.sums.append(np.zeros(width))
-            self.group = group
         rows = min(self.k, self.curves + curves)
         low, high = self._room(rows)
         block = max(1, BAND_ELEMENTS // curves)
@@ -356,18 +356,14 @@ class _BandSummary:
             np.maximum.accumulate(cells, axis=1, out=cells)
             values = padded[cells]
             del cells
-            # Row by row, so the chunk's sum runs in replicate order whatever
-            # the block's shape (numpy sums a lone column pairwise).
-            total = np.zeros(stop - start)
-            for row in values:
-                total += row
-            self.sums[-1][start:stop] += total
+            for total, part in zip(self.sums, _parts(values)):
+                total[start:stop] += part.sum(axis=0)
             self._keep(low, high, start, stop, values, rows)
         self.low, self.high = low, high
         self.curves += curves
 
     def merge(self, other: _BandSummary) -> None:
-        """Take in the summary of the whole groups right after this one's."""
+        """Take in the summary of the chunks right after this one's."""
         if other.curves == 0:
             return
         rows = min(self.k, self.curves + other.curves)
@@ -413,10 +409,8 @@ class _BandSummary:
             return None, None
         rates = summarize(self.rates[:self.curves])
         seen = np.flatnonzero(self.seen)
-        total = np.zeros(seen.size)
-        for sums in self.sums:
-            total += sums[seen]
-        mean = total / self.curves
+        sums = self.sums[:, seen]
+        mean = ((sums[0] + sums[1]) + sums[2]) / self.curves
         low, high = self.low[:, seen], -self.high[::-1, seen]
         # Columns where every curve agrees must average to that value
         # bit-exactly (zero-noise collapse), which summed means do not give.
@@ -430,7 +424,7 @@ class _BandSummary:
         return rates, KmBand(times=times[seen], lower=lower, mean=mean, upper=upper)
 
 
-def _fit_stratum(mask, rank, event, column, summary, group) -> None:
+def _fit_stratum(mask, rank, event, column, summary) -> None:
     """Fit one stratum in every replicate of one chunk, mask being the
     chunk's (replicate, patient) membership matrix, column each time rank's
     grid column, and add the curves to the stratum's summary."""
@@ -444,14 +438,14 @@ def _fit_stratum(mask, rank, event, column, summary, group) -> None:
     del patient  # the segmented fit below sets the chunk's memory peak
     rep, curve = km_segmented(*members, rep)
     summary.add(present, np.bincount(rep, minlength=chunk), column[curve.times],
-                curve.survival, group)
+                curve.survival)
 
 
-def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config, bands, group):
+def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config, bands):
     """Draw and fit replicates first, ..., stop - 1 on their substreams;
     follow_up is (rank, event, column) as _fit_stratum takes them, layout
     their Cox event layout, order the time order of the patients, and bands
-    each stratum's summary, which the chunk's curves join under group.
+    each stratum's summary, which the chunk's curves join.
 
     Returns (each replicate's hazard ratio, NaN where its Cox fit failed,
     and the exceptions the failed fits raised), both in replicate order.
@@ -470,7 +464,7 @@ def _fit_chunk(first, stop, follow_up, layout, order, centers, spread, config, b
     # Every draw is clipped into the reportable LVEF range.
     np.clip(realized, *LVEF_RANGE, out=realized)
     for label, mask in _strata_masks(realized, config.band_edges).items():
-        _fit_stratum(mask, *follow_up, bands[label], group)
+        _fit_stratum(mask, *follow_up, bands[label])
     outcomes = _cox_fit_rows(layout, realized)
     # hazard_ratio_per's point estimate, without its Wald endpoints: finite
     # or inf for every converged fit, so NaN marks only the failures.
@@ -579,9 +573,6 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
     grid = np.flatnonzero(is_event)
     column = np.cumsum(is_event) - 1
     del is_event
-    bounds = _group_bounds(len(chunks), grid.size)
-    groups = [[(group, *chunk) for chunk in chunks[a:b]]
-              for group, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     # np.quantile at 0.025 and 0.975 over m <= R values reads ranks up to
     # floor((m - 1) / 40) + 1 from either end.
     k = (config.replicates - 1) // 40 + 2
@@ -591,15 +582,14 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
         # One Cox event layout serves every chunk of the share; it is freed
         # with the share, before the other shares' results arrive.
         layout = _CoxLayout(rank, event)
-        share = [chunk for group in share for chunk in group]
-        start, end = share[0][1], share[-1][2]
-        bands = {label: _BandSummary(grid.size, k, horizon_column, start == 0, end - start)
+        start, end = share[0][0], share[-1][1]
+        bands = {label: _BandSummary(grid.size, k, horizon_column, end - start)
                  for label in STRATA}
         hazard_ratios, failures = np.empty(end - start), []
-        for group, first, stop in share:
+        for first, stop in share:
             hazard_ratios[first - start:stop - start], chunk_failures = _fit_chunk(
                 first, stop, (rank, event, column), layout, order, centers, spread, config,
-                bands, group)
+                bands)
             failures += chunk_failures
         return [(None, (hazard_ratios, failures)), *bands.items()]
 
@@ -617,7 +607,7 @@ def propagate(cohort, config: PropagationConfig) -> PropagationSummary:
         else:
             bands[label] = value
 
-    _map_shares(fit, groups, merge)
+    _map_shares(fit, chunks, merge)
     hazard_ratios = np.concatenate(hazard_ratios)
     hazard_ratios = hazard_ratios[~np.isnan(hazard_ratios)]
     if not hazard_ratios.size:

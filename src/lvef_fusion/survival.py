@@ -58,6 +58,7 @@ from .errors import (
     NonConvergenceError,
     SeparationError,
 )
+from .stochastics import _integer
 
 __all__ = [
     "KmCurve",
@@ -317,8 +318,11 @@ def cox_fit_from_arrays(time, event, covariate, tolerance: float = 1e-8,
     """Newton-Raphson fit of the single-covariate Cox model from parallel
     arrays: the checked one-row case of _cox_fit_rows."""
     time, event, covariate = _checked(time, event, covariate)
-    if not (np.isfinite(tolerance) and tolerance > 0):
+    if not isinstance(tolerance, numbers.Real):
+        raise InvalidParameterError(f"tolerance must be a number, got {tolerance!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
         raise InvalidParameterError(f"tolerance must be > 0, got {tolerance!r}")
+    max_iterations = _integer("max_iterations", max_iterations)
     if max_iterations < 1:
         raise InvalidParameterError(f"max_iterations must be >= 1, got {max_iterations!r}")
     (outcome,) = _cox_fit_rows(_CoxLayout(time, event), covariate[None], tolerance,

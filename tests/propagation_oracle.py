@@ -3,20 +3,21 @@
 Replicate r draws every patient's LVEF from its own stream make_stream(seed, r),
 fits the strata's Kaplan-Meier curves with stratum_km and the Cox model with
 cox_fit_from_arrays; the bands read every curve at every grid time with its
-own searchsorted, and sum the curves for the mean in the engine's chunks and
-groups (chunk_groups).  When every replicate's Cox fit fails, and each fails
-with a DegenerateDataError, the first replicate's error is raised; any other
-mix of failures raises a PropagationError naming them.  ``propagate`` here
-must equal ``lvef_fusion.propagation.propagate`` bit for bit.
+own searchsorted, and sum the curves for the mean exactly, each value split
+into three parts as the engine splits it.  When every replicate's Cox fit
+fails, and each fails with a DegenerateDataError, the first replicate's error
+is raised; any other mix of failures raises a PropagationError naming them.
+``propagate`` here must equal ``lvef_fusion.propagation.propagate`` bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from lvef_fusion import propagation
 from lvef_fusion.errors import (
     DegenerateDataError,
     NonConvergenceError,
@@ -78,19 +79,15 @@ def run_replicate(cohort, config, r: int) -> Replicate:
     )
 
 
-def km_band(chunks, groups=None) -> KmBand | None:
+def km_band(curves) -> KmBand | None:
     """Pointwise percentile envelope of KmCurves, read curve by curve.
 
-    chunks lists each chunk's curves in replicate order; groups holds the
-    chunk bounds of the groups, one chunk each by default.  The mean adds
-    each chunk's curves in order, each group's chunk sums in order, then
-    the group sums in order, as the chunked engine does.
+    The mean splits each value x into np.round(x * 2**23) / 2**23, the
+    remainder's np.round(rest * 2**47) / 2**47 and what is left, sums each
+    part's column with math.fsum, and adds the three sums in that order.
     """
-    curves = [curve for chunk in chunks for curve in chunk]
     if not curves:
         return None
-    if groups is None:
-        groups = range(len(chunks) + 1)
     grid = np.unique(np.concatenate([c.times for c in curves]))
     if grid.size == 0:
         return KmBand(times=grid, lower=grid.copy(), mean=grid.copy(), upper=grid.copy())
@@ -98,17 +95,12 @@ def km_band(chunks, groups=None) -> KmBand | None:
     def values(curve):
         return np.r_[1.0, curve.survival][np.searchsorted(curve.times, grid, side="right")]
 
-    total = np.zeros(grid.size)
-    for a, b in zip(groups[:-1], groups[1:]):
-        group = np.zeros(grid.size)
-        for chunk in chunks[a:b]:
-            chunk_sum = np.zeros(grid.size)
-            for curve in chunk:
-                chunk_sum += values(curve)
-            group += chunk_sum
-        total += group
-    mean = total / len(curves)
     block = np.array([values(curve) for curve in curves])
+    high = np.round(block * 2**23) / 2**23
+    middle = np.round((block - high) * 2**47) / 2**47
+    rest = block - high - middle
+    sums = [np.array([math.fsum(column) for column in part.T]) for part in (high, middle, rest)]
+    mean = ((sums[0] + sums[1]) + sums[2]) / len(curves)
     lower = np.quantile(block, 0.025, axis=0)
     upper = np.quantile(block, 0.975, axis=0)
     constant = block.min(axis=0) == block.max(axis=0)
@@ -116,19 +108,6 @@ def km_band(chunks, groups=None) -> KmBand | None:
     lower = np.minimum(lower, mean)
     upper = np.maximum(upper, mean)
     return KmBand(times=grid, lower=lower, mean=mean, upper=upper)
-
-
-def chunk_groups(cohort, config) -> tuple:
-    """(chunk bounds in replicates, group bounds in chunks) of the chunked
-    engine: chunks of max(1, CHUNK_ELEMENTS // n) replicates, and one group
-    per chunk unless the groups' column sums, one per distinct event time,
-    would exceed SUM_CELLS, then as many equal-as-can-be groups as fit."""
-    per_chunk = max(1, propagation.CHUNK_ELEMENTS // len(cohort.time))
-    chunks = list(range(0, config.replicates, per_chunk)) + [config.replicates]
-    count = len(chunks) - 1
-    columns = np.unique(cohort.time[cohort.event > 0]).size
-    groups = max(1, min(count, propagation.SUM_CELLS // columns))
-    return chunks, [count * i // groups for i in range(groups + 1)]
 
 
 def propagate(cohort, config) -> PropagationSummary:
@@ -145,15 +124,13 @@ def propagate(cohort, config) -> PropagationSummary:
             f"all {config.replicates} replicates failed the Cox fit ({', '.join(reasons)})"
         )
 
-    chunks, groups = chunk_groups(cohort, config)
     event_rates, km_bands = {}, {}
     for label in STRATA:
         present = [r.event_rate_by_stratum[label] for r in results
                    if r.event_rate_by_stratum[label] is not None]
         event_rates[label] = summarize(present, (0.025, 0.5, 0.975)) if present else None
-        km_bands[label] = km_band([[r.km_curves[label] for r in results[a:b]
-                                    if r.km_curves[label] is not None]
-                                   for a, b in zip(chunks[:-1], chunks[1:])], groups)
+        km_bands[label] = km_band([r.km_curves[label] for r in results
+                                   if r.km_curves[label] is not None])
 
     return PropagationSummary(
         source=config.source,

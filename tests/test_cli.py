@@ -9,13 +9,11 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
-from lvef_fusion import cli, errors, propagation
+from lvef_fusion import cli, errors
 from lvef_fusion.cli import main
-from lvef_fusion.cohort import parse_cohort_csv
 from lvef_fusion.report import TOOL_VERSION, config_hash
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -475,8 +473,7 @@ class TestPropagate:
 
 class TestForkedPropagate:
     # Writes a line that stays in the piped stdout's buffer, then runs the
-    # command over one-replicate chunks split across the given CPU count,
-    # with the given SUM_CELLS.
+    # command over one-replicate chunks split across the given CPU count.
     SCRIPT = (
         "import sys\n"
         "from unittest import mock\n"
@@ -484,15 +481,13 @@ class TestForkedPropagate:
         "from lvef_fusion.cli import main\n"
         "sys.stdout.write('written before propagate\\n')\n"
         "with mock.patch.object(propagation, 'CHUNK_ELEMENTS', 1), \\\n"
-        "        mock.patch.object(propagation, 'SUM_CELLS', int(sys.argv[2])), \\\n"
         "        mock.patch.object(propagation, '_cpu_count', return_value=int(sys.argv[1])):\n"
-        "    sys.exit(main(sys.argv[3:]))\n"
+        "    sys.exit(main(sys.argv[2:]))\n"
     )
 
     def _run(self, cpus, cohort, output):
         return subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(cpus), str(propagation.SUM_CELLS),
-             "propagate", "--input", str(cohort),
+            [sys.executable, "-c", self.SCRIPT, str(cpus), "propagate", "--input", str(cohort),
              "--source", "all", "--sigma-visual", "0.005", "--replicates", "40",
              "--output", str(output)],
             env=_src_env(), capture_output=True, text=True, timeout=120)
@@ -510,17 +505,13 @@ class TestForkedPropagate:
                     == (tmp_path / "single" / name).read_bytes())
 
     def test_grouped_band_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
-        """report over 200 one-replicate chunks in 7 groups, in one process
-        and split 2/2/3 between three: either way each group's chunk sums
-        are added in chunk order and the groups' sums in group order."""
+        """report over 200 one-replicate chunks, in one process and split
+        between three: either way the band sums are exact, so the bytes
+        match."""
         assert main(["simulate", "--n", "300", "--seed", "11", "--output", str(tmp_path)]) == 0
-        cohort = parse_cohort_csv(tmp_path / "cohort.csv")
-        columns = len(set(cohort.time[cohort.event > 0].tolist()))
-        with mock.patch.object(propagation, "SUM_CELLS", 7 * columns):
-            assert len(propagation._group_bounds(200, columns)) == 8
         for cpus in (1, 3):
             done = subprocess.run(
-                [sys.executable, "-c", self.SCRIPT, str(cpus), str(7 * columns), "report",
+                [sys.executable, "-c", self.SCRIPT, str(cpus), "report",
                  "--input", str(tmp_path / "cohort.csv"), "--replicates", "200",
                  "--seed", "3", "--output", str(tmp_path / str(cpus))],
                 env=_src_env(), capture_output=True, text=True, timeout=120)

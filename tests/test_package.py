@@ -4,6 +4,7 @@ and what importing the CLI loads."""
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,25 @@ def test_module_lists_are_the_package_api():
         for name in module.__all__:
             assert name in lvef_fusion.__all__, f"{module.__name__}.{name}"
             assert getattr(lvef_fusion, name) is getattr(module, name)
+
+
+# Names README quotes that are no attribute of the program: the environment
+# variable the suite runs under, and the replicate count R.
+README_WORDS = {"PYTHONPATH", "R"}
+
+
+def test_readme_quotes_only_names_the_program_has():
+    # Every constant (upper case) or private name README quotes in backticks
+    # is an attribute of some module of the package, so the text cannot keep
+    # a name the code has dropped.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    quoted = set(re.findall(r"`([A-Z][A-Z0-9_]*|_\w+)`", text)) - README_WORDS
+    modules = [lvef_fusion] + [importlib.import_module(f"lvef_fusion.{path.stem}")
+                               for path in sorted((SRC / "lvef_fusion").glob("*.py"))
+                               if path.stem != "__init__"]
+    assert quoted
+    assert sorted(name for name in quoted
+                  if not any(hasattr(module, name) for module in modules)) == []
 
 
 def _imported_names(tree) -> dict:

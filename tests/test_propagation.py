@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
+from fractions import Fraction
 from time import monotonic, sleep
 from unittest import mock
 
@@ -240,9 +241,8 @@ def _propagation_cases(draw):
     """Small cohorts with tied times, censorings tied with events, heavy
     censoring, narrow or far strata (absent ones, event-free ones), spreads
     from zero to wide (separating fits included), several replicate chunks
-    and several band blocks, the chunks alone or in fewer groups.  The
-    follow-up runs from 30 to 360 days, so a 15-day horizon lies before
-    every time and a 360-day one may tie one."""
+    and several band blocks.  The follow-up runs from 30 to 360 days, so a
+    15-day horizon lies before every time and a 360-day one may tie one."""
     n = draw(st.one_of(st.integers(2, 6), st.integers(2, 30)))
     times = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
     event_share = draw(st.sampled_from([0.1, 0.5, 0.9]))
@@ -265,10 +265,8 @@ def _propagation_cases(draw):
     )
     per_chunk = draw(st.integers(1, config.replicates + 1))
     band_elements = draw(st.sampled_from([1, 5, 16, propagation.BAND_ELEMENTS]))
-    # At most 12 event times: 1 makes one group, 30 two or more.
-    sum_cells = draw(st.sampled_from([1, 30, propagation.SUM_CELLS]))
     cpus = draw(st.sampled_from([1, 2, 3]))
-    return cohort, sigmas, config, per_chunk * n, band_elements, sum_cells, cpus
+    return cohort, sigmas, config, per_chunk * n, band_elements, cpus
 
 
 def _cpus(count):
@@ -280,10 +278,9 @@ class TestMatchesOracle:
     @settings(max_examples=200, deadline=None)
     @given(_propagation_cases())
     def test_bit_identical_to_per_replicate_loop(self, case):
-        cohort, sigmas, config, chunk_elements, band_elements, sum_cells, cpus = case
+        cohort, sigmas, config, chunk_elements, band_elements, cpus = case
         with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), \
-                mock.patch.object(propagation, "BAND_ELEMENTS", band_elements), \
-                mock.patch.object(propagation, "SUM_CELLS", sum_cells), _cpus(cpus):
+                mock.patch.object(propagation, "BAND_ELEMENTS", band_elements), _cpus(cpus):
             _assert_matches_oracle(cohort, config)
 
     @pytest.mark.parametrize("chunk_elements", [1, 7 * 300, propagation.CHUNK_ELEMENTS])
@@ -296,19 +293,19 @@ class TestMatchesOracle:
                 for source in SOURCES:
                     _assert_matches_oracle(cohort, _config(source=source, replicates=20))
 
-    @pytest.mark.parametrize("chunk_elements,chunks,groups", [(1, 20, 7), (7 * 300, 3, 1)])
-    def test_grouped_chunks_on_a_simulated_cohort(self, chunk_elements, chunks, groups):
+    def test_chunking_does_not_shape_the_band(self):
+        # The same summary, bit for bit, from 200 one-replicate chunks, from
+        # 29 chunks of 7 and from one chunk of 200, in one process or split
+        # between three.
         cohort = _cohort()
-        columns = np.unique(cohort.time[cohort.event > 0]).size
-        # 20 one-replicate chunks in 7 groups, which 3 CPUs split 2/2/3, or
-        # 3 seven-replicate chunks in one group, which starts no child.
-        with mock.patch.object(propagation, "SUM_CELLS", groups * columns):
-            assert len(propagation._group_bounds(chunks, columns)) == groups + 1
-            for cpus in (1, 2, 3):
+        summaries = []
+        for chunk_elements in (1, 7 * 300, propagation.CHUNK_ELEMENTS):
+            for cpus in (1, 3):
                 with mock.patch.object(propagation, "CHUNK_ELEMENTS", chunk_elements), \
                         _cpus(cpus):
-                    for source in SOURCES:
-                        _assert_matches_oracle(cohort, _config(source=source, replicates=20))
+                    summaries.append(asdict(propagate(cohort, _config(seed=5, replicates=200))))
+        for summary in summaries[1:]:
+            _assert_identical(summary, summaries[0])
 
 
 def _open_fds():
@@ -455,11 +452,12 @@ def _band_cases(draw):
     times, each a grid column, replicates absent from the stratum, present
     curves without steps, survival values that often coincide across
     curves, and a horizon from before the first time to the last.  The
-    chunks fall in groups, and the groups in shares."""
+    chunks fall in shares."""
     times = np.cumsum(draw(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=12)))
-    # Nine or more curves make a column's pairwise sum differ from the
-    # row-by-row one.
-    replicates = draw(st.one_of(st.integers(1, 4), st.integers(9, 24)))
+    # From about 64 curves on, a column's first-part sum reaches 2**6, past
+    # which adding the second parts rounds, so the order in which the read
+    # adds the three sums shows.
+    replicates = draw(st.one_of(st.integers(1, 4), st.integers(9, 24), st.integers(64, 160)))
     present = np.array(draw(st.lists(st.sampled_from([True, True, True, False]),
                                      min_size=replicates, max_size=replicates)))
     # A share of the values comes from a small common pool, the rest are
@@ -481,43 +479,64 @@ def _band_cases(draw):
                             events=np.ones(columns.size, dtype=np.int64))
         steps[r] = (columns, survival)
     per_chunk = draw(st.integers(1, replicates))
-    parts, chunks = [], []
+    parts = []
     for first in range(0, replicates, per_chunk):
         chunk = steps[first:first + per_chunk]
         parts.append((present[first:first + per_chunk],
                       np.array([columns.size for columns, _ in chunk]),
                       np.concatenate([columns for columns, _ in chunk]),
                       np.concatenate([survival for _, survival in chunk])))
-        chunks.append([curve for curve in curves[first:first + per_chunk] if curve is not None])
-    groups = draw(st.integers(1, len(parts)))
-    bounds = [len(parts) * i // groups for i in range(groups + 1)]
     horizon_column = draw(st.integers(0, times.size))
     horizon = times[horizon_column - 1] if horizon_column else times[0] / 2
-    return dict(parts=parts, times=times, horizon_column=horizon_column, bounds=bounds,
-                shares=draw(st.integers(1, 3)), k=draw(st.sampled_from([2, 3, 30])),
+    return dict(parts=parts, times=times, horizon_column=horizon_column,
+                shares=draw(st.integers(1, 3)),
+                k=max(draw(st.sampled_from([2, 3, 30])), (replicates - 1) // 40 + 2),
                 band_elements=draw(st.sampled_from([1, 2, 3, 5, 16, 2**16]))), \
-        (chunks, bounds, horizon)
+        ([curve for curve in curves if curve is not None], horizon)
 
 
-def _summarize(parts, times, horizon_column, bounds, shares=1, k=2):
+def _summarize(parts, times, horizon_column, shares=1, k=2):
     """One stratum's summary of parts, each chunk's (present, steps,
     columns, survival), taken in as propagate takes them: chunk by chunk
-    into one summary per share of whole groups (bounds in chunks), then the
-    shares merged in order."""
-    groups = len(bounds) - 1
-    cuts = [groups * i // shares for i in range(shares + 1)]
+    into one summary per share of the chunks, then the shares merged in
+    order."""
+    cuts = [len(parts) * i // shares for i in range(shares + 1)]
     summaries = []
     for a, b in zip(cuts, cuts[1:]):
-        share = parts[bounds[a]:bounds[b]]
-        summary = propagation._BandSummary(times.size, k, horizon_column, a == 0,
+        share = parts[a:b]
+        summary = propagation._BandSummary(times.size, k, horizon_column,
                                            sum(present.size for present, *_ in share))
-        for group in range(a, b):
-            for part in parts[bounds[group]:bounds[group + 1]]:
-                summary.add(*part, group)
+        for part in share:
+            summary.add(*part)
         summaries.append(summary)
     for other in summaries[1:]:
         summaries[0].merge(other)
     return summaries[0]
+
+
+@st.composite
+def _part_values(draw):
+    """(n, a (replicate, column) matrix of band values of a cohort of n
+    patients): 0, 1.0, Kaplan-Meier products of (r - d) / r factors whose
+    risk sets shrink by at least the deaths, and uniform floats in [1/n, 1]."""
+    n = draw(st.integers(1, 2**20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    replicates, columns = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+
+    def product():
+        at_risk, survival = n, 1.0
+        while at_risk > 1 and rng.random() < 0.9:
+            deaths = int(rng.integers(1, at_risk))
+            survival *= (at_risk - deaths) / at_risk
+            at_risk = int(rng.integers(1, at_risk - deaths + 1))
+        return survival
+
+    kinds = rng.integers(0, 4, (replicates, columns))
+    values = rng.uniform(1.0 / n, 1.0, (replicates, columns))
+    values[kinds == 0] = 0.0
+    values[kinds == 1] = 1.0
+    values[kinds == 2] = [product() for _ in range(np.count_nonzero(kinds == 2))]
+    return n, values
 
 
 def _oracle_rates(curves, horizon):
@@ -549,17 +568,47 @@ class TestBands:
     @settings(max_examples=300, deadline=None)
     @given(_band_cases())
     def test_band_matches_oracle(self, case):
-        case, (chunks, bounds, horizon) = case
+        case, (curves, horizon) = case
         band_elements = case.pop("band_elements")
         with mock.patch.object(propagation, "BAND_ELEMENTS", band_elements):
             rates, band = _summarize(**case).read(case["times"])
-        expected = oracle.km_band(chunks, bounds)
+        expected = oracle.km_band(curves)
         if expected is None:
             assert rates is None and band is None
         else:
             _assert_identical(asdict(band), asdict(expected))
-            curves = [curve for chunk in chunks for curve in chunk]
             _assert_identical(asdict(rates), asdict(_oracle_rates(curves, horizon)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_part_values(), st.data())
+    def test_parts_sum_exactly_in_any_order(self, case, data):
+        n, values = case
+        parts = propagation._parts(values.copy())
+        for value, high, middle, rest in zip(values.ravel(), *(p.ravel() for p in parts)):
+            assert Fraction(high) + Fraction(middle) + Fraction(rest) == Fraction(value)
+            # Each part on its grid: multiples of 2**-23 in [0, 1], of 2**-47
+            # up to 2**-24 in size, and of 2**-52 / 2**bit_length(n) up to
+            # 2**-48 in size.
+            assert 0.0 <= high <= 1.0 and (Fraction(high) * 2**23).denominator == 1
+            assert abs(middle) <= 2**-24 and (Fraction(middle) * 2**47).denominator == 1
+            assert abs(rest) <= 2**-48
+            assert (Fraction(rest) * 2**(52 + n.bit_length())).denominator == 1
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        replicates = values.shape[0]
+        cuts = np.sort(rng.integers(0, replicates + 1, rng.integers(0, 6)))
+        for part in parts:
+            exact = [float(sum(map(Fraction, column))) for column in part.T]
+            in_order, reversed_order = np.zeros(part.shape[1]), np.zeros(part.shape[1])
+            for row in part:
+                in_order += row
+            for row in part[::-1]:
+                reversed_order += row
+            chunked = np.zeros(part.shape[1])
+            for chunk in np.split(part, cuts):
+                chunked += chunk.sum(axis=0)
+            shuffled = part[rng.permutation(replicates)].sum(axis=0)
+            for sums in (in_order, reversed_order, chunked, shuffled):
+                assert [x.hex() for x in sums] == [x.hex() for x in exact]
 
     def test_band_mean_escaping_percentiles_is_absorbed(self):
         # 3 replicate curves drop at t=10, 197 stay flat: the pointwise mean
@@ -572,8 +621,8 @@ class TestBands:
         rank, column = np.array([0, 1, 1]), np.array([0, 0])
         drop, flat = [True, True, False], [False, True, True]
         mask = np.array([drop] * 3 + [flat] * 197)
-        summary = propagation._BandSummary(1, 6, 1, True, 200)
-        propagation._fit_stratum(mask, rank, event, column, summary, 0)
+        summary = propagation._BandSummary(1, 6, 1, 200)
+        propagation._fit_stratum(mask, rank, event, column, summary)
         rates, band = summary.read(np.array([10.0]))
         assert band.lower[0] == band.mean[0] == pytest.approx(0.9925)
         assert band.upper[0] == 1.0
@@ -584,7 +633,7 @@ class TestBands:
 
         curves = ([km_from_arrays(time[drop], event[drop])] * 3
                   + [km_from_arrays(time[flat], event[flat])] * 197)
-        _assert_identical(asdict(band), asdict(oracle.km_band([curves])))
+        _assert_identical(asdict(band), asdict(oracle.km_band(curves)))
         _assert_identical(asdict(rates), asdict(_oracle_rates(curves, 365.0)))
 
     def test_row_lookup_carries_across_block_edges(self):
@@ -618,9 +667,9 @@ class TestBands:
         # replicates 0 and 1 read a step before it, replicate 3 none yet
         # (S = 1.0).
         with mock.patch.object(propagation, "BAND_ELEMENTS", 12):
-            rates, band = _summarize(stored, grid, 6, [0, 1, 2]).read(grid)
+            rates, band = _summarize(stored, grid, 6).read(grid)
         assert band.times.size == 12
-        _assert_identical(asdict(band), asdict(oracle.km_band(chunks, [0, 1, 2])))
+        _assert_identical(asdict(band), asdict(oracle.km_band(chunks[0] + chunks[1])))
         _assert_identical(asdict(rates),
                           asdict(_oracle_rates(chunks[0] + chunks[1], 200.0)))
 
@@ -628,7 +677,7 @@ class TestBands:
     def test_band_read_memory_is_bounded_by_its_blocks(self, unblocked):
         # 400 curves of 1000 steps each among 5000 columns, in four chunks.
         # Beyond its parts, the summary holds its own arrays (k = 11
-        # smallest and largest values, two sums and one rate per curve), a
+        # smallest and largest values, three sums and one rate per curve), a
         # chunk's step keys and S values while it takes the chunk in, and
         # at a time one block of about BAND_ELEMENTS cells: their step
         # numbers, their S values, the partition's union with the kept
@@ -639,7 +688,7 @@ class TestBands:
         times = np.arange(1.0, columns + 1.0)
         rng = np.random.default_rng(3)
         k = (curves - 1) // 40 + 2
-        bound = ((2 * k + 2) * columns + curves + 2 * (curves // 4) * steps
+        bound = ((2 * k + 3) * columns + curves + 2 * (curves // 4) * steps
                  + 8 * propagation.BAND_ELEMENTS) * 8
         tracemalloc.start()
         try:
@@ -652,8 +701,7 @@ class TestBands:
             tracemalloc.reset_peak()
             band_elements = 100 * columns if unblocked else propagation.BAND_ELEMENTS
             with mock.patch.object(propagation, "BAND_ELEMENTS", band_elements):
-                _, band = _summarize(parts, times, columns // 2, [0, 1, 2, 3, 4],
-                                     k=k).read(times)
+                _, band = _summarize(parts, times, columns // 2, k=k).read(times)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -662,20 +710,17 @@ class TestBands:
 
     def test_peak_memory_does_not_grow_with_the_replicates(self):
         # From R = 50 to R = 1000 each stratum's summary grows by its kept
-        # values, k = (R - 1) // 40 + 2 per side and grid column, by at most
-        # one column sum per group of chunks (SUM_CELLS values), and by
+        # values, k = (R - 1) // 40 + 2 per side and grid column, and by
         # one event rate per replicate, and the source by one hazard ratio
-        # per replicate; nothing grows with the curves' steps, which at
-        # R = 1000 take about 2 MB more than at R = 50 on this cohort.
+        # per replicate; its three sums per column do not grow, nor does
+        # anything with the curves' steps, which at R = 1000 take about
+        # 2 MB more than at R = 50 on this cohort.
         cohort = simulate(SimConfig(n_patients=1366, seed=1))
         columns = np.unique(cohort.time[cohort.event > 0]).size
-        per_chunk = propagation.CHUNK_ELEMENTS // cohort.time.size
 
         def state(replicates):
             k = (replicates - 1) // 40 + 2
-            chunks = -(-replicates // per_chunk)
-            groups = len(propagation._group_bounds(chunks, columns)) - 1
-            return 8 * (len(STRATA) * ((2 * k + groups) * columns + replicates) + replicates)
+            return 8 * (len(STRATA) * ((2 * k + 3) * columns + replicates) + replicates)
 
         peaks = {}
         with _cpus(1):
@@ -737,7 +782,7 @@ class TestBands:
                       np.tile(np.arange(columns), len(chunks[i])), chunks[i].ravel())
                      for i in order]
             summary = _summarize(parts, np.arange(1.0, columns + 1.0), columns,
-                                 list(range(len(parts) + 1)), shares=shares, k=k)
+                                 shares=shares, k=k)
             assert np.array_equal(summary.low, ordered[:rows])
             assert np.array_equal(-summary.high[::-1], ordered[m - rows:])
 

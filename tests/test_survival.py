@@ -482,6 +482,17 @@ class TestCoxFit:
             cox_fit_from_arrays(time, np.array([1, 1, 0]), np.array([1.0, 2.0, 3.0]),
                                 max_iterations=0)
 
+    def test_fractional_max_iterations_rejected(self):
+        with pytest.raises(InvalidParameterError,
+                           match="max_iterations must be an integer, got 2.5"):
+            cox_fit_from_arrays(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]),
+                                np.array([1.0, 2.0, 3.0]), max_iterations=2.5)
+
+    def test_non_numeric_tolerance_rejected(self):
+        with pytest.raises(InvalidParameterError, match="tolerance must be a number, got 'x'"):
+            cox_fit_from_arrays(np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]),
+                                np.array([1.0, 2.0, 3.0]), tolerance="x")
+
 
 # Cohorts for the Cox invariance properties: tied integer times, and an
 # LVEF-like covariate on a 0.1 grid, so a shift by c cannot round it constant.
